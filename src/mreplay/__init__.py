@@ -10,11 +10,10 @@ from .losses import (JointBatch, angular_distance_matrix, graph_reg_loss,
                      kl_row_divergence, projector_loss, regression_loss,
                      score_distance_matrix, total_loss)
 from .memory import MemoryBank, ous_select, refresh, sample_replay, store_session
-from .metrics import EvalMatrix, rho_aft, rho_avg, rho_fwt, spearman
-from .models import (BundleSpec, MlpSpec, ModelBundle, ScorePrediction,
-                     default_spec, encode, freeze_copy, init_bundle, predict,
-                     project, regress)
+from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
+from .models import (BundleSpec, MlpSpec, ModelBundle, default_spec, encode,
+                     freeze_copy, init_bundle, predict, project, regress)
 from .trainer import (TrainConfig, TrainState, feature_deviation, new_state,
-                      run_baseline, run_continual, run_sweep, train_session)
+                      run_continual, train_session)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

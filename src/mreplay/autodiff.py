@@ -24,10 +24,6 @@ class NonFiniteError(ValueError):
     pass
 
 
-class BackwardError(RuntimeError):
-    pass
-
-
 class Tensor:
     """A node of the tape: a 2-D float64 value plus backward plumbing."""
 
@@ -71,20 +67,9 @@ def _at(name):
 
 
 def leaf(value, name=None) -> Tensor:
-    """Wrap an array as a tape leaf."""
+    """Wrap an array as a tape leaf: a parameter, or data that only needs a
+    place on the tape."""
     return Tensor(value, name=name)
-
-
-def constant(value, name=None) -> Tensor:
-    """Alias of ``leaf`` used where a value is data rather than a parameter."""
-    return Tensor(value, name=name)
-
-
-def forward(expr: Tensor) -> np.ndarray:
-    """Return the (already computed) forward value of an expression."""
-    if expr.value is None:  # unreachable via public constructors
-        raise BackwardError("expression has no forward value")
-    return expr.value
 
 
 def _node(value, parents, bwd, name=None) -> Tensor:
@@ -230,7 +215,8 @@ def softplus(a: Tensor) -> Tensor:
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
     def bwd(g, grads):
-        sig = 1.0 / (1.0 + np.exp(-x))
+        with np.errstate(over="ignore"):  # exp(-x) = inf gives sig = 0, the limit
+            sig = 1.0 / (1.0 + np.exp(-x))
         _acc(grads, a, g * sig)
 
     return _node(out, (a,), bwd)
@@ -327,8 +313,6 @@ def backward(root: Tensor, seed_grad) -> dict[Tensor, np.ndarray]:
     Returns a map from each leaf tensor on the tape to its gradient.
     Gradients accumulate across fan-out.
     """
-    if root.value is None:
-        raise BackwardError("backward called before forward")
     seed = np.asarray(seed_grad, dtype=np.float64)
     if seed.shape != root.value.shape:
         raise ShapeError(f"seed shape {seed.shape} does not match root {root.shape}")

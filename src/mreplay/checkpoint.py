@@ -3,7 +3,9 @@
 One file holds the component specs, flat parameter arrays, the frozen
 encoder copy, the memory bank, the score scaler, the train config, and the
 RNG stream states. Floats are serialized with full round-trip precision,
-so save -> load -> evaluate is bit-exact.
+so save -> load -> evaluate is bit-exact. The loader reads only the keys
+it needs, so older format-1 files, which also carry a flag saying whether
+``frozen_encoder`` is set, load unchanged.
 """
 from __future__ import annotations
 
@@ -67,7 +69,6 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
             "projector": _pack_params(b.projector),
             "regressor": _pack_params(b.regressor),
         },
-        "has_frozen": b.has_frozen,
         "frozen_encoder": None if b.frozen_encoder is None else
         {name: _pack_array(a) for name, a in b.frozen_encoder.items()},
         "bank": {
@@ -112,7 +113,6 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
                 raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
                                       f"does not match {params[name].value.shape}")
             params[name] = ad.leaf(arr, name=name)
-    bundle.has_frozen = payload["has_frozen"]
     bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
         {name: _unpack_array(d) for name, d in payload["frozen_encoder"].items()}
     bank = MemoryBank(capacity=payload["bank"]["capacity"])

@@ -4,6 +4,11 @@ Subcommands: gen, split, train, eval, ablate, sweep, plot, report.
 A JSON config file mirrors the DataConfig / TrainConfig field names under
 "data" and "train" sections; command-line flags override single fields.
 Outputs land under --out, the MREPLAY_OUT env var, or ./runs.
+
+``ablate`` and ``sweep`` share one grid runner: each grid cell is a data
+config plus a train config, run once per seed of the config's "seeds" list.
+An ablation variant is a set of TrainConfig flags over ``magr``; a sweep
+axis changes one field of the data or train config.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +30,22 @@ from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
-                      evaluate_on, run_continual, run_sweep)
+                      evaluate_on, run_continual)
 
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
                         "memory": [3, 5, 7, 9, 11]}
-ABLATION_VARIANTS = ("full", "no_mp", "no_residual", "no_ii_gr", "no_j_gr",
-                     "no_iij_gr", "mse_gr", "random_sampling")
+# ablation variant -> the TrainConfig flags it sets on ``magr``
+ABLATION_VARIANTS = {
+    "full": {},
+    "no_mp": {"no_mp": True},
+    "no_residual": {"no_residual": True},
+    "no_ii_gr": {"no_ii_gr": True},
+    "no_j_gr": {"no_j_gr": True},
+    "no_iij_gr": {"no_ii_gr": True, "no_j_gr": True},
+    "mse_gr": {"mse_gr": True},
+    "random_sampling": {"random_sampling": True},
+}
 
 
 def _load_config(path: str | None) -> dict:
@@ -240,7 +254,7 @@ def _run_and_write(run_dir: Path, dataset: Dataset, data_cfg: DataConfig,
     _write_json(run_dir / "summary.json", summary)
     manifest_doc = {
         "version": __version__,
-        "config": {"data": _dc_dict(data_cfg), "train": train_cfg.to_dict()},
+        "config": {"data": asdict(data_cfg), "train": train_cfg.to_dict()},
         "seed": train_cfg.seed,
         "artifacts": {
             "dataset": str(run_dir / "dataset.csv"),
@@ -254,10 +268,6 @@ def _run_and_write(run_dir: Path, dataset: Dataset, data_cfg: DataConfig,
     }
     _write_json(run_dir / "manifest.json", manifest_doc)
     return result
-
-
-def _dc_dict(dc: DataConfig) -> dict:
-    return {f.name: getattr(dc, f.name) for f in fields(dc)}
 
 
 def cmd_train(args) -> int:
@@ -277,28 +287,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    state, scaler, train_cfg = load_checkpoint(args.checkpoint)
-    dataset = load_csv(args.dataset)
-    with open(args.split) as fh:
-        manifest = json.load(fh)
-    plan = plan_from_manifest(dataset, manifest)
-    plan_norm = apply_scaler(plan, scaler)
+def _checkpoint_predictions(checkpoint, dataset_path, split_path,
+                            upto: int | None = None):
+    """Score a checkpoint on the test sets of sessions 1..``upto`` of a
+    dataset + split, in original score units. ``upto`` defaults to the
+    sessions the checkpoint was trained on (all of them for ``joint``).
+    Returns that default and one (truth, pred) pair per session."""
+    state, scaler, train_cfg = load_checkpoint(checkpoint)
+    dataset = load_csv(dataset_path)
+    with open(split_path) as fh:
+        plan = apply_scaler(plan_from_manifest(dataset, json.load(fh)), scaler)
     t = state.session if train_cfg.method != "joint" else plan.n_sessions
-    upto = args.session if args.session else t
+    upto = upto or t
     if upto > plan.n_sessions:
         raise ValueError(f"session {upto} exceeds plan with {plan.n_sessions}")
-    truths, preds = [], []
-    per_session = {}
-    for j in range(1, upto + 1):
-        truth, pred = evaluate_on(state.bundle,
-                                  plan_norm.test_samples(j, train_cfg.held_out_only),
-                                  scaler)
-        per_session[str(j)] = spearman(truth, pred)
-        truths.append(truth)
-        preds.append(pred)
+    return t, [evaluate_on(state.bundle,
+                           plan.test_samples(j, train_cfg.held_out_only), scaler)
+               for j in range(1, upto + 1)]
+
+
+def cmd_eval(args) -> int:
+    t, scored = _checkpoint_predictions(args.checkpoint, args.dataset, args.split,
+                                        args.session)
+    truths, preds = zip(*scored)
     payload = {"checkpoint": str(args.checkpoint), "session": t,
-               "rho_per_session": per_session,
+               "rho_per_session": {str(j): spearman(truth, pred) for j, (truth, pred)
+                                   in enumerate(scored, start=1)},
                "rho_avg": spearman(np.concatenate(truths), np.concatenate(preds))}
     if args.out:
         _write_json(Path(args.out), payload)
@@ -308,41 +322,41 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _variant_config(base: TrainConfig, variant: str, seed: int) -> TrainConfig:
-    cfg = replace(base, method="magr", seed=seed)
-    if variant == "full":
-        return cfg
-    if variant == "no_iij_gr":
-        return replace(cfg, no_ii_gr=True, no_j_gr=True)
-    if variant not in ABLATION_FLAGS:
-        raise ValueError(f"unknown ablation variant {variant!r}")
-    return replace(cfg, **{variant: True})
-
-
-def cmd_ablate(args) -> int:
+def _run_grid(args, cells):
+    """The grid runner of ``ablate`` and ``sweep``. ``cells(data_cfg,
+    train_cfg)`` yields (label, data config, train config) from the base
+    configs; each cell runs once per seed of the config's "seeds" list
+    (default: the train seed) on one dataset. Yields (label, seed, summary)."""
     cfg = _load_config(args.config)
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
     seeds = cfg.get("seeds", [train_cfg.seed])
     dataset = _load_dataset(args, data_cfg)
-    out = _out_root(args)
+    for label, cell_data, cell_train in cells(data_cfg, train_cfg):
+        for seed in seeds:
+            plan, _ = _build_plan(dataset, cell_data, None, seed)
+            plan_norm, scaler = normalize_scores(plan)
+            result = run_continual(plan_norm, scaler, replace(cell_train, seed=seed))
+            yield label, seed, result.summary
+
+
+def cmd_ablate(args) -> int:
+    def cells(data_cfg, train_cfg):
+        for variant, flags in ABLATION_VARIANTS.items():
+            yield variant, data_cfg, replace(train_cfg, method="magr", **flags)
+
     rows = []
     full_scores: dict[int, float] = {}
-    for variant in ABLATION_VARIANTS:
-        for seed in seeds:
-            vc = _variant_config(train_cfg, variant, seed)
-            plan, _ = _build_plan(dataset, data_cfg, None, seed)
-            plan_norm, scaler = normalize_scores(plan)
-            result = run_continual(plan_norm, scaler, vc)
-            s = result.summary
-            if variant == "full":
-                full_scores[seed] = s["rho_avg"]
-            delta = s["rho_avg"] - full_scores[seed]
-            pct = 100.0 * delta / abs(full_scores[seed]) if full_scores[seed] else 0.0
-            rows.append([variant, seed, s["rho_avg"], s["rho_aft"], s["rho_fwt"],
-                         delta, pct])
-            print(f"{variant} seed={seed}: rho_avg={s['rho_avg']:.4f} "
-                  f"(delta={delta:+.4f})")
+    for variant, seed, s in _run_grid(args, cells):
+        if variant == "full":
+            full_scores[seed] = s["rho_avg"]
+        delta = s["rho_avg"] - full_scores[seed]
+        pct = 100.0 * delta / abs(full_scores[seed]) if full_scores[seed] else 0.0
+        rows.append([variant, seed, s["rho_avg"], s["rho_aft"], s["rho_fwt"],
+                     delta, pct])
+        print(f"{variant} seed={seed}: rho_avg={s['rho_avg']:.4f} "
+              f"(delta={delta:+.4f})")
+    out = _out_root(args)
     _write_rows(out / "ablation.csv",
                 ["variant", "seed", "rho_avg", "rho_aft", "rho_fwt",
                  "delta_rho_avg", "delta_pct"], rows)
@@ -351,27 +365,27 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    data_cfg = _data_config(cfg)
-    train_cfg = _train_config(cfg, args)
-    seeds = cfg.get("seeds", [train_cfg.seed])
     if args.values:
         values = [float(v) for v in args.values.split(",")]
     else:
         values = DEFAULT_SWEEP_VALUES[args.axis]
-    rows = run_sweep(args.axis, values, data_cfg, train_cfg, seeds)
+
+    def cells(data_cfg, train_cfg):
+        for value in values:
+            if args.axis == "shots":
+                yield value, replace(data_cfg, shots=int(value)), train_cfg
+            elif args.axis == "noise":
+                yield value, replace(data_cfg, label_noise=float(value)), train_cfg
+            else:
+                yield value, data_cfg, replace(train_cfg, m=int(value))
+
+    rows = [[args.axis, value, seed, s["rho_avg"], s["rho_aft"], s["rho_fwt"]]
+            for value, seed, s in _run_grid(args, cells)]
     out = _out_root(args)
     _write_rows(out / "sweep.csv",
-                ["axis", "value", "seed", "rho_avg", "rho_aft", "rho_fwt"],
-                [[r["axis"], r["value"], r["seed"], r["rho_avg"], r["rho_aft"],
-                  r["rho_fwt"]] for r in rows])
+                ["axis", "value", "seed", "rho_avg", "rho_aft", "rho_fwt"], rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
-
-
-def _read_results(run_dir: Path) -> list[dict]:
-    with open(run_dir / "results.csv", newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def cmd_plot(args) -> int:
@@ -380,7 +394,8 @@ def cmd_plot(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     kind = args.kind
     if kind == "sessions":
-        rows = _read_results(run_dir)
+        with open(run_dir / "results.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         curve = [(int(r["session"]), float(r["value"])) for r in rows
                  if r["metric"] == "rho_avg"]
         svg = sessions_plot({run_dir.name: curve})
@@ -399,23 +414,18 @@ def cmd_plot(args) -> int:
         ckpts = sorted((run_dir / "checkpoints").glob("session_*.json"))
         if not ckpts:
             raise FileNotFoundError(f"no checkpoints under {run_dir}")
-        state, scaler, train_cfg = load_checkpoint(ckpts[-1])
-        dataset = load_csv(run_dir / "dataset.csv")
-        with open(run_dir / "split.json") as fh:
-            plan = plan_from_manifest(dataset, json.load(fh))
-        plan_norm = apply_scaler(plan, scaler)
         if kind == "scatter":
+            _, scored = _checkpoint_predictions(ckpts[-1], run_dir / "dataset.csv",
+                                                run_dir / "split.json")
             truths, preds, tags = [], [], []
-            for j in range(1, plan.n_sessions + 1):
-                truth, pred = evaluate_on(
-                    state.bundle, plan_norm.test_samples(j, train_cfg.held_out_only),
-                    scaler)
+            for j, (truth, pred) in enumerate(scored, start=1):
                 truths.extend(truth)
                 preds.extend(pred)
                 tags.extend([j] * len(truth))
             path = out / "scatter.svg"
             path.write_text(scatter_plot(truths, preds, tags))
         else:
+            state, _, _ = load_checkpoint(ckpts[-1])
             if state.bank.size == 0:
                 raise ValueError("empty memory bank; pca2d needs stored features")
             labels = [r.session for r in state.bank.entries]
@@ -495,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="sweep one robustness axis")
     common(sp)
-    sp.add_argument("--axis", choices=("shots", "noise", "memory"), required=True)
+    sp.add_argument("--axis", choices=tuple(DEFAULT_SWEEP_VALUES), required=True)
     sp.add_argument("--values", help="comma-separated axis values")
 
     sp = sub.add_parser("plot", help="render SVG diagnostics for a run")

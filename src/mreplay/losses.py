@@ -21,8 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-PROB_FLOOR = 1e-12
-
 
 def _as_column(y, rows: int, what: str) -> Tensor:
     if isinstance(y, Tensor):
@@ -31,7 +29,7 @@ def _as_column(y, rows: int, what: str) -> Tensor:
         arr = np.asarray(y, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
-        t = ad.constant(arr)
+        t = ad.leaf(arr)
     if t.shape != (rows, 1):
         raise ad.ShapeError(f"{what} must be {rows}x1, got {t.shape}")
     return t
@@ -39,7 +37,7 @@ def _as_column(y, rows: int, what: str) -> Tensor:
 
 def regression_loss(predicted, target) -> Tensor:
     """Mean squared error between two score columns."""
-    p = predicted if isinstance(predicted, Tensor) else ad.constant(
+    p = predicted if isinstance(predicted, Tensor) else ad.leaf(
         np.asarray(predicted, dtype=np.float64).reshape(-1, 1))
     t = _as_column(target, p.rows, "target")
     return ad.scale(ad.sq_error(p, t), 1.0 / p.rows)
@@ -47,8 +45,8 @@ def regression_loss(predicted, target) -> Tensor:
 
 def projector_loss(actual, projected) -> Tensor:
     """Mean over rows of the squared L2 distance between matching rows."""
-    a = actual if isinstance(actual, Tensor) else ad.constant(actual)
-    p = projected if isinstance(projected, Tensor) else ad.constant(projected)
+    a = actual if isinstance(actual, Tensor) else ad.leaf(actual)
+    p = projected if isinstance(projected, Tensor) else ad.leaf(projected)
     if a.shape != p.shape:
         raise ad.ShapeError(f"feature shapes differ: {a.shape} vs {p.shape}")
     return ad.scale(ad.sq_error(a, p), 1.0 / a.rows)
@@ -60,7 +58,7 @@ def angular_distance_matrix(h) -> Tensor:
     Entries lie in [0, pi]; the diagonal is pinned near 0 by the arccos
     clamp rather than exactly 0.
     """
-    t = h if isinstance(h, Tensor) else ad.constant(h)
+    t = h if isinstance(h, Tensor) else ad.leaf(h)
     hn = ad.row_normalize(t)
     return ad.arccos(ad.matmul(hn, ad.transpose(hn)))
 
@@ -105,11 +103,11 @@ def partition(full: Tensor, b1: int) -> BlockedMatrix:
 def kl_row_divergence(p, q) -> Tensor:
     """Mean over rows of KL(softmax(p_row) || softmax(q_row)).
 
-    Probabilities come out of a log-softmax, so nothing is ever floored in
-    practice; the 1e-12 floor only guards degenerate inputs.
+    Both log-probabilities come out of a shifted log-softmax, so no
+    probability floor is needed.
     """
-    pt = p if isinstance(p, Tensor) else ad.constant(p)
-    qt = q if isinstance(q, Tensor) else ad.constant(q)
+    pt = p if isinstance(p, Tensor) else ad.leaf(p)
+    qt = q if isinstance(q, Tensor) else ad.leaf(q)
     if pt.shape != qt.shape:
         raise ad.ShapeError(f"kl shapes differ: {pt.shape} vs {qt.shape}")
     probs = ad.row_softmax(pt)
@@ -159,7 +157,7 @@ def graph_reg_loss(batch: JointBatch, *, joint: bool = True,
         raise ValueError("graph regularizer with no joint and no block terms")
     h = ad.concat_rows(batch.old, batch.new)
     a = angular_distance_matrix(h)
-    s = ad.constant(score_distance_matrix(batch.scores, signed=signed))
+    s = ad.leaf(score_distance_matrix(batch.scores, signed=signed))
     terms = []
     if joint:
         terms.append(_row_loss(a, s, use_mse, reverse_kl))

@@ -60,11 +60,6 @@ def spearman(truth, predicted) -> float:
     return float((ra * rb).sum() / np.sqrt(va * vb))
 
 
-def rho_avg(truth, predicted) -> float:
-    """Spearman over pooled predictions from every test set seen so far."""
-    return spearman(truth, predicted)
-
-
 @dataclass
 class EvalMatrix:
     """Per-cell Spearman coefficients for one continual run."""

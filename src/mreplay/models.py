@@ -12,7 +12,6 @@ Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 """
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +103,6 @@ class ModelBundle:
     projector: dict[str, Tensor]
     regressor: dict[str, Tensor]
     frozen_encoder: dict[str, np.ndarray] | None = None
-    has_frozen: bool = False
-
-
-@dataclass(frozen=True)
-class ScorePrediction:
-    mean: float
-    std: float
-    sample: float
 
 
 def _init_layer(params: dict, prefix: str, i: int, fan_in: int, fan_out: int,
@@ -150,8 +141,8 @@ def _mlp_forward(params: dict[str, Tensor], prefix: str, n_layers: int, x: Tenso
         if frozen is None:
             w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
         else:
-            w = ad.constant(frozen[f"{prefix}.w{i}"])
-            b = ad.constant(frozen[f"{prefix}.b{i}"])
+            w = ad.leaf(frozen[f"{prefix}.w{i}"])
+            b = ad.leaf(frozen[f"{prefix}.b{i}"])
         h = ad.add(ad.matmul(h, w), b)
         if i < n_layers - 1 or output_relu:
             h = ad.relu(h)
@@ -159,7 +150,7 @@ def _mlp_forward(params: dict[str, Tensor], prefix: str, n_layers: int, x: Tenso
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else ad.constant(x)
+    return x if isinstance(x, Tensor) else ad.leaf(x)
 
 
 def encode(bundle: ModelBundle, x, frozen: bool = False) -> Tensor:
@@ -175,7 +166,7 @@ def encode(bundle: ModelBundle, x, frozen: bool = False) -> Tensor:
     if bundle.spec.encoder is None:
         return t
     if frozen:
-        if not bundle.has_frozen:
+        if bundle.frozen_encoder is None:
             raise ValueError("no frozen encoder copy; call freeze_copy first")
         return _mlp_forward(bundle.encoder, "encoder", bundle.spec.encoder.n_layers,
                             t, frozen=bundle.frozen_encoder)
@@ -212,7 +203,7 @@ def regress(bundle: ModelBundle, h, eps=None) -> tuple[Tensor, Tensor, Tensor]:
     e = np.asarray(eps, dtype=np.float64)
     if e.shape != (t.rows, 1):
         raise ad.ShapeError(f"eps shape {e.shape} does not match batch ({t.rows}, 1)")
-    sample = ad.add(mean, ad.mul(ad.constant(e), std))
+    sample = ad.add(mean, ad.mul(ad.leaf(e), std))
     return mean, std, sample
 
 
@@ -222,21 +213,12 @@ def predict(bundle: ModelBundle, x) -> np.ndarray:
     return mean.value[:, 0].copy()
 
 
-def score_predictions(bundle: ModelBundle, x, eps=None) -> list[ScorePrediction]:
-    mean, std, sample = regress(bundle, encode(bundle, x), eps)
-    return [ScorePrediction(mean=float(m), std=float(s), sample=float(y))
-            for m, s, y in zip(mean.value[:, 0], std.value[:, 0], sample.value[:, 0])]
-
-
 def freeze_copy(bundle: ModelBundle) -> None:
     """Snapshot the encoder weights as constants. Identity encoders have no
-    weights; the call still marks the copy as taken."""
-    if bundle.spec.encoder is None:
-        bundle.frozen_encoder = None
-        bundle.has_frozen = True
-        return
-    bundle.frozen_encoder = {name: p.value.copy() for name, p in bundle.encoder.items()}
-    bundle.has_frozen = True
+    weights, so there is nothing to snapshot."""
+    if bundle.spec.encoder is not None:
+        bundle.frozen_encoder = {name: p.value.copy()
+                                 for name, p in bundle.encoder.items()}
 
 
 def components(bundle: ModelBundle) -> dict[str, dict[str, Tensor]]:
@@ -244,20 +226,4 @@ def components(bundle: ModelBundle) -> dict[str, dict[str, Tensor]]:
     out = {"projector": bundle.projector, "regressor": bundle.regressor}
     if bundle.encoder is not None:
         out["encoder"] = bundle.encoder
-    return out
-
-
-def clone_bundle(bundle: ModelBundle) -> ModelBundle:
-    """Deep copy; parameter arrays are duplicated, not aliased."""
-    out = ModelBundle(
-        spec=bundle.spec,
-        encoder=None if bundle.encoder is None else
-        {k: ad.leaf(v.value.copy(), name=k) for k, v in bundle.encoder.items()},
-        projector={k: ad.leaf(v.value.copy(), name=k) for k, v in bundle.projector.items()},
-        regressor={k: ad.leaf(v.value.copy(), name=k) for k, v in bundle.regressor.items()},
-    )
-    if bundle.has_frozen:
-        out.frozen_encoder = None if bundle.frozen_encoder is None else \
-            copy.deepcopy(bundle.frozen_encoder)
-        out.has_frozen = True
     return out

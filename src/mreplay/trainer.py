@@ -13,14 +13,17 @@ and takes one Adam step on the weighted sum. At session end the stored
 features are refreshed through the projector exactly once, then the
 finished session's features are stored by score-ordered uniform selection.
 
-Method semantics are resolved into one shared loop:
+Every method runs this one loop, which reads the ablation flags straight
+off ``TrainConfig``; the method string decides only what no flag can
+express:
 
-* ``magr``: everything above,
+* ``magr``: everything above, minus whatever the flags switch off,
 * ``sequential-ft``: no memory at all,
-* ``joint``: one session over the union of all training splits,
-* ``replay-raw``: stores raw inputs, re-encoded at every replay step,
-* ``replay-feature-naive``: stores features but never projects, refreshes
-  or applies the graph term.
+* ``joint``: no memory, one session over the union of all training splits,
+* ``replay-raw`` and ``replay-feature-naive``: ``magr`` with ``no_mp``,
+  ``no_ii_gr`` and ``no_j_gr`` set, so stored entries are never projected or
+  refreshed and the graph term is off; ``replay-raw`` stores raw inputs and
+  re-encodes them at every replay step.
 """
 from __future__ import annotations
 
@@ -33,16 +36,17 @@ from . import autodiff as ad
 from . import losses as ls
 from . import memory as mem
 from .data import ScoreScaler, Sample, SessionPlan
-from .metrics import EvalMatrix, rho_aft, rho_avg, rho_fwt, spearman
+from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
 from .models import (ModelBundle, components, default_spec, encode, freeze_copy,
                      init_bundle, make_rng, predict, project, regress)
 
 METHODS = ("magr", "sequential-ft", "joint", "replay-raw", "replay-feature-naive")
+MEMORYLESS = ("sequential-ft", "joint")
+REPLAY_BASELINES = ("replay-raw", "replay-feature-naive")
 
 STREAM_ORDER = 5
 STREAM_REPLAY = 6
 STREAM_EPS = 7
-STREAM_REFERENCE = 8
 STREAM_STORE = 9
 
 ABLATION_FLAGS = ("no_mp", "no_residual", "no_ii_gr", "no_j_gr", "mse_gr",
@@ -128,43 +132,13 @@ class TrainConfig:
         return TrainConfig(**kw)
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """Method string + ablation flags collapsed into loop switches."""
-
-    use_memory: bool
-    store_raw: bool
-    use_projector: bool
-    residual: bool
-    use_joint_term: bool
-    use_block_terms: bool
-    mse_gr: bool
-    random_sampling: bool
-    reverse_kl: bool
-    signed_scores: bool
-
-    @property
-    def use_graph(self) -> bool:
-        return self.use_joint_term or self.use_block_terms
-
-
-def resolve(config: TrainConfig) -> _Resolved:
-    no_mp, no_ii, no_j = config.no_mp, config.no_ii_gr, config.no_j_gr
-    use_memory, store_raw = True, False
-    if config.method in ("sequential-ft", "joint"):
-        use_memory = False
-    elif config.method == "replay-raw":
-        store_raw, no_mp, no_ii, no_j = True, True, True, True
-    elif config.method == "replay-feature-naive":
-        no_mp, no_ii, no_j = True, True, True
-    return _Resolved(use_memory=use_memory, store_raw=store_raw,
-                     use_projector=not no_mp,
-                     residual=not config.no_residual,
-                     use_joint_term=not no_j, use_block_terms=not no_ii,
-                     mse_gr=config.mse_gr,
-                     random_sampling=config.random_sampling,
-                     reverse_kl=config.reverse_kl,
-                     signed_scores=not config.abs_score_distance)
+def _preset(config: TrainConfig) -> TrainConfig:
+    """The config with the replay baselines' flags set. ``no_mp`` removes
+    the projector, so ``no_residual`` no longer applies."""
+    if config.method in REPLAY_BASELINES:
+        return replace(config, no_mp=True, no_residual=False,
+                       no_ii_gr=True, no_j_gr=True)
+    return config
 
 
 @dataclass
@@ -227,41 +201,42 @@ def new_state(config: TrainConfig, input_width: int,
 
 
 def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
-                config: TrainConfig, res: _Resolved) -> dict:
+                config: TrainConfig) -> dict:
     bundle = state.bundle
-    xt = ad.constant(xb)
+    xt = ad.leaf(xb)
     h_new = encode(bundle, xt)
     eps_new = state.rngs["eps"].standard_normal((xb.shape[0], 1))
     _, _, y_hat = regress(bundle, h_new, eps_new)
     l_d = ls.regression_loss(y_hat, yb.reshape(-1, 1))
     l_m = l_p = l_r = None
-    if res.use_memory and state.bank.size > 0:
-        if res.use_projector:
+    if config.method not in MEMORYLESS and state.bank.size > 0:
+        residual = not config.no_residual
+        if not config.no_mp:
             h_frozen = encode(bundle, xt, frozen=True)
-            h_projected = project(bundle, h_frozen, residual=res.residual)
+            h_projected = project(bundle, h_frozen, residual=residual)
             l_p = ls.projector_loss(h_new, h_projected)
         feats, y_old, _ = mem.sample_replay(state.bank, config.b1,
                                             state.rngs["replay"],
                                             stratified=config.stratified_replay)
-        old_leaf = ad.constant(feats)
-        if res.store_raw:
+        old_leaf = ad.leaf(feats)
+        if config.method == "replay-raw":
             h_old = encode(bundle, old_leaf)
-        elif res.use_projector:
-            h_old = project(bundle, old_leaf, residual=res.residual)
+        elif not config.no_mp:
+            h_old = project(bundle, old_leaf, residual=residual)
         else:
             h_old = old_leaf
         eps_old = state.rngs["eps"].standard_normal((feats.shape[0], 1))
         h_for_scoring = ad.stop_gradient(h_old) if config.lm_stop_grad else h_old
         _, _, y_hat_old = regress(bundle, h_for_scoring, eps_old)
         l_m = ls.regression_loss(y_hat_old, y_old.reshape(-1, 1))
-        if res.use_graph:
+        if not (config.no_j_gr and config.no_ii_gr):
             batch = ls.JointBatch(old=h_old, new=h_new,
                                   scores=np.concatenate([y_old, yb]))
-            l_r = ls.graph_reg_loss(batch, joint=res.use_joint_term,
-                                    intra_inter=res.use_block_terms,
-                                    use_mse=res.mse_gr,
-                                    reverse_kl=res.reverse_kl,
-                                    signed=res.signed_scores)
+            l_r = ls.graph_reg_loss(batch, joint=not config.no_j_gr,
+                                    intra_inter=not config.no_ii_gr,
+                                    use_mse=config.mse_gr,
+                                    reverse_kl=config.reverse_kl,
+                                    signed=not config.abs_score_distance)
     total = ls.total_loss(l_d, l_m, l_p, l_r,
                           lambda_p=config.lambda_p, lambda_r=config.lambda_r)
     grads = ad.backward(total, [[1.0]])
@@ -284,7 +259,7 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
                          f"{y.size} scores, {len(ids)} ids")
     if y.size == 0:
         raise ValueError("empty training session")
-    res = resolve(config)
+    config = _preset(config)
     t = state.session + 1
     started = time.perf_counter()
     if t >= 2:
@@ -299,7 +274,7 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         batch_losses = []
         for lo in range(0, y.size, config.b2):
             idx = perm[lo:lo + config.b2]
-            terms = _train_step(state, x[idx], y[idx], config, res)
+            terms = _train_step(state, x[idx], y[idx], config)
             step_terms.append(terms)
             batch_losses.append(terms["total"])
         epochs_run += 1
@@ -312,19 +287,19 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         best = min(best, epoch_loss)
         if streak >= config.patience:
             break
-    if res.use_memory:
-        if res.use_projector and state.bank.size > 0:
+    if config.method not in MEMORYLESS:
+        if not config.no_mp and state.bank.size > 0:
             def refreshed(stored: np.ndarray) -> np.ndarray:
-                return project(state.bundle, ad.constant(stored),
-                               residual=res.residual).value
+                return project(state.bundle, ad.leaf(stored),
+                               residual=not config.no_residual).value
             mem.refresh(state.bank, refreshed, t)
-        if res.store_raw:
+        if config.method == "replay-raw":
             stored_feats = x
         else:
             stored_feats = encode(state.bundle, x).value
         mem.store_session(state.bank, stored_feats, y, ids, t,
                           rng=state.rngs["store"],
-                          random_sampling=res.random_sampling)
+                          random_sampling=config.random_sampling)
     state.session = t
     return SessionReport(session=t, epochs_run=epochs_run,
                          steps=len(step_terms), step_terms=step_terms,
@@ -378,51 +353,38 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
         matrix.set_cell(i, j, spearman(truth, pred))
         return truth, pred
 
+    def eval_row(i: int) -> None:
+        """Cells (i, 1..i) and their pooled correlation."""
+        truths, preds = zip(*(eval_cell(i, j) for j in range(1, i + 1)))
+        matrix.pooled[i] = spearman(np.concatenate(truths), np.concatenate(preds))
+
     if config.method == "joint":
         pooled = []
         for t in range(1, T + 1):
             pooled.extend(_training_samples(plan, t))
         x, y, ids = _session_arrays(pooled)
         reports.append(train_session(state, x, y, ids, config))
-        truths, preds = [], []
-        for j in range(1, T + 1):
-            truth, pred = eval_cell(T, j)
-            truths.append(truth)
-            preds.append(pred)
-        final = rho_avg(np.concatenate(truths), np.concatenate(preds))
-        matrix.pooled[T] = final
+        eval_row(T)
         if on_session is not None:
             on_session(state, state.session)
-        summary = {"method": config.method, "seed": config.seed,
-                   "rho_avg": final, "rho_aft": None, "rho_fwt": None}
-        return RunResult(method=config.method, seed=config.seed, n_sessions=T,
-                         matrix=matrix, reports=reports, summary=summary,
-                         state=state)
-
-    reference = init_bundle(state.bundle.spec,
-                            _reference_seed(config.seed))
-    for t in range(2, T + 1):
-        truth, pred = evaluate_on(reference, plan.test_samples(t, ho), scaler)
-        matrix.reference[t] = spearman(truth, pred)
-
-    for t in range(1, T + 1):
-        x, y, ids = _session_arrays(_training_samples(plan, t))
-        reports.append(train_session(state, x, y, ids, config))
-        truths, preds = [], []
-        for j in range(1, t + 1):
-            truth, pred = eval_cell(t, j)
-            truths.append(truth)
-            preds.append(pred)
-        matrix.pooled[t] = rho_avg(np.concatenate(truths), np.concatenate(preds))
-        if t < T:
-            eval_cell(t, t + 1)
-        if on_session is not None:
-            on_session(state, t)
-
+        aft = fwt = None
+    else:
+        reference = init_bundle(state.bundle.spec, _reference_seed(config.seed))
+        for t in range(2, T + 1):
+            truth, pred = evaluate_on(reference, plan.test_samples(t, ho), scaler)
+            matrix.reference[t] = spearman(truth, pred)
+        for t in range(1, T + 1):
+            x, y, ids = _session_arrays(_training_samples(plan, t))
+            reports.append(train_session(state, x, y, ids, config))
+            eval_row(t)
+            if t < T:
+                eval_cell(t, t + 1)
+            if on_session is not None:
+                on_session(state, t)
+        aft = rho_aft(matrix, classic=config.classic_forgetting)
+        fwt = rho_fwt(matrix)
     summary = {"method": config.method, "seed": config.seed,
-               "rho_avg": matrix.pooled[T],
-               "rho_aft": rho_aft(matrix, classic=config.classic_forgetting),
-               "rho_fwt": rho_fwt(matrix)}
+               "rho_avg": matrix.pooled[T], "rho_aft": aft, "rho_fwt": fwt}
     return RunResult(method=config.method, seed=config.seed, n_sessions=T,
                      matrix=matrix, reports=reports, summary=summary,
                      state=state)
@@ -433,13 +395,6 @@ def _reference_seed(seed: int) -> int:
     return seed * 2 + 1
 
 
-def run_baseline(method: str, plan: SessionPlan, scaler: ScoreScaler,
-                 config: TrainConfig) -> RunResult:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; pick one of {METHODS}")
-    return run_continual(plan, scaler, replace(config, method=method))
-
-
 def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
     """Mean squared entrywise gap between the two encoders' features."""
     fa = encode(bundle_a, np.asarray(x, dtype=np.float64)).value
@@ -447,34 +402,3 @@ def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
     if fa.shape != fb.shape:
         raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
     return float(((fa - fb) ** 2).mean())
-
-
-SWEEP_AXES = ("shots", "noise", "memory")
-
-
-def run_sweep(axis: str, values, data_cfg, train_cfg: TrainConfig,
-              seeds) -> list[dict]:
-    """Grid of runs along one robustness axis; one result row per cell."""
-    from .data import generate_synthetic, grade_split, inject_label_noise, \
-        normalize_scores
-
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-    dataset = generate_synthetic(data_cfg)
-    rows = []
-    for value in values:
-        for seed in seeds:
-            shots = int(value) if axis == "shots" else data_cfg.shots
-            plan = grade_split(dataset, data_cfg.T, shots, seed)
-            noise = float(value) if axis == "noise" else data_cfg.label_noise
-            if noise > 0:
-                plan = inject_label_noise(plan, noise, seed)
-            plan, scaler = normalize_scores(plan)
-            cfg = replace(train_cfg, seed=seed,
-                          m=int(value) if axis == "memory" else train_cfg.m)
-            result = run_continual(plan, scaler, cfg)
-            rows.append({"axis": axis, "value": value, "seed": seed,
-                         "rho_avg": result.summary["rho_avg"],
-                         "rho_aft": result.summary["rho_aft"],
-                         "rho_fwt": result.summary["rho_fwt"]})
-    return rows

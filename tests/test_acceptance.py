@@ -122,13 +122,13 @@ def test_angular_geometry_invariants():
         rows = int(rng.integers(2, 11))
         d = int(rng.integers(2, 25))
         feats = rng.normal(size=(rows, d))
-        a_t = losses.angular_distance_matrix(ad.constant(feats))
+        a_t = losses.angular_distance_matrix(ad.leaf(feats))
         a = a_t.value
         worst_sym = max(worst_sym, float(np.abs(a - a.T).max()))
         assert a.min() >= 0.0 and a.max() <= np.pi
         worst_diag = max(worst_diag, float(np.abs(np.diag(a)).max()))
         for c in (0.5, 2.0, 8.0, 1024.0):
-            scaled = losses.angular_distance_matrix(ad.constant(c * feats))
+            scaled = losses.angular_distance_matrix(ad.leaf(c * feats))
             assert np.array_equal(scaled.value, a)
         blocks = losses.partition(a_t, max(1, rows // 2))
         tiled = np.block([[blocks.a11.value, blocks.a12.value],
@@ -138,8 +138,8 @@ def test_angular_geometry_invariants():
     assert worst_diag <= 1e-3
     # identical rows and identical scores make both matrices equal (all zero)
     row = np.array([0.3, -0.7, 0.2])
-    batch = losses.JointBatch(old=ad.constant(np.tile(row, (5, 1))),
-                              new=ad.constant(np.tile(row, (3, 1))),
+    batch = losses.JointBatch(old=ad.leaf(np.tile(row, (5, 1))),
+                              new=ad.leaf(np.tile(row, (3, 1))),
                               scores=np.full(8, 0.42))
     assert losses.graph_reg_loss(batch).value[0, 0] == 0.0
     assert losses.graph_reg_loss(batch, intra_inter=False).value[0, 0] == 0.0
@@ -232,7 +232,7 @@ def test_training_loop_structure():
     for t in bundle.projector.values():
         t.value[:] = 0.0
     feats = np.random.default_rng(7).normal(size=(9, 6))
-    assert np.array_equal(models.project(bundle, ad.constant(feats)).value,
+    assert np.array_equal(models.project(bundle, ad.leaf(feats)).value,
                           feats)
 
     state = trainer.new_state(cfg, input_width=plan.input_width)

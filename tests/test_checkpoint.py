@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mreplay import checkpoint, data, trainer
-from mreplay.models import components, predict
+from mreplay.models import components, encode, predict
 
 
 def _plan():
@@ -48,7 +48,7 @@ def test_round_trip_bit_exact(tmp_path):
         assert set(pa) == set(pb)
         for k in pa:
             assert np.array_equal(pa[k].value, pb[k].value)
-    assert loaded.bundle.has_frozen == state.bundle.has_frozen
+    assert set(loaded.bundle.frozen_encoder) == set(state.bundle.frozen_encoder)
     for name, arr in state.bundle.frozen_encoder.items():
         assert np.array_equal(arr, loaded.bundle.frozen_encoder[name])
     assert loaded.bank.size == state.bank.size
@@ -61,6 +61,30 @@ def test_round_trip_bit_exact(tmp_path):
 
     x = np.stack([s.x for s in plan.test_samples(2)])
     assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
+
+
+def test_has_frozen_key_of_older_files_ignored(tmp_path):
+    # format 1 files once carried a redundant "has_frozen" flag beside
+    # "frozen_encoder"; it is no longer written, and loading ignores it
+    plan, scaler = _plan()
+    cfg = _cfg()
+    x = np.stack([s.x for s in plan.test_samples(2)])
+    for sessions, flag in ((1, False), (2, True)):
+        state = _trained_state(plan, cfg, sessions=sessions)
+        path = tmp_path / f"ckpt{sessions}.json"
+        checkpoint.save_checkpoint(path, state, scaler, cfg)
+        payload = json.loads(path.read_text())
+        assert "has_frozen" not in payload
+        assert (payload["frozen_encoder"] is not None) == flag
+        payload["has_frozen"] = flag
+        path.write_text(json.dumps(payload))
+        loaded, _, _ = checkpoint.load_checkpoint(path)
+        assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
+        if flag:
+            assert np.array_equal(encode(state.bundle, x, frozen=True).value,
+                                  encode(loaded.bundle, x, frozen=True).value)
+        else:
+            assert loaded.bundle.frozen_encoder is None
 
 
 def test_resume_training_is_bit_exact(tmp_path):

@@ -1,11 +1,12 @@
 """End-to-end CLI runs on a miniature benchmark."""
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from mreplay import cli, data
+from mreplay import cli, data, trainer
 
 
 MINI = {
@@ -196,6 +197,70 @@ def test_sweep_axis(tmp_path, mini_config):
     assert lines[0] == "axis,value,seed,rho_avg,rho_aft,rho_fwt"
     assert len(lines) == 3
     assert all(line.startswith("shots,") for line in lines[1:])
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _direct_summary(seed, train, data_kw=None):
+    """One run_continual on the MINI dataset, split by hand."""
+    dataset = data.generate_synthetic(data.DataConfig(**MINI["data"]))
+    dcfg = data.DataConfig(**{**MINI["data"], **(data_kw or {})})
+    plan = data.grade_split(dataset, dcfg.T, dcfg.shots, seed)
+    if dcfg.label_noise > 0:
+        plan = data.inject_label_noise(plan, dcfg.label_noise, seed)
+    plan, scaler = data.normalize_scores(plan)
+    cfg = trainer.TrainConfig.from_dict({**train, "seed": seed})
+    return trainer.run_continual(plan, scaler, cfg).summary
+
+
+def _assert_row_matches(row, summary):
+    for key in ("rho_avg", "rho_aft", "rho_fwt"):
+        assert float(row[key]) == summary[key], (row, key)
+
+
+def test_grid_runner_matches_direct_runs(tmp_path):
+    # a non-magr method shows that ablate overrides it and sweep keeps it
+    cfg = dict(MINI, train=dict(MINI["train"], epochs=1, method="replay-raw"),
+               seeds=[0, 1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    # ablate: every variant is magr plus the paper's flags for it
+    variant_flags = {"full": {}, "no_mp": {"no_mp": True},
+                     "no_residual": {"no_residual": True},
+                     "no_ii_gr": {"no_ii_gr": True}, "no_j_gr": {"no_j_gr": True},
+                     "no_iij_gr": {"no_ii_gr": True, "no_j_gr": True},
+                     "mse_gr": {"mse_gr": True},
+                     "random_sampling": {"random_sampling": True}}
+    assert cli.main(["ablate", "--config", str(path), "--out", str(tmp_path / "abl")]) == 0
+    rows = _read_csv(tmp_path / "abl" / "ablation.csv")
+    assert [(r["variant"], int(r["seed"])) for r in rows] == \
+        [(v, s) for v in variant_flags for s in (0, 1)]
+    for r in rows:
+        train = {**cfg["train"], "method": "magr", **variant_flags[r["variant"]]}
+        _assert_row_matches(r, _direct_summary(int(r["seed"]), train))
+
+    # sweep: each axis changes the split (shots, noise) or the config (memory)
+    # and keeps the configured method
+    for axis, values, kw in (("shots", "3,4", lambda v: ({"shots": int(v)}, {})),
+                             ("noise", "0,5", lambda v: ({"label_noise": v}, {})),
+                             ("memory", "2,3", lambda v: ({}, {"m": int(v)}))):
+        out = tmp_path / f"sweep_{axis}"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out),
+                         "--axis", axis, "--values", values]) == 0
+        rows = _read_csv(out / "sweep.csv")
+        assert [(r["axis"], r["value"], int(r["seed"])) for r in rows] == \
+            [(axis, repr(float(v)), s) for v in values.split(",") for s in (0, 1)]
+        for r in rows:
+            data_kw, train_kw = kw(float(r["value"]))
+            _assert_row_matches(r, _direct_summary(
+                int(r["seed"]), {**cfg["train"], **train_kw}, data_kw))
+
+    with pytest.raises(SystemExit):
+        cli.main(["sweep", "--config", str(path), "--axis", "bogus"])
 
 
 def test_plot_kinds(tmp_path, mini_config):

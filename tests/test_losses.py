@@ -258,7 +258,7 @@ def test_grad_check_total_loss_composition():
 
 
 def test_total_loss_weighted_sum():
-    one = lambda: ad.constant([[1.0]])
+    one = lambda: ad.leaf([[1.0]])
     out = losses.total_loss(one(), one(), one(), one())
     assert out.value[0, 0] == 4.0
     weighted = losses.total_loss(one(), one(), one(), one(),
@@ -269,4 +269,4 @@ def test_total_loss_weighted_sum():
 
 def test_total_loss_shape_checked():
     with pytest.raises(ad.ShapeError):
-        losses.total_loss(ad.constant([[1.0, 2.0]]))
+        losses.total_loss(ad.leaf([[1.0, 2.0]]))

@@ -94,7 +94,7 @@ def test_pooled_differs_from_mean_of_sessions():
     t2, p2 = [3.0, 4.0], [1.0, 2.0]
     assert metrics.spearman(t1, p1) == 1.0
     assert metrics.spearman(t2, p2) == 1.0
-    pooled = metrics.rho_avg(t1 + t2, p1 + p2)
+    pooled = metrics.spearman(t1 + t2, p1 + p2)
     assert pooled == -0.6
 
 

@@ -1,11 +1,13 @@
-"""Session loop: method resolution, loss-term activation, determinism."""
+"""Session loop: method switches, loss-term activation, config knobs, determinism."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mreplay import data, trainer
-from mreplay.models import components
+from mreplay import data, metrics, trainer
+from mreplay.models import components, init_bundle
 
 
 def _plan(n=60, T=3, shots=5, d_x=8, seed=0):
@@ -21,38 +23,55 @@ def _cfg(**kw):
     return trainer.TrainConfig(**base)
 
 
-# ----------------------------------------------------------------- resolve
+def _two_sessions(**kw):
+    """State and session-2 report after two one-epoch sessions."""
+    plan, _ = _plan()
+    cfg = _cfg(epochs=1, **kw)
+    state = trainer.new_state(cfg, plan.input_width)
+    for t in (1, 2):
+        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        report = trainer.train_session(state, x, y, ids, cfg)
+    return state, report
 
 
-def test_resolve_magr_everything_on():
-    r = trainer.resolve(_cfg())
-    assert r.use_memory and r.use_projector and r.residual
-    assert r.use_joint_term and r.use_block_terms and r.use_graph
-    assert not r.store_raw and not r.mse_gr and r.signed_scores
+# ---------------------------------------------------------- method switches
 
 
-def test_resolve_baselines():
-    assert not trainer.resolve(_cfg(method="sequential-ft")).use_memory
-    assert not trainer.resolve(_cfg(method="joint")).use_memory
-    raw = trainer.resolve(_cfg(method="replay-raw"))
-    assert raw.use_memory and raw.store_raw
-    assert not raw.use_projector and not raw.use_graph
-    naive = trainer.resolve(_cfg(method="replay-feature-naive"))
-    assert naive.use_memory and not naive.store_raw
-    assert not naive.use_projector and not naive.use_graph
+def test_method_and_flag_switches():
+    # methods are presets over the ablation flags: only memory and raw
+    # storage are spelled by the method string
+    for method in ("sequential-ft", "joint"):
+        state, report = _two_sessions(method=method)
+        assert state.bank.size == 0
+        assert all(t["l_m"] is None and t["l_r"] is None for t in report.step_terms)
+    for method, width in (("replay-raw", 8), ("replay-feature-naive", 16)):
+        # no_residual is moot once the preset removes the projector
+        state, report = _two_sessions(method=method, no_residual=True)
+        assert all(t["l_m"] is not None and t["l_p"] is None and t["l_r"] is None
+                   for t in report.step_terms)
+        assert state.bank.refresh_epoch == 0
+        assert state.bank.features().shape[1] == width  # raw inputs vs features
+        assert trainer._preset(_cfg(method=method)) == _cfg(
+            method=method, no_mp=True, no_ii_gr=True, no_j_gr=True)
+    assert trainer._preset(_cfg()) == _cfg()
 
-
-def test_resolve_ablation_flags():
-    assert not trainer.resolve(_cfg(no_mp=True)).use_projector
-    assert not trainer.resolve(_cfg(no_ii_gr=True)).use_block_terms
-    assert not trainer.resolve(_cfg(no_j_gr=True)).use_joint_term
-    both = trainer.resolve(_cfg(no_ii_gr=True, no_j_gr=True))
-    assert not both.use_graph
-    assert not trainer.resolve(_cfg(no_residual=True)).residual
-    assert trainer.resolve(_cfg(mse_gr=True)).mse_gr
-    assert trainer.resolve(_cfg(reverse_kl=True)).reverse_kl
-    assert not trainer.resolve(_cfg(abs_score_distance=True)).signed_scores
-    assert trainer.resolve(_cfg(random_sampling=True)).random_sampling
+    # session 1 never replays, so session 2 starts from the same state and
+    # its first step isolates what each flag changes
+    magr_state, magr = _two_sessions()
+    first = magr.step_terms[0]
+    assert magr_state.bank.refresh_epoch == 2
+    for flag in ("no_ii_gr", "no_j_gr", "mse_gr", "reverse_kl", "abs_score_distance"):
+        terms = _two_sessions(**{flag: True})[1].step_terms[0]
+        assert (terms["l_d"], terms["l_m"], terms["l_p"]) == \
+            (first["l_d"], first["l_m"], first["l_p"]), flag
+        assert terms["l_r"] is not None and terms["l_r"] != first["l_r"], flag
+    assert _two_sessions(no_ii_gr=True, no_j_gr=True)[1].step_terms[0]["l_r"] is None
+    assert _two_sessions(no_residual=True)[1].step_terms[0]["l_p"] != first["l_p"]
+    state, report = _two_sessions(no_mp=True)
+    assert report.step_terms[0]["l_p"] is None and state.bank.refresh_epoch == 0
+    state, _ = _two_sessions(random_sampling=True)
+    ids = lambda bank: [r.sample_id for r in bank.entries]
+    assert ids(state.bank) != ids(magr_state.bank)
 
 
 def test_config_validation():
@@ -235,15 +254,6 @@ def test_naive_method_equals_flagged_magr_bit_exact():
             assert np.array_equal(pn[k].value, pf[k].value)
 
 
-def test_run_baseline_sets_method():
-    plan, scaler = _plan()
-    result = trainer.run_baseline("sequential-ft", plan, scaler, _cfg(epochs=1))
-    assert result.method == "sequential-ft"
-    assert result.state.bank.size == 0
-    with pytest.raises(ValueError, match="unknown method"):
-        trainer.run_baseline("nope", plan, scaler, _cfg())
-
-
 def test_on_session_hook_called_in_order():
     plan, scaler = _plan()
     seen = []
@@ -293,13 +303,43 @@ def test_feature_deviation():
     assert trainer.feature_deviation(a, c, x) > 0.0
 
 
-def test_run_sweep_grid_and_validation():
-    data_cfg = data.DataConfig(n=30, d_x=6, T=2, shots=3, seed=0)
-    train_cfg = _cfg(epochs=1, m=2)
-    rows = trainer.run_sweep("shots", [3, 4], data_cfg, train_cfg, seeds=[0])
-    assert len(rows) == 2
-    for row in rows:
-        assert row["axis"] == "shots"
-        assert set(row) == {"axis", "value", "seed", "rho_avg", "rho_aft", "rho_fwt"}
-    with pytest.raises(ValueError, match="unknown sweep axis"):
-        trainer.run_sweep("bogus", [1], data_cfg, train_cfg, seeds=[0])
+# ------------------------------------------------------------ config knobs
+
+
+def test_classic_forgetting_knob():
+    plan, scaler = _plan()
+    result = trainer.run_continual(plan, scaler, _cfg(epochs=2, classic_forgetting=True))
+    assert result.summary["rho_aft"] == metrics.rho_aft(result.matrix, classic=True)
+    assert result.summary["rho_aft"] != metrics.rho_aft(result.matrix)
+
+
+def test_held_out_only_knob():
+    plan, scaler = _plan()
+    cfg = _cfg(epochs=2, held_out_only=True)
+    expected = {}
+
+    def on_session(state, t):
+        for j in range(1, min(t + 1, plan.n_sessions) + 1):
+            truth, pred = trainer.evaluate_on(state.bundle,
+                                              plan.sessions[j - 1].held_out, scaler)
+            expected[(t, j)] = metrics.spearman(truth, pred)
+
+    result = trainer.run_continual(plan, scaler, cfg, on_session=on_session)
+    assert result.matrix.cells == expected
+    reference = init_bundle(result.state.bundle.spec, trainer._reference_seed(0))
+    for t in range(2, plan.n_sessions + 1):
+        truth, pred = trainer.evaluate_on(reference, plan.sessions[t - 1].held_out,
+                                          scaler)
+        assert result.matrix.reference[t] == metrics.spearman(truth, pred)
+    default = trainer.run_continual(plan, scaler, _cfg(epochs=2))
+    assert default.matrix.cells != result.matrix.cells
+
+
+def test_stratified_replay_knob():
+    plan, scaler = _plan()
+    cfg = _cfg(epochs=2, b1=2, lr=1e-2)
+    a = trainer.run_continual(plan, scaler, replace(cfg, stratified_replay=True))
+    b = trainer.run_continual(plan, scaler, replace(cfg, stratified_replay=True))
+    default = trainer.run_continual(plan, scaler, cfg)
+    assert a.summary == b.summary and a.matrix.cells == b.matrix.cells
+    assert a.summary["rho_avg"] != default.summary["rho_avg"]
