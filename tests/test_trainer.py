@@ -37,7 +37,18 @@ def _two_sessions(**kw):
 # ---------------------------------------------------------- method switches
 
 
-def test_method_and_flag_switches():
+def test_resolve_magr_everything_on():
+    # magr keeps memory, the projector and both graph terms; its preset
+    # leaves the flags as they are
+    state, report = _two_sessions()
+    assert state.bank.size > 0 and state.bank.refresh_epoch == 2
+    assert state.bank.features().shape[1] == 16  # features, not raw inputs
+    assert all(report.step_terms[0][k] is not None
+               for k in ("l_d", "l_m", "l_p", "l_r"))
+    assert trainer._preset(_cfg()) == _cfg()
+
+
+def test_resolve_baselines():
     # methods are presets over the ablation flags: only memory and raw
     # storage are spelled by the method string
     for method in ("sequential-ft", "joint"):
@@ -53,8 +64,9 @@ def test_method_and_flag_switches():
         assert state.bank.features().shape[1] == width  # raw inputs vs features
         assert trainer._preset(_cfg(method=method)) == _cfg(
             method=method, no_mp=True, no_ii_gr=True, no_j_gr=True)
-    assert trainer._preset(_cfg()) == _cfg()
 
+
+def test_resolve_ablation_flags():
     # session 1 never replays, so session 2 starts from the same state and
     # its first step isolates what each flag changes
     magr_state, magr = _two_sessions()
