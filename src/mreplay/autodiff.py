@@ -260,15 +260,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _node([[a.value.sum()]], (a,), bwd)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.value.size
-
-    def bwd(g, grads):
-        _acc(grads, a, np.full_like(a.value, g[0, 0] / n))
-
-    return _node([[a.value.mean()]], (a,), bwd)
-
-
 def sq_error(a: Tensor, b: Tensor) -> Tensor:
     """Sum of squared elementwise differences, as a 1 x 1 tensor."""
     if a.shape != b.shape:

@@ -6,6 +6,11 @@ RNG stream states. Floats are serialized with full round-trip precision,
 so save -> load -> evaluate is bit-exact. The loader reads only the keys
 it needs, so older format-1 files, which also carry a flag saying whether
 ``frozen_encoder`` is set, load unchanged.
+
+A checkpoint does not hold the Adam moments or step counts: loading gives
+fresh optimizer state, so training on from a loaded checkpoint does not
+reproduce an uninterrupted run. Resuming a run exactly needs them in the
+format first.
 """
 from __future__ import annotations
 
@@ -70,7 +75,7 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
             "regressor": _pack_params(b.regressor),
         },
         "frozen_encoder": None if b.frozen_encoder is None else
-        {name: _pack_array(a) for name, a in b.frozen_encoder.items()},
+        _pack_params(b.frozen_encoder),
         "bank": {
             "capacity": state.bank.capacity,
             "refresh_epoch": state.bank.refresh_epoch,
@@ -114,7 +119,7 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
                                       f"does not match {params[name].value.shape}")
             params[name] = ad.leaf(arr, name=name)
     bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
-        {name: _unpack_array(d) for name, d in payload["frozen_encoder"].items()}
+        {name: ad.leaf(_unpack_array(d)) for name, d in payload["frozen_encoder"].items()}
     bank = MemoryBank(capacity=payload["bank"]["capacity"])
     bank.refresh_epoch = payload["bank"]["refresh_epoch"]
     for e in payload["bank"]["entries"]:

@@ -146,7 +146,7 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
                 if sid in seen:
                     raise ValueError(f"split manifest reuses id {sid!r}")
                 seen.add(sid)
-                out.append(replace(by_id[sid], grade=t))
+                out.append(by_id[sid])
             return tuple(out)
 
         sessions.append(SessionSplit(session=t, train=grab(entry["train"]),
@@ -367,6 +367,10 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.values:
         values = [float(v) for v in args.values.split(",")]
+        for value in values:
+            if args.axis in ("shots", "memory") and not value.is_integer():
+                raise ValueError(f"--axis {args.axis} takes whole numbers, "
+                                 f"got {value!r}")
     else:
         values = DEFAULT_SWEEP_VALUES[args.axis]
 

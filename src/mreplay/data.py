@@ -34,7 +34,6 @@ class Sample:
     sample_id: str
     x: np.ndarray
     score: float
-    grade: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def grade_split(dataset: Dataset, T: int, shots: int, seed: int) -> SessionPlan:
         if size < shots:
             raise ValueError(f"grade {t} has {size} samples, fewer than "
                              f"shots={shots}")
-        band = [replace(s, grade=t) for s in order[start:start + size]]
+        band = order[start:start + size]
         start += size
         picked = sorted(rng.choice(size, size=shots, replace=False).tolist())
         picked_set = set(picked)
@@ -192,8 +191,7 @@ def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
     if hi - lo < 1e-12:
         raise ValueError(f"degenerate score range [{lo}, {hi}] in base session")
     scaler = ScoreScaler(lo=lo, hi=hi)
-    out = _map_plan_scores(plan, lambda s, _: float(scaler.normalize(s.score)))
-    return replace(out, score_range=(0.0, 1.0)), scaler
+    return apply_scaler(plan, scaler), scaler
 
 
 def apply_scaler(plan: SessionPlan, scaler: ScoreScaler) -> SessionPlan:

@@ -27,19 +27,11 @@ class MissingCellError(KeyError):
 
 
 def _fractional_ranks(v: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their positions."""
-    n = v.size
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their positions. A run
+    of c equal values ending at 1-based position p has mean rank
+    p - (c - 1) / 2, exact in float64."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(truth, predicted) -> float:

@@ -7,6 +7,11 @@ of the encoder:
 * projector: residual map applied to stale feature vectors,
 * regressor: shared trunk with a mean head and a softplus std head.
 
+Every forward function takes a ``Tensor``; only ``predict`` takes an array.
+The frozen copy is a dict of leaves like the encoder's own, outside every
+optimizer's parameter groups, so ``encode(frozen=True)`` runs the same
+forward pass on it and no gradient reaches the live encoder.
+
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head.
 """
@@ -82,27 +87,13 @@ class BundleSpec:
         return self.encoder.widths[0]
 
 
-def default_spec(d_x: int = 32, encoder_widths=(32, 64, 16),
-                 projector_widths=(16, 16, 16), trunk_widths=(16, 8),
-                 feature_mode: bool = False) -> BundleSpec:
-    if feature_mode:
-        return BundleSpec(encoder=None,
-                          projector=MlpSpec(tuple(projector_widths)),
-                          trunk=MlpSpec(tuple(trunk_widths)))
-    widths = list(encoder_widths)
-    widths[0] = d_x
-    return BundleSpec(encoder=MlpSpec(tuple(widths)),
-                      projector=MlpSpec(tuple(projector_widths)),
-                      trunk=MlpSpec(tuple(trunk_widths)))
-
-
 @dataclass
 class ModelBundle:
     spec: BundleSpec
     encoder: dict[str, Tensor] | None
     projector: dict[str, Tensor]
     regressor: dict[str, Tensor]
-    frozen_encoder: dict[str, np.ndarray] | None = None
+    frozen_encoder: dict[str, Tensor] | None = None
 
 
 def _init_layer(params: dict, prefix: str, i: int, fan_in: int, fan_out: int,
@@ -134,66 +125,53 @@ def init_bundle(spec: BundleSpec, seed: int) -> ModelBundle:
 
 
 def _mlp_forward(params: dict[str, Tensor], prefix: str, n_layers: int, x: Tensor,
-                 output_relu: bool = False,
-                 frozen: dict[str, np.ndarray] | None = None) -> Tensor:
+                 output_relu: bool = False) -> Tensor:
     h = x
     for i in range(n_layers):
-        if frozen is None:
-            w, b = params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]
-        else:
-            w = ad.leaf(frozen[f"{prefix}.w{i}"])
-            b = ad.leaf(frozen[f"{prefix}.b{i}"])
-        h = ad.add(ad.matmul(h, w), b)
+        h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
         if i < n_layers - 1 or output_relu:
             h = ad.relu(h)
     return h
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else ad.leaf(x)
-
-
-def encode(bundle: ModelBundle, x, frozen: bool = False) -> Tensor:
+def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
     """Map an n x d_x input batch to n x D features.
 
     ``frozen=True`` routes through the frozen encoder copy, whose weights
-    enter the tape as constants.
+    are leaves that no optimizer steps.
     """
-    t = _as_tensor(x)
-    if t.cols != bundle.spec.input_width:
-        raise ad.ShapeError(f"input width {t.cols} does not match "
+    if x.cols != bundle.spec.input_width:
+        raise ad.ShapeError(f"input width {x.cols} does not match "
                             f"bundle input {bundle.spec.input_width}")
     if bundle.spec.encoder is None:
-        return t
+        return x
+    params = bundle.encoder
     if frozen:
         if bundle.frozen_encoder is None:
             raise ValueError("no frozen encoder copy; call freeze_copy first")
-        return _mlp_forward(bundle.encoder, "encoder", bundle.spec.encoder.n_layers,
-                            t, frozen=bundle.frozen_encoder)
-    return _mlp_forward(bundle.encoder, "encoder", bundle.spec.encoder.n_layers, t)
+        params = bundle.frozen_encoder
+    return _mlp_forward(params, "encoder", bundle.spec.encoder.n_layers, x)
 
 
-def project(bundle: ModelBundle, h, residual: bool = True) -> Tensor:
+def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
     """Apply the projector: ``h + p(h)``, or ``p(h)`` when ``residual`` is off."""
-    t = _as_tensor(h)
-    if t.cols != bundle.spec.feature_width:
-        raise ad.ShapeError(f"feature width {t.cols} does not match "
+    if h.cols != bundle.spec.feature_width:
+        raise ad.ShapeError(f"feature width {h.cols} does not match "
                             f"bundle feature width {bundle.spec.feature_width}")
-    p = _mlp_forward(bundle.projector, "projector", bundle.spec.projector.n_layers, t)
+    p = _mlp_forward(bundle.projector, "projector", bundle.spec.projector.n_layers, h)
     if residual:
-        return ad.add(t, p)
+        return ad.add(h, p)
     return p
 
 
-def regress(bundle: ModelBundle, h, eps=None) -> tuple[Tensor, Tensor, Tensor]:
+def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, Tensor]:
     """Score a feature batch; returns (mean, std, sample) column tensors.
 
     ``eps`` is an n x 1 array of noise draws; None means zeros, in which
     case the sampled score equals the mean exactly.
     """
-    t = _as_tensor(h)
     trunk = _mlp_forward(bundle.regressor, "regressor", bundle.spec.trunk.n_layers,
-                         t, output_relu=True)
+                         h, output_relu=True)
     mean = ad.add(ad.matmul(trunk, bundle.regressor["regressor.mean.w0"]),
                   bundle.regressor["regressor.mean.b0"])
     std = ad.softplus(ad.add(ad.matmul(trunk, bundle.regressor["regressor.std.w0"]),
@@ -201,23 +179,24 @@ def regress(bundle: ModelBundle, h, eps=None) -> tuple[Tensor, Tensor, Tensor]:
     if eps is None:
         return mean, std, mean
     e = np.asarray(eps, dtype=np.float64)
-    if e.shape != (t.rows, 1):
-        raise ad.ShapeError(f"eps shape {e.shape} does not match batch ({t.rows}, 1)")
+    if e.shape != (h.rows, 1):
+        raise ad.ShapeError(f"eps shape {e.shape} does not match batch ({h.rows}, 1)")
     sample = ad.add(mean, ad.mul(ad.leaf(e), std))
     return mean, std, sample
 
 
 def predict(bundle: ModelBundle, x) -> np.ndarray:
     """Deterministic scores (eps = 0) for an input batch, as a flat array."""
-    mean, _, _ = regress(bundle, encode(bundle, x))
+    mean, _, _ = regress(bundle, encode(bundle, ad.leaf(x)))
     return mean.value[:, 0].copy()
 
 
 def freeze_copy(bundle: ModelBundle) -> None:
-    """Snapshot the encoder weights as constants. Identity encoders have no
-    weights, so there is nothing to snapshot."""
+    """Snapshot the encoder weights as fresh leaves, outside every
+    optimizer's parameter groups. Identity encoders have no weights, so
+    there is nothing to snapshot."""
     if bundle.spec.encoder is not None:
-        bundle.frozen_encoder = {name: p.value.copy()
+        bundle.frozen_encoder = {name: ad.leaf(p.value.copy())
                                  for name, p in bundle.encoder.items()}
 
 

@@ -37,8 +37,9 @@ from . import losses as ls
 from . import memory as mem
 from .data import ScoreScaler, Sample, SessionPlan
 from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
-from .models import (ModelBundle, components, default_spec, encode, freeze_copy,
-                     init_bundle, make_rng, predict, project, regress)
+from .models import (BundleSpec, MlpSpec, ModelBundle, components, encode,
+                     freeze_copy, init_bundle, make_rng, predict, project,
+                     regress)
 
 METHODS = ("magr", "sequential-ft", "joint", "replay-raw", "replay-feature-naive")
 MEMORYLESS = ("sequential-ft", "joint")
@@ -171,16 +172,19 @@ class RunResult:
     state: TrainState
 
 
-def bundle_spec_for(config: TrainConfig, input_width: int, feature_mode: bool):
+def bundle_spec_for(config: TrainConfig, input_width: int,
+                    feature_mode: bool) -> BundleSpec:
+    """The config's widths with the data's input width as the first one.
+    In feature mode the inputs are the features, so the projector's ends
+    and the trunk's input take the input width and there is no encoder."""
     if feature_mode:
         d = input_width
-        return default_spec(projector_widths=(d,) + tuple(config.projector_widths[1:-1]) + (d,),
-                            trunk_widths=(d,) + tuple(config.trunk_widths[1:]),
-                            feature_mode=True)
-    return default_spec(d_x=input_width,
-                        encoder_widths=tuple(config.encoder_widths),
-                        projector_widths=tuple(config.projector_widths),
-                        trunk_widths=tuple(config.trunk_widths))
+        return BundleSpec(encoder=None,
+                          projector=MlpSpec((d, *config.projector_widths[1:-1], d)),
+                          trunk=MlpSpec((d, *config.trunk_widths[1:])))
+    return BundleSpec(encoder=MlpSpec((input_width, *config.encoder_widths[1:])),
+                      projector=MlpSpec(tuple(config.projector_widths)),
+                      trunk=MlpSpec(tuple(config.trunk_widths)))
 
 
 def new_state(config: TrainConfig, input_width: int,
@@ -230,9 +234,8 @@ def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
         _, _, y_hat_old = regress(bundle, h_for_scoring, eps_old)
         l_m = ls.regression_loss(y_hat_old, y_old.reshape(-1, 1))
         if not (config.no_j_gr and config.no_ii_gr):
-            batch = ls.JointBatch(old=h_old, new=h_new,
-                                  scores=np.concatenate([y_old, yb]))
-            l_r = ls.graph_reg_loss(batch, joint=not config.no_j_gr,
+            l_r = ls.graph_reg_loss(h_old, h_new, np.concatenate([y_old, yb]),
+                                    joint=not config.no_j_gr,
                                     intra_inter=not config.no_ii_gr,
                                     use_mse=config.mse_gr,
                                     reverse_kl=config.reverse_kl,
@@ -296,7 +299,7 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         if config.method == "replay-raw":
             stored_feats = x
         else:
-            stored_feats = encode(state.bundle, x).value
+            stored_feats = encode(state.bundle, ad.leaf(x)).value
         mem.store_session(state.bank, stored_feats, y, ids, t,
                           rng=state.rngs["store"],
                           random_sampling=config.random_sampling)
@@ -397,8 +400,8 @@ def _reference_seed(seed: int) -> int:
 
 def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
     """Mean squared entrywise gap between the two encoders' features."""
-    fa = encode(bundle_a, np.asarray(x, dtype=np.float64)).value
-    fb = encode(bundle_b, np.asarray(x, dtype=np.float64)).value
+    fa = encode(bundle_a, ad.leaf(x)).value
+    fb = encode(bundle_b, ad.leaf(x)).value
     if fa.shape != fb.shape:
         raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
     return float(((fa - fb) ** 2).mean())

@@ -57,8 +57,7 @@ def test_gradient_fidelity_all_losses():
         scores = rng.uniform(0.0, 1.0, size=8)
         for kw in variants:
             def build(kw=kw):
-                batch = losses.JointBatch(old=old, new=new, scores=scores)
-                return losses.graph_reg_loss(batch, **kw)
+                return losses.graph_reg_loss(old, new, scores, **kw)
             # step balances FD roundoff against truncation for the composite
             err = ad.grad_check(build, [old, new], fd_step=3e-5)
             worst = max(worst, err)
@@ -130,20 +129,29 @@ def test_angular_geometry_invariants():
         for c in (0.5, 2.0, 8.0, 1024.0):
             scaled = losses.angular_distance_matrix(ad.leaf(c * feats))
             assert np.array_equal(scaled.value, a)
-        blocks = losses.partition(a_t, max(1, rows // 2))
-        tiled = np.block([[blocks.a11.value, blocks.a12.value],
-                          [blocks.a21.value, blocks.a22.value]])
-        assert np.array_equal(tiled, a)
+        # the block terms tile the matrices: they equal the row losses of
+        # the hand-sliced blocks, bit for bit
+        b1 = max(1, rows // 2)
+        scores = rng.uniform(size=rows)
+        s = losses.score_distance_matrix(scores)
+        halves = (slice(0, b1), slice(b1, rows))
+        sliced = 0.0
+        for r in halves:
+            for c in halves:
+                sliced += losses.kl_row_divergence(
+                    ad.leaf(a[r, c]), ad.leaf(s[r, c])).value[0, 0]
+        blocks = losses.graph_reg_loss(ad.leaf(feats[:b1]), ad.leaf(feats[b1:]),
+                                       scores, joint=False)
+        assert blocks.value[0, 0] == sliced
     assert worst_sym <= 1e-9
     assert worst_diag <= 1e-3
     # identical rows and identical scores make both matrices equal (all zero)
     row = np.array([0.3, -0.7, 0.2])
-    batch = losses.JointBatch(old=ad.leaf(np.tile(row, (5, 1))),
-                              new=ad.leaf(np.tile(row, (3, 1))),
-                              scores=np.full(8, 0.42))
-    assert losses.graph_reg_loss(batch).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(batch, intra_inter=False).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(batch, joint=False).value[0, 0] == 0.0
+    batch = (ad.leaf(np.tile(row, (5, 1))), ad.leaf(np.tile(row, (3, 1))),
+             np.full(8, 0.42))
+    assert losses.graph_reg_loss(*batch).value[0, 0] == 0.0
+    assert losses.graph_reg_loss(*batch, intra_inter=False).value[0, 0] == 0.0
+    assert losses.graph_reg_loss(*batch, joint=False).value[0, 0] == 0.0
     print(f"PASS geometry invariants: sym {worst_sym:.1e}, "
           f"diag {worst_diag:.1e}, scale-exact, tiling-exact, "
           f"matched matrices give zero loss")
@@ -225,9 +233,9 @@ def test_training_loop_structure():
                         for t in (1, 2, 3))
     assert run.state.bank.size == expected_bank
 
-    spec = models.default_spec(d_x=8, encoder_widths=(8, 16, 6),
-                               projector_widths=(6, 6, 6),
-                               trunk_widths=(6, 4))
+    spec = models.BundleSpec(encoder=models.MlpSpec((8, 16, 6)),
+                             projector=models.MlpSpec((6, 6, 6)),
+                             trunk=models.MlpSpec((6, 4)))
     bundle = models.init_bundle(spec, seed=3)
     for t in bundle.projector.values():
         t.value[:] = 0.0
@@ -242,7 +250,7 @@ def test_training_loop_structure():
     x2, y2, ids2 = _session_arrays(plan, 2)
     trainer.train_session(state, x2, y2, ids2, cfg)
     for k, snapshot in before.items():
-        assert np.array_equal(state.bundle.frozen_encoder[k], snapshot)
+        assert np.array_equal(state.bundle.frozen_encoder[k].value, snapshot)
         assert not np.array_equal(state.bundle.encoder[k].value, snapshot)
     print(f"PASS training structure: first-session total equals the data "
           f"term, bank holds {expected_bank}, zero projector is identity, "

@@ -141,27 +141,27 @@ def test_grad_check_every_primitive():
         row = ad.leaf(rng.normal(size=(1, 6)))
         cw = ad.leaf(rng.normal(size=(4, 6)))  # fixed weights; f() must be deterministic
         cases = [
-            ([a, w], lambda: ad.mean_all(ad.matmul(a, w))),
-            ([a, b], lambda: ad.mean_all(ad.add(a, b))),
-            ([a, row], lambda: ad.mean_all(ad.add(a, row))),
-            ([a, b], lambda: ad.mean_all(ad.sub(a, b))),
-            ([a, b], lambda: ad.mean_all(ad.mul(a, b))),
-            ([a], lambda: ad.mean_all(ad.scale(a, -2.5))),
+            ([a, w], lambda: ad.sum_all(ad.matmul(a, w))),
+            ([a, b], lambda: ad.sum_all(ad.add(a, b))),
+            ([a, row], lambda: ad.sum_all(ad.add(a, row))),
+            ([a, b], lambda: ad.sum_all(ad.sub(a, b))),
+            ([a, b], lambda: ad.sum_all(ad.mul(a, b))),
+            ([a], lambda: ad.sum_all(ad.scale(a, -2.5))),
             ([a], lambda: ad.sum_all(ad.relu(a))),
             ([a], lambda: ad.sum_all(ad.row_normalize(a))),
-            ([a], lambda: ad.mean_all(ad.mul(ad.row_softmax(a), cw))),
-            ([a], lambda: ad.mean_all(ad.mul(ad.row_log_softmax(a), cw))),
-            ([a], lambda: ad.mean_all(ad.softplus(a))),
+            ([a], lambda: ad.sum_all(ad.mul(ad.row_softmax(a), cw))),
+            ([a], lambda: ad.sum_all(ad.mul(ad.row_log_softmax(a), cw))),
+            ([a], lambda: ad.sum_all(ad.softplus(a))),
             ([a], lambda: ad.sum_all(ad.transpose(a))),
-            ([a, b], lambda: ad.mean_all(ad.concat_rows(a, b))),
-            ([a], lambda: ad.mean_all(ad.slice_block(a, 1, 3, 2, 5))),
+            ([a, b], lambda: ad.sum_all(ad.concat_rows(a, b))),
+            ([a], lambda: ad.sum_all(ad.slice_block(a, 1, 3, 2, 5))),
             ([a, b], lambda: ad.sq_error(a, b)),
         ]
         for leaves, f in cases:
             assert ad.grad_check(f, leaves) < tol
         # arccos probed away from the clamp edges
         c = ad.leaf(rng.uniform(-0.9, 0.9, size=(3, 3)))
-        assert ad.grad_check(lambda: ad.mean_all(ad.arccos(c)), [c]) < tol
+        assert ad.grad_check(lambda: ad.sum_all(ad.arccos(c)), [c]) < tol
 
 
 def test_grad_check_quadratic_form_tight():
@@ -189,7 +189,7 @@ def test_grad_check_softmax_kl_composite():
 
 def test_grad_check_constant_expression_is_exact_zero():
     x = ad.leaf([[1.0, 2.0]])
-    f = lambda: ad.mean_all(ad.leaf([[4.0]]))
+    f = lambda: ad.sum_all(ad.leaf([[4.0]]))
     assert ad.grad_check(f, [x]) == 0.0
 
 
@@ -202,7 +202,7 @@ def test_grad_check_through_angular_distance():
 
         def f():
             hn = ad.row_normalize(h)
-            return ad.mean_all(ad.arccos(ad.matmul(hn, ad.transpose(hn))))
+            return ad.sum_all(ad.arccos(ad.matmul(hn, ad.transpose(hn))))
 
         assert ad.grad_check(f, [h]) < 1e-4
 
@@ -210,7 +210,7 @@ def test_grad_check_through_angular_distance():
 def test_grad_check_rejects_bad_step():
     x = ad.leaf([[1.0]])
     with pytest.raises(ValueError):
-        ad.grad_check(lambda: ad.mean_all(x), [x], fd_step=0.0)
+        ad.grad_check(lambda: ad.sum_all(x), [x], fd_step=0.0)
 
 
 # --------------------------------------------------------------------- adam

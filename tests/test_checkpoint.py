@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import mreplay.autodiff as ad
 from mreplay import checkpoint, data, trainer
 from mreplay.models import components, encode, predict
 
@@ -49,8 +50,8 @@ def test_round_trip_bit_exact(tmp_path):
         for k in pa:
             assert np.array_equal(pa[k].value, pb[k].value)
     assert set(loaded.bundle.frozen_encoder) == set(state.bundle.frozen_encoder)
-    for name, arr in state.bundle.frozen_encoder.items():
-        assert np.array_equal(arr, loaded.bundle.frozen_encoder[name])
+    for name, t in state.bundle.frozen_encoder.items():
+        assert np.array_equal(t.value, loaded.bundle.frozen_encoder[name].value)
     assert loaded.bank.size == state.bank.size
     assert loaded.bank.capacity == state.bank.capacity
     assert loaded.bank.refresh_epoch == state.bank.refresh_epoch
@@ -81,8 +82,8 @@ def test_has_frozen_key_of_older_files_ignored(tmp_path):
         loaded, _, _ = checkpoint.load_checkpoint(path)
         assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
         if flag:
-            assert np.array_equal(encode(state.bundle, x, frozen=True).value,
-                                  encode(loaded.bundle, x, frozen=True).value)
+            assert np.array_equal(encode(state.bundle, ad.leaf(x), frozen=True).value,
+                                  encode(loaded.bundle, ad.leaf(x), frozen=True).value)
         else:
             assert loaded.bundle.frozen_encoder is None
 

@@ -199,6 +199,18 @@ def test_sweep_axis(tmp_path, mini_config):
     assert all(line.startswith("shots,") for line in lines[1:])
 
 
+def test_sweep_rejects_fractional_counts(tmp_path, mini_config, capsys):
+    # shots and memory are counts: 3.5 would run as 3 but be recorded as 3.5
+    for axis in ("shots", "memory"):
+        out = tmp_path / axis
+        rc = cli.main(["sweep", "--config", mini_config, "--out", str(out),
+                       "--axis", axis, "--values", "3.5,3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--axis {axis}" in err and "3.5" in err
+        assert not (out / "sweep.csv").exists()
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))

@@ -76,7 +76,6 @@ def test_grade_split_contiguous_equal_bands():
         assert band[0] >= prev_max
         prev_max = band[-1]
         assert len(s.train) == 10
-        assert all(x.grade == s.session for x in s.train + s.held_out)
 
 
 def test_grade_split_uneven_remainder():

@@ -10,42 +10,54 @@ import mreplay.autodiff as ad
 from mreplay import losses
 
 
-def _batch(rng, b1=2, b2=3, d=4, scores=None):
-    old = ad.leaf(rng.normal(size=(b1, d)))
-    new = ad.leaf(rng.normal(size=(b2, d)))
-    if scores is None:
-        scores = rng.uniform(size=b1 + b2)
-    return losses.JointBatch(old=old, new=new, scores=scores)
+def _batch(rng, b1=2, b2=3, d=4):
+    """(old, new, scores): the positional arguments of graph_reg_loss."""
+    return (ad.leaf(rng.normal(size=(b1, d))), ad.leaf(rng.normal(size=(b2, d))),
+            rng.uniform(size=b1 + b2))
 
 
 # ------------------------------------------------------------ hand values
 
 
 def test_regression_loss_hand_value():
-    out = losses.regression_loss([1.0, 2.0], [0.0, 0.0])
+    pred = ad.leaf([[1.0], [2.0]])
+    out = losses.regression_loss(pred, [0.0, 0.0])
     assert out.value[0, 0] == 2.5
-    zero = losses.regression_loss([1.0, 2.0], [1.0, 2.0])
+    zero = losses.regression_loss(pred, [[1.0], [2.0]])
     assert zero.value[0, 0] == 0.0
+    # a target that is neither flat nor a matching column
+    for bad in ([[1.0, 2.0]], [0.0, 0.0, 0.0], np.zeros((2, 1, 1)), 1.0):
+        with pytest.raises(ad.ShapeError):
+            losses.regression_loss(pred, bad)
 
 
 def test_projector_loss_hand_values():
-    assert losses.projector_loss([[3.0, 4.0]], [[0.0, 0.0]]).value[0, 0] == 25.0
-    assert losses.projector_loss([[1.0]], [[0.0]]).value[0, 0] == 1.0
-    assert losses.projector_loss([[0.5]], [[0.0]]).value[0, 0] == 0.25
-    two_rows = losses.projector_loss([[0.0, 0.0], [0.0, 0.0]],
-                                     [[3.0, 4.0], [0.0, 0.0]])
-    assert two_rows.value[0, 0] == 12.5
+    def proj(a, b):
+        return losses.projector_loss(ad.leaf(a), ad.leaf(b)).value[0, 0]
+
+    assert proj([[3.0, 4.0]], [[0.0, 0.0]]) == 25.0
+    assert proj([[1.0]], [[0.0]]) == 1.0
+    assert proj([[0.5]], [[0.0]]) == 0.25
+    assert proj([[0.0, 0.0], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]) == 12.5
     with pytest.raises(ad.ShapeError):
-        losses.projector_loss(np.ones((2, 3)), np.ones((3, 2)))
+        proj(np.ones((2, 3)), np.ones((3, 2)))
+
+
+def _angular(h):
+    return losses.angular_distance_matrix(ad.leaf(h))
+
+
+def _kl(p, q):
+    return losses.kl_row_divergence(ad.leaf(p), ad.leaf(q)).value[0, 0]
 
 
 def test_angular_distance_hand_values():
-    a = losses.angular_distance_matrix([[1.0, 0.0], [1.0, 1.0]])
+    a = _angular([[1.0, 0.0], [1.0, 1.0]])
     assert abs(a.value[0, 1] - np.pi / 4) < 1e-12
     assert abs(a.value[1, 0] - np.pi / 4) < 1e-12
-    orth = losses.angular_distance_matrix([[1.0, 0.0], [0.0, 1.0]])
+    orth = _angular([[1.0, 0.0], [0.0, 1.0]])
     assert abs(orth.value[0, 1] - np.pi / 2) < 1e-12
-    anti = losses.angular_distance_matrix([[1.0, 0.0], [-1.0, 0.0]])
+    anti = _angular([[1.0, 0.0], [-1.0, 0.0]])
     assert abs(anti.value[0, 1] - np.pi) < 1e-3
     assert a.value[0, 0] < 1e-3 and a.value[1, 1] < 1e-3
 
@@ -54,7 +66,7 @@ def test_angular_distance_range_and_symmetry():
     rng = np.random.default_rng(8)
     for _ in range(20):
         h = rng.normal(size=(6, 5))
-        a = losses.angular_distance_matrix(h).value
+        a = _angular(h).value
         assert (a >= 0.0).all() and (a <= np.pi).all()
         assert np.abs(a - a.T).max() < 1e-9
 
@@ -62,9 +74,9 @@ def test_angular_distance_range_and_symmetry():
 def test_angular_distance_scale_invariant_bit_exact():
     rng = np.random.default_rng(21)
     h = rng.normal(size=(5, 4))
-    base = losses.angular_distance_matrix(h).value
+    base = _angular(h).value
     for factor in (0.25, 0.5, 2.0, 4.0, 1024.0):
-        scaled = losses.angular_distance_matrix(h * factor).value
+        scaled = _angular(h * factor).value
         assert np.array_equal(scaled, base)
 
 
@@ -84,49 +96,53 @@ def test_kl_closed_form():
     p = [[0.0, 0.0]]
     q = [[0.0, math.log(2.0)]]
     expected = 0.5 * math.log(9.0 / 8.0)
-    assert abs(losses.kl_row_divergence(p, q).value[0, 0] - expected) < 1e-12
+    assert abs(_kl(p, q) - expected) < 1e-12
 
 
 def test_kl_self_is_exact_zero_and_nonnegative():
     rng = np.random.default_rng(14)
     x = rng.normal(size=(4, 6))
-    assert losses.kl_row_divergence(x, x).value[0, 0] == 0.0
+    assert _kl(x, x) == 0.0
     for _ in range(50):
         p = rng.normal(size=(3, 5))
         q = rng.normal(size=(3, 5))
-        assert losses.kl_row_divergence(p, q).value[0, 0] >= 0.0
+        assert _kl(p, q) >= 0.0
 
 
 def test_kl_direction_matters():
     rng = np.random.default_rng(15)
     p = rng.normal(size=(3, 5))
     q = rng.normal(size=(3, 5))
-    fwd = losses.kl_row_divergence(p, q).value[0, 0]
-    rev = losses.kl_row_divergence(q, p).value[0, 0]
+    fwd = _kl(p, q)
+    rev = _kl(q, p)
     assert fwd != rev
 
 
 # ---------------------------------------------------------------- blocking
 
 
-def test_partition_blocks_tile_exactly():
+def test_graph_reg_blocks_match_sliced_oracle():
+    # the block terms equal four row losses over hand-sliced numpy blocks
+    # of the two distance matrices, summed in old/old, old/new, new/old,
+    # new/new order
     rng = np.random.default_rng(4)
-    full = ad.leaf(rng.normal(size=(7, 7)))
-    b = losses.partition(full, 3)
-    rebuilt = np.block([[b.a11.value, b.a12.value],
-                        [b.a21.value, b.a22.value]])
-    assert np.array_equal(rebuilt, full.value)
-    assert b.a11.shape == (3, 3) and b.a22.shape == (4, 4)
-    assert b.a12.shape == (3, 4) and b.a21.shape == (4, 3)
-
-
-def test_partition_rejects_bad_split():
-    full = ad.leaf(np.eye(4))
-    for bad in (0, 4, -1, 7):
-        with pytest.raises(ValueError):
-            losses.partition(full, bad)
-    with pytest.raises(ad.ShapeError):
-        losses.partition(ad.leaf(np.ones((3, 4))), 1)
+    for b1, b2 in ((3, 4), (1, 6), (5, 3)):
+        old = rng.normal(size=(b1, 5))
+        new = rng.normal(size=(b2, 5))
+        scores = rng.uniform(size=b1 + b2)
+        a = _angular(np.vstack([old, new])).value
+        s = losses.score_distance_matrix(scores)
+        halves = (slice(0, b1), slice(b1, b1 + b2))
+        expected = 0.0
+        for rows in halves:
+            for cols in halves:
+                expected += _kl(a[rows, cols], s[rows, cols])
+        got = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores,
+                                    joint=False).value[0, 0]
+        assert got == expected
+        joint = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores,
+                                      intra_inter=False).value[0, 0]
+        assert joint == _kl(a, s)
 
 
 # ---------------------------------------------------------- graph regularizer
@@ -135,9 +151,9 @@ def test_partition_rejects_bad_split():
 def test_graph_reg_decomposes_into_joint_plus_blocks():
     rng = np.random.default_rng(30)
     batch = _batch(rng)
-    full = losses.graph_reg_loss(batch).value[0, 0]
-    joint = losses.graph_reg_loss(batch, intra_inter=False).value[0, 0]
-    blocks = losses.graph_reg_loss(batch, joint=False).value[0, 0]
+    full = losses.graph_reg_loss(*batch).value[0, 0]
+    joint = losses.graph_reg_loss(*batch, intra_inter=False).value[0, 0]
+    blocks = losses.graph_reg_loss(*batch, joint=False).value[0, 0]
     assert abs(full - (joint + blocks)) < 1e-12
     assert full > 0.0
 
@@ -145,7 +161,7 @@ def test_graph_reg_decomposes_into_joint_plus_blocks():
 def test_graph_reg_rejects_no_terms():
     batch = _batch(np.random.default_rng(31))
     with pytest.raises(ValueError):
-        losses.graph_reg_loss(batch, joint=False, intra_inter=False)
+        losses.graph_reg_loss(*batch, joint=False, intra_inter=False)
 
 
 def test_graph_reg_zero_when_geometry_is_uninformative():
@@ -155,10 +171,10 @@ def test_graph_reg_zero_when_geometry_is_uninformative():
     row = np.array([[0.3, -0.7, 0.2]])
     old = ad.leaf(np.repeat(row, 2, axis=0))
     new = ad.leaf(np.repeat(row, 3, axis=0))
-    batch = losses.JointBatch(old=old, new=new, scores=np.full(5, 0.42))
-    assert losses.graph_reg_loss(batch).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(batch, joint=False).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(batch, intra_inter=False).value[0, 0] == 0.0
+    batch = (old, new, np.full(5, 0.42))
+    assert losses.graph_reg_loss(*batch).value[0, 0] == 0.0
+    assert losses.graph_reg_loss(*batch, joint=False).value[0, 0] == 0.0
+    assert losses.graph_reg_loss(*batch, intra_inter=False).value[0, 0] == 0.0
 
 
 def test_graph_reg_row_permutation_invariance():
@@ -166,23 +182,22 @@ def test_graph_reg_row_permutation_invariance():
     old = rng.normal(size=(3, 4))
     new = rng.normal(size=(4, 4))
     scores = rng.uniform(size=7)
-    base = losses.graph_reg_loss(
-        losses.JointBatch(old=ad.leaf(old), new=ad.leaf(new), scores=scores))
+    base = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores)
     po = np.random.default_rng(1).permutation(3)
     pn = np.random.default_rng(2).permutation(4)
     perm = losses.graph_reg_loss(
-        losses.JointBatch(old=ad.leaf(old[po]), new=ad.leaf(new[pn]),
-                          scores=np.concatenate([scores[:3][po], scores[3:][pn]])))
+        ad.leaf(old[po]), ad.leaf(new[pn]),
+        np.concatenate([scores[:3][po], scores[3:][pn]]))
     assert abs(base.value[0, 0] - perm.value[0, 0]) < 1e-12
 
 
 def test_graph_reg_variants_differ():
     rng = np.random.default_rng(34)
     batch = _batch(rng)
-    base = losses.graph_reg_loss(batch).value[0, 0]
-    assert losses.graph_reg_loss(batch, use_mse=True).value[0, 0] != base
-    assert losses.graph_reg_loss(batch, reverse_kl=True).value[0, 0] != base
-    assert losses.graph_reg_loss(batch, signed=False).value[0, 0] != base
+    base = losses.graph_reg_loss(*batch).value[0, 0]
+    assert losses.graph_reg_loss(*batch, use_mse=True).value[0, 0] != base
+    assert losses.graph_reg_loss(*batch, reverse_kl=True).value[0, 0] != base
+    assert losses.graph_reg_loss(*batch, signed=False).value[0, 0] != base
 
 
 def test_graph_reg_mse_self_consistency():
@@ -196,15 +211,16 @@ def test_graph_reg_mse_self_consistency():
 
 
 def test_joint_batch_validation():
+    # the joint batch is graph_reg_loss's (old, new, scores)
     rng = np.random.default_rng(36)
     with pytest.raises(ad.ShapeError):
-        losses.JointBatch(old=ad.leaf(rng.normal(size=(2, 3))),
-                          new=ad.leaf(rng.normal(size=(2, 4))),
-                          scores=np.zeros(4))
-    with pytest.raises(ValueError):
-        losses.JointBatch(old=ad.leaf(rng.normal(size=(2, 3))),
-                          new=ad.leaf(rng.normal(size=(2, 3))),
-                          scores=np.zeros(5))
+        losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
+                              ad.leaf(rng.normal(size=(2, 4))), np.zeros(4))
+    for n_scores in (3, 5):
+        with pytest.raises(ValueError, match="scores for 4 rows"):
+            losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
+                                  ad.leaf(rng.normal(size=(2, 3))),
+                                  np.zeros(n_scores))
 
 
 # ------------------------------------------------------------------ gradients
@@ -220,8 +236,7 @@ def test_grad_check_all_graph_variants():
                        {"use_mse": True}, {"reverse_kl": True},
                        {"signed": False}):
             def f():
-                batch = losses.JointBatch(old=old, new=new, scores=scores)
-                return losses.graph_reg_loss(batch, **kwargs)
+                return losses.graph_reg_loss(old, new, scores, **kwargs)
 
             assert ad.grad_check(f, [old, new]) < 1e-5
 
@@ -247,8 +262,7 @@ def test_grad_check_total_loss_composition():
 
     def f():
         l_d = losses.regression_loss(pred, target)
-        l_r = losses.graph_reg_loss(
-            losses.JointBatch(old=old, new=new, scores=scores))
+        l_r = losses.graph_reg_loss(old, new, scores)
         return losses.total_loss(l_d, l_r=l_r, lambda_r=0.7)
 
     assert ad.grad_check(f, [pred, old, new]) < 1e-5

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mreplay import metrics
 
@@ -53,6 +54,27 @@ def test_spearman_matches_oracle_on_random_vectors():
                 metrics.spearman(x, y)
         else:
             assert abs(metrics.spearman(x, y) - expected) < 1e-12
+
+
+def _tied_pairs():
+    # a handful of values, so most draws hold ties
+    values = st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.0])
+    return st.integers(2, 40).flatmap(
+        lambda n: st.tuples(st.lists(values, min_size=n, max_size=n),
+                            st.lists(values, min_size=n, max_size=n)))
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(_tied_pairs())
+def test_tied_ranks_and_spearman_match_oracle(pair):
+    x, y = pair
+    assert metrics._fractional_ranks(np.array(x)).tolist() == _ranks_oracle(x)
+    expected = _spearman_oracle(x, y)
+    if expected is None:
+        with pytest.raises(metrics.DegenerateInputError):
+            metrics.spearman(x, y)
+    else:
+        assert abs(metrics.spearman(x, y) - expected) < 1e-12
 
 
 def test_spearman_frozen_examples():

@@ -6,10 +6,14 @@ import pytest
 
 import mreplay.autodiff as ad
 from mreplay import models
+from mreplay.trainer import TrainConfig, bundle_spec_for
 
 
-def _bundle(seed=0, **kwargs):
-    return models.init_bundle(models.default_spec(**kwargs), seed=seed)
+def _bundle(seed=0, d_x=32, feature_mode=False):
+    """A bundle with the default TrainConfig widths; feature mode takes
+    16-wide features."""
+    spec = bundle_spec_for(TrainConfig(), 16 if feature_mode else d_x, feature_mode)
+    return models.init_bundle(spec, seed=seed)
 
 
 def test_make_rng_streams_independent_and_deterministic():
@@ -39,14 +43,21 @@ def test_spec_validation():
                           trunk=models.MlpSpec((5, 2)))
 
 
-def test_default_spec_widths():
-    spec = models.default_spec(d_x=20)
+def test_bundle_spec_for_widths():
+    spec = bundle_spec_for(TrainConfig(), 20, feature_mode=False)
     assert spec.encoder.widths == (20, 64, 16)
+    assert spec.projector.widths == (16, 16, 16)
+    assert spec.trunk.widths == (16, 8)
     assert spec.feature_width == 16
     assert spec.input_width == 20
-    fm = models.default_spec(feature_mode=True)
+    fm = bundle_spec_for(TrainConfig(), 16, feature_mode=True)
     assert fm.encoder is None
     assert fm.input_width == fm.feature_width == 16
+    # feature mode pins the projector ends and the trunk input to the input
+    # width; the config's inner widths stay
+    cfg = TrainConfig(projector_widths=(12, 7, 12), trunk_widths=(12, 5))
+    fm = bundle_spec_for(cfg, 9, feature_mode=True)
+    assert fm.projector.widths == (9, 7, 9) and fm.trunk.widths == (9, 5)
 
 
 def test_init_bounds_and_zero_biases():
@@ -86,13 +97,13 @@ def test_init_deterministic():
 def test_encode_shapes_and_feature_mode():
     bundle = _bundle(seed=0, d_x=10)
     x = np.random.default_rng(0).normal(size=(7, 10))
-    h = models.encode(bundle, x)
+    h = models.encode(bundle, ad.leaf(x))
     assert h.shape == (7, 16)
     with pytest.raises(ad.ShapeError):
-        models.encode(bundle, np.ones((3, 5)))
+        models.encode(bundle, ad.leaf(np.ones((3, 5))))
     fm = _bundle(seed=0, feature_mode=True)
     feats = np.random.default_rng(1).normal(size=(4, 16))
-    out = models.encode(fm, feats)
+    out = models.encode(fm, ad.leaf(feats))
     assert np.array_equal(out.value, feats)
 
 
@@ -101,15 +112,15 @@ def test_zero_projector_residual_is_identity_bit_exact():
     for name, p in bundle.projector.items():
         p.value[:] = 0.0
     h = np.random.default_rng(3).normal(size=(5, 16))
-    out = models.project(bundle, h)
+    out = models.project(bundle, ad.leaf(h))
     assert np.array_equal(out.value, h)
-    non_res = models.project(bundle, h, residual=False)
+    non_res = models.project(bundle, ad.leaf(h), residual=False)
     assert np.array_equal(non_res.value, np.zeros((5, 16)))
 
 
 def test_regress_shapes_std_positive_sample_is_mean():
     bundle = _bundle(seed=4)
-    h = np.random.default_rng(5).normal(size=(6, 16))
+    h = ad.leaf(np.random.default_rng(5).normal(size=(6, 16)))
     mean, std, sample = models.regress(bundle, h)
     assert mean.shape == (6, 1) and std.shape == (6, 1) and sample.shape == (6, 1)
     assert (std.value > 0.0).all()
@@ -125,13 +136,13 @@ def test_predict_matches_mean_head():
     bundle = _bundle(seed=7, d_x=8)
     x = np.random.default_rng(8).normal(size=(5, 8))
     preds = models.predict(bundle, x)
-    mean, _, _ = models.regress(bundle, models.encode(bundle, x))
+    mean, _, _ = models.regress(bundle, models.encode(bundle, ad.leaf(x)))
     assert np.array_equal(preds, mean.value[:, 0])
 
 
 def test_freeze_copy_is_immutable_snapshot():
     bundle = _bundle(seed=9, d_x=6)
-    x = np.random.default_rng(10).normal(size=(4, 6))
+    x = ad.leaf(np.random.default_rng(10).normal(size=(4, 6)))
     with pytest.raises(ValueError):
         models.encode(bundle, x, frozen=True)
     models.freeze_copy(bundle)
@@ -147,7 +158,7 @@ def test_freeze_copy_is_immutable_snapshot():
 def test_frozen_encode_carries_no_gradient_to_encoder():
     bundle = _bundle(seed=11, d_x=6)
     models.freeze_copy(bundle)
-    x = np.random.default_rng(12).normal(size=(3, 6))
+    x = ad.leaf(np.random.default_rng(12).normal(size=(3, 6)))
     out = ad.sum_all(models.encode(bundle, x, frozen=True))
     grads = ad.backward(out, [[1.0]])
     for p in bundle.encoder.values():
@@ -159,7 +170,7 @@ def test_freeze_copy_feature_mode_marks_only():
     models.freeze_copy(fm)
     assert fm.frozen_encoder is None  # an identity encoder has no weights
     feats = np.ones((2, 16))
-    assert np.array_equal(models.encode(fm, feats, frozen=True).value, feats)
+    assert np.array_equal(models.encode(fm, ad.leaf(feats), frozen=True).value, feats)
 
 
 def test_regressor_trunk_applies_output_relu():
