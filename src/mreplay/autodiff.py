@@ -5,10 +5,30 @@ and records its parents, so ``backward`` can replay the chain rule in
 reverse topological order. All values are strictly 2-D; the only broadcast
 form is adding a 1 x m row vector to an n x m matrix. Every public
 operation validates shapes and rejects non-finite values.
+
+Two kinds of tensor start a tape:
+
+* ``leaf``: a value that receives a gradient, such as a parameter;
+* ``const``: data that needs none (inputs, targets, noise draws, a frozen
+  snapshot). An operation whose inputs are all constants returns a
+  constant with no parents and no backward closure, so a pass over
+  constants only computes values. A backward closure computes nothing for
+  a constant parent, and ``backward`` returns gradients only for leaves.
+
+``linear(x, w, b)`` fuses ``add(matmul(x, w), b)`` into one node with the
+same value and the same gradients, bit for bit.
+
+Adam keeps a component's parameters in one flat float64 buffer:
+``adam_init`` copies them into it in dict order, rebinds each value as a
+view into it, and adds flat first and second moment buffers of the same
+length. ``adam_step`` updates the whole buffer with a few vectorised numpy
+operations, in place and elementwise as a per-parameter loop would, so
+parameters must be changed (or loaded) by writing into their values, never
+by rebinding them; a step refuses a parameter that is no longer a view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +47,9 @@ class NonFiniteError(ValueError):
 class Tensor:
     """A node of the tape: a 2-D float64 value plus backward plumbing."""
 
-    __slots__ = ("value", "name", "_parents", "_bwd")
+    __slots__ = ("value", "name", "needs_grad", "_parents", "_bwd")
 
-    def __init__(self, value, name=None, _parents=(), _bwd=None):
+    def __init__(self, value, name=None, _parents=(), _bwd=None, needs_grad=True):
         arr = np.asarray(value, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
@@ -39,6 +59,7 @@ class Tensor:
             raise NonFiniteError(f"non-finite entries in tensor{_at(name)}")
         self.value = arr
         self.name = name
+        self.needs_grad = needs_grad
         self._parents = _parents
         self._bwd = _bwd
 
@@ -55,7 +76,8 @@ class Tensor:
         return self.value.shape
 
     def is_leaf(self) -> bool:
-        return not self._parents
+        """A leaf starts the tape and receives a gradient."""
+        return self.needs_grad and not self._parents
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -67,13 +89,22 @@ def _at(name):
 
 
 def leaf(value, name=None) -> Tensor:
-    """Wrap an array as a tape leaf: a parameter, or data that only needs a
-    place on the tape."""
+    """Wrap an array as a tape leaf, which ``backward`` gives a gradient."""
     return Tensor(value, name=name)
 
 
-def _node(value, parents, bwd, name=None) -> Tensor:
-    return Tensor(value, name=name, _parents=parents, _bwd=bwd)
+def const(value, name=None) -> Tensor:
+    """Wrap an array as data that needs no gradient."""
+    return Tensor(value, name=name, needs_grad=False)
+
+
+def _node(value, parents, bwd) -> Tensor:
+    """An operation's result. Only parents that need a gradient are kept,
+    and with none the result is a constant without a backward closure."""
+    live = tuple([p for p in parents if p.needs_grad])
+    if not live:
+        return Tensor(value, needs_grad=False)
+    return Tensor(value, _parents=live, _bwd=bwd)
 
 
 def _acc(grads: dict, t: Tensor, g: np.ndarray) -> None:
@@ -91,10 +122,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
 
     def bwd(g, grads):
-        _acc(grads, a, g @ b.value.T)
-        _acc(grads, b, a.value.T @ g)
+        if a.needs_grad:
+            _acc(grads, a, g @ b.value.T)
+        if b.needs_grad:
+            _acc(grads, b, a.value.T @ g)
 
     return _node(a.value @ b.value, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus the 1 x m bias row ``b`` on every row: one node with
+    the value and gradients of ``add(matmul(x, w), b)``."""
+    if x.cols != w.rows:
+        raise ShapeError(f"linear mismatch: {x.shape} @ {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.cols} row")
+
+    def bwd(g, grads):
+        if b.needs_grad:
+            _acc(grads, b, g.sum(axis=0, keepdims=True))
+        if x.needs_grad:
+            _acc(grads, x, g @ w.value.T)
+        if w.needs_grad:
+            _acc(grads, w, x.value.T @ g)
+
+    return _node(x.value @ w.value + b.value, (x, w, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -104,8 +156,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add mismatch: {a.shape} + {b.shape}")
 
     def bwd(g, grads):
-        _acc(grads, a, g)
-        _acc(grads, b, g.sum(axis=0, keepdims=True) if broadcast else g)
+        if a.needs_grad:
+            _acc(grads, a, g)
+        if b.needs_grad:
+            _acc(grads, b, g.sum(axis=0, keepdims=True) if broadcast else g)
 
     return _node(a.value + b.value, (a, b), bwd)
 
@@ -115,8 +169,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"sub mismatch: {a.shape} - {b.shape}")
 
     def bwd(g, grads):
-        _acc(grads, a, g)
-        _acc(grads, b, -g)
+        if a.needs_grad:
+            _acc(grads, a, g)
+        if b.needs_grad:
+            _acc(grads, b, -g)
 
     return _node(a.value - b.value, (a, b), bwd)
 
@@ -137,8 +193,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul mismatch: {a.shape} * {b.shape}")
 
     def bwd(g, grads):
-        _acc(grads, a, g * b.value)
-        _acc(grads, b, g * a.value)
+        if a.needs_grad:
+            _acc(grads, a, g * b.value)
+        if b.needs_grad:
+            _acc(grads, b, g * a.value)
 
     return _node(a.value * b.value, (a, b), bwd)
 
@@ -235,8 +293,10 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     na = a.rows
 
     def bwd(g, grads):
-        _acc(grads, a, g[:na])
-        _acc(grads, b, g[na:])
+        if a.needs_grad:
+            _acc(grads, a, g[:na])
+        if b.needs_grad:
+            _acc(grads, b, g[na:])
 
     return _node(np.concatenate([a.value, b.value], axis=0), (a, b), bwd)
 
@@ -268,41 +328,44 @@ def sq_error(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, grads):
         d = 2.0 * g[0, 0] * diff
-        _acc(grads, a, d)
-        _acc(grads, b, -d)
+        if a.needs_grad:
+            _acc(grads, a, d)
+        if b.needs_grad:
+            _acc(grads, b, -d)
 
     return _node([[(diff * diff).sum()]], (a, b), bwd)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
-    """Detach a value from the tape."""
-    return Tensor(a.value.copy())
+    """Detach a value from the tape: a constant sharing ``a``'s value."""
+    return const(a.value)
 
 
 # ------------------------------------------------------------------ backward
 
 
 def _topo(root: Tensor) -> list[Tensor]:
+    # depth-first post-order over the parents that need a gradient; the
+    # order decides how fan-out gradients are summed, so it fixes the bits
     order, seen, stack = [], set(), [(root, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, done = stack.pop()
+        node, done = pop()
         if done:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            stack.append((p, False))
+        elif node not in seen:
+            seen.add(node)
+            push((node, True))
+            for p in node._parents:
+                push((p, False))
     return order
 
 
 def backward(root: Tensor, seed_grad) -> dict[Tensor, np.ndarray]:
     """Propagate ``seed_grad`` from ``root`` back to every leaf.
 
-    Returns a map from each leaf tensor on the tape to its gradient.
-    Gradients accumulate across fan-out.
+    Returns a map from each leaf on the tape to its gradient; constants get
+    none. Gradients accumulate across fan-out.
     """
     seed = np.asarray(seed_grad, dtype=np.float64)
     if seed.shape != root.value.shape:
@@ -358,38 +421,45 @@ def grad_check(f, leaves: list[Tensor], fd_step: float = 1e-5) -> float:
 
 @dataclass
 class AdamState:
-    """Per-parameter Adam moments with coupled L2 weight decay."""
+    """Adam moments over one flat parameter buffer, with coupled L2 weight
+    decay. ``spans`` gives each parameter's [start, end) in the buffer."""
 
+    buffer: np.ndarray
+    spans: dict[str, tuple[int, int]]
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 1e-4
     weight_decay: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def adam_init(params: dict[str, Tensor], lr: float = 1e-4,
               weight_decay: float = 1e-4) -> AdamState:
-    state = AdamState(lr=lr, weight_decay=weight_decay)
+    """Optimizer state for ``params``. Their values are copied into one flat
+    buffer, in dict order, and each is rebound as a view into it, so later
+    writes must go into them in place."""
+    buffer = np.empty(sum(p.value.size for p in params.values()))
+    spans, lo = {}, 0
     for name, p in params.items():
-        state.m[name] = np.zeros_like(p.value)
-        state.v[name] = np.zeros_like(p.value)
-    return state
+        hi = lo + p.value.size
+        buffer[lo:hi] = p.value.reshape(-1)
+        p.value = buffer[lo:hi].reshape(p.value.shape)
+        spans[name] = (lo, hi)
+        lo = hi
+    return AdamState(buffer=buffer, spans=spans, m=np.zeros_like(buffer),
+                     v=np.zeros_like(buffer), lr=lr, weight_decay=weight_decay)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One Adam update, in place. Decay is added to the gradient before the
-    moment updates. A non-finite gradient aborts the step untouched."""
-    for name in params:
-        g = grads.get(name)
-        if g is not None and not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-    t = state.step_count + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    """One Adam update of the parameters that have a gradient, in place.
+    Decay is added to the gradient before the moment updates. A non-finite
+    gradient aborts the step untouched."""
+    flat = np.empty_like(state.buffer)
+    have = []
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -397,8 +467,28 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if g.shape != p.value.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match "
                              f"parameter {name!r} {p.value.shape}")
-        g = g + state.weight_decay * p.value
-        m = state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        v = state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        p.value = p.value - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        if p.value.base is not state.buffer:
+            raise ValueError(f"parameter {name!r} is not a view into the "
+                             f"optimizer's buffer; write values in place")
+        lo, hi = state.spans[name]
+        flat[lo:hi] = g.reshape(-1)
+        have.append((lo, hi))
+    if len(have) == len(state.spans):
+        sel = slice(None)
+    else:
+        sel = np.zeros(flat.size, dtype=bool)
+        for lo, hi in have:
+            sel[lo:hi] = True
+    g = flat[sel]
+    if not np.isfinite(g).all():
+        bad = next(name for name in params
+                   if name in grads and not np.isfinite(grads[name]).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
+    t = state.step_count + 1
+    c1 = 1.0 - state.beta1 ** t
+    c2 = 1.0 - state.beta2 ** t
+    g = g + state.weight_decay * state.buffer[sel]
+    m = state.m[sel] = state.beta1 * state.m[sel] + (1 - state.beta1) * g
+    v = state.v[sel] = state.beta2 * state.v[sel] + (1 - state.beta2) * g * g
+    state.buffer[sel] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     state.step_count = t

@@ -3,9 +3,12 @@
 One file holds the component specs, flat parameter arrays, the frozen
 encoder copy, the memory bank, the score scaler, the train config, and the
 RNG stream states. Floats are serialized with full round-trip precision,
-so save -> load -> evaluate is bit-exact. The loader reads only the keys
-it needs, so older format-1 files, which also carry a flag saying whether
-``frozen_encoder`` is set, load unchanged.
+so save -> load -> evaluate is bit-exact. A file is written beside its
+target and then moved over it, so a failed save leaves the previous file
+intact. Loading writes the parameters into the fresh state's optimizer
+buffers in place and restores the frozen copy as constants. The loader
+reads only the keys it needs, so older format-1 files, which also carry a
+flag saying whether ``frozen_encoder`` is set, load unchanged.
 
 A checkpoint does not hold the Adam moments or step counts: loading gives
 fresh optimizer state, so training on from a loaded checkpoint does not
@@ -19,7 +22,7 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .data import ScoreScaler
+from .data import ScoreScaler, atomic_write
 from .memory import FeatureRecord, MemoryBank
 from .models import BundleSpec, MlpSpec, ModelBundle
 from .trainer import TrainConfig, TrainState, new_state
@@ -86,7 +89,7 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
         "rng": {name: json.dumps(g.bit_generator.state)
                 for name, g in state.rngs.items()},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
@@ -117,9 +120,11 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
             if arr.shape != params[name].value.shape:
                 raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
                                       f"does not match {params[name].value.shape}")
-            params[name] = ad.leaf(arr, name=name)
+            # in place: the values are views into the optimizer's buffer;
+            # wrapping the array first keeps the tensor's finiteness check
+            params[name].value[...] = ad.const(arr, name=name).value
     bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
-        {name: ad.leaf(_unpack_array(d)) for name, d in payload["frozen_encoder"].items()}
+        {name: ad.const(_unpack_array(d)) for name, d in payload["frozen_encoder"].items()}
     bank = MemoryBank(capacity=payload["bank"]["capacity"])
     bank.refresh_epoch = payload["bank"]["refresh_epoch"]
     for e in payload["bank"]["entries"]:

@@ -3,7 +3,9 @@
 Subcommands: gen, split, train, eval, ablate, sweep, plot, report.
 A JSON config file mirrors the DataConfig / TrainConfig field names under
 "data" and "train" sections; command-line flags override single fields.
-Outputs land under --out, the MREPLAY_OUT env var, or ./runs.
+Outputs land under --out, the MREPLAY_OUT env var, or ./runs. Each JSON
+or CSV artifact is written beside its target and moved over it, so a failed
+write never leaves a truncated file.
 
 ``ablate`` and ``sweep`` share one grid runner: each grid cell is a data
 config plus a train config, run once per seed of the config's "seeds" list.
@@ -25,7 +27,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
-                   grade_split, generate_synthetic, inject_label_noise,
+                   atomic_write, grade_split, generate_synthetic, inject_label_noise,
                    load_csv, normalize_scores, save_csv)
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
@@ -95,14 +97,14 @@ def _out_root(args) -> Path:
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:

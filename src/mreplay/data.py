@@ -12,7 +12,10 @@ fine-tuning data.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -221,9 +224,25 @@ def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> Sessio
 # ------------------------------------------------------------------- csv io
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open a temporary file beside ``path`` for writing text. On a clean
+    exit it replaces ``path`` in one step; on an error it is removed, and
+    whatever ``path`` held before stays intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_csv(dataset: Dataset, path) -> None:
     prefix = "f" if dataset.feature_mode else "x"
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "score"] + [f"{prefix}{j}" for j in range(dataset.input_width)])
         for s in dataset.samples:

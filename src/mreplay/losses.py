@@ -11,7 +11,7 @@ divergence, averaged over rows. The full regularizer sums this row loss
 over the joint matrix and its four blocks (old/old, old/new, new/old,
 new/new), so cross-session structure is constrained both globally and
 within each block. The blocks of A are slices on the tape; S is data, so
-its blocks are plain numpy slices entering the tape as leaves.
+its blocks are plain numpy slices entering the tape as constants.
 
 Every feature or prediction argument is a ``Tensor``; scores and targets
 are arrays.
@@ -32,7 +32,7 @@ def regression_loss(predicted: Tensor, target) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape(-1, 1)
-    return ad.scale(ad.sq_error(predicted, ad.leaf(t)), 1.0 / predicted.rows)
+    return ad.scale(ad.sq_error(predicted, ad.const(t)), 1.0 / predicted.rows)
 
 
 def projector_loss(actual: Tensor, projected: Tensor) -> Tensor:
@@ -99,11 +99,11 @@ def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
         raise ValueError("graph regularizer with no joint and no block terms")
     a = angular_distance_matrix(ad.concat_rows(old, new))
     s = score_distance_matrix(y, signed=signed)
-    terms = [_row_loss(a, ad.leaf(s), use_mse, reverse_kl)] if joint else []
+    terms = [_row_loss(a, ad.const(s), use_mse, reverse_kl)] if joint else []
     if intra_inter:
         for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
             terms.append(_row_loss(ad.slice_block(a, r0, r1, c0, c1),
-                                   ad.leaf(s[r0:r1, c0:c1]), use_mse, reverse_kl))
+                                   ad.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
     total = terms[0]
     for term in terms[1:]:
         total = ad.add(total, term)

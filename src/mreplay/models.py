@@ -7,10 +7,15 @@ of the encoder:
 * projector: residual map applied to stale feature vectors,
 * regressor: shared trunk with a mean head and a softplus std head.
 
-Every forward function takes a ``Tensor``; only ``predict`` takes an array.
-The frozen copy is a dict of leaves like the encoder's own, outside every
-optimizer's parameter groups, so ``encode(frozen=True)`` runs the same
-forward pass on it and no gradient reaches the live encoder.
+Every forward function takes a ``Tensor``; only ``predict`` takes an array,
+which enters the tape as a constant. The frozen copy is a dict of
+constants keyed like the encoder's own weights, so ``encode(frozen=True)``
+runs the same forward pass on it; on constant inputs that pass records
+nothing for ``backward``, and no gradient reaches the live encoder.
+
+Each layer is one fused ``linear`` node. The trainable weights of a
+component become views into one flat buffer when its optimizer state is
+made, so they are updated, and loaded, in place.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head.
@@ -128,7 +133,7 @@ def _mlp_forward(params: dict[str, Tensor], prefix: str, n_layers: int, x: Tenso
                  output_relu: bool = False) -> Tensor:
     h = x
     for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        h = ad.linear(h, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
         if i < n_layers - 1 or output_relu:
             h = ad.relu(h)
     return h
@@ -138,7 +143,7 @@ def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
     """Map an n x d_x input batch to n x D features.
 
     ``frozen=True`` routes through the frozen encoder copy, whose weights
-    are leaves that no optimizer steps.
+    are constants.
     """
     if x.cols != bundle.spec.input_width:
         raise ad.ShapeError(f"input width {x.cols} does not match "
@@ -172,31 +177,30 @@ def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, T
     """
     trunk = _mlp_forward(bundle.regressor, "regressor", bundle.spec.trunk.n_layers,
                          h, output_relu=True)
-    mean = ad.add(ad.matmul(trunk, bundle.regressor["regressor.mean.w0"]),
-                  bundle.regressor["regressor.mean.b0"])
-    std = ad.softplus(ad.add(ad.matmul(trunk, bundle.regressor["regressor.std.w0"]),
-                             bundle.regressor["regressor.std.b0"]))
+    params = bundle.regressor
+    mean = ad.linear(trunk, params["regressor.mean.w0"], params["regressor.mean.b0"])
+    std = ad.softplus(ad.linear(trunk, params["regressor.std.w0"],
+                                params["regressor.std.b0"]))
     if eps is None:
         return mean, std, mean
     e = np.asarray(eps, dtype=np.float64)
     if e.shape != (h.rows, 1):
         raise ad.ShapeError(f"eps shape {e.shape} does not match batch ({h.rows}, 1)")
-    sample = ad.add(mean, ad.mul(ad.leaf(e), std))
+    sample = ad.add(mean, ad.mul(ad.const(e), std))
     return mean, std, sample
 
 
 def predict(bundle: ModelBundle, x) -> np.ndarray:
     """Deterministic scores (eps = 0) for an input batch, as a flat array."""
-    mean, _, _ = regress(bundle, encode(bundle, ad.leaf(x)))
+    mean, _, _ = regress(bundle, encode(bundle, ad.const(x)))
     return mean.value[:, 0].copy()
 
 
 def freeze_copy(bundle: ModelBundle) -> None:
-    """Snapshot the encoder weights as fresh leaves, outside every
-    optimizer's parameter groups. Identity encoders have no weights, so
-    there is nothing to snapshot."""
+    """Snapshot the encoder weights as constants. Identity encoders have no
+    weights, so there is nothing to snapshot."""
     if bundle.spec.encoder is not None:
-        bundle.frozen_encoder = {name: ad.leaf(p.value.copy())
+        bundle.frozen_encoder = {name: ad.const(p.value.copy())
                                  for name, p in bundle.encoder.items()}
 
 

@@ -207,7 +207,7 @@ def new_state(config: TrainConfig, input_width: int,
 def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
                 config: TrainConfig) -> dict:
     bundle = state.bundle
-    xt = ad.leaf(xb)
+    xt = ad.const(xb)
     h_new = encode(bundle, xt)
     eps_new = state.rngs["eps"].standard_normal((xb.shape[0], 1))
     _, _, y_hat = regress(bundle, h_new, eps_new)
@@ -222,13 +222,13 @@ def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
         feats, y_old, _ = mem.sample_replay(state.bank, config.b1,
                                             state.rngs["replay"],
                                             stratified=config.stratified_replay)
-        old_leaf = ad.leaf(feats)
+        stored = ad.const(feats)
         if config.method == "replay-raw":
-            h_old = encode(bundle, old_leaf)
+            h_old = encode(bundle, stored)
         elif not config.no_mp:
-            h_old = project(bundle, old_leaf, residual=residual)
+            h_old = project(bundle, stored, residual=residual)
         else:
-            h_old = old_leaf
+            h_old = stored
         eps_old = state.rngs["eps"].standard_normal((feats.shape[0], 1))
         h_for_scoring = ad.stop_gradient(h_old) if config.lm_stop_grad else h_old
         _, _, y_hat_old = regress(bundle, h_for_scoring, eps_old)
@@ -293,13 +293,13 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
     if config.method not in MEMORYLESS:
         if not config.no_mp and state.bank.size > 0:
             def refreshed(stored: np.ndarray) -> np.ndarray:
-                return project(state.bundle, ad.leaf(stored),
+                return project(state.bundle, ad.const(stored),
                                residual=not config.no_residual).value
             mem.refresh(state.bank, refreshed, t)
         if config.method == "replay-raw":
             stored_feats = x
         else:
-            stored_feats = encode(state.bundle, ad.leaf(x)).value
+            stored_feats = encode(state.bundle, ad.const(x)).value
         mem.store_session(state.bank, stored_feats, y, ids, t,
                           rng=state.rngs["store"],
                           random_sampling=config.random_sampling)
@@ -400,8 +400,8 @@ def _reference_seed(seed: int) -> int:
 
 def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
     """Mean squared entrywise gap between the two encoders' features."""
-    fa = encode(bundle_a, ad.leaf(x)).value
-    fb = encode(bundle_b, ad.leaf(x)).value
+    fa = encode(bundle_a, ad.const(x)).value
+    fb = encode(bundle_b, ad.const(x)).value
     if fa.shape != fb.shape:
         raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
     return float(((fa - fb) ** 2).mean())

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mreplay.autodiff as ad
 
@@ -125,6 +126,42 @@ def test_backward_unused_leaf_gets_no_entry():
     z = ad.leaf([[5.0]])
     grads = ad.backward(ad.mul(x, x), [[1.0]])
     assert z not in grads
+    # a constant on the tape gets no entry either, and the leaf's gradient
+    # is what it would be with the constant as a leaf
+    c = ad.const([[3.0]])
+    grads = ad.backward(ad.mul(ad.mul(x, c), x), [[1.0]])
+    assert set(grads) == {x}
+    assert np.array_equal(grads[x], [[6.0]])
+    assert ad.backward(ad.sum_all(ad.mul(c, c)), [[1.0]]) == {}
+
+
+def test_ops_on_constants_record_nothing():
+    rng = _rng(5)
+    a, b = ad.const(rng.normal(size=(3, 4))), ad.const(rng.normal(size=(3, 4)))
+    w, row = ad.const(rng.normal(size=(4, 2))), ad.const(rng.normal(size=(1, 2)))
+    outs = [ad.matmul(a, w), ad.add(a, b), ad.sub(a, b), ad.mul(a, b),
+            ad.scale(a, 2.0), ad.relu(a), ad.row_normalize(a), ad.arccos(ad.scale(a, 0.1)),
+            ad.row_softmax(a), ad.row_log_softmax(a), ad.softplus(a), ad.transpose(a),
+            ad.concat_rows(a, b), ad.slice_block(a, 0, 2, 1, 3), ad.sum_all(a),
+            ad.sq_error(a, b), ad.linear(a, w, row)]
+    for out in outs:
+        assert not out.needs_grad and not out._parents and out._bwd is None
+    # values match the same expression over leaves
+    la, lw, lrow = ad.leaf(a.value), ad.leaf(w.value), ad.leaf(row.value)
+    assert np.array_equal(ad.linear(a, w, row).value, ad.linear(la, lw, lrow).value)
+    # one leaf input is enough to record the node, with only that parent
+    mixed = ad.matmul(a, lw)
+    assert mixed.needs_grad and mixed._parents == (lw,)
+
+
+def test_stop_gradient_is_a_constant_view():
+    x = ad.leaf([[1.0, 2.0]])
+    y = ad.scale(x, 2.0)
+    s = ad.stop_gradient(y)
+    assert not s.needs_grad and s.value is y.value
+    grads = ad.backward(ad.sum_all(ad.add(ad.mul(s, y), x)), [[1.0]])
+    assert set(grads) == {x}
+    assert np.array_equal(grads[x], [[1.0 + 2.0 * 2.0, 1.0 + 2.0 * 4.0]])
 
 
 # --------------------------------------------------------------- grad_check
@@ -162,6 +199,51 @@ def test_grad_check_every_primitive():
         # arccos probed away from the clamp edges
         c = ad.leaf(rng.uniform(-0.9, 0.9, size=(3, 3)))
         assert ad.grad_check(lambda: ad.sum_all(ad.arccos(c)), [c]) < tol
+
+
+def test_grad_check_linear():
+    # same tolerance as the other primitives; with x a constant only w and
+    # b are probed
+    tol = 1e-5
+    for seed in range(10):
+        rng = _rng(1500 + seed)
+        x = ad.leaf(rng.normal(size=(4, 6)))
+        w = ad.leaf(rng.normal(size=(6, 3)))
+        b = ad.leaf(rng.normal(size=(1, 3)))
+        cw = ad.const(rng.normal(size=(4, 3)))
+        f = lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), cw))
+        assert ad.grad_check(f, [x, w, b]) < tol
+        xc = ad.const(x.value)
+        g = lambda: ad.sum_all(ad.mul(ad.linear(xc, w, b), cw))
+        assert ad.grad_check(g, [w, b]) < tol
+        assert xc not in ad.backward(g(), [[1.0]])
+
+
+def test_linear_equals_matmul_add_bit_for_bit():
+    for rows in (1, 2, 5):
+        rng = _rng(1600 + rows)
+        xv, wv, bv = (rng.normal(size=(rows, 7)), rng.normal(size=(7, 4)),
+                      rng.normal(size=(1, 4)))
+        seed = rng.normal(size=(rows, 4))
+
+        def run(fused):
+            x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
+            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
+            grads = ad.backward(out, seed)
+            return out.value, grads[x], grads[w], grads[b]
+
+        for fused, plain in zip(run(True), run(False)):
+            assert fused.tobytes() == plain.tobytes()
+
+
+def test_linear_shape_checks():
+    x, w = ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 4)))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, ad.leaf(np.ones((2, 4))), ad.leaf(np.ones((1, 4))))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, w, ad.leaf(np.ones((2, 4))))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(x, w, ad.leaf(np.ones((1, 3))))
 
 
 def test_grad_check_quadratic_form_tight():
@@ -272,6 +354,77 @@ def test_adam_skips_params_without_grads():
     st = ad.adam_init(p)
     ad.adam_step(p, {"w": np.array([[0.5]])}, st)
     assert p["idle"].value[0, 0] == 3.0
+
+
+def _reference_adam_step(values, grads, m, v, step, lr, wd,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-parameter Adam on plain arrays, one parameter at a time; returns
+    the new step count."""
+    t = step + 1
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, g in grads.items():
+        g = g + wd * values[name]
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * g * g
+        values[name] = values[name] - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+    return t
+
+
+@st.composite
+def _adam_runs(draw):
+    shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
+    comps = draw(st.lists(st.lists(shape, min_size=1, max_size=4), min_size=1, max_size=3))
+    steps = draw(st.integers(1, 12))
+    # the step at which each component first gets gradients, like the
+    # projector, which idles until the memory bank fills
+    starts = [draw(st.integers(0, steps)) for _ in comps]
+    lr = draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.5]))
+    wd = draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.1]))
+    missing = draw(st.floats(0.0, 0.5))
+    return comps, steps, starts, lr, wd, missing, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(_adam_runs())
+def test_flat_adam_matches_per_parameter_reference(run):
+    comps, steps, starts, lr, wd, missing, seed = run
+    rng = _rng(seed)
+    params, states, ref = [], [], []
+    for shapes in comps:
+        p = {f"p{i}": ad.leaf(rng.normal(size=s) * 3.0) for i, s in enumerate(shapes)}
+        ref.append(({k: t.value.copy() for k, t in p.items()},
+                    {k: np.zeros(s) for k, s in zip(p, shapes)},
+                    {k: np.zeros(s) for k, s in zip(p, shapes)}, [0]))
+        params.append(p)
+        states.append(ad.adam_init(p, lr=lr, weight_decay=wd))
+    for step in range(steps):
+        for p, state, (values, m, v, count), start in zip(params, states, ref, starts):
+            if step < start:
+                continue
+            grads = {k: rng.normal(size=t.value.shape) * 10.0 ** rng.integers(-6, 3)
+                     for k, t in p.items() if rng.random() >= missing}
+            if not grads:
+                continue
+            ad.adam_step(p, grads, state)
+            count[0] = _reference_adam_step(values, grads, m, v, count[0], lr, wd)
+    for p, state, (values, m, v, count) in zip(params, states, ref):
+        assert state.step_count == count[0]
+        for k, t in p.items():
+            lo, hi = state.spans[k]
+            assert t.value.tobytes() == values[k].tobytes()
+            assert state.m[lo:hi].tobytes() == m[k].tobytes()
+            assert state.v[lo:hi].tobytes() == v[k].tobytes()
+            assert t.value.base is state.buffer
+
+
+def test_adam_rejects_rebound_parameter():
+    p = {"w": ad.leaf([[1.0]]), "b": ad.leaf([[2.0]])}
+    st_ = ad.adam_init(p)
+    p["b"].value = np.array([[2.0]])  # no longer a view into the buffer
+    with pytest.raises(ValueError, match="in place"):
+        ad.adam_step(p, {"w": np.array([[1.0]]), "b": np.array([[1.0]])}, st_)
+    assert st_.step_count == 0 and p["w"].value[0, 0] == 1.0
 
 
 def test_ops_deterministic_bit_identical():

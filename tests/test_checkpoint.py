@@ -112,6 +112,51 @@ def test_resume_training_is_bit_exact(tmp_path):
         assert np.array_equal(a.feature, b.feature)
 
 
+def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
+    # loading keeps the fresh state's leaves and writes into the flat
+    # buffers their values view, so Adam steps the tensors the forward pass
+    # reads: session 3 from the file equals session 3 of the in-memory state
+    # given the same fresh optimizer state
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=2)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    loaded, _, _ = checkpoint.load_checkpoint(path)
+    for name, params in components(loaded.bundle).items():
+        assert all(t.value.base is loaded.adam[name].buffer for t in params.values())
+        assert loaded.adam[name].step_count == 0
+    assert all(not t.needs_grad for t in loaded.bundle.frozen_encoder.values())
+
+    state.adam = {name: ad.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+                  for name, params in components(state.bundle).items()}
+    before = {name: loaded.adam[name].buffer.copy() for name in loaded.adam}
+    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 3))
+    ra = trainer.train_session(state, x, y, ids, cfg)
+    rb = trainer.train_session(loaded, x, y, ids, cfg)
+    assert ra.epoch_losses == rb.epoch_losses
+    for name in components(state.bundle):
+        assert state.adam[name].buffer.tobytes() == loaded.adam[name].buffer.tobytes()
+        assert not np.array_equal(before[name], loaded.adam[name].buffer)
+    xt = np.stack([s.x for s in plan.test_samples(3)])
+    assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
+
+
+def test_failed_save_keeps_previous_file(tmp_path):
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=1)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    good = path.read_bytes()
+    # the bank is serialized after the parameters, so this fails midway
+    state.bank.entries[-1].score = object()
+    with pytest.raises(TypeError):
+        checkpoint.save_checkpoint(path, state, scaler, cfg)
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.json"]
+
+
 def test_rng_streams_restored(tmp_path):
     plan, scaler = _plan()
     cfg = _cfg()

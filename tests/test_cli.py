@@ -275,6 +275,26 @@ def test_grid_runner_matches_direct_runs(tmp_path):
         cli.main(["sweep", "--config", str(path), "--axis", "bogus"])
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("cannot format")
+
+
+def test_failed_artifact_writes_keep_previous_files(tmp_path):
+    json_path, csv_path = tmp_path / "summary.json", tmp_path / "rows.csv"
+    cli._write_json(json_path, {"a": 1.5})
+    cli._write_rows(csv_path, ["k", "v"], [["a", 1.5]])
+    good_json, good_csv = json_path.read_bytes(), csv_path.read_bytes()
+    # both writers have already written part of the file when these fail
+    with pytest.raises(TypeError):
+        cli._write_json(json_path, {"a": [1.0] * 100, "b": object()})
+    with pytest.raises(RuntimeError, match="cannot format"):
+        cli._write_rows(csv_path, ["k", "v"], [["a", 1.0]] * 100 + [["b", _Unprintable()]])
+    assert json_path.read_bytes() == good_json
+    assert csv_path.read_bytes() == good_csv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "summary.json"]
+
+
 def test_plot_kinds(tmp_path, mini_config):
     run_dir = _train(tmp_path, mini_config)
     for kind in ("sessions", "scatter", "pca2d"):
