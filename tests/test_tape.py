@@ -18,7 +18,10 @@ SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
 # SHA-256 after each session of the parameters of every component, the
 # frozen encoder copy, and the memory bank's features and scores (see
-# `_state_digest`). They pin the arithmetic of training, not just its
+# `_state_digest`), keyed by method, `online`, `lm_stop_grad` and the
+# ablation flags set. The flagged magr runs pin each path of the graph
+# regularizer (MSE rows, reverse KL over absolute score gaps, blocks only,
+# joint only) as the composed primitives computed it. They pin the arithmetic of training, not just its
 # outcome: changing the order in which fan-out gradients are summed changes
 # them (replaying the tape in creation order instead of depth-first
 # post-order does, from session 2 on). Recorded with numpy's OpenBLAS build
@@ -40,6 +43,22 @@ DIGESTS = {
         "4e7bf55c401141867d675013528b4979ca6e8e5f8dadf0c226629d4488218fe4",
         "dbdccde4e8f65feed07d8d973798d7139ff3c50756ab42e8058ca8722bae3b5a",
         "699721db273d560de870e116602d62dd76a7131347b526d4dbd95e183095d725"],
+    ("magr", False, True, "mse_gr"): [
+        "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
+        "4de24beb2fbd25e3591cdd5419f7172332f493b08e711424ededc1e7cb871cab",
+        "4e96894ef2a72ee97588f4b72e822633b692aba98a4bd7ccfe20f0cd9595c459"],
+    ("magr", False, True, "reverse_kl", "abs_score_distance"): [
+        "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
+        "ab43c10a8e4d6056fffb4e9033535136b802c94c4f0120cff49a63ae0d5bca66",
+        "248ca053040f00f4942321f4c81ce4fcd90579d012c23dc791b888351980c62d"],
+    ("magr", False, True, "no_j_gr"): [
+        "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
+        "fc5880b91f35200299516e9b109fd11e8d1fac3cb3dd59373f9e4f62acd41ed3",
+        "8766f45e9c9e73d70004ca8b7ff8af045f08554b003bf098b67aa7922b6d2842"],
+    ("magr", False, True, "no_ii_gr"): [
+        "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
+        "e9652a0fb175fe773b22abfa82d07700dbb8f6037bcfc153806b841febc3c283",
+        "8b610761fa09956e322fe8a3891a6e08594bdfb2c5f4788cf21914ed09062fe6"],
 }
 
 
@@ -67,14 +86,15 @@ def _state_digest(state) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("method,online,lm_stop_grad", sorted(DIGESTS))
-def test_runs_match_recorded_digests(method, online, lm_stop_grad):
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_runs_match_recorded_digests(key):
+    method, online, lm_stop_grad, *flags = key
     plan, scaler, cfg = _smoke(method=method, online=online,
-                               lm_stop_grad=lm_stop_grad)
+                               lm_stop_grad=lm_stop_grad, **dict.fromkeys(flags, True))
     digests = []
     trainer.run_continual(plan, scaler, cfg,
                           on_session=lambda state, t: digests.append(_state_digest(state)))
-    assert digests == DIGESTS[method, online, lm_stop_grad]
+    assert digests == DIGESTS[key]
 
 
 def test_backward_reaches_only_trainable_parameters(monkeypatch):
