@@ -6,9 +6,8 @@ from .autodiff import AdamState, Tensor, adam_init, adam_step, backward, grad_ch
 from .data import (DataConfig, Dataset, Sample, ScoreScaler, SessionPlan,
                    generate_synthetic, grade_split, inject_label_noise,
                    load_csv, normalize_scores, save_csv)
-from .losses import (angular_distance_matrix, graph_reg_loss, kl_row_divergence,
-                     projector_loss, regression_loss, score_distance_matrix,
-                     total_loss)
+from .losses import (graph_reg_loss, projector_loss, regression_loss,
+                     score_distance_matrix, total_loss)
 from .memory import MemoryBank, ous_select, refresh, sample_replay, store_session
 from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, encode, freeze_copy,

@@ -2,8 +2,8 @@
 
 Evaluation is eager: building an expression computes its value immediately
 and records its parents, so ``backward`` can replay the chain rule in
-reverse topological order. All values are strictly 2-D; the only broadcast
-form is adding a 1 x m row vector to an n x m matrix. Every public
+reverse topological order. All values are strictly 2-D and nothing
+broadcasts: elementwise operations take equal shapes. Every public
 operation validates shapes and rejects non-finite values.
 
 Two kinds of tensor start a tape:
@@ -15,8 +15,11 @@ Two kinds of tensor start a tape:
   constants only computes values. A backward closure computes nothing for
   a constant parent, and ``backward`` returns gradients only for leaves.
 
-``linear(x, w, b)`` fuses ``add(matmul(x, w), b)`` into one node with the
-same value and the same gradients, bit for bit.
+The primitives are ``matmul``, ``linear`` (``x @ w`` plus a bias row on
+every row), ``add``, ``scale``, ``mul``, ``relu``, ``softplus`` and
+``sq_error``. ``graph_loss`` is the whole graph regularizer as one node; it
+repeats the arithmetic of the composition it replaced, which the tests keep
+as its reference, so its value and gradients equal that one's bit for bit.
 
 Adam keeps a component's parameters in one flat float64 buffer:
 ``adam_init`` copies them into it in dict order, rebinds each value as a
@@ -131,8 +134,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus the 1 x m bias row ``b`` on every row: one node with
-    the value and gradients of ``add(matmul(x, w), b)``."""
+    """``x @ w`` plus the 1 x m bias row ``b`` on every row, as one node."""
     if x.cols != w.rows:
         raise ShapeError(f"linear mismatch: {x.shape} @ {w.shape}")
     if b.shape != (1, w.cols):
@@ -150,31 +152,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may be a 1 x m row broadcast over the rows of ``a``."""
-    broadcast = b.rows == 1 and a.rows != 1 and b.cols == a.cols
-    if not broadcast and a.shape != b.shape:
+    if a.shape != b.shape:
         raise ShapeError(f"add mismatch: {a.shape} + {b.shape}")
 
     def bwd(g, grads):
         if a.needs_grad:
             _acc(grads, a, g)
         if b.needs_grad:
-            _acc(grads, b, g.sum(axis=0, keepdims=True) if broadcast else g)
+            _acc(grads, b, g)
 
     return _node(a.value + b.value, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub mismatch: {a.shape} - {b.shape}")
-
-    def bwd(g, grads):
-        if a.needs_grad:
-            _acc(grads, a, g)
-        if b.needs_grad:
-            _acc(grads, b, -g)
-
-    return _node(a.value - b.value, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -211,62 +198,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.value, 0.0), (a,), bwd)
 
 
-def row_normalize(a: Tensor) -> Tensor:
-    """Scale each row to unit L2 norm. Norms are floored at 1e-12."""
-    norms = np.sqrt((a.value * a.value).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, NORM_FLOOR)
-    out = a.value / denom
-    active = norms > NORM_FLOOR
-
-    def bwd(g, grads):
-        dot = (out * g).sum(axis=1, keepdims=True)
-        ga = (g - np.where(active, out * dot, 0.0)) / denom
-        _acc(grads, a, ga)
-
-    return _node(out, (a,), bwd)
-
-
-def arccos(a: Tensor) -> Tensor:
-    """arccos with inputs clamped to [-1 + 1e-7, 1 - 1e-7].
-
-    Outside the clamp window the composite is constant, so its gradient
-    there is exactly zero.
-    """
-    lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
-    x = np.clip(a.value, lo, hi)
-    inside = (a.value >= lo) & (a.value <= hi)
-
-    def bwd(g, grads):
-        d = np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
-        _acc(grads, a, g * d)
-
-    return _node(np.arccos(x), (a,), bwd)
-
-
-def row_softmax(a: Tensor) -> Tensor:
-    shift = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def bwd(g, grads):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        _acc(grads, a, out * (g - dot))
-
-    return _node(out, (a,), bwd)
-
-
-def row_log_softmax(a: Tensor) -> Tensor:
-    shift = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    out = shift - lse
-    soft = np.exp(out)
-
-    def bwd(g, grads):
-        _acc(grads, a, g - soft * g.sum(axis=1, keepdims=True))
-
-    return _node(out, (a,), bwd)
-
-
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
     x = a.value
@@ -278,46 +209,6 @@ def softplus(a: Tensor) -> Tensor:
         _acc(grads, a, g * sig)
 
     return _node(out, (a,), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g, grads):
-        _acc(grads, a, g.T)
-
-    return _node(a.value.T.copy(), (a,), bwd)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.cols:
-        raise ShapeError(f"concat_rows mismatch: {a.shape} over {b.shape}")
-    na = a.rows
-
-    def bwd(g, grads):
-        if a.needs_grad:
-            _acc(grads, a, g[:na])
-        if b.needs_grad:
-            _acc(grads, b, g[na:])
-
-    return _node(np.concatenate([a.value, b.value], axis=0), (a, b), bwd)
-
-
-def slice_block(a: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    if not (0 <= r0 < r1 <= a.rows and 0 <= c0 < c1 <= a.cols):
-        raise ShapeError(f"slice [{r0}:{r1}, {c0}:{c1}] out of bounds for {a.shape}")
-
-    def bwd(g, grads):
-        ga = np.zeros_like(a.value)
-        ga[r0:r1, c0:c1] = g
-        _acc(grads, a, ga)
-
-    return _node(a.value[r0:r1, c0:c1].copy(), (a,), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g, grads):
-        _acc(grads, a, np.full_like(a.value, g[0, 0]))
-
-    return _node([[a.value.sum()]], (a,), bwd)
 
 
 def sq_error(a: Tensor, b: Tensor) -> Tensor:
@@ -334,6 +225,90 @@ def sq_error(a: Tensor, b: Tensor) -> Tensor:
             _acc(grads, b, -d)
 
     return _node([[(diff * diff).sum()]], (a, b), bwd)
+
+
+def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax and row log-softmax of ``a``, both from one shift."""
+    shift = a - a.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    z = e.sum(axis=1, keepdims=True)
+    return e / z, shift - np.log(z)
+
+
+def _row_term(p: np.ndarray, q: np.ndarray, use_mse: bool, reverse_kl: bool):
+    """One row loss between the angle block ``p`` and the gap block ``q``:
+    its value, and a map from the loss's 1 x 1 gradient to ``p``'s."""
+    if use_mse:
+        diff = p - q
+        c = 1.0 / p.size
+        return c * (diff * diff).sum(), lambda g: 2.0 * (c * g[0, 0]) * diff
+    c = 1.0 / p.shape[0]
+    probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
+    _, lq = _softmax(p if reverse_kl else q)
+    diff = lp - lq
+
+    def back(g):
+        k = c * g[0, 0]
+        if reverse_kl:  # only the second log-softmax depends on p
+            gq = -(k * probs)
+            return gq - np.exp(lq) * gq.sum(axis=1, keepdims=True)
+        gs = k * diff
+        gs = probs * (gs - (gs * probs).sum(axis=1, keepdims=True))
+        gl = k * probs
+        return gs + (gl - np.exp(lp) * gl.sum(axis=1, keepdims=True))
+
+    return c * (probs * diff).sum(), back
+
+
+def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
+               intra_inter: bool, use_mse: bool, reverse_kl: bool) -> Tensor:
+    """The graph regularizer as one node over ``old`` stacked on ``new``.
+
+    The angles are the clamped arccos of the cosines between the stacked
+    rows. Each term is the mean over rows of KL(softmax(angles) ||
+    softmax(gaps)) on one block, reversed by ``reverse_kl``, or with
+    ``use_mse`` the mean squared difference: the whole n x n matrix if
+    ``joint``, then the old/old, old/new, new/old and new/new blocks if
+    ``intra_inter``. Every sum runs in the composed tape's order, so the
+    value and gradients equal the composition's bit for bit.
+    """
+    if old.cols != new.cols:
+        raise ShapeError(f"graph_loss mismatch: {old.shape} over {new.shape}")
+    b1, n = old.rows, old.rows + new.rows
+    if gaps.shape != (n, n):
+        raise ShapeError(f"graph_loss gaps {gaps.shape} for {n} rows")
+    h = np.concatenate([old.value, new.value], axis=0)
+    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    denom = np.maximum(norms, NORM_FLOOR)
+    hn = h / denom
+    active = norms > NORM_FLOOR
+    hnt = hn.T.copy()  # hn @ hn.T, without the copy, rounds differently
+    cos = hn @ hnt
+    lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
+    x = np.clip(cos, lo, hi)
+    inside = (cos >= lo) & (cos <= hi)
+    angles = np.arccos(x)
+    halves = (slice(0, b1), slice(b1, n))
+    blocks = [(slice(0, n), slice(0, n))] if joint else []
+    if intra_inter:
+        blocks += [(r, c) for r in halves for c in halves]
+    values, backs = zip(*[_row_term(angles[r, c].copy(), gaps[r, c], use_mse, reverse_kl)
+                          for r, c in blocks])
+
+    def bwd(g, grads):
+        pads = []
+        for (r, c), back in zip(blocks, backs):
+            pads.append(np.zeros_like(angles))
+            pads[-1][r, c] = back(g)
+        ga = sum(pads[1:], pads[0]) * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
+        ga = ga @ hnt.T + (hn.T @ ga).T
+        ga = (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
+        if old.needs_grad:
+            _acc(grads, old, ga[:b1])
+        if new.needs_grad:
+            _acc(grads, new, ga[b1:])
+
+    return _node([[sum(values[1:], values[0])]], (old, new), bwd)
 
 
 def stop_gradient(a: Tensor) -> Tensor:

@@ -95,11 +95,14 @@ def _out_root(args) -> Path:
     return Path(os.environ.get("MREPLAY_OUT", "runs"))
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_write(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -397,7 +400,6 @@ def cmd_sweep(args) -> int:
 def cmd_plot(args) -> int:
     run_dir = Path(args.run)
     out = Path(args.out) if args.out else run_dir / "plots"
-    out.mkdir(parents=True, exist_ok=True)
     kind = args.kind
     if kind == "sessions":
         with open(run_dir / "results.csv", newline="") as fh:
@@ -406,7 +408,7 @@ def cmd_plot(args) -> int:
                  if r["metric"] == "rho_avg"]
         svg = sessions_plot({run_dir.name: curve})
         path = out / "sessions.svg"
-        path.write_text(svg)
+        _write_text(path, svg)
     elif kind == "sweep":
         with open(run_dir / "sweep.csv", newline="") as fh:
             raw = list(csv.DictReader(fh))
@@ -415,7 +417,7 @@ def cmd_plot(args) -> int:
                 for r in raw]
         svg = sweep_plot(rows)
         path = out / "sweep.svg"
-        path.write_text(svg)
+        _write_text(path, svg)
     elif kind in ("scatter", "pca2d"):
         ckpts = sorted((run_dir / "checkpoints").glob("session_*.json"))
         if not ckpts:
@@ -429,7 +431,7 @@ def cmd_plot(args) -> int:
                 preds.extend(pred)
                 tags.extend([j] * len(truth))
             path = out / "scatter.svg"
-            path.write_text(scatter_plot(truths, preds, tags))
+            _write_text(path, scatter_plot(truths, preds, tags))
         else:
             state, _, _ = load_checkpoint(ckpts[-1])
             if state.bank.size == 0:
@@ -437,7 +439,7 @@ def cmd_plot(args) -> int:
             labels = [r.session for r in state.bank.entries]
             svg, sil = pca_plot(state.bank.features(), labels)
             path = out / "pca2d.svg"
-            path.write_text(svg)
+            _write_text(path, svg)
             _write_json(out / "pca2d.json", {"silhouette": sil,
                                              "n_points": state.bank.size})
     else:
@@ -458,8 +460,7 @@ def cmd_report(args) -> int:
                      f"{fmt(s['rho_fwt'])} |")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        _write_text(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -10,15 +10,13 @@ Each row of A and S is pushed through a softmax and compared with a KL
 divergence, averaged over rows. The full regularizer sums this row loss
 over the joint matrix and its four blocks (old/old, old/new, new/old,
 new/new), so cross-session structure is constrained both globally and
-within each block. The blocks of A are slices on the tape; S is data, so
-its blocks are plain numpy slices entering the tape as constants.
+within each block. S is data; from the stacked features to the summed
+terms, the regularizer is the one tape node ``autodiff.graph_loss``.
 
 Every feature or prediction argument is a ``Tensor``; scores and targets
 are arrays.
 """
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -40,16 +38,6 @@ def projector_loss(actual: Tensor, projected: Tensor) -> Tensor:
     return ad.scale(ad.sq_error(actual, projected), 1.0 / actual.rows)
 
 
-def angular_distance_matrix(h: Tensor) -> Tensor:
-    """Pairwise arccos of cosine similarities between rows of ``h``.
-
-    Entries lie in [0, pi]; the diagonal is pinned near 0 by the arccos
-    clamp rather than exactly 0.
-    """
-    hn = ad.row_normalize(h)
-    return ad.arccos(ad.matmul(hn, ad.transpose(hn)))
-
-
 def score_distance_matrix(scores, signed: bool = True) -> np.ndarray:
     """Pairwise score gaps: entry (i, j) is y_i - y_j, or |y_i - y_j|."""
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -59,25 +47,6 @@ def score_distance_matrix(scores, signed: bool = True) -> np.ndarray:
         raise ad.NonFiniteError("non-finite score")
     s = y[:, None] - y[None, :]
     return np.abs(s) if not signed else s
-
-
-def kl_row_divergence(p: Tensor, q: Tensor) -> Tensor:
-    """Mean over rows of KL(softmax(p_row) || softmax(q_row)).
-
-    Both log-probabilities come out of a shifted log-softmax, so no
-    probability floor is needed.
-    """
-    probs = ad.row_softmax(p)
-    diff = ad.sub(ad.row_log_softmax(p), ad.row_log_softmax(q))
-    return ad.scale(ad.sum_all(ad.mul(probs, diff)), 1.0 / p.rows)
-
-
-def _row_loss(p: Tensor, q: Tensor, use_mse: bool, reverse: bool) -> Tensor:
-    if use_mse:
-        return ad.scale(ad.sq_error(p, q), 1.0 / p.value.size)
-    if reverse:
-        return kl_row_divergence(q, p)
-    return kl_row_divergence(p, q)
 
 
 def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
@@ -91,23 +60,15 @@ def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
     on. ``use_mse`` swaps the row KL for a plain mean squared error between
     raw distance entries.
     """
-    b1, n = old.rows, old.rows + new.rows
+    n = old.rows + new.rows
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
     if y.size != n:
         raise ValueError(f"{y.size} scores for {n} rows")
     if not joint and not intra_inter:
         raise ValueError("graph regularizer with no joint and no block terms")
-    a = angular_distance_matrix(ad.concat_rows(old, new))
-    s = score_distance_matrix(y, signed=signed)
-    terms = [_row_loss(a, ad.const(s), use_mse, reverse_kl)] if joint else []
-    if intra_inter:
-        for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
-            terms.append(_row_loss(ad.slice_block(a, r0, r1, c0, c1),
-                                   ad.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return total
+    return ad.graph_loss(old, new, score_distance_matrix(y, signed=signed),
+                         joint=joint, intra_inter=intra_inter, use_mse=use_mse,
+                         reverse_kl=reverse_kl)
 
 
 def total_loss(l_d: Tensor, l_m: Tensor | None = None, l_p: Tensor | None = None,

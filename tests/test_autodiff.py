@@ -1,4 +1,7 @@
-"""Tape primitives: frozen hand values, gradient fidelity, Adam behavior."""
+"""Tape primitives: frozen hand values, gradient fidelity, Adam behavior.
+
+The primitives of the composed graph regularizer live in
+``graph_reference``; they are checked here with the rest."""
 from __future__ import annotations
 
 import warnings
@@ -7,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graph_reference as gr
 import mreplay.autodiff as ad
 
 
@@ -18,7 +22,7 @@ def _rng(seed):
 
 
 def test_row_normalize_hand_value():
-    t = ad.row_normalize(ad.leaf([[3.0, 4.0]]))
+    t = gr.row_normalize(ad.leaf([[3.0, 4.0]]))
     assert np.array_equal(t.value, [[0.6, 0.8]])
 
 
@@ -31,17 +35,17 @@ def test_relu_matmul_hand_values():
 
 
 def test_arccos_geometry_values():
-    h = ad.row_normalize(ad.leaf([[1.0, 0.0], [1.0, 1.0]]))
-    a = ad.arccos(ad.matmul(h, ad.transpose(h)))
+    h = gr.row_normalize(ad.leaf([[1.0, 0.0], [1.0, 1.0]]))
+    a = gr.arccos(ad.matmul(h, gr.transpose(h)))
     assert abs(a.value[0, 1] - np.pi / 4) < 1e-12
-    orth = ad.arccos(ad.leaf([[0.0]]))
+    orth = gr.arccos(ad.leaf([[0.0]]))
     assert abs(orth.value[0, 0] - np.pi / 2) < 1e-12
-    anti = ad.arccos(ad.leaf([[-1.0]]))
+    anti = gr.arccos(ad.leaf([[-1.0]]))
     assert abs(anti.value[0, 0] - np.pi) < 1e-3  # clamp keeps it off the pole
 
 
 def test_arccos_clamp_bounds_output():
-    a = ad.arccos(ad.leaf([[1.0, -1.0, 5.0, -5.0]]))
+    a = gr.arccos(ad.leaf([[1.0, -1.0, 5.0, -5.0]]))
     assert np.isfinite(a.value).all()
     assert a.value[0, 0] <= np.arccos(1.0 - 1e-7) + 1e-15
     assert a.value[0, 1] >= np.arccos(-1.0 + 1e-7) - 1e-15
@@ -50,23 +54,21 @@ def test_arccos_clamp_bounds_output():
 def test_row_softmax_rows_sum_to_one():
     for seed in range(10):
         x = ad.leaf(_rng(seed).normal(size=(5, 7)) * 10)
-        s = ad.row_softmax(x)
+        s = gr.row_softmax(x)
         assert np.abs(s.value.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.allclose(np.exp(ad.row_log_softmax(x).value), s.value,
+        assert np.allclose(np.exp(gr.row_log_softmax(x).value), s.value,
                            rtol=1e-12, atol=0)
 
 
-def test_row_broadcast_add_is_the_only_broadcast():
+def test_elementwise_ops_do_not_broadcast():
+    # a bias row is added by ``linear``; no elementwise op broadcasts one
     x = ad.leaf(np.ones((3, 4)))
     row = ad.leaf(np.arange(4.0).reshape(1, 4))
-    out = ad.add(x, row)
-    assert np.array_equal(out.value, np.ones((3, 4)) + np.arange(4.0))
+    for op in (ad.add, gr.sub, ad.mul):
+        with pytest.raises(ad.ShapeError):
+            op(x, row)
     with pytest.raises(ad.ShapeError):
         ad.add(x, ad.leaf(np.ones((3, 1))))
-    with pytest.raises(ad.ShapeError):
-        ad.sub(x, row)
-    with pytest.raises(ad.ShapeError):
-        ad.mul(x, row)
 
 
 def test_non_finite_and_shape_errors():
@@ -94,7 +96,7 @@ def test_backward_simple_square():
 
 def test_relu_subgradient_at_kink_is_zero():
     x = ad.leaf([[-1.0, 0.0, 2.0]])
-    grads = ad.backward(ad.sum_all(ad.relu(x)), [[1.0]])
+    grads = ad.backward(gr.sum_all(ad.relu(x)), [[1.0]])
     assert np.array_equal(grads[x], [[0.0, 0.0, 1.0]])
 
 
@@ -103,7 +105,7 @@ def test_softplus_backward_saturates_without_overflow():
     x = ad.leaf([[-1000.0, 0.0, 1000.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grads = ad.backward(ad.sum_all(ad.softplus(x)), [[1.0]])
+        grads = ad.backward(gr.sum_all(ad.softplus(x)), [[1.0]])
     assert np.array_equal(grads[x], [[0.0, 0.5, 1.0]])
 
 
@@ -116,7 +118,7 @@ def test_fanout_accumulates():
 
 def test_backward_seed_shape_checked():
     x = ad.leaf([[1.0, 2.0]])
-    y = ad.sum_all(x)
+    y = gr.sum_all(x)
     with pytest.raises(ad.ShapeError):
         ad.backward(y, [[1.0, 1.0]])
 
@@ -132,18 +134,20 @@ def test_backward_unused_leaf_gets_no_entry():
     grads = ad.backward(ad.mul(ad.mul(x, c), x), [[1.0]])
     assert set(grads) == {x}
     assert np.array_equal(grads[x], [[6.0]])
-    assert ad.backward(ad.sum_all(ad.mul(c, c)), [[1.0]]) == {}
+    assert ad.backward(gr.sum_all(ad.mul(c, c)), [[1.0]]) == {}
 
 
 def test_ops_on_constants_record_nothing():
     rng = _rng(5)
     a, b = ad.const(rng.normal(size=(3, 4))), ad.const(rng.normal(size=(3, 4)))
     w, row = ad.const(rng.normal(size=(4, 2))), ad.const(rng.normal(size=(1, 2)))
-    outs = [ad.matmul(a, w), ad.add(a, b), ad.sub(a, b), ad.mul(a, b),
-            ad.scale(a, 2.0), ad.relu(a), ad.row_normalize(a), ad.arccos(ad.scale(a, 0.1)),
-            ad.row_softmax(a), ad.row_log_softmax(a), ad.softplus(a), ad.transpose(a),
-            ad.concat_rows(a, b), ad.slice_block(a, 0, 2, 1, 3), ad.sum_all(a),
-            ad.sq_error(a, b), ad.linear(a, w, row)]
+    outs = [ad.matmul(a, w), ad.add(a, b), gr.sub(a, b), ad.mul(a, b),
+            ad.scale(a, 2.0), ad.relu(a), gr.row_normalize(a), gr.arccos(ad.scale(a, 0.1)),
+            gr.row_softmax(a), gr.row_log_softmax(a), ad.softplus(a), gr.transpose(a),
+            gr.concat_rows(a, b), gr.slice_block(a, 0, 2, 1, 3), gr.sum_all(a),
+            ad.sq_error(a, b), ad.linear(a, w, row),
+            ad.graph_loss(a, b, np.zeros((6, 6)), joint=True, intra_inter=True,
+                          use_mse=False, reverse_kl=False)]
     for out in outs:
         assert not out.needs_grad and not out._parents and out._bwd is None
     # values match the same expression over leaves
@@ -159,7 +163,7 @@ def test_stop_gradient_is_a_constant_view():
     y = ad.scale(x, 2.0)
     s = ad.stop_gradient(y)
     assert not s.needs_grad and s.value is y.value
-    grads = ad.backward(ad.sum_all(ad.add(ad.mul(s, y), x)), [[1.0]])
+    grads = ad.backward(gr.sum_all(ad.add(ad.mul(s, y), x)), [[1.0]])
     assert set(grads) == {x}
     assert np.array_equal(grads[x], [[1.0 + 2.0 * 2.0, 1.0 + 2.0 * 4.0]])
 
@@ -175,30 +179,29 @@ def test_grad_check_every_primitive():
         a = ad.leaf(rng.normal(size=(4, 6)))
         b = ad.leaf(rng.normal(size=(4, 6)))
         w = ad.leaf(rng.normal(size=(6, 3)))
-        row = ad.leaf(rng.normal(size=(1, 6)))
+        rng.normal(size=(1, 6))  # a dropped case's draw; later draws stay as they were
         cw = ad.leaf(rng.normal(size=(4, 6)))  # fixed weights; f() must be deterministic
         cases = [
-            ([a, w], lambda: ad.sum_all(ad.matmul(a, w))),
-            ([a, b], lambda: ad.sum_all(ad.add(a, b))),
-            ([a, row], lambda: ad.sum_all(ad.add(a, row))),
-            ([a, b], lambda: ad.sum_all(ad.sub(a, b))),
-            ([a, b], lambda: ad.sum_all(ad.mul(a, b))),
-            ([a], lambda: ad.sum_all(ad.scale(a, -2.5))),
-            ([a], lambda: ad.sum_all(ad.relu(a))),
-            ([a], lambda: ad.sum_all(ad.row_normalize(a))),
-            ([a], lambda: ad.sum_all(ad.mul(ad.row_softmax(a), cw))),
-            ([a], lambda: ad.sum_all(ad.mul(ad.row_log_softmax(a), cw))),
-            ([a], lambda: ad.sum_all(ad.softplus(a))),
-            ([a], lambda: ad.sum_all(ad.transpose(a))),
-            ([a, b], lambda: ad.sum_all(ad.concat_rows(a, b))),
-            ([a], lambda: ad.sum_all(ad.slice_block(a, 1, 3, 2, 5))),
+            ([a, w], lambda: gr.sum_all(ad.matmul(a, w))),
+            ([a, b], lambda: gr.sum_all(ad.add(a, b))),
+            ([a, b], lambda: gr.sum_all(gr.sub(a, b))),
+            ([a, b], lambda: gr.sum_all(ad.mul(a, b))),
+            ([a], lambda: gr.sum_all(ad.scale(a, -2.5))),
+            ([a], lambda: gr.sum_all(ad.relu(a))),
+            ([a], lambda: gr.sum_all(gr.row_normalize(a))),
+            ([a], lambda: gr.sum_all(ad.mul(gr.row_softmax(a), cw))),
+            ([a], lambda: gr.sum_all(ad.mul(gr.row_log_softmax(a), cw))),
+            ([a], lambda: gr.sum_all(ad.softplus(a))),
+            ([a], lambda: gr.sum_all(gr.transpose(a))),
+            ([a, b], lambda: gr.sum_all(gr.concat_rows(a, b))),
+            ([a], lambda: gr.sum_all(gr.slice_block(a, 1, 3, 2, 5))),
             ([a, b], lambda: ad.sq_error(a, b)),
         ]
         for leaves, f in cases:
             assert ad.grad_check(f, leaves) < tol
         # arccos probed away from the clamp edges
         c = ad.leaf(rng.uniform(-0.9, 0.9, size=(3, 3)))
-        assert ad.grad_check(lambda: ad.sum_all(ad.arccos(c)), [c]) < tol
+        assert ad.grad_check(lambda: gr.sum_all(gr.arccos(c)), [c]) < tol
 
 
 def test_grad_check_linear():
@@ -211,10 +214,10 @@ def test_grad_check_linear():
         w = ad.leaf(rng.normal(size=(6, 3)))
         b = ad.leaf(rng.normal(size=(1, 3)))
         cw = ad.const(rng.normal(size=(4, 3)))
-        f = lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), cw))
+        f = lambda: gr.sum_all(ad.mul(ad.linear(x, w, b), cw))
         assert ad.grad_check(f, [x, w, b]) < tol
         xc = ad.const(x.value)
-        g = lambda: ad.sum_all(ad.mul(ad.linear(xc, w, b), cw))
+        g = lambda: gr.sum_all(ad.mul(ad.linear(xc, w, b), cw))
         assert ad.grad_check(g, [w, b]) < tol
         assert xc not in ad.backward(g(), [[1.0]])
 
@@ -226,14 +229,18 @@ def test_linear_equals_matmul_add_bit_for_bit():
                       rng.normal(size=(1, 4)))
         seed = rng.normal(size=(rows, 4))
 
-        def run(fused):
-            x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
-            out = ad.linear(x, w, b) if fused else ad.add(ad.matmul(x, w), b)
-            grads = ad.backward(out, seed)
-            return out.value, grads[x], grads[w], grads[b]
-
-        for fused, plain in zip(run(True), run(False)):
-            assert fused.tobytes() == plain.tobytes()
+        x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
+        out = ad.linear(x, w, b)
+        grads = ad.backward(out, seed)
+        fused = out.value, grads[x], grads[w], grads[b]
+        # the bias row added to every row by hand: its gradient is the
+        # column sum of the seed
+        x, w = ad.leaf(xv), ad.leaf(wv)
+        prod = ad.matmul(x, w)
+        grads = ad.backward(prod, seed)
+        plain = prod.value + bv, grads[x], grads[w], seed.sum(axis=0, keepdims=True)
+        for f, p in zip(fused, plain):
+            assert f.tobytes() == p.tobytes()
 
 
 def test_linear_shape_checks():
@@ -251,7 +258,7 @@ def test_grad_check_quadratic_form_tight():
         rng = _rng(2000 + seed)
         x = ad.leaf(rng.normal(size=(3, 1)))
         q = ad.leaf(rng.normal(size=(3, 3)))
-        f = lambda: ad.matmul(ad.matmul(ad.transpose(x), q), x)
+        f = lambda: ad.matmul(ad.matmul(gr.transpose(x), q), x)
         assert ad.grad_check(f, [x]) < 1e-7
 
 
@@ -262,16 +269,16 @@ def test_grad_check_softmax_kl_composite():
         q = ad.leaf(rng.normal(size=(4, 5)))
 
         def f():
-            probs = ad.row_softmax(p)
-            diff = ad.sub(ad.row_log_softmax(p), ad.row_log_softmax(q))
-            return ad.sum_all(ad.mul(probs, diff))
+            probs = gr.row_softmax(p)
+            diff = gr.sub(gr.row_log_softmax(p), gr.row_log_softmax(q))
+            return gr.sum_all(ad.mul(probs, diff))
 
         assert ad.grad_check(f, [p, q]) < 1e-5
 
 
 def test_grad_check_constant_expression_is_exact_zero():
     x = ad.leaf([[1.0, 2.0]])
-    f = lambda: ad.sum_all(ad.leaf([[4.0]]))
+    f = lambda: gr.sum_all(ad.leaf([[4.0]]))
     assert ad.grad_check(f, [x]) == 0.0
 
 
@@ -283,8 +290,8 @@ def test_grad_check_through_angular_distance():
         h = ad.leaf(rng.normal(size=(4, 5)))
 
         def f():
-            hn = ad.row_normalize(h)
-            return ad.sum_all(ad.arccos(ad.matmul(hn, ad.transpose(hn))))
+            hn = gr.row_normalize(h)
+            return gr.sum_all(gr.arccos(ad.matmul(hn, gr.transpose(hn))))
 
         assert ad.grad_check(f, [h]) < 1e-4
 
@@ -292,7 +299,7 @@ def test_grad_check_through_angular_distance():
 def test_grad_check_rejects_bad_step():
     x = ad.leaf([[1.0]])
     with pytest.raises(ValueError):
-        ad.grad_check(lambda: ad.sum_all(x), [x], fd_step=0.0)
+        ad.grad_check(lambda: gr.sum_all(x), [x], fd_step=0.0)
 
 
 # --------------------------------------------------------------------- adam
@@ -431,8 +438,8 @@ def test_ops_deterministic_bit_identical():
     def build():
         rng = _rng(11)
         x = ad.leaf(rng.normal(size=(6, 6)))
-        y = ad.row_softmax(ad.matmul(ad.relu(x), ad.transpose(x)))
-        return y.value.copy(), ad.backward(ad.sum_all(y), [[1.0]])[x].copy()
+        y = gr.row_softmax(ad.matmul(ad.relu(x), gr.transpose(x)))
+        return y.value.copy(), ad.backward(gr.sum_all(y), [[1.0]])[x].copy()
 
     (v1, g1), (v2, g2) = build(), build()
     assert np.array_equal(v1, v2)

@@ -285,7 +285,7 @@ def test_failed_artifact_writes_keep_previous_files(tmp_path):
     cli._write_json(json_path, {"a": 1.5})
     cli._write_rows(csv_path, ["k", "v"], [["a", 1.5]])
     good_json, good_csv = json_path.read_bytes(), csv_path.read_bytes()
-    # both writers have already written part of the file when these fail
+    # the CSV writer has already written part of its file when it fails
     with pytest.raises(TypeError):
         cli._write_json(json_path, {"a": [1.0] * 100, "b": object()})
     with pytest.raises(RuntimeError, match="cannot format"):
@@ -328,6 +328,27 @@ def test_report_table(tmp_path, mini_config, capsys):
     rc = cli.main(["report", "--runs", str(run_dir), "--out", str(dest)])
     assert rc == 0
     assert dest.read_text().startswith("| run |")
+
+
+def test_failed_plot_and_report_writes_keep_previous_files(tmp_path, mini_config,
+                                                           monkeypatch):
+    run_dir = _train(tmp_path, mini_config)
+    report = tmp_path / "report.md"
+    assert cli.main(["plot", "--run", str(run_dir), "--kind", "sessions"]) == 0
+    assert cli.main(["report", "--runs", str(run_dir), "--out", str(report)]) == 0
+    svg = run_dir / "plots" / "sessions.svg"
+    before = svg.read_bytes(), report.read_bytes()
+    # a lone surrogate cannot be encoded, so each write fails after its
+    # file has been opened
+    monkeypatch.setattr(cli, "sessions_plot", lambda curves: "<svg>" * 5000 + "\ud800")
+    assert cli.main(["plot", "--run", str(run_dir), "--kind", "sessions"]) == 1
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    (bad / "summary.json").write_text(json.dumps({**summary, "method": "\ud800"}))
+    assert cli.main(["report", "--runs", str(run_dir), str(bad), "--out", str(report)]) == 1
+    assert (svg.read_bytes(), report.read_bytes()) == before
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
 
 
 def test_errors_exit_nonzero(tmp_path, mini_config, capsys):

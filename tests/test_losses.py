@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import graph_reference as gr
 import mreplay.autodiff as ad
 from mreplay import losses
 
@@ -44,11 +47,11 @@ def test_projector_loss_hand_values():
 
 
 def _angular(h):
-    return losses.angular_distance_matrix(ad.leaf(h))
+    return gr.angular_distance_matrix(ad.leaf(h))
 
 
 def _kl(p, q):
-    return losses.kl_row_divergence(ad.leaf(p), ad.leaf(q)).value[0, 0]
+    return gr.kl_row_divergence(ad.leaf(p), ad.leaf(q)).value[0, 0]
 
 
 def test_angular_distance_hand_values():
@@ -206,8 +209,8 @@ def test_graph_reg_mse_self_consistency():
     # invariant that mse >= 0 and equals 0 against itself
     rng = np.random.default_rng(35)
     h = ad.leaf(rng.normal(size=(4, 3)))
-    a = losses.angular_distance_matrix(h)
-    assert losses._row_loss(a, a, use_mse=True, reverse=False).value[0, 0] == 0.0
+    a = gr.angular_distance_matrix(h)
+    assert gr._row_loss(a, a, use_mse=True, reverse=False).value[0, 0] == 0.0
 
 
 def test_joint_batch_validation():
@@ -221,6 +224,59 @@ def test_joint_batch_validation():
             losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
                                   ad.leaf(rng.normal(size=(2, 3))),
                                   np.zeros(n_scores))
+
+
+# ---------------------------------------------------------- one fused node
+
+# every valid (joint, intra_inter, use_mse, reverse_kl, signed)
+GRAPH_FLAGS = [dict(zip(("joint", "intra_inter", "use_mse", "reverse_kl", "signed"), f))
+               for f in product((True, False), repeat=5) if f[0] or f[1]]
+
+
+@st.composite
+def _graph_batches(draw):
+    b1, b2, d = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.normal(size=(b1 + b2, d)) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):  # two parallel rows: a cosine at the arccos clamp
+        i, j = draw(st.integers(0, b1 + b2 - 1)), draw(st.integers(0, b1 + b2 - 1))
+        h[i] = draw(st.sampled_from([0.5, 3.0, -2.0])) * h[j]
+    if draw(st.booleans()):  # a zero row: a norm under NORM_FLOOR
+        h[draw(st.integers(0, b1 + b2 - 1))] = 0.0
+    scores = rng.uniform(size=b1 + b2)
+    seed = rng.normal(size=(1, 1))
+    return h[:b1], h[b1:], scores, seed
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(_graph_batches())
+def test_fused_graph_loss_equals_composed_reference(batch):
+    # the value and both gradients, as bytes, under every flag combination
+    old_v, new_v, scores, seed = batch
+    for flags in GRAPH_FLAGS:
+        runs = []
+        for fn in (losses.graph_reg_loss, gr.graph_reg_loss):
+            old, new = ad.leaf(old_v), ad.leaf(new_v)
+            out = fn(old, new, scores, **flags)
+            grads = ad.backward(out, seed)
+            runs.append((out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()))
+        assert runs[0] == runs[1], flags
+
+
+def test_graph_reg_loss_is_one_node(monkeypatch):
+    calls = []
+    real_node = ad._node
+
+    def spy(value, parents, bwd):
+        calls.append(parents)
+        return real_node(value, parents, bwd)
+
+    monkeypatch.setattr(ad, "_node", spy)
+    old, new, scores = _batch(np.random.default_rng(37))
+    for flags in GRAPH_FLAGS:
+        calls.clear()
+        losses.graph_reg_loss(old, new, scores, **flags)
+        assert calls == [(old, new)]
 
 
 # ------------------------------------------------------------------ gradients

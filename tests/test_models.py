@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from graph_reference import sum_all
 import mreplay.autodiff as ad
 from mreplay import models
 from mreplay.trainer import TrainConfig, bundle_spec_for
@@ -159,7 +160,7 @@ def test_frozen_encode_carries_no_gradient_to_encoder():
     bundle = _bundle(seed=11, d_x=6)
     models.freeze_copy(bundle)
     x = ad.leaf(np.random.default_rng(12).normal(size=(3, 6)))
-    out = ad.sum_all(models.encode(bundle, x, frozen=True))
+    out = sum_all(models.encode(bundle, x, frozen=True))
     grads = ad.backward(out, [[1.0]])
     for p in bundle.encoder.values():
         assert p not in grads
