@@ -224,6 +224,10 @@ def test_joint_batch_validation():
             losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
                                   ad.leaf(rng.normal(size=(2, 3))),
                                   np.zeros(n_scores))
+    # the node itself takes only an n x n gap matrix
+    with pytest.raises(ad.ShapeError):
+        ad.graph_loss(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))), np.zeros((4, 3)),
+                      joint=True, intra_inter=True, use_mse=False, reverse_kl=False)
 
 
 # ---------------------------------------------------------- one fused node
