@@ -8,7 +8,7 @@ or CSV artifact is written beside its target and moved over it, so a failed
 write never leaves a truncated file.
 
 ``ablate`` and ``sweep`` share one grid runner: each grid cell is a data
-config plus a train config, run once per seed of the config's "seeds" list.
+config plus a train config, run for ``--seed`` or each of the "seeds".
 An ablation variant is a set of TrainConfig flags over ``magr``; a sweep
 axis changes one field of the data or train config.
 """
@@ -32,7 +32,7 @@ from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
-                      evaluate_on, run_continual)
+                      evaluate_on, run_continual, run_many)
 
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
@@ -298,12 +298,14 @@ def _checkpoint_predictions(checkpoint, dataset_path, split_path,
     dataset + split, in original score units. ``upto`` defaults to the
     sessions the checkpoint was trained on (all of them for ``joint``).
     Returns that default and one (truth, pred) pair per session."""
+    if upto is not None and upto < 1:
+        raise ValueError(f"--session must be >= 1, got {upto}")
     state, scaler, train_cfg = load_checkpoint(checkpoint)
     dataset = load_csv(dataset_path)
     with open(split_path) as fh:
         plan = apply_scaler(plan_from_manifest(dataset, json.load(fh)), scaler)
     t = state.session if train_cfg.method != "joint" else plan.n_sessions
-    upto = upto or t
+    upto = t if upto is None else upto
     if upto > plan.n_sessions:
         raise ValueError(f"session {upto} exceeds plan with {plan.n_sessions}")
     return t, [evaluate_on(state.bundle,
@@ -330,19 +332,26 @@ def cmd_eval(args) -> int:
 def _run_grid(args, cells):
     """The grid runner of ``ablate`` and ``sweep``. ``cells(data_cfg,
     train_cfg)`` yields (label, data config, train config) from the base
-    configs; each cell runs once per seed of the config's "seeds" list
-    (default: the train seed) on one dataset. Yields (label, seed, summary)."""
+    configs. For each seed, the cells of one data config share a plan and
+    a ``run_many`` call. Yields (label, seed, summary), cell by cell."""
     cfg = _load_config(args.config)
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
-    seeds = cfg.get("seeds", [train_cfg.seed])
+    seeds = cfg.get("seeds", [train_cfg.seed]) if args.seed is None else [args.seed]
     dataset = _load_dataset(args, data_cfg)
-    for label, cell_data, cell_train in cells(data_cfg, train_cfg):
-        for seed in seeds:
+    grid = list(cells(data_cfg, train_cfg))
+    summaries = {}
+    for seed in seeds:
+        for cell_data in dict.fromkeys(data for _, data, _ in grid):
+            members = [i for i, (_, data, _) in enumerate(grid) if data == cell_data]
             plan, _ = _build_plan(dataset, cell_data, None, seed)
-            plan_norm, scaler = normalize_scores(plan)
-            result = run_continual(plan_norm, scaler, replace(cell_train, seed=seed))
-            yield label, seed, result.summary
+            runs = run_many(*normalize_scores(plan),
+                            [replace(grid[i][2], seed=seed) for i in members])
+            for i, result in zip(members, runs):
+                summaries[i, seed] = result.summary
+    for i, (label, _, _) in enumerate(grid):
+        for seed in seeds:
+            yield label, seed, summaries[i, seed]
 
 
 def cmd_ablate(args) -> int:

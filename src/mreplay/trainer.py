@@ -24,6 +24,11 @@ express:
   ``no_ii_gr`` and ``no_j_gr`` set, so stored entries are never projected or
   refreshed and the graph term is off; ``replay-raw`` stores raw inputs and
   re-encodes them at every replay step.
+
+Until session 1 ends the bank is empty, so its epochs never read the
+``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key,
+the config as ``sequential-ft`` with those fields at their defaults, and
+each config goes on from a copy of that state.
 """
 from __future__ import annotations
 
@@ -52,6 +57,8 @@ STREAM_STORE = 9
 
 ABLATION_FLAGS = ("no_mp", "no_residual", "no_ii_gr", "no_j_gr", "mse_gr",
                   "random_sampling", "reverse_kl", "abs_score_distance")
+SESSION_1_FREE = ("m", *ABLATION_FLAGS, "lambda_p", "lambda_r", "b1", "lm_stop_grad",
+                  "stratified_replay", "classic_forgetting")
 
 
 @dataclass(frozen=True)
@@ -290,24 +297,31 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         best = min(best, epoch_loss)
         if streak >= config.patience:
             break
-    if config.method not in MEMORYLESS:
-        if not config.no_mp and state.bank.size > 0:
-            def refreshed(stored: np.ndarray) -> np.ndarray:
-                return project(state.bundle, ad.const(stored),
-                               residual=not config.no_residual).value
-            mem.refresh(state.bank, refreshed, t)
-        if config.method == "replay-raw":
-            stored_feats = x
-        else:
-            stored_feats = encode(state.bundle, ad.const(x)).value
-        mem.store_session(state.bank, stored_feats, y, ids, t,
-                          rng=state.rngs["store"],
-                          random_sampling=config.random_sampling)
+    _update_bank(state, x, y, ids, config, t)
     state.session = t
     return SessionReport(session=t, epochs_run=epochs_run,
                          steps=len(step_terms), step_terms=step_terms,
                          epoch_losses=epoch_losses,
                          wall_seconds=time.perf_counter() - started)
+
+
+def _update_bank(state: TrainState, x: np.ndarray, y: np.ndarray,
+                 ids: list[str], config: TrainConfig, t: int) -> None:
+    """Session t's bank update for a preset config: refresh, then store."""
+    if config.method in MEMORYLESS:
+        return
+    if not config.no_mp and state.bank.size > 0:
+        def refreshed(stored: np.ndarray) -> np.ndarray:
+            return project(state.bundle, ad.const(stored),
+                           residual=not config.no_residual).value
+        mem.refresh(state.bank, refreshed, t)
+    if config.method == "replay-raw":
+        stored_feats = x
+    else:
+        stored_feats = encode(state.bundle, ad.const(x)).value
+    mem.store_session(state.bank, stored_feats, y, ids, t,
+                      rng=state.rngs["store"],
+                      random_sampling=config.random_sampling)
 
 
 # ------------------------------------------------------------------ driving
@@ -343,12 +357,63 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
 
     ``on_session(state, t)`` is called after each session's evaluations,
     e.g. to persist checkpoints."""
+    return next(run_many(plan, scaler, [config], on_session))
+
+
+def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
+    """Yield ``run_continual``'s result for each of a list of configs, in
+    order. A key's first session is trained once, then copied for all of its
+    configs but the last, which takes it. A ``joint`` config is its own key."""
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
-    state = new_state(config, plan.input_width, plan.feature_mode)
+    free = {f.name: f.default for f in fields(TrainConfig) if f.name in SESSION_1_FREE}
+    keys = [c if c.method == "joint" else replace(c, method="sequential-ft", **free)
+            for c in configs]
+
+    def runs():
+        shared = {}
+        for i, (config, key) in enumerate(zip(configs, keys)):
+            if key not in shared:
+                state = new_state(key, plan.input_width, plan.feature_mode)
+                reference, first = {}, range(1, T + 1)  # joint: one pooled session
+                if key.method != "joint":
+                    ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
+                    reference = {t: spearman(*evaluate_on(
+                        ref, plan.test_samples(t, key.held_out_only), scaler))
+                        for t in range(2, T + 1)}
+                    first = [1]
+                samples = [s for t in first for s in _training_samples(plan, t)]
+                data = _session_arrays(samples)
+                shared[key] = state, reference, train_session(state, *data, key), data
+            last = key not in keys[i + 1:]
+            state, reference, report, data = shared.pop(key) if last else shared[key]
+            state = state if last else _fork(state, config, plan)
+            state.bank = mem.MemoryBank(capacity=config.m)
+            _update_bank(state, *data, _preset(config), 1)
+            yield _run_from(plan, scaler, config, on_session, state, reference, [report])
+    return runs()
+
+
+def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainState:
+    """A copy of ``state``'s weights, Adam state, RNGs and session for ``config``."""
+    out = new_state(config, plan.input_width, plan.feature_mode)
+    for adam, src in zip(out.adam.values(), state.adam.values()):
+        adam.buffer[:], adam.m[:], adam.v[:] = src.buffer, src.m, src.v
+        adam.step_count = src.step_count
+    for name, rng in out.rngs.items():
+        rng.bit_generator.state = state.rngs[name].bit_generator.state
+    out.session = state.session
+    return out
+
+
+def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
+              state: TrainState, reference: dict, reports: list) -> RunResult:
+    """Evaluate a run whose first session is trained, then train the rest."""
+    T = plan.n_sessions
+    joint = config.method == "joint"
     matrix = EvalMatrix(n_sessions=T)
-    reports: list[SessionReport] = []
+    matrix.reference.update(reference)
     ho = config.held_out_only
 
     def eval_cell(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,31 +426,17 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
         truths, preds = zip(*(eval_cell(i, j) for j in range(1, i + 1)))
         matrix.pooled[i] = spearman(np.concatenate(truths), np.concatenate(preds))
 
-    if config.method == "joint":
-        pooled = []
-        for t in range(1, T + 1):
-            pooled.extend(_training_samples(plan, t))
-        x, y, ids = _session_arrays(pooled)
-        reports.append(train_session(state, x, y, ids, config))
-        eval_row(T)
-        if on_session is not None:
-            on_session(state, state.session)
-        aft = fwt = None
-    else:
-        reference = init_bundle(state.bundle.spec, _reference_seed(config.seed))
-        for t in range(2, T + 1):
-            truth, pred = evaluate_on(reference, plan.test_samples(t, ho), scaler)
-            matrix.reference[t] = spearman(truth, pred)
-        for t in range(1, T + 1):
+    for t in [T] if joint else range(1, T + 1):
+        if t > 1 and not joint:
             x, y, ids = _session_arrays(_training_samples(plan, t))
             reports.append(train_session(state, x, y, ids, config))
-            eval_row(t)
-            if t < T:
-                eval_cell(t, t + 1)
-            if on_session is not None:
-                on_session(state, t)
-        aft = rho_aft(matrix, classic=config.classic_forgetting)
-        fwt = rho_fwt(matrix)
+        eval_row(t)
+        if t < T:
+            eval_cell(t, t + 1)
+        if on_session is not None:
+            on_session(state, state.session)
+    aft = None if joint else rho_aft(matrix, classic=config.classic_forgetting)
+    fwt = None if joint else rho_fwt(matrix)
     summary = {"method": config.method, "seed": config.seed,
                "rho_avg": matrix.pooled[T], "rho_aft": aft, "rho_fwt": fwt}
     return RunResult(method=config.method, seed=config.seed, n_sessions=T,

@@ -152,7 +152,7 @@ def test_eval_reproduces_training_cells(tmp_path, mini_config):
     assert payload["rho_avg"] == rows[(3, "rho_avg")]
 
 
-def test_eval_early_checkpoint_and_session_cap(tmp_path, mini_config):
+def test_eval_early_checkpoint_and_session_cap(tmp_path, mini_config, capsys):
     run_dir = _train(tmp_path, mini_config)
     ckpt = run_dir / "checkpoints" / "session_02.json"
     out = tmp_path / "m2.json"
@@ -168,6 +168,13 @@ def test_eval_early_checkpoint_and_session_cap(tmp_path, mini_config):
                    "--split", str(run_dir / "split.json"),
                    "--session", "9"])
     assert rc == 1
+    for session in ("0", "-1"):  # no longer the default range, nor a crash
+        rc = cli.main(["eval", "--checkpoint", str(ckpt),
+                       "--dataset", str(run_dir / "dataset.csv"),
+                       "--split", str(run_dir / "split.json"),
+                       "--session", session])
+        assert rc == 1
+        assert f"--session must be >= 1, got {session}" in capsys.readouterr().err
 
 
 def test_ablate_grid(tmp_path, mini_config, capsys):
@@ -273,6 +280,47 @@ def test_grid_runner_matches_direct_runs(tmp_path):
 
     with pytest.raises(SystemExit):
         cli.main(["sweep", "--config", str(path), "--axis", "bogus"])
+
+
+def test_grid_explicit_seed_overrides_seeds_list(tmp_path):
+    cfg = dict(MINI, train=dict(MINI["train"], epochs=1), seeds=[0, 1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["ablate", "--config", str(path), "--seed", "7",
+                     "--out", str(tmp_path / "abl")]) == 0
+    rows = _read_csv(tmp_path / "abl" / "ablation.csv")
+    assert [(r["variant"], r["seed"]) for r in rows] == \
+        [(v, "7") for v in cli.ABLATION_VARIANTS]
+    _assert_row_matches(rows[0], _direct_summary(7, cfg["train"]))
+    assert cli.main(["sweep", "--config", str(path), "--seed", "7", "--axis", "memory",
+                     "--values", "2", "--out", str(tmp_path / "sw")]) == 0
+    rows = _read_csv(tmp_path / "sw" / "sweep.csv")
+    assert [r["seed"] for r in rows] == ["7"]
+    _assert_row_matches(rows[0], _direct_summary(7, {**cfg["train"], "m": 2}))
+
+
+def test_grid_trains_first_session_once_per_plan(tmp_path, monkeypatch):
+    cfg = dict(MINI, train=dict(MINI["train"], epochs=1), seeds=[0, 1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    first_sessions = []
+    real = trainer.train_session
+
+    def spy(state, *args):
+        if state.session == 0:
+            first_sessions.append(args[-1].seed)
+        return real(state, *args)
+
+    monkeypatch.setattr(trainer, "train_session", spy)
+    # 8 variants x 2 seeds: one first session per seed
+    assert cli.main(["ablate", "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert first_sessions == [0, 1]
+    # memory sizes share a plan per seed; shot counts do not
+    for axis, expected in (("memory", [0, 1]), ("shots", [0, 0, 1, 1])):
+        first_sessions.clear()
+        assert cli.main(["sweep", "--config", str(path), "--axis", axis, "--values",
+                         "3,4", "--out", str(tmp_path / axis)]) == 0
+        assert first_sessions == expected
 
 
 class _Unprintable:

@@ -315,6 +315,97 @@ def test_feature_deviation():
     assert trainer.feature_deviation(a, c, x) > 0.0
 
 
+# ---------------------------------------------------- shared first session
+
+# one value other than the default for each field session 1 never reads
+SESSION_1_VARIED = {"m": 2, "no_mp": True, "no_residual": True, "no_ii_gr": True,
+                    "no_j_gr": True, "mse_gr": True, "random_sampling": True,
+                    "reverse_kl": True, "abs_score_distance": True, "lambda_p": 0.3,
+                    "lambda_r": 0.5, "b1": 2, "lm_stop_grad": True,
+                    "stratified_replay": True, "classic_forgetting": True}
+
+
+def _run_bytes(result) -> list:
+    """Everything a run returns, with arrays as bytes."""
+    st = result.state
+    out = [repr(result.summary), repr(result.matrix.cells), repr(result.matrix.pooled),
+           repr(result.matrix.reference), st.session, st.bank.capacity,
+           st.bank.refresh_epoch, {k: g.bit_generator.state for k, g in st.rngs.items()},
+           [(r.feature.tobytes(), r.score, r.session, r.sample_id)
+            for r in st.bank.entries],
+           repr([(r.steps, r.step_terms, r.epoch_losses) for r in result.reports])]
+    for name, params in components(st.bundle).items():
+        adam = st.adam[name]
+        assert all(p.value.base is adam.buffer for p in params.values())
+        out += [{k: p.value.tobytes() for k, p in params.items()}, adam.buffer.tobytes(),
+                adam.m.tobytes(), adam.v.tobytes(), adam.step_count]
+    out.append({k: p.value.tobytes()
+                for k, p in (st.bundle.frozen_encoder or {}).items()})
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_run_many_equals_independent_runs(seed):
+    # every method and every field session 1 never reads share one first
+    # session, apart from joint; held_out_only opens a second key in between
+    assert set(SESSION_1_VARIED) == set(trainer.SESSION_1_FREE)
+    plan, scaler = _plan()
+    base = _cfg(epochs=2, seed=seed, lr=1e-3)
+    configs = [replace(base, method=m) for m in trainer.METHODS]
+    configs += [replace(base, **{k: v}) for k, v in SESSION_1_VARIED.items()]
+    configs.insert(3, replace(base, held_out_only=True))
+    shared = trainer.run_many(plan, scaler, configs)
+    for config in configs:
+        alone = trainer.run_continual(plan, scaler, config)
+        assert _run_bytes(next(shared)) == _run_bytes(alone), config
+    assert next(shared, None) is None
+
+
+def _count_sessions(monkeypatch) -> list:
+    """(session, method) of every ``train_session`` call from now on, and
+    ("fork", method) of every copy of a first session."""
+    calls = []
+    real_train, real_fork = trainer.train_session, trainer._fork
+
+    def train(state, x, y, ids, config):
+        calls.append((state.session + 1, config.method))
+        return real_train(state, x, y, ids, config)
+
+    def fork(state, config, plan):
+        calls.append(("fork", config.method))
+        return real_fork(state, config, plan)
+
+    monkeypatch.setattr(trainer, "train_session", train)
+    monkeypatch.setattr(trainer, "_fork", fork)
+    return calls
+
+
+def test_run_many_trains_first_session_once_per_key(monkeypatch):
+    plan, scaler = _plan()
+    calls = _count_sessions(monkeypatch)
+    configs = [_cfg(epochs=1), _cfg(epochs=1, method="joint"), _cfg(epochs=1, no_mp=True),
+               _cfg(epochs=1, seed=1), _cfg(epochs=1, method="replay-raw", m=2)]
+    results = list(trainer.run_many(plan, scaler, configs))
+    assert [r.method for r in results] == [c.method for c in configs]
+    assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft"), (1, "joint"),
+                                               (1, "sequential-ft")]
+    # the first key's last config, replay-raw, takes its state uncopied
+    assert [c for c in calls if c[0] == "fork"] == [("fork", "magr"), ("fork", "magr")]
+    assert len(calls) == 2 + 3 + 4 * (plan.n_sessions - 1)
+
+
+def test_run_continual_trains_each_session_once(monkeypatch):
+    plan, scaler = _plan()
+    calls = _count_sessions(monkeypatch)
+    trainer.run_continual(plan, scaler, _cfg(epochs=1, method="replay-raw"))
+    assert calls == [(1, "sequential-ft"), (2, "replay-raw"), (3, "replay-raw")]
+    one = replace(plan, sessions=plan.sessions[:1])
+    with pytest.raises(ValueError, match="at least 2 sessions"):
+        trainer.run_continual(one, scaler, _cfg())
+    with pytest.raises(ValueError, match="at least 2 sessions"):
+        trainer.run_many(one, scaler, [_cfg()])  # on the call, before any run
+
+
 # ------------------------------------------------------------ config knobs
 
 
