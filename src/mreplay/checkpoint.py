@@ -90,8 +90,8 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
                 for name, g in state.rngs.items()},
     }
     with atomic_write(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump to a file never does
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:

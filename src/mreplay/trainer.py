@@ -29,9 +29,17 @@ Until session 1 ends the bank is empty, so its epochs never read the
 ``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key,
 the config as ``sequential-ft`` with those fields at their defaults, and
 each config goes on from a copy of that state.
+
+On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), a
+key's configs then run in forked worker processes, one per CPU of the
+affinity mask and at most one per config, and come back in config order,
+bit-identical to a serial run. Elsewhere, with one CPU, or when an
+``on_session`` hook is given, which must run in the calling process, they
+run in-process. No option sets the worker count; ``taskset`` limits it.
 """
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -362,8 +370,16 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
 
 def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
     """Yield ``run_continual``'s result for each of a list of configs, in
-    order. A key's first session is trained once, then copied for all of its
-    configs but the last, which takes it. A ``joint`` config is its own key."""
+    order. A key's first session is trained once, here; a ``joint`` config
+    is its own key.
+
+    Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), a key's
+    configs then run in ``min(CPUs in the affinity mask, configs in the
+    key)`` forked worker processes, and their results come back in order,
+    bit-identical to a serial run. With one CPU or one config, or when
+    ``on_session`` is given (the hook runs in the calling process), they run
+    here instead: the first session is copied for all of a key's configs but
+    the last, which takes it."""
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
@@ -372,27 +388,47 @@ def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
             for c in configs]
 
     def runs():
-        shared = {}
-        for i, (config, key) in enumerate(zip(configs, keys)):
-            if key not in shared:
-                state = new_state(key, plan.input_width, plan.feature_mode)
-                reference, first = {}, range(1, T + 1)  # joint: one pooled session
-                if key.method != "joint":
-                    ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
-                    reference = {t: spearman(*evaluate_on(
-                        ref, plan.test_samples(t, key.held_out_only), scaler))
-                        for t in range(2, T + 1)}
-                    first = [1]
-                samples = [s for t in first for s in _training_samples(plan, t)]
-                data = _session_arrays(samples)
-                shared[key] = state, reference, train_session(state, *data, key), data
-            last = key not in keys[i + 1:]
-            state, reference, report, data = shared.pop(key) if last else shared[key]
-            state = state if last else _fork(state, config, plan)
-            state.bank = mem.MemoryBank(capacity=config.m)
-            _update_bank(state, *data, _preset(config), 1)
-            yield _run_from(plan, scaler, config, on_session, state, reference, [report])
+        shared, pools = {}, {}
+        try:
+            for i, (config, key) in enumerate(zip(configs, keys)):
+                if key not in pools and key not in shared:
+                    shared[key] = _prefix(plan, scaler, key)
+                    members = [c for c, k in zip(configs[i:], keys[i:]) if k == key]
+                    n = 1 if on_session is not None else _workers(len(members))
+                    if n >= 2:
+                        pools[key] = _forked(plan, scaler, members, shared.pop(key), n)
+                if key in pools:
+                    yield next(pools[key])
+                    continue
+                last = key not in keys[i + 1:]
+                prefix = shared.pop(key) if last else shared[key]
+                state = prefix[0] if last else _fork(prefix[0], config, plan)
+                yield _run_from(plan, scaler, config, on_session, state, *prefix[1:])
+        finally:
+            for pool in pools.values():
+                pool.close()
     return runs()
+
+
+def _workers(n_configs: int) -> int:
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_configs)
+
+
+def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
+    """A key's trained first session: (state, reference row, report, data)."""
+    T = plan.n_sessions
+    state = new_state(key, plan.input_width, plan.feature_mode)
+    reference, first = {}, range(1, T + 1)  # joint: one pooled session
+    if key.method != "joint":
+        ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
+        reference = {t: spearman(*evaluate_on(
+            ref, plan.test_samples(t, key.held_out_only), scaler))
+            for t in range(2, T + 1)}
+        first = [1]
+    data = _session_arrays([s for t in first for s in _training_samples(plan, t)])
+    return state, reference, train_session(state, *data, key), data
 
 
 def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainState:
@@ -407,11 +443,118 @@ def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainSta
     return out
 
 
+def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix: tuple,
+            n: int):
+    """Yield ``_run_from``'s result for each config, in order, from ``n``
+    forked workers. Worker w runs configs w, w + n, ... on its own copies of
+    the inherited ``prefix`` and writes their pickled results to its pipe,
+    so the results are read round-robin and only one is held here at a time.
+    However this generator ends, every worker is killed if still running
+    and reaped."""
+    import pickle
+    import signal
+
+    pids, fds = [], []
+    try:
+        for w in range(n):
+            r, wfd = os.pipe()
+            fds.append(r)
+            try:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _work(wfd, fds, plan, scaler, configs[w::n], prefix)
+            finally:
+                os.close(wfd)
+        for i, config in enumerate(configs):
+            fd = fds[i % n]
+            head = _read(fd, 8)
+            size = int.from_bytes(head, "little")
+            blob = _read(fd, size) if len(head) == 8 else b""
+            if not blob or len(blob) < size:
+                raise RuntimeError(f"run_many worker {i % n} exited without the result "
+                                   f"of config {i} ({config.method}, seed {config.seed})")
+            ok, result = pickle.loads(blob)
+            del blob  # hold the result only, not its bytes too
+            if not ok:
+                raise result
+            # unpickled arrays are read-only copies: give Adam writable
+            # buffers and make the parameters views into them again
+            for name, params in components(result.state.bundle).items():
+                adam = result.state.adam[name]
+                adam.buffer, adam.m, adam.v = adam.buffer.copy(), adam.m.copy(), adam.v.copy()
+                for key, p in params.items():
+                    lo, hi = adam.spans[key]
+                    p.value = adam.buffer[lo:hi].reshape(p.value.shape)
+            yield result
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
+          configs: list, prefix: tuple) -> None:
+    """A worker's whole life: run ``configs``, pickle every result (or the
+    first exception, which ends the run), then write them all to ``fd``.
+    It leaves through ``os._exit``, never returning into the caller."""
+    import pickle
+    import traceback
+
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        state, rest = prefix[0], prefix[1:]
+        blobs = []
+        for config in configs:
+            try:
+                result = _run_from(plan, scaler, config, None,
+                                   _fork(state, config, plan), *rest)
+                blobs.append(pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL))
+            except Exception as e:  # noqa: BLE001 - re-raised by the parent
+                e.add_note("in a run_many worker:\n" + traceback.format_exc())
+                try:
+                    blob = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
+                    pickle.loads(blob)
+                except Exception:  # noqa: BLE001 - an exception that cannot travel
+                    blob = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
+                blobs.append(blob)
+                break
+        with open(fd, "wb") as fh:
+            for blob in blobs:
+                fh.write(len(blob).to_bytes(8, "little"))
+                fh.write(blob)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read(fd: int, size: int) -> bytes:
+    """Up to ``size`` bytes from ``fd``; fewer only at end of file."""
+    chunks = []
+    while size > 0:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
 def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
-              state: TrainState, reference: dict, reports: list) -> RunResult:
-    """Evaluate a run whose first session is trained, then train the rest."""
+              state: TrainState, reference: dict, report: SessionReport,
+              data: tuple) -> RunResult:
+    """Run a config from a copy of its key's trained first session: its own
+    bank and session-1 bank update, its evaluations, and the rest of its
+    sessions."""
     T = plan.n_sessions
     joint = config.method == "joint"
+    state.bank = mem.MemoryBank(capacity=config.m)
+    _update_bank(state, *data, _preset(config), 1)
+    reports = [report]
     matrix = EvalMatrix(n_sessions=T)
     matrix.reference.update(reference)
     ho = config.held_out_only

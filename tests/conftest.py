@@ -1,9 +1,11 @@
 """Shared test setup."""
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 _hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
@@ -18,3 +20,34 @@ def pytest_configure(config):
 
 def pytest_unconfigure(config):
     shutil.rmtree(_hypothesis_home, ignore_errors=True)
+
+
+@pytest.fixture(autouse=True)
+def no_stray_children():
+    """Fail a test after which this process has a child, running or zombie."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("a child process is still running" if pid == 0 else
+                f"child process {pid} was never reaped")
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """``workers(n)`` makes ``trainer.run_many`` see n CPUs in the affinity
+    mask and returns the list of pids it forks from then on."""
+    def use(n: int) -> list:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        pids, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
+    return use

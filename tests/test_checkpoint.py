@@ -1,13 +1,15 @@
 """Checkpoint round-trips: bit-exact restore, resume equivalence, tampering."""
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mreplay.autodiff as ad
-from mreplay import checkpoint, data, trainer
+from mreplay import checkpoint, cli, data, trainer
 from mreplay.models import components, encode, predict
 
 
@@ -240,3 +242,21 @@ def test_unknown_config_field_rejected(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown train config"):
         checkpoint.load_checkpoint(path)
+
+
+# SHA-256 of each session checkpoint that `mreplay train --config
+# configs/smoke.json` writes, recorded when checkpoints were written by
+# `json.dump`; the C encoder behind `json.dumps` must give the same bytes
+SMOKE_CHECKPOINTS = {
+    "session_01.json": "75931f7986fb145cd76aa2b0ab2e3b4a841d7cecd55cde6c015eea0c6c22323a",
+    "session_02.json": "5c5d4c21bb3d55edcc06f78802ed9b565176ac1b6831eebe9a1f618b473c70cb",
+    "session_03.json": "7b59a2bda790a670ead66679e4e0e0bdf8b4546aa377e7df4e3db634d81b7a3d",
+}
+
+
+def test_smoke_checkpoints_match_recorded_bytes(tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    written = sorted((tmp_path / "magr-seed0" / "checkpoints").iterdir())
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in written} == SMOKE_CHECKPOINTS

@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mreplay import cli, data, trainer
+from mreplay import cli, data, metrics, trainer
 
 
 MINI = {
@@ -299,7 +303,9 @@ def test_grid_explicit_seed_overrides_seeds_list(tmp_path):
     _assert_row_matches(rows[0], _direct_summary(7, {**cfg["train"], "m": 2}))
 
 
-def test_grid_trains_first_session_once_per_plan(tmp_path, monkeypatch):
+def test_grid_trains_first_session_once_per_plan(tmp_path, monkeypatch, workers):
+    # in-process: a worker's calls would never reach this process's count
+    workers(1)
     cfg = dict(MINI, train=dict(MINI["train"], epochs=1), seeds=[0, 1])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -321,6 +327,89 @@ def test_grid_trains_first_session_once_per_plan(tmp_path, monkeypatch):
         assert cli.main(["sweep", "--config", str(path), "--axis", axis, "--values",
                          "3,4", "--out", str(tmp_path / axis)]) == 0
         assert first_sessions == expected
+
+
+def _grid_config(tmp_path, seeds=(0, 1)):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(dict(MINI, train=dict(MINI["train"], epochs=1),
+                                    seeds=list(seeds))))
+    return str(path)
+
+
+def test_grid_workers_leave_only_first_sessions_to_the_parent(tmp_path, monkeypatch,
+                                                               workers):
+    forked = workers(2)
+    sessions = []
+    real = trainer.train_session
+
+    def spy(state, *args):
+        sessions.append((state.session + 1, args[-1].seed))
+        return real(state, *args)
+
+    monkeypatch.setattr(trainer, "train_session", spy)
+    assert cli.main(["ablate", "--config", _grid_config(tmp_path),
+                     "--out", str(tmp_path / "a")]) == 0
+    assert sessions == [(1, 0), (1, 1)]
+    assert len(forked) == 4
+
+
+def test_grid_artifacts_do_not_depend_on_worker_count(tmp_path, workers):
+    config = _grid_config(tmp_path)
+    artifacts = []
+    for n in (1, 2):
+        forked = workers(n)
+        out = tmp_path / f"cpus{n}"
+        assert cli.main(["ablate", "--config", config, "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--config", config, "--axis", "memory",
+                         "--values", "2,3,4", "--out", str(out)]) == 0
+        assert len(forked) == (0 if n == 1 else 8)  # 2 per seed and command
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("ablation.csv", "sweep.csv")])
+    assert artifacts[0] == artifacts[1]
+
+
+def test_worker_error_fails_ablate(tmp_path, monkeypatch, workers, capsys):
+    workers(2)
+    real = trainer._run_from
+
+    def run_from(plan, scaler, config, *rest):
+        if config.no_residual:
+            raise metrics.DegenerateInputError("constant predictions")
+        return real(plan, scaler, config, *rest)
+
+    monkeypatch.setattr(trainer, "_run_from", run_from)
+    out = tmp_path / "abl"
+    assert cli.main(["ablate", "--config", _grid_config(tmp_path, seeds=[0]),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: constant predictions\n"
+    assert not out.exists()
+
+
+def _sessions() -> list[int]:
+    """The session id of every process on the machine."""
+    out = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while being read
+        out.append(int(fields[3]))
+    return out
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs Linux /proc")
+def test_ablate_leaves_no_process_in_its_session(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "mreplay.cli", "ablate",
+                             "--config", _grid_config(tmp_path),
+                             "--out", str(tmp_path / "abl")],
+                            env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, err = proc.communicate(timeout=600)
+    assert proc.returncode == 0, err
+    assert (tmp_path / "abl" / "ablation.csv").exists()
+    assert proc.pid not in _sessions()
 
 
 class _Unprintable:

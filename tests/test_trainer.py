@@ -1,6 +1,9 @@
 """Session loop: method switches, loss-term activation, config knobs, determinism."""
 from __future__ import annotations
 
+import os
+import time
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -354,11 +357,11 @@ def test_run_many_equals_independent_runs(seed):
     configs = [replace(base, method=m) for m in trainer.METHODS]
     configs += [replace(base, **{k: v}) for k, v in SESSION_1_VARIED.items()]
     configs.insert(3, replace(base, held_out_only=True))
-    shared = trainer.run_many(plan, scaler, configs)
-    for config in configs:
-        alone = trainer.run_continual(plan, scaler, config)
-        assert _run_bytes(next(shared)) == _run_bytes(alone), config
-    assert next(shared, None) is None
+    with closing(trainer.run_many(plan, scaler, configs)) as shared:
+        for config in configs:
+            alone = trainer.run_continual(plan, scaler, config)
+            assert _run_bytes(next(shared)) == _run_bytes(alone), config
+        assert next(shared, None) is None
 
 
 def _count_sessions(monkeypatch) -> list:
@@ -380,7 +383,9 @@ def _count_sessions(monkeypatch) -> list:
     return calls
 
 
-def test_run_many_trains_first_session_once_per_key(monkeypatch):
+def test_run_many_trains_first_session_once_per_key(monkeypatch, workers):
+    # in-process: a worker's calls would never reach this process's count
+    workers(1)
     plan, scaler = _plan()
     calls = _count_sessions(monkeypatch)
     configs = [_cfg(epochs=1), _cfg(epochs=1, method="joint"), _cfg(epochs=1, no_mp=True),
@@ -404,6 +409,110 @@ def test_run_continual_trains_each_session_once(monkeypatch):
         trainer.run_continual(one, scaler, _cfg())
     with pytest.raises(ValueError, match="at least 2 sessions"):
         trainer.run_many(one, scaler, [_cfg()])  # on the call, before any run
+
+
+def test_workers_leave_only_first_sessions_to_the_parent(monkeypatch, workers):
+    # the first key's three configs run on two workers; the joint and seed-1
+    # keys have one config each and run here
+    forked = workers(2)
+    plan, scaler = _plan()
+    calls = _count_sessions(monkeypatch)
+    configs = [_cfg(epochs=1), _cfg(epochs=1, method="joint"), _cfg(epochs=1, no_mp=True),
+               _cfg(epochs=1, seed=1), _cfg(epochs=1, method="replay-raw", m=2)]
+    results = list(trainer.run_many(plan, scaler, configs))
+    assert [r.method for r in results] == [c.method for c in configs]
+    assert len(forked) == 2
+    assert calls == [(1, "sequential-ft"), (1, "joint"), (1, "sequential-ft"),
+                     (2, "magr"), (3, "magr")]
+
+
+def _three_configs():
+    return [_cfg(epochs=2, lr=1e-3), _cfg(epochs=2, lr=1e-3, method="replay-raw", m=2),
+            _cfg(epochs=2, lr=1e-3, no_ii_gr=True, lambda_p=0.5)]
+
+
+def test_workers_match_in_process_runs_as_bytes(workers):
+    forked = workers(2)
+    plan, scaler = _plan()
+    configs = _three_configs()
+    pooled = list(trainer.run_many(plan, scaler, configs))
+    assert len(forked) == 2
+    for config, result in zip(configs, pooled):
+        assert _run_bytes(result) == _run_bytes(trainer.run_continual(plan, scaler, config))
+    # the returned state trains on, as an in-process one would
+    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 3))
+    for result, config in zip(pooled, configs):
+        trainer.train_session(result.state, x, y, ids, config)
+
+
+def _before_run_from(monkeypatch, hook):
+    """Make ``_run_from`` call ``hook(config)`` before each run."""
+    real = trainer._run_from
+
+    def run_from(plan, scaler, config, *rest):
+        hook(config)
+        return real(plan, scaler, config, *rest)
+
+    monkeypatch.setattr(trainer, "_run_from", run_from)
+
+
+def test_closing_the_pool_leaves_no_child(monkeypatch, workers):
+    # worker 1 is still busy with config 1 when the caller stops
+    forked = workers(2)
+    plan, scaler = _plan()
+    parent = os.getpid()
+
+    def stall(config):
+        if config.method == "replay-raw" and os.getpid() != parent:
+            time.sleep(600)
+
+    _before_run_from(monkeypatch, stall)
+    runs = trainer.run_many(plan, scaler, _three_configs())
+    assert next(runs).method == "magr"
+    started = time.perf_counter()
+    runs.close()
+    assert time.perf_counter() - started < 60  # killed, not waited for
+    assert len(forked) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_worker_error_is_raised_at_its_config(monkeypatch, workers, n):
+    # the third config fails on worker 0 after worker 1 finished the second
+    forked = workers(n)
+    plan, scaler = _plan()
+
+    def fail(config):
+        if config.lambda_p == 0.5:
+            raise metrics.DegenerateInputError("constant predictions")
+
+    _before_run_from(monkeypatch, fail)
+    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
+    runs = trainer.run_many(plan, scaler, configs)
+    assert [next(runs).method for _ in range(2)] == ["magr", "replay-raw"]
+    with pytest.raises(metrics.DegenerateInputError) as raised:
+        next(runs)
+    assert str(raised.value) == "constant predictions"
+    assert next(runs, None) is None
+    assert len(forked) == (n if n > 1 else 0)
+
+
+def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers):
+    # worker 1 dies in its only config; worker 0 sent config 0's result
+    workers(2)
+    plan, scaler = _plan()
+    parent = os.getpid()
+
+    def die(config):
+        if config.method == "replay-raw" and os.getpid() != parent:
+            os._exit(3)
+
+    _before_run_from(monkeypatch, die)
+    runs = trainer.run_many(plan, scaler, _three_configs())
+    assert next(runs).method == "magr"
+    with pytest.raises(RuntimeError, match="worker 1 exited without the result of config 1"):
+        next(runs)
 
 
 # ------------------------------------------------------------ config knobs
