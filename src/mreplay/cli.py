@@ -74,8 +74,7 @@ def _data_config(cfg: dict) -> DataConfig:
 
 
 def _train_config(cfg: dict, args) -> TrainConfig:
-    section = dict(cfg.get("train", {}))
-    tc = TrainConfig.from_dict(section)
+    tc = TrainConfig.from_dict(cfg.get("train", {}))
     overrides = {}
     if getattr(args, "method", None):
         overrides["method"] = args.method
@@ -309,7 +308,7 @@ def _checkpoint_predictions(checkpoint, dataset_path, split_path,
     if upto > plan.n_sessions:
         raise ValueError(f"session {upto} exceeds plan with {plan.n_sessions}")
     return t, [evaluate_on(state.bundle,
-                           plan.test_samples(j, train_cfg.held_out_only), scaler)
+                           *plan.test_arrays(j, train_cfg.held_out_only), scaler)
                for j in range(1, upto + 1)]
 
 
@@ -415,18 +414,16 @@ def cmd_plot(args) -> int:
             rows = list(csv.DictReader(fh))
         curve = [(int(r["session"]), float(r["value"])) for r in rows
                  if r["metric"] == "rho_avg"]
-        svg = sessions_plot({run_dir.name: curve})
         path = out / "sessions.svg"
-        _write_text(path, svg)
+        _write_text(path, sessions_plot({run_dir.name: curve}))
     elif kind == "sweep":
         with open(run_dir / "sweep.csv", newline="") as fh:
             raw = list(csv.DictReader(fh))
         rows = [{"axis": r["axis"], "value": float(r["value"]),
                  "seed": int(r["seed"]), "rho_avg": float(r["rho_avg"])}
                 for r in raw]
-        svg = sweep_plot(rows)
         path = out / "sweep.svg"
-        _write_text(path, svg)
+        _write_text(path, sweep_plot(rows))
     elif kind in ("scatter", "pca2d"):
         ckpts = sorted((run_dir / "checkpoints").glob("session_*.json"))
         if not ckpts:

@@ -15,6 +15,7 @@ import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,16 @@ class SessionSplit:
     train: tuple[Sample, ...]
     held_out: tuple[Sample, ...]
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """Inputs, scores and ids of ``train + held_out``, stacked on first
+        use and kept, read-only, for the split's lifetime."""
+        samples = self.train + self.held_out
+        x = np.stack([s.x for s in samples])
+        y = np.array([s.score for s in samples], dtype=np.float64)
+        x.flags.writeable = y.flags.writeable = False
+        return x, y, tuple(s.sample_id for s in samples)
+
 
 @dataclass(frozen=True)
 class SessionPlan:
@@ -118,9 +129,19 @@ class SessionPlan:
 
     def test_samples(self, t: int, held_out_only: bool = False) -> tuple[Sample, ...]:
         s = self.sessions[t - 1]
-        if held_out_only:
-            return s.held_out
-        return s.train + s.held_out
+        return s.held_out if held_out_only else s.train + s.held_out
+
+    def test_arrays(self, t: int, held_out_only: bool = False) -> tuple:
+        """Inputs and scores of ``test_samples(t, held_out_only)``, as views."""
+        s = self.sessions[t - 1]
+        cut = len(s.train) if held_out_only else 0
+        return s.arrays[0][cut:], s.arrays[1][cut:]
+
+    def training_arrays(self, t: int) -> tuple:
+        """Session t's training inputs, scores and ids, as views. Session 1
+        adds its fine-tune pool, which is its held-out set: the whole split."""
+        s = self.sessions[t - 1]
+        return tuple(a[:None if t == 1 else len(s.train)] for a in s.arrays)
 
 
 def grade_split(dataset: Dataset, T: int, shots: int, seed: int) -> SessionPlan:
@@ -170,14 +191,15 @@ class ScoreScaler:
 
 
 def _map_plan_scores(plan: SessionPlan, fn) -> SessionPlan:
-    sessions = []
-    for s in plan.sessions:
-        sessions.append(SessionSplit(
-            session=s.session,
-            train=tuple(replace(x, score=fn(x, True)) for x in s.train),
-            held_out=tuple(replace(x, score=fn(x, False)) for x in s.held_out),
-        ))
-    return replace(plan, sessions=tuple(sessions))
+    """The plan with each split part's scores replaced by ``fn(scores, is_train)``."""
+    def mapped(samples, is_train):
+        scores = fn(np.array([s.score for s in samples], dtype=np.float64), is_train)
+        return tuple(Sample(s.sample_id, s.x, v)
+                     for s, v in zip(samples, scores.tolist()))
+
+    return replace(plan, sessions=tuple(
+        SessionSplit(s.session, mapped(s.train, True), mapped(s.held_out, False))
+        for s in plan.sessions))
 
 
 def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
@@ -199,7 +221,7 @@ def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
 
 def apply_scaler(plan: SessionPlan, scaler: ScoreScaler) -> SessionPlan:
     """Normalize a plan's scores with an existing scaler (no refit)."""
-    out = _map_plan_scores(plan, lambda s, _: float(scaler.normalize(s.score)))
+    out = _map_plan_scores(plan, lambda y, _: scaler.normalize(y))
     lo, hi = plan.score_range
     return replace(out, score_range=(float(scaler.normalize(lo)),
                                      float(scaler.normalize(hi))))
@@ -213,10 +235,10 @@ def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> Sessio
     rng = make_rng(seed, STREAM_NOISE)
     lo, hi = plan.score_range
 
-    def noisy(sample: Sample, is_train: bool) -> float:
+    def noisy(y: np.ndarray, is_train: bool) -> np.ndarray:
         if not is_train:
-            return sample.score
-        return float(np.clip(sample.score + intensity * rng.normal(), lo, hi))
+            return y
+        return np.clip(y + intensity * rng.normal(size=y.size), lo, hi)
 
     return _map_plan_scores(plan, noisy)
 

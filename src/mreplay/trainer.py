@@ -48,7 +48,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from . import memory as mem
-from .data import ScoreScaler, Sample, SessionPlan
+from .data import ScoreScaler, SessionPlan
 from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, components, encode,
                      freeze_copy, init_bundle, make_rng, predict, project,
@@ -298,10 +298,7 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         epochs_run += 1
         epoch_loss = float(np.mean(batch_losses))
         epoch_losses.append(epoch_loss)
-        if best - epoch_loss < config.min_delta:
-            streak += 1
-        else:
-            streak = 0
+        streak = streak + 1 if best - epoch_loss < config.min_delta else 0
         best = min(best, epoch_loss)
         if streak >= config.patience:
             break
@@ -335,27 +332,10 @@ def _update_bank(state: TrainState, x: np.ndarray, y: np.ndarray,
 # ------------------------------------------------------------------ driving
 
 
-def _session_arrays(samples) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    x = np.stack([s.x for s in samples])
-    y = np.array([s.score for s in samples], dtype=np.float64)
-    ids = [s.sample_id for s in samples]
-    return x, y, ids
-
-
-def evaluate_on(bundle: ModelBundle, samples, scaler: ScoreScaler
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic predictions vs truths, both in original score units."""
-    x, y, _ = _session_arrays(samples)
-    truth = scaler.denormalize(y)
-    pred = scaler.denormalize(predict(bundle, x))
-    return truth, pred
-
-
-def _training_samples(plan: SessionPlan, t: int) -> tuple[Sample, ...]:
-    split = plan.sessions[t - 1]
-    if t == 1:
-        return split.train + plan.fine_tune_pool
-    return split.train
+def evaluate_on(bundle: ModelBundle, x: np.ndarray, y: np.ndarray,
+                scaler: ScoreScaler) -> tuple[np.ndarray, np.ndarray]:
+    """Truths ``y`` and deterministic predictions on ``x``, in original score units."""
+    return scaler.denormalize(y), scaler.denormalize(predict(bundle, x))
 
 
 def run_continual(plan: SessionPlan, scaler: ScoreScaler,
@@ -424,10 +404,11 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
     if key.method != "joint":
         ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
         reference = {t: spearman(*evaluate_on(
-            ref, plan.test_samples(t, key.held_out_only), scaler))
+            ref, *plan.test_arrays(t, key.held_out_only), scaler))
             for t in range(2, T + 1)}
         first = [1]
-    data = _session_arrays([s for t in first for s in _training_samples(plan, t)])
+    xs, ys, ids = zip(*map(plan.training_arrays, first))
+    data = np.concatenate(xs), np.concatenate(ys), sum(ids, ())
     return state, reference, train_session(state, *data, key), data
 
 
@@ -447,8 +428,9 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix: tuple
             n: int):
     """Yield ``_run_from``'s result for each config, in order, from ``n``
     forked workers. Worker w runs configs w, w + n, ... on its own copies of
-    the inherited ``prefix`` and writes their pickled results to its pipe,
-    so the results are read round-robin and only one is held here at a time.
+    the inherited ``prefix`` and writes each pickled result to its pipe as it
+    finishes, so the results are read round-robin, only one is held here at
+    a time, and a worker that dies loses only the configs it had not done.
     However this generator ends, every worker is killed if still running
     and reaped."""
     import pickle
@@ -497,9 +479,9 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix: tuple
 
 def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
           configs: list, prefix: tuple) -> None:
-    """A worker's whole life: run ``configs``, pickle every result (or the
-    first exception, which ends the run), then write them all to ``fd``.
-    It leaves through ``os._exit``, never returning into the caller."""
+    """A worker's whole life: run ``configs`` and write each pickled result
+    to ``fd`` as soon as it is done, or the first exception, which ends the
+    run. It leaves through ``os._exit``, never returning into the caller."""
     import pickle
     import traceback
 
@@ -508,25 +490,25 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
         for other in inherited:
             os.close(other)
         state, rest = prefix[0], prefix[1:]
-        blobs = []
-        for config in configs:
-            try:
-                result = _run_from(plan, scaler, config, None,
-                                   _fork(state, config, plan), *rest)
-                blobs.append(pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL))
-            except Exception as e:  # noqa: BLE001 - re-raised by the parent
-                e.add_note("in a run_many worker:\n" + traceback.format_exc())
-                try:
-                    blob = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
-                    pickle.loads(blob)
-                except Exception:  # noqa: BLE001 - an exception that cannot travel
-                    blob = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
-                blobs.append(blob)
-                break
         with open(fd, "wb") as fh:
-            for blob in blobs:
+            for config in configs:
+                try:
+                    result = _run_from(plan, scaler, config, None,
+                                       _fork(state, config, plan), *rest)
+                    ok, blob = True, pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL)
+                except Exception as e:  # noqa: BLE001 - re-raised by the parent
+                    ok = False
+                    e.add_note("in a run_many worker:\n" + traceback.format_exc())
+                    try:
+                        blob = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
+                        pickle.loads(blob)
+                    except Exception:  # noqa: BLE001 - an exception that cannot travel
+                        blob = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
                 fh.write(len(blob).to_bytes(8, "little"))
                 fh.write(blob)
+                fh.flush()
+                if not ok:
+                    break
         status = 0
     finally:
         os._exit(status)
@@ -560,7 +542,7 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     ho = config.held_out_only
 
     def eval_cell(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        truth, pred = evaluate_on(state.bundle, plan.test_samples(j, ho), scaler)
+        truth, pred = evaluate_on(state.bundle, *plan.test_arrays(j, ho), scaler)
         matrix.set_cell(i, j, spearman(truth, pred))
         return truth, pred
 
@@ -571,8 +553,7 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
 
     for t in [T] if joint else range(1, T + 1):
         if t > 1 and not joint:
-            x, y, ids = _session_arrays(_training_samples(plan, t))
-            reports.append(train_session(state, x, y, ids, config))
+            reports.append(train_session(state, *plan.training_arrays(t), config))
         eval_row(t)
         if t < T:
             eval_cell(t, t + 1)

@@ -211,15 +211,6 @@ def _smoke_config(**overrides):
     return trainer.TrainConfig(**base)
 
 
-def _session_arrays(plan, t):
-    samples = list(plan.sessions[t - 1].train)
-    if t == 1:
-        samples += list(plan.fine_tune_pool)
-    x = np.stack([s.x for s in samples])
-    y = np.array([s.score for s in samples], dtype=np.float64)
-    return x, y, [s.sample_id for s in samples]
-
-
 def test_training_loop_structure():
     plan, scaler = _smoke_plan()
     cfg = _smoke_config()
@@ -230,7 +221,7 @@ def test_training_loop_structure():
         assert terms["l_r"] is None
         assert terms["total"] == terms["l_d"]
 
-    expected_bank = sum(min(cfg.m, len(_session_arrays(plan, t)[1]))
+    expected_bank = sum(min(cfg.m, len(plan.training_arrays(t)[1]))
                         for t in (1, 2, 3))
     assert run.state.bank.size == expected_bank
 
@@ -245,10 +236,10 @@ def test_training_loop_structure():
                           feats)
 
     state = trainer.new_state(cfg, input_width=plan.input_width)
-    x1, y1, ids1 = _session_arrays(plan, 1)
+    x1, y1, ids1 = plan.training_arrays(1)
     trainer.train_session(state, x1, y1, ids1, cfg)
     before = {k: t.value.copy() for k, t in state.bundle.encoder.items()}
-    x2, y2, ids2 = _session_arrays(plan, 2)
+    x2, y2, ids2 = plan.training_arrays(2)
     trainer.train_session(state, x2, y2, ids2, cfg)
     for k, snapshot in before.items():
         assert np.array_equal(state.bundle.frozen_encoder[k].value, snapshot)
@@ -350,14 +341,14 @@ def test_round_trips(tmp_path):
     cfg = _smoke_config(epochs=3)
     state = trainer.new_state(cfg, input_width=plan.input_width)
     for t in (1, 2):
-        x, y, ids = _session_arrays(plan, t)
+        x, y, ids = plan.training_arrays(t)
         trainer.train_session(state, x, y, ids, cfg)
     path = tmp_path / "ck.json"
     checkpoint.save_checkpoint(path, state, scaler, cfg)
     loaded, loaded_scaler, _ = checkpoint.load_checkpoint(path)
-    samples = plan.test_samples(1) + plan.test_samples(2)
-    truth_a, pred_a = trainer.evaluate_on(state.bundle, samples, scaler)
-    truth_b, pred_b = trainer.evaluate_on(loaded.bundle, samples,
+    x, y = (np.concatenate(a) for a in zip(plan.test_arrays(1), plan.test_arrays(2)))
+    truth_a, pred_a = trainer.evaluate_on(state.bundle, x, y, scaler)
+    truth_b, pred_b = trainer.evaluate_on(loaded.bundle, x, y,
                                           loaded_scaler)
     assert np.array_equal(truth_a, truth_b)
     assert np.array_equal(pred_a, pred_b)

@@ -30,7 +30,7 @@ def _cfg(**kw):
 def _trained_state(plan, cfg, sessions=2):
     state = trainer.new_state(cfg, plan.input_width)
     for t in range(1, sessions + 1):
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         trainer.train_session(state, x, y, ids, cfg)
     return state
 
@@ -101,7 +101,7 @@ def test_resume_training_is_bit_exact(tmp_path):
     first, _, _ = checkpoint.load_checkpoint(path)
     second, _, _ = checkpoint.load_checkpoint(path)
 
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 3))
+    x, y, ids = plan.training_arrays(3)
     ra = trainer.train_session(first, x, y, ids, cfg)
     rb = trainer.train_session(second, x, y, ids, cfg)
 
@@ -133,7 +133,7 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
     state.adam = {name: ad.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
                   for name, params in components(state.bundle).items()}
     before = {name: loaded.adam[name].buffer.copy() for name in loaded.adam}
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 3))
+    x, y, ids = plan.training_arrays(3)
     ra = trainer.train_session(state, x, y, ids, cfg)
     rb = trainer.train_session(loaded, x, y, ids, cfg)
     assert ra.epoch_losses == rb.epoch_losses
@@ -180,7 +180,7 @@ def test_feature_mode_checkpoint(tmp_path):
     plan, scaler = data.normalize_scores(data.grade_split(feats, T=2, shots=4, seed=1))
     cfg = _cfg(epochs=1)
     state = trainer.new_state(cfg, plan.input_width, feature_mode=True)
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 1))
+    x, y, ids = plan.training_arrays(1)
     trainer.train_session(state, x, y, ids, cfg)
     path = tmp_path / "fm.json"
     checkpoint.save_checkpoint(path, state, scaler, cfg)

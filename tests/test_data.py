@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mreplay import data
 
@@ -125,6 +126,63 @@ def test_fine_tune_pool_is_first_sessions_held_out():
     assert both == plan.sessions[1].train + plan.sessions[1].held_out
 
 
+def test_split_arrays_are_stacked_once_and_read_only():
+    ds = data.generate_synthetic(_cfg())
+    plan = data.grade_split(ds, T=5, shots=10, seed=0)
+    for t, split in enumerate(plan.sessions, start=1):
+        samples = split.train + split.held_out
+        x, y, ids = split.arrays
+        assert split.arrays[0] is x
+        assert np.array_equal(x, np.stack([s.x for s in samples]))
+        assert y.tolist() == [s.score for s in samples]
+        assert ids == tuple(s.sample_id for s in samples)
+        for held_out_only in (False, True):
+            tx, ty = plan.test_arrays(t, held_out_only)
+            test = plan.test_samples(t, held_out_only)
+            assert np.array_equal(tx, np.stack([s.x for s in test]))
+            assert ty.tolist() == [s.score for s in test]
+        train = split.train + (plan.fine_tune_pool if t == 1 else ())
+        rx, ry, rids = plan.training_arrays(t)
+        assert np.array_equal(rx, np.stack([s.x for s in train]))
+        assert ry.tolist() == [s.score for s in train]
+        assert rids == tuple(s.sample_id for s in train)
+        for view in (x, y, rx, ry, *plan.test_arrays(t, True)):
+            assert view.base is None or view.base is x or view.base is y
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 1.0
+
+
+def _per_sample_scaled(plan, scaler):
+    """The scaled scores, one sample at a time."""
+    return [float(scaler.normalize(x.score))
+            for s in plan.sessions for x in s.train + s.held_out]
+
+
+_finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_finite, width=st.floats(min_value=1e-6, max_value=1e9),
+       fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+       others=st.lists(_finite, max_size=6), cut=st.integers(0, 20))
+def test_apply_scaler_matches_per_sample_normalize_bitwise(lo, width, fracs, others, cut):
+    hi = lo + width
+    scores = [lo, hi, *(lo + f * (hi - lo) for f in fracs), *others]
+    samples = [data.Sample(f"s{i}", np.zeros(1), v) for i, v in enumerate(scores)]
+    cut = 1 + cut % len(samples)  # a session needs a training sample
+    plan = data.SessionPlan(sessions=(data.SessionSplit(1, tuple(samples[:cut]),
+                                                        tuple(samples[cut:])),),
+                            shots=cut, input_width=1, score_range=(lo, hi))
+    scaler = data.ScoreScaler(lo=lo, hi=hi)
+    for scaled, fitted in ((data.apply_scaler(plan, scaler), scaler),
+                           data.normalize_scores(plan)):
+        got = [x.score for s in scaled.sessions for x in s.train + s.held_out]
+        assert all(type(v) is float for v in got)
+        assert (np.array(got).tobytes()
+                == np.array(_per_sample_scaled(plan, fitted)).tobytes())
+        assert scaled.sessions[0].train[0].x is samples[0].x
+
+
 def test_scaler_round_trip():
     sc = data.ScoreScaler(lo=10.0, hi=90.0)
     y = np.array([10.0, 50.0, 90.0, 33.3])
@@ -192,6 +250,17 @@ def test_label_noise_deterministic():
     for s1, s2 in zip(n1.sessions, n2.sessions):
         for a, b in zip(s1.train, s2.train):
             assert a.score == b.score
+
+
+def test_label_noise_matches_per_sample_draws():
+    ds = data.generate_synthetic(_cfg())
+    plan = data.grade_split(ds, T=5, shots=10, seed=0)
+    noisy = data.inject_label_noise(plan, intensity=30.0, seed=3)
+    rng = data.make_rng(3, data.STREAM_NOISE)
+    for s0, s1 in zip(plan.sessions, noisy.sessions):
+        for a, b in zip(s0.train, s1.train):
+            assert b.score == float(np.clip(a.score + 30.0 * rng.normal(), 0.0, 100.0))
+        assert [a.score for a in s0.held_out] == [b.score for b in s1.held_out]
 
 
 def test_csv_round_trip_bit_exact(tmp_path):

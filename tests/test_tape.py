@@ -116,7 +116,7 @@ def test_backward_reaches_only_trainable_parameters(monkeypatch):
     assert len(trainable) == 14
     for t in (1, 2):
         returned.clear()
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         trainer.train_session(state, x, y, ids, cfg)
         assert returned
         if t == 1:  # empty bank: the projector is not on the tape yet
@@ -130,7 +130,7 @@ def test_frozen_encoder_pass_records_no_backward(monkeypatch):
     plan, _, cfg = _smoke()
     state = trainer.new_state(cfg, plan.input_width)
     for t in (1, 2):
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         trainer.train_session(state, x, y, ids, cfg)
     recorded = []
     real_node = ad._node

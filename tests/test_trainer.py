@@ -20,6 +20,11 @@ def _plan(n=60, T=3, shots=5, d_x=8, seed=0):
     return data.normalize_scores(plan)
 
 
+def _stacked(samples):
+    """Inputs and scores of ``samples``, stacked apart from the plan's arrays."""
+    return np.stack([s.x for s in samples]), np.array([s.score for s in samples])
+
+
 def _cfg(**kw):
     base = dict(method="magr", epochs=3, b1=5, b2=3, m=4, seed=0)
     base.update(kw)
@@ -32,7 +37,7 @@ def _two_sessions(**kw):
     cfg = _cfg(epochs=1, **kw)
     state = trainer.new_state(cfg, plan.input_width)
     for t in (1, 2):
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         report = trainer.train_session(state, x, y, ids, cfg)
     return state, report
 
@@ -127,7 +132,7 @@ def test_first_session_uses_regression_only():
     plan, _ = _plan()
     cfg = _cfg(epochs=1)
     state = trainer.new_state(cfg, plan.input_width)
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 1))
+    x, y, ids = plan.training_arrays(1)
     report = trainer.train_session(state, x, y, ids, cfg)
     assert report.session == 1
     for terms in report.step_terms:
@@ -142,7 +147,7 @@ def test_second_session_activates_replay_terms():
     cfg = _cfg(epochs=1)
     state = trainer.new_state(cfg, plan.input_width)
     for t in (1, 2):
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         report = trainer.train_session(state, x, y, ids, cfg)
     for terms in report.step_terms:
         assert terms["l_m"] is not None
@@ -158,7 +163,7 @@ def test_naive_replay_skips_projector_and_graph_terms():
     cfg = _cfg(method="replay-feature-naive", epochs=1)
     state = trainer.new_state(cfg, plan.input_width)
     for t in (1, 2):
-        x, y, ids = trainer._session_arrays(trainer._training_samples(plan, t))
+        x, y, ids = plan.training_arrays(t)
         report = trainer.train_session(state, x, y, ids, cfg)
     for terms in report.step_terms:
         assert terms["l_m"] is not None
@@ -179,7 +184,7 @@ def test_early_stopping_by_patience():
     plan, _ = _plan()
     cfg = _cfg(epochs=30, patience=2, min_delta=1e9)
     state = trainer.new_state(cfg, plan.input_width)
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 1))
+    x, y, ids = plan.training_arrays(1)
     report = trainer.train_session(state, x, y, ids, cfg)
     # the first epoch always improves on best=inf, then the streak runs
     assert report.epochs_run == cfg.patience + 1
@@ -189,7 +194,7 @@ def test_online_single_pass():
     plan, _ = _plan()
     cfg = _cfg(online=True, epochs=25)
     state = trainer.new_state(cfg, plan.input_width)
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 1))
+    x, y, ids = plan.training_arrays(1)
     report = trainer.train_session(state, x, y, ids, cfg)
     assert report.epochs_run == 1
     assert report.steps == int(np.ceil(y.size / cfg.b2))
@@ -243,7 +248,7 @@ def test_joint_runs_one_pooled_session():
     result = trainer.run_continual(plan, scaler, _cfg(method="joint", epochs=2))
     T = plan.n_sessions
     assert len(result.reports) == 1
-    n_train = sum(len(trainer._training_samples(plan, t)) for t in range(1, T + 1))
+    n_train = sum(len(plan.training_arrays(t)[1]) for t in range(1, T + 1))
     assert result.reports[0].steps == result.reports[0].epochs_run * \
         int(np.ceil(n_train / 3))
     for j in range(1, T + 1):
@@ -284,7 +289,7 @@ def test_on_session_hook_called_in_order():
 def test_bank_growth_capped_by_m():
     plan, scaler = _plan()
     result = trainer.run_continual(plan, scaler, _cfg(epochs=1, m=4))
-    expected = sum(min(4, len(trainer._training_samples(plan, t)))
+    expected = sum(min(4, len(plan.training_arrays(t)[1]))
                    for t in range(1, plan.n_sessions + 1))
     assert result.state.bank.size == expected
 
@@ -293,7 +298,7 @@ def test_evaluate_on_denormalizes():
     plan, scaler = _plan()
     cfg = _cfg(epochs=1)
     state = trainer.new_state(cfg, plan.input_width)
-    truth, pred = trainer.evaluate_on(state.bundle, plan.test_samples(1), scaler)
+    truth, pred = trainer.evaluate_on(state.bundle, *plan.test_arrays(1), scaler)
     raw_scores = sorted(s.score for s in plan.test_samples(1))
     assert truth.min() >= scaler.denormalize(min(raw_scores)) - 1e-9
     assert truth.max() <= scaler.denormalize(max(raw_scores)) + 1e-9
@@ -440,7 +445,7 @@ def test_workers_match_in_process_runs_as_bytes(workers):
     for config, result in zip(configs, pooled):
         assert _run_bytes(result) == _run_bytes(trainer.run_continual(plan, scaler, config))
     # the returned state trains on, as an in-process one would
-    x, y, ids = trainer._session_arrays(trainer._training_samples(plan, 3))
+    x, y, ids = plan.training_arrays(3)
     for result, config in zip(pooled, configs):
         trainer.train_session(result.state, x, y, ids, config)
 
@@ -515,6 +520,60 @@ def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers
         next(runs)
 
 
+def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, workers):
+    # worker 0 sends config 0's result, then dies in config 2
+    workers(2)
+    plan, scaler = _plan()
+    parent = os.getpid()
+
+    def die(config):
+        if config.lambda_p == 0.5 and os.getpid() != parent:
+            os._exit(3)
+
+    _before_run_from(monkeypatch, die)
+    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
+    runs = trainer.run_many(plan, scaler, configs)
+    for config in configs[:2]:
+        assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(plan, scaler,
+                                                                          config))
+    with pytest.raises(RuntimeError, match="worker 0 exited without the result of config 2"):
+        next(runs)
+
+
+# -------------------------------------------------------- stacked sessions
+
+
+@pytest.mark.parametrize("held_out_only", [False, True])
+def test_shared_plan_runs_match_fresh_plans_as_bytes(held_out_only):
+    # later methods read the arrays the first run stacked on the shared plan
+    plan, scaler = _plan()
+    for method in trainer.METHODS:
+        config = _cfg(epochs=2, lr=1e-3, method=method, held_out_only=held_out_only)
+        shared = trainer.run_continual(plan, scaler, config)
+        assert all("arrays" in vars(split) for split in plan.sessions)
+        assert _run_bytes(shared) == _run_bytes(trainer.run_continual(*_plan(), config))
+
+
+def test_runs_stack_each_split_at_most_once(monkeypatch):
+    plan, scaler = _plan()
+    session_of = {id(s.x): split.session
+                  for split in plan.sessions for s in split.train + split.held_out}
+    stacked, real = [], np.stack
+
+    def stack(arrays, *args, **kwargs):
+        arrays = list(arrays)
+        if arrays and id(arrays[0]) in session_of:
+            stacked.append(session_of[id(arrays[0])])
+        return real(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", stack)
+    for method in trainer.METHODS:
+        for held_out_only in (False, True):
+            trainer.run_continual(plan, scaler, _cfg(epochs=1, method=method,
+                                                     held_out_only=held_out_only))
+    assert sorted(stacked) == list(range(1, plan.n_sessions + 1))
+
+
 # ------------------------------------------------------------ config knobs
 
 
@@ -533,15 +592,16 @@ def test_held_out_only_knob():
     def on_session(state, t):
         for j in range(1, min(t + 1, plan.n_sessions) + 1):
             truth, pred = trainer.evaluate_on(state.bundle,
-                                              plan.sessions[j - 1].held_out, scaler)
+                                              *_stacked(plan.sessions[j - 1].held_out),
+                                              scaler)
             expected[(t, j)] = metrics.spearman(truth, pred)
 
     result = trainer.run_continual(plan, scaler, cfg, on_session=on_session)
     assert result.matrix.cells == expected
     reference = init_bundle(result.state.bundle.spec, trainer._reference_seed(0))
     for t in range(2, plan.n_sessions + 1):
-        truth, pred = trainer.evaluate_on(reference, plan.sessions[t - 1].held_out,
-                                          scaler)
+        truth, pred = trainer.evaluate_on(reference,
+                                          *_stacked(plan.sessions[t - 1].held_out), scaler)
         assert result.matrix.reference[t] == metrics.spearman(truth, pred)
     default = trainer.run_continual(plan, scaler, _cfg(epochs=2))
     assert default.matrix.cells != result.matrix.cells
