@@ -12,7 +12,6 @@ from .memory import MemoryBank, ous_select, refresh, sample_replay, store_sessio
 from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, encode, freeze_copy,
                      init_bundle, predict, project, regress)
-from .trainer import (TrainConfig, TrainState, feature_deviation, new_state,
-                      run_continual, train_session)
+from .trainer import TrainConfig, TrainState, new_state, run_continual, train_session
 
 __all__ = [name for name in dir() if not name.startswith("_")]

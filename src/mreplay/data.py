@@ -122,6 +122,13 @@ class SessionPlan:
     def n_sessions(self) -> int:
         return len(self.sessions)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Scratch space for work that depends on the plan, kept for the
+        plan's lifetime: ``trainer`` keeps each key's trained first session
+        here. A ``replace``d plan starts with an empty one."""
+        return {}
+
     @property
     def fine_tune_pool(self) -> tuple[Sample, ...]:
         """Base-session fine-tuning data: the first session's held-out pool."""

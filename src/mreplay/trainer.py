@@ -26,9 +26,10 @@ express:
   re-encodes them at every replay step.
 
 Until session 1 ends the bank is empty, so its epochs never read the
-``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key,
-the config as ``sequential-ft`` with those fields at their defaults, and
-each config goes on from a copy of that state.
+``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key and
+plan, the config as ``sequential-ft`` with those fields at their defaults,
+and keeps it in the plan's ``memo``, so later calls on the same plan reuse
+it; each config goes on from a copy of that state.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), a
 key's configs then run in forked worker processes, one per CPU of the
@@ -350,16 +351,16 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
 
 def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
     """Yield ``run_continual``'s result for each of a list of configs, in
-    order. A key's first session is trained once, here; a ``joint`` config
-    is its own key.
+    order. A key's first session is trained once per plan, on the first call
+    that needs it, and kept in ``plan.memo`` for every later call; a ``joint``
+    config is its own key. Each config goes on from a copy of it.
 
     Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), a key's
     configs then run in ``min(CPUs in the affinity mask, configs in the
     key)`` forked worker processes, and their results come back in order,
     bit-identical to a serial run. With one CPU or one config, or when
     ``on_session`` is given (the hook runs in the calling process), they run
-    here instead: the first session is copied for all of a key's configs but
-    the last, which takes it."""
+    here instead."""
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
@@ -368,24 +369,22 @@ def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
             for c in configs]
 
     def runs():
-        shared, pools = {}, {}
+        pools = {}
         try:
             for i, (config, key) in enumerate(zip(configs, keys)):
-                if key not in pools and key not in shared:
-                    shared[key] = _prefix(plan, scaler, key)
+                if (scaler, key) not in plan.memo:
+                    plan.memo[scaler, key] = _prefix(plan, scaler, key)
+                prefix = plan.memo[scaler, key]
+                if key not in pools:
                     members = [c for c, k in zip(configs[i:], keys[i:]) if k == key]
                     n = 1 if on_session is not None else _workers(len(members))
-                    if n >= 2:
-                        pools[key] = _forked(plan, scaler, members, shared.pop(key), n)
-                if key in pools:
+                    pools[key] = _forked(plan, scaler, members, prefix, n) if n >= 2 else None
+                if pools[key] is not None:
                     yield next(pools[key])
-                    continue
-                last = key not in keys[i + 1:]
-                prefix = shared.pop(key) if last else shared[key]
-                state = prefix[0] if last else _fork(prefix[0], config, plan)
-                yield _run_from(plan, scaler, config, on_session, state, *prefix[1:])
+                else:
+                    yield _run_from(plan, scaler, config, on_session, prefix)
         finally:
-            for pool in pools.values():
+            for pool in filter(None, pools.values()):
                 pool.close()
     return runs()
 
@@ -489,12 +488,10 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
     try:
         for other in inherited:
             os.close(other)
-        state, rest = prefix[0], prefix[1:]
         with open(fd, "wb") as fh:
             for config in configs:
                 try:
-                    result = _run_from(plan, scaler, config, None,
-                                       _fork(state, config, plan), *rest)
+                    result = _run_from(plan, scaler, config, None, prefix)
                     ok, blob = True, pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL)
                 except Exception as e:  # noqa: BLE001 - re-raised by the parent
                     ok = False
@@ -527,16 +524,19 @@ def _read(fd: int, size: int) -> bytes:
 
 
 def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
-              state: TrainState, reference: dict, report: SessionReport,
-              data: tuple) -> RunResult:
-    """Run a config from a copy of its key's trained first session: its own
-    bank and session-1 bank update, its evaluations, and the rest of its
-    sessions."""
+              prefix: tuple) -> RunResult:
+    """Run a config from its key's trained first session ``prefix``, which
+    it only reads: a copy of its state with the config's own bank and
+    session-1 bank update, its own copy of the session-1 report, its
+    evaluations, and the rest of its sessions."""
+    first, reference, report, data = prefix
     T = plan.n_sessions
     joint = config.method == "joint"
+    state = _fork(first, config, plan)
     state.bank = mem.MemoryBank(capacity=config.m)
     _update_bank(state, *data, _preset(config), 1)
-    reports = [report]
+    reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
+                       epoch_losses=list(report.epoch_losses))]
     matrix = EvalMatrix(n_sessions=T)
     matrix.reference.update(reference)
     ho = config.held_out_only
@@ -571,12 +571,3 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
 def _reference_seed(seed: int) -> int:
     # distinct deterministic seed for the forward-transfer reference model
     return seed * 2 + 1
-
-
-def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
-    """Mean squared entrywise gap between the two encoders' features."""
-    fa = encode(bundle_a, ad.const(x)).value
-    fb = encode(bundle_b, ad.const(x)).value
-    if fa.shape != fb.shape:
-        raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
-    return float(((fa - fb) ** 2).mean())

@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mreplay import autodiff as ad
 from mreplay import data, metrics, trainer
-from mreplay.models import components, init_bundle
+from mreplay.models import ModelBundle, components, encode, init_bundle
 
 
 def _plan(n=60, T=3, shots=5, d_x=8, seed=0):
@@ -312,15 +314,24 @@ def test_reference_seed_distinct():
         assert trainer._reference_seed(s) != s
 
 
+def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
+    """Mean squared entrywise gap between the two encoders' features."""
+    fa = encode(bundle_a, ad.const(x)).value
+    fb = encode(bundle_b, ad.const(x)).value
+    if fa.shape != fb.shape:
+        raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
+    return float(((fa - fb) ** 2).mean())
+
+
 def test_feature_deviation():
     plan, _ = _plan()
     cfg = _cfg()
     a = trainer.new_state(cfg, plan.input_width).bundle
     b = trainer.new_state(cfg, plan.input_width).bundle
     x = np.stack([s.x for s in plan.test_samples(1)])
-    assert trainer.feature_deviation(a, b, x) == 0.0
+    assert feature_deviation(a, b, x) == 0.0
     c = trainer.new_state(_cfg(seed=9), plan.input_width).bundle
-    assert trainer.feature_deviation(a, c, x) > 0.0
+    assert feature_deviation(a, c, x) > 0.0
 
 
 # ---------------------------------------------------- shared first session
@@ -333,20 +344,27 @@ SESSION_1_VARIED = {"m": 2, "no_mp": True, "no_residual": True, "no_ii_gr": True
                     "stratified_replay": True, "classic_forgetting": True}
 
 
+def _state_bytes(state) -> list:
+    """Session, RNG states, parameters and Adam buffers and step counts of
+    ``state``, with arrays as bytes."""
+    out = [state.session, {k: g.bit_generator.state for k, g in state.rngs.items()}]
+    for name, params in components(state.bundle).items():
+        adam = state.adam[name]
+        assert all(p.value.base is adam.buffer for p in params.values())
+        out += [{k: p.value.tobytes() for k, p in params.items()}, adam.buffer.tobytes(),
+                adam.m.tobytes(), adam.v.tobytes(), adam.step_count]
+    return out
+
+
 def _run_bytes(result) -> list:
     """Everything a run returns, with arrays as bytes."""
     st = result.state
     out = [repr(result.summary), repr(result.matrix.cells), repr(result.matrix.pooled),
-           repr(result.matrix.reference), st.session, st.bank.capacity,
-           st.bank.refresh_epoch, {k: g.bit_generator.state for k, g in st.rngs.items()},
+           repr(result.matrix.reference), st.bank.capacity, st.bank.refresh_epoch,
            [(r.feature.tobytes(), r.score, r.session, r.sample_id)
             for r in st.bank.entries],
            repr([(r.steps, r.step_terms, r.epoch_losses) for r in result.reports])]
-    for name, params in components(st.bundle).items():
-        adam = st.adam[name]
-        assert all(p.value.base is adam.buffer for p in params.values())
-        out += [{k: p.value.tobytes() for k, p in params.items()}, adam.buffer.tobytes(),
-                adam.m.tobytes(), adam.v.tobytes(), adam.step_count]
+    out += _state_bytes(st)
     out.append({k: p.value.tobytes()
                 for k, p in (st.bundle.frozen_encoder or {}).items()})
     return out
@@ -355,7 +373,9 @@ def _run_bytes(result) -> list:
 @pytest.mark.parametrize("seed", [0, 1])
 def test_run_many_equals_independent_runs(seed):
     # every method and every field session 1 never reads share one first
-    # session, apart from joint; held_out_only opens a second key in between
+    # session, apart from joint; held_out_only opens a second key in between.
+    # Each independent run gets a fresh plan, so it trains its own first
+    # session instead of reading the shared plan's memo
     assert set(SESSION_1_VARIED) == set(trainer.SESSION_1_FREE)
     plan, scaler = _plan()
     base = _cfg(epochs=2, seed=seed, lr=1e-3)
@@ -364,7 +384,7 @@ def test_run_many_equals_independent_runs(seed):
     configs.insert(3, replace(base, held_out_only=True))
     with closing(trainer.run_many(plan, scaler, configs)) as shared:
         for config in configs:
-            alone = trainer.run_continual(plan, scaler, config)
+            alone = trainer.run_continual(*_plan(), config)
             assert _run_bytes(next(shared)) == _run_bytes(alone), config
         assert next(shared, None) is None
 
@@ -399,16 +419,17 @@ def test_run_many_trains_first_session_once_per_key(monkeypatch, workers):
     assert [r.method for r in results] == [c.method for c in configs]
     assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft"), (1, "joint"),
                                                (1, "sequential-ft")]
-    # the first key's last config, replay-raw, takes its state uncopied
-    assert [c for c in calls if c[0] == "fork"] == [("fork", "magr"), ("fork", "magr")]
-    assert len(calls) == 2 + 3 + 4 * (plan.n_sessions - 1)
+    # every config goes on from a copy; the memoised first session stays
+    assert [c for c in calls if c[0] == "fork"] == [("fork", c.method) for c in configs]
+    assert len(calls) == 5 + 3 + 4 * (plan.n_sessions - 1)
 
 
 def test_run_continual_trains_each_session_once(monkeypatch):
     plan, scaler = _plan()
     calls = _count_sessions(monkeypatch)
     trainer.run_continual(plan, scaler, _cfg(epochs=1, method="replay-raw"))
-    assert calls == [(1, "sequential-ft"), (2, "replay-raw"), (3, "replay-raw")]
+    assert calls == [(1, "sequential-ft"), ("fork", "replay-raw"), (2, "replay-raw"),
+                     (3, "replay-raw")]
     one = replace(plan, sessions=plan.sessions[:1])
     with pytest.raises(ValueError, match="at least 2 sessions"):
         trainer.run_continual(one, scaler, _cfg())
@@ -427,8 +448,8 @@ def test_workers_leave_only_first_sessions_to_the_parent(monkeypatch, workers):
     results = list(trainer.run_many(plan, scaler, configs))
     assert [r.method for r in results] == [c.method for c in configs]
     assert len(forked) == 2
-    assert calls == [(1, "sequential-ft"), (1, "joint"), (1, "sequential-ft"),
-                     (2, "magr"), (3, "magr")]
+    assert calls == [(1, "sequential-ft"), (1, "joint"), ("fork", "joint"),
+                     (1, "sequential-ft"), ("fork", "magr"), (2, "magr"), (3, "magr")]
 
 
 def _three_configs():
@@ -538,6 +559,97 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
                                                                           config))
     with pytest.raises(RuntimeError, match="worker 0 exited without the result of config 2"):
         next(runs)
+
+
+# ------------------------------------------------------------- plan memo
+
+
+def test_later_runs_on_a_plan_reuse_its_first_session(monkeypatch):
+    plan, scaler = _plan()
+    calls = _count_sessions(monkeypatch)
+    trainer.run_continual(plan, scaler, _cfg(epochs=1))
+    trainer.run_continual(plan, scaler, _cfg(epochs=1, method="replay-raw", m=2))
+    assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft")]
+    assert len(plan.memo) == 1
+    # another scaler is another key; a fresh plan, or a replaced one, starts
+    # with an empty memo
+    del calls[:]
+    trainer.run_continual(plan, data.ScoreScaler(0.0, 1.0), _cfg(epochs=1))
+    trainer.run_continual(_plan()[0], scaler, _cfg(epochs=1))
+    trainer.run_continual(replace(plan), scaler, _cfg(epochs=1))
+    assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft")] * 3
+
+
+def test_failed_first_session_memoises_nothing(monkeypatch):
+    plan, scaler = _plan()
+    real = trainer.train_session
+
+    def fail(state, x, y, ids, config):
+        raise FloatingPointError("diverged")
+
+    monkeypatch.setattr(trainer, "train_session", fail)
+    with pytest.raises(FloatingPointError):
+        trainer.run_continual(plan, scaler, _cfg(epochs=1))
+    assert plan.memo == {}
+    monkeypatch.setattr(trainer, "train_session", real)
+    config = _cfg(epochs=1)
+    assert (_run_bytes(trainer.run_continual(plan, scaler, config))
+            == _run_bytes(trainer.run_continual(*_plan(), config)))
+
+
+@settings(database=None, derandomize=True, max_examples=12, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(trainer.METHODS), st.booleans(),
+                          st.integers(0, 1)), min_size=2, max_size=6))
+def test_runs_on_a_shared_plan_match_fresh_plans_as_bytes(calls):
+    # methods in any order, with repeats, on one plan: held_out_only and the
+    # seed open further keys, so hits and misses of the memo interleave
+    plan, scaler = _plan(n=40, shots=4)
+    for method, held_out_only, seed in calls:
+        config = _cfg(epochs=1, method=method, held_out_only=held_out_only, seed=seed)
+        fresh = _run_bytes(trainer.run_continual(*_plan(n=40, shots=4), config))
+        assert _run_bytes(trainer.run_continual(plan, scaler, config)) == fresh
+
+
+def test_pooled_runs_on_a_warmed_plan_match_fresh_runs(monkeypatch, workers):
+    plan, scaler = _plan()
+    configs = _three_configs()
+    warm = trainer.run_continual(plan, scaler, configs[0])
+    (first, reference, report, arrays), = plan.memo.values()
+
+    def memoised():
+        return (_state_bytes(first), repr(reference), repr(report.step_terms),
+                [a.tobytes() for a in arrays[:2]], arrays[2])
+
+    before = memoised()
+    calls = _count_sessions(monkeypatch)
+    forked = workers(2)
+    pooled = list(trainer.run_many(plan, scaler, configs))
+    assert len(forked) == 2
+    assert calls == []  # no first session here, and the configs ran in the workers
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    workers(1)
+    in_process = list(trainer.run_many(plan, scaler, configs))
+    assert [c for c in calls if c[0] == 1] == []
+    for config, a, b in zip(configs, pooled, in_process):
+        fresh = _run_bytes(trainer.run_continual(*_plan(), config))
+        assert _run_bytes(a) == _run_bytes(b) == fresh
+    assert _run_bytes(warm) == _run_bytes(pooled[0])
+    assert memoised() == before
+
+
+def test_each_result_owns_its_first_session_report(workers):
+    workers(1)
+    plan, scaler = _plan()
+    configs = [_cfg(epochs=1), _cfg(epochs=1, method="replay-raw", m=2)]
+    a, b = trainer.run_many(plan, scaler, configs)
+    other = _run_bytes(b)
+    a.reports[0].step_terms[0]["l_d"] = -1.0
+    a.reports[0].step_terms.append({})
+    a.reports[0].epoch_losses.append(0.0)
+    assert _run_bytes(b) == other
+    fresh = _run_bytes(trainer.run_continual(*_plan(), configs[0]))
+    assert _run_bytes(trainer.run_continual(plan, scaler, configs[0])) == fresh
 
 
 # -------------------------------------------------------- stacked sessions
