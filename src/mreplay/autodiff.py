@@ -22,12 +22,12 @@ repeats the arithmetic of the composition it replaced, which the tests keep
 as its reference, so its value and gradients equal that one's bit for bit.
 
 Adam keeps a component's parameters in one flat float64 buffer:
-``adam_init`` copies them into it in dict order, rebinds each value as a
-view into it, and adds flat first and second moment buffers of the same
-length. ``adam_step`` updates the whole buffer with a few vectorised numpy
-operations, in place and elementwise as a per-parameter loop would, so
-parameters must be changed (or loaded) by writing into their values, never
-by rebinding them; a step refuses a parameter that is no longer a view.
+``adam_init`` copies them into it in dict order, binds each value as a view
+into it (``adam_bind``), and adds flat first and second moment buffers of
+the same length. ``adam_step`` updates the whole buffer with a few
+vectorised numpy operations, in place and elementwise as a per-parameter
+loop would, so parameters must be changed (or loaded) by writing into their
+values, never by rebinding them; a step refuses one that is no longer a view.
 """
 from __future__ import annotations
 
@@ -421,11 +421,20 @@ def adam_init(params: dict[str, Tensor], lr: float = 1e-4,
     for name, p in params.items():
         hi = lo + p.value.size
         buffer[lo:hi] = p.value.reshape(-1)
-        p.value = buffer[lo:hi].reshape(p.value.shape)
         spans[name] = (lo, hi)
         lo = hi
-    return AdamState(buffer=buffer, spans=spans, m=np.zeros_like(buffer),
-                     v=np.zeros_like(buffer), lr=lr, weight_decay=weight_decay)
+    state = AdamState(buffer=buffer, spans=spans, m=np.zeros_like(buffer),
+                      v=np.zeros_like(buffer), lr=lr, weight_decay=weight_decay)
+    adam_bind(params, state)
+    return state
+
+
+def adam_bind(params: dict[str, Tensor], state: AdamState) -> None:
+    """Rebind each parameter's value as a view into ``state.buffer``, at its
+    span, as ``adam_step`` requires."""
+    for name, p in params.items():
+        lo, hi = state.spans[name]
+        p.value = state.buffer[lo:hi].reshape(p.value.shape)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],

@@ -18,6 +18,7 @@ format first.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
     payload = {
         "format_version": FORMAT_VERSION,
         "session": state.session,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "scaler": {"lo": scaler.lo, "hi": scaler.hi},
         "spec": _pack_spec(b.spec),
         "params": {

@@ -216,19 +216,16 @@ def cmd_split(args) -> int:
 def _results_rows(result: RunResult) -> list[list]:
     rows = []
     T = result.n_sessions
-    if result.method == "joint":
-        for j in range(1, T + 1):
-            rows.append([T, f"rho_on_{j}", result.matrix.cell(T, j)])
-        rows.append([T, "rho_avg", result.summary["rho_avg"]])
-        return rows
-    for t in range(1, T + 1):
+    joint = result.method == "joint"
+    for t in [T] if joint else range(1, T + 1):
         for j in range(1, t + 1):
             rows.append([t, f"rho_on_{j}", result.matrix.cell(t, j)])
         if t < T:
             rows.append([t, f"rho_lookahead_{t + 1}", result.matrix.cell(t, t + 1)])
         rows.append([t, "rho_avg", result.matrix.pooled[t]])
-    rows.append([T, "rho_aft", result.summary["rho_aft"]])
-    rows.append([T, "rho_fwt", result.summary["rho_fwt"]])
+    if not joint:
+        rows.append([T, "rho_aft", result.summary["rho_aft"]])
+        rows.append([T, "rho_fwt", result.summary["rho_fwt"]])
     return rows
 
 
@@ -253,12 +250,12 @@ def _run_and_write(run_dir: Path, dataset: Dataset, data_cfg: DataConfig,
                 _results_rows(result))
     summary = dict(result.summary)
     summary["n_sessions"] = result.n_sessions
-    summary["config"] = train_cfg.to_dict()
+    summary["config"] = asdict(train_cfg)
     summary["version"] = __version__
     _write_json(run_dir / "summary.json", summary)
     manifest_doc = {
         "version": __version__,
-        "config": {"data": asdict(data_cfg), "train": train_cfg.to_dict()},
+        "config": {"data": asdict(data_cfg), "train": asdict(train_cfg)},
         "seed": train_cfg.seed,
         "artifacts": {
             "dataset": str(run_dir / "dataset.csv"),

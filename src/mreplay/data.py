@@ -134,12 +134,9 @@ class SessionPlan:
         """Base-session fine-tuning data: the first session's held-out pool."""
         return self.sessions[0].held_out
 
-    def test_samples(self, t: int, held_out_only: bool = False) -> tuple[Sample, ...]:
-        s = self.sessions[t - 1]
-        return s.held_out if held_out_only else s.train + s.held_out
-
     def test_arrays(self, t: int, held_out_only: bool = False) -> tuple:
-        """Inputs and scores of ``test_samples(t, held_out_only)``, as views."""
+        """Inputs and scores of session t's test set, ``train + held_out``
+        or, with ``held_out_only``, ``held_out`` alone, as views."""
         s = self.sessions[t - 1]
         cut = len(s.train) if held_out_only else 0
         return s.arrays[0][cut:], s.arrays[1][cut:]

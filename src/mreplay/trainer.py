@@ -31,12 +31,14 @@ plan, the config as ``sequential-ft`` with those fields at their defaults,
 and keeps it in the plan's ``memo``, so later calls on the same plan reuse
 it; each config goes on from a copy of that state.
 
-On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), a
-key's configs then run in forked worker processes, one per CPU of the
-affinity mask and at most one per config, and come back in config order,
-bit-identical to a serial run. Elsewhere, with one CPU, or when an
-``on_session`` hook is given, which must run in the calling process, they
-run in-process. No option sets the worker count; ``taskset`` limits it.
+On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
+``run_many`` call trains all its keys' first sessions, then runs its
+configs in one pool of forked worker processes, one per CPU of the
+affinity mask and at most one per config. Each worker pickles its results
+onto a pipe, and they come back in config order, bit-identical to a serial
+run. Elsewhere, with one CPU or one config, or when an ``on_session`` hook
+is given, which must run in the calling process, they run in-process. No
+option sets the worker count; ``taskset`` limits it.
 """
 from __future__ import annotations
 
@@ -128,13 +130,6 @@ class TrainConfig:
     @property
     def effective_epochs(self) -> int:
         return 1 if self.online else self.epochs
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
@@ -355,48 +350,38 @@ def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
     that needs it, and kept in ``plan.memo`` for every later call; a ``joint``
     config is its own key. Each config goes on from a copy of it.
 
-    Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), a key's
-    configs then run in ``min(CPUs in the affinity mask, configs in the
-    key)`` forked worker processes, and their results come back in order,
-    bit-identical to a serial run. With one CPU or one config, or when
-    ``on_session`` is given (the hook runs in the calling process), they run
-    here instead."""
+    Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), the call
+    trains every key's first session here, then runs its configs in
+    ``min(CPUs in the affinity mask, configs)`` forked worker processes,
+    whose results come back in order, bit-identical to a serial run. With
+    one CPU or one config, or when ``on_session`` is given (the hook runs in
+    the calling process), the configs run here, one after another, each
+    training its key's first session when it is first needed."""
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
     free = {f.name: f.default for f in fields(TrainConfig) if f.name in SESSION_1_FREE}
     keys = [c if c.method == "joint" else replace(c, method="sequential-ft", **free)
             for c in configs]
+    n = 1
+    if on_session is None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        n = min(len(os.sched_getaffinity(0)), len(configs))
 
     def runs():
-        pools = {}
-        try:
-            for i, (config, key) in enumerate(zip(configs, keys)):
-                if (scaler, key) not in plan.memo:
-                    plan.memo[scaler, key] = _prefix(plan, scaler, key)
-                prefix = plan.memo[scaler, key]
-                if key not in pools:
-                    members = [c for c, k in zip(configs[i:], keys[i:]) if k == key]
-                    n = 1 if on_session is not None else _workers(len(members))
-                    pools[key] = _forked(plan, scaler, members, prefix, n) if n >= 2 else None
-                if pools[key] is not None:
-                    yield next(pools[key])
-                else:
-                    yield _run_from(plan, scaler, config, on_session, prefix)
-        finally:
-            for pool in filter(None, pools.values()):
-                pool.close()
+        if n < 2:
+            for config, key in zip(configs, keys):
+                yield _run_from(plan, scaler, config, on_session, _prefix(plan, scaler, key))
+        else:
+            prefixes = [_prefix(plan, scaler, key) for key in keys]
+            yield from _forked(plan, scaler, configs, prefixes, n)
     return runs()
 
 
-def _workers(n_configs: int) -> int:
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_configs)
-
-
 def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
-    """A key's trained first session: (state, reference row, report, data)."""
+    """A key's trained first session: (state, reference row, report, data),
+    from ``plan.memo``, or trained and kept there if it is not in it yet."""
+    if (scaler, key) in plan.memo:
+        return plan.memo[scaler, key]
     T = plan.n_sessions
     state = new_state(key, plan.input_width, plan.feature_mode)
     reference, first = {}, range(1, T + 1)  # joint: one pooled session
@@ -408,7 +393,9 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
         first = [1]
     xs, ys, ids = zip(*map(plan.training_arrays, first))
     data = np.concatenate(xs), np.concatenate(ys), sum(ids, ())
-    return state, reference, train_session(state, *data, key), data
+    report = train_session(state, *data, key)
+    plan.memo[scaler, key] = state, reference, report, data
+    return plan.memo[scaler, key]
 
 
 def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainState:
@@ -423,53 +410,47 @@ def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainSta
     return out
 
 
-def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix: tuple,
+def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
             n: int):
     """Yield ``_run_from``'s result for each config, in order, from ``n``
     forked workers. Worker w runs configs w, w + n, ... on its own copies of
-    the inherited ``prefix`` and writes each pickled result to its pipe as it
-    finishes, so the results are read round-robin, only one is held here at
-    a time, and a worker that dies loses only the configs it had not done.
-    However this generator ends, every worker is killed if still running
-    and reaped."""
+    their inherited ``prefixes`` and pickles each result onto its pipe as it
+    finishes, so the results are read round-robin, one at a time, and a
+    worker that dies loses only the configs it had not done. However this
+    generator ends, every worker is killed if still running and reaped."""
     import pickle
     import signal
 
-    pids, fds = [], []
+    pids, pipes = [], []
     try:
         for w in range(n):
             r, wfd = os.pipe()
-            fds.append(r)
+            pipes.append(open(r, "rb"))
             try:
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _work(wfd, fds, plan, scaler, configs[w::n], prefix)
+                    _work(wfd, pipes, plan, scaler, configs[w::n], prefixes[w::n])
             finally:
                 os.close(wfd)
         for i, config in enumerate(configs):
-            fd = fds[i % n]
-            head = _read(fd, 8)
-            size = int.from_bytes(head, "little")
-            blob = _read(fd, size) if len(head) == 8 else b""
-            if not blob or len(blob) < size:
+            try:
+                ok, result = pickle.load(pipes[i % n])
+            except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError(f"run_many worker {i % n} exited without the result "
                                    f"of config {i} ({config.method}, seed {config.seed})")
-            ok, result = pickle.loads(blob)
-            del blob  # hold the result only, not its bytes too
             if not ok:
                 raise result
-            # unpickled arrays are read-only copies: give Adam writable
-            # buffers and make the parameters views into them again
+            # unpickled arrays are writable but do not own their memory, so a
+            # view cut from one has another base, which adam_step refuses:
+            # give Adam a buffer of its own and bind the parameters to it
             for name, params in components(result.state.bundle).items():
                 adam = result.state.adam[name]
-                adam.buffer, adam.m, adam.v = adam.buffer.copy(), adam.m.copy(), adam.v.copy()
-                for key, p in params.items():
-                    lo, hi = adam.spans[key]
-                    p.value = adam.buffer[lo:hi].reshape(p.value.shape)
+                adam.buffer = adam.buffer.copy()
+                ad.adam_bind(params, adam)
             yield result
     finally:
-        for fd in fds:
-            os.close(fd)
+        for pipe in pipes:
+            pipe.close()
         for pid in pids:
             if os.waitpid(pid, os.WNOHANG)[0] == 0:
                 os.kill(pid, signal.SIGKILL)
@@ -477,7 +458,7 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix: tuple
 
 
 def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
-          configs: list, prefix: tuple) -> None:
+          configs: list, prefixes: list) -> None:
     """A worker's whole life: run ``configs`` and write each pickled result
     to ``fd`` as soon as it is done, or the first exception, which ends the
     run. It leaves through ``os._exit``, never returning into the caller."""
@@ -487,9 +468,9 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
     status = 1
     try:
         for other in inherited:
-            os.close(other)
+            other.close()
         with open(fd, "wb") as fh:
-            for config in configs:
+            for config, prefix in zip(configs, prefixes):
                 try:
                     result = _run_from(plan, scaler, config, None, prefix)
                     ok, blob = True, pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL)
@@ -501,7 +482,6 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
                         pickle.loads(blob)
                     except Exception:  # noqa: BLE001 - an exception that cannot travel
                         blob = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
-                fh.write(len(blob).to_bytes(8, "little"))
                 fh.write(blob)
                 fh.flush()
                 if not ok:
@@ -509,18 +489,6 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
         status = 0
     finally:
         os._exit(status)
-
-
-def _read(fd: int, size: int) -> bytes:
-    """Up to ``size`` bytes from ``fd``; fewer only at end of file."""
-    chunks = []
-    while size > 0:
-        chunk = os.read(fd, size)
-        if not chunk:
-            break
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
 
 
 def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
@@ -533,7 +501,6 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     T = plan.n_sessions
     joint = config.method == "joint"
     state = _fork(first, config, plan)
-    state.bank = mem.MemoryBank(capacity=config.m)
     _update_bank(state, *data, _preset(config), 1)
     reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
                        epoch_losses=list(report.epoch_losses))]

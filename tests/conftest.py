@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import tempfile
 
 import pytest
@@ -34,10 +35,22 @@ def no_stray_children():
                 f"child process {pid} was never reaped")
 
 
+WORKER_TEST_SECONDS = 300
+
+
 @pytest.fixture()
 def workers(monkeypatch):
     """``workers(n)`` makes ``trainer.run_many`` see n CPUs in the affinity
-    mask and returns the list of pids it forks from then on."""
+    mask and returns the list of pids it forks from then on. A test that
+    uses it fails after ``WORKER_TEST_SECONDS`` instead of hanging on a pipe
+    that never ends, as a worker left running or a leaked write end would
+    make it; forked workers do not inherit the alarm."""
+    def expire(signum, frame):
+        pytest.fail(f"no end after {WORKER_TEST_SECONDS} s: a run_many pipe was left open")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(WORKER_TEST_SECONDS)
+
     def use(n: int) -> list:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
         pids, real = [], os.fork
@@ -50,4 +63,6 @@ def workers(monkeypatch):
 
         monkeypatch.setattr(os, "fork", fork)
         return pids
-    return use
+    yield use
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

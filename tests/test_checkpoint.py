@@ -62,7 +62,7 @@ def test_round_trip_bit_exact(tmp_path):
         assert a.score == b.score and a.session == b.session
         assert a.sample_id == b.sample_id
 
-    x = np.stack([s.x for s in plan.test_samples(2)])
+    x = plan.test_arrays(2)[0]
     assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
 
 
@@ -71,7 +71,7 @@ def test_has_frozen_key_of_older_files_ignored(tmp_path):
     # "frozen_encoder"; it is no longer written, and loading ignores it
     plan, scaler = _plan()
     cfg = _cfg()
-    x = np.stack([s.x for s in plan.test_samples(2)])
+    x = plan.test_arrays(2)[0]
     for sessions, flag in ((1, False), (2, True)):
         state = _trained_state(plan, cfg, sessions=sessions)
         path = tmp_path / f"ckpt{sessions}.json"
@@ -140,7 +140,7 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
     for name in components(state.bundle):
         assert state.adam[name].buffer.tobytes() == loaded.adam[name].buffer.tobytes()
         assert not np.array_equal(before[name], loaded.adam[name].buffer)
-    xt = np.stack([s.x for s in plan.test_samples(3)])
+    xt = plan.test_arrays(3)[0]
     assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
 
 
@@ -186,7 +186,7 @@ def test_feature_mode_checkpoint(tmp_path):
     checkpoint.save_checkpoint(path, state, scaler, cfg)
     loaded, _, _ = checkpoint.load_checkpoint(path)
     assert loaded.bundle.encoder is None
-    xt = np.stack([s.x for s in plan.test_samples(1)])
+    xt = plan.test_arrays(1)[0]
     assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
 
 

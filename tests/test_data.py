@@ -121,9 +121,13 @@ def test_fine_tune_pool_is_first_sessions_held_out():
     ds = data.generate_synthetic(_cfg())
     plan = data.grade_split(ds, T=5, shots=10, seed=0)
     assert plan.fine_tune_pool == plan.sessions[0].held_out
-    assert plan.test_samples(1, held_out_only=True) == plan.sessions[0].held_out
-    both = plan.test_samples(2)
-    assert both == plan.sessions[1].train + plan.sessions[1].held_out
+    x, y = plan.test_arrays(1, held_out_only=True)
+    assert np.array_equal(x, np.stack([s.x for s in plan.fine_tune_pool]))
+    assert y.tolist() == [s.score for s in plan.fine_tune_pool]
+    x, y = plan.test_arrays(2)
+    both = plan.sessions[1].train + plan.sessions[1].held_out
+    assert np.array_equal(x, np.stack([s.x for s in both]))
+    assert y.tolist() == [s.score for s in both]
 
 
 def test_split_arrays_are_stacked_once_and_read_only():
@@ -138,7 +142,7 @@ def test_split_arrays_are_stacked_once_and_read_only():
         assert ids == tuple(s.sample_id for s in samples)
         for held_out_only in (False, True):
             tx, ty = plan.test_arrays(t, held_out_only)
-            test = plan.test_samples(t, held_out_only)
+            test = split.held_out if held_out_only else samples
             assert np.array_equal(tx, np.stack([s.x for s in test]))
             assert ty.tolist() == [s.score for s in test]
         train = split.train + (plan.fine_tune_pool if t == 1 else ())

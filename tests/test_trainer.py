@@ -1,10 +1,12 @@
 """Session loop: method switches, loss-term activation, config knobs, determinism."""
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import time
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -114,7 +116,7 @@ def test_config_validation():
 def test_config_dict_round_trip():
     cfg = _cfg(lambda_r=0.5, no_mp=True, encoder_widths=(8, 32, 12),
                projector_widths=(12, 12, 12), trunk_widths=(12, 6))
-    d = cfg.to_dict()
+    d = json.loads(json.dumps(asdict(cfg)))
     assert d["encoder_widths"] == [8, 32, 12]
     back = trainer.TrainConfig.from_dict(d)
     assert back == cfg
@@ -301,7 +303,7 @@ def test_evaluate_on_denormalizes():
     cfg = _cfg(epochs=1)
     state = trainer.new_state(cfg, plan.input_width)
     truth, pred = trainer.evaluate_on(state.bundle, *plan.test_arrays(1), scaler)
-    raw_scores = sorted(s.score for s in plan.test_samples(1))
+    raw_scores = plan.test_arrays(1)[1]
     assert truth.min() >= scaler.denormalize(min(raw_scores)) - 1e-9
     assert truth.max() <= scaler.denormalize(max(raw_scores)) + 1e-9
     assert truth.shape == pred.shape
@@ -328,7 +330,7 @@ def test_feature_deviation():
     cfg = _cfg()
     a = trainer.new_state(cfg, plan.input_width).bundle
     b = trainer.new_state(cfg, plan.input_width).bundle
-    x = np.stack([s.x for s in plan.test_samples(1)])
+    x = plan.test_arrays(1)[0]
     assert feature_deviation(a, b, x) == 0.0
     c = trainer.new_state(_cfg(seed=9), plan.input_width).bundle
     assert feature_deviation(a, c, x) > 0.0
@@ -438,8 +440,9 @@ def test_run_continual_trains_each_session_once(monkeypatch):
 
 
 def test_workers_leave_only_first_sessions_to_the_parent(monkeypatch, workers):
-    # the first key's three configs run on two workers; the joint and seed-1
-    # keys have one config each and run here
+    # the parent trains the three keys' first sessions, in config order; all
+    # five configs, the joint and seed-1 keys' single ones too, run on the
+    # call's two workers
     forked = workers(2)
     plan, scaler = _plan()
     calls = _count_sessions(monkeypatch)
@@ -448,8 +451,20 @@ def test_workers_leave_only_first_sessions_to_the_parent(monkeypatch, workers):
     results = list(trainer.run_many(plan, scaler, configs))
     assert [r.method for r in results] == [c.method for c in configs]
     assert len(forked) == 2
-    assert calls == [(1, "sequential-ft"), (1, "joint"), ("fork", "joint"),
-                     (1, "sequential-ft"), ("fork", "magr"), (2, "magr"), (3, "magr")]
+    assert calls == [(1, "sequential-ft"), (1, "joint"), (1, "sequential-ft")]
+
+
+def test_one_pool_per_call(workers):
+    # two keys, interleaved, with two configs each share one pool of two
+    forked = workers(2)
+    plan, scaler = _plan()
+    configs = [_cfg(epochs=2, lr=1e-3), _cfg(epochs=2, lr=1e-3, seed=1),
+               _cfg(epochs=2, lr=1e-3, method="replay-raw", m=2),
+               _cfg(epochs=2, lr=1e-3, seed=1, no_ii_gr=True)]
+    pooled = list(trainer.run_many(plan, scaler, configs))
+    assert len(forked) == 2
+    for config, result in zip(configs, pooled):
+        assert _run_bytes(result) == _run_bytes(trainer.run_continual(*_plan(), config))
 
 
 def _three_configs():
@@ -553,6 +568,38 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
 
     _before_run_from(monkeypatch, die)
     configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
+    runs = trainer.run_many(plan, scaler, configs)
+    for config in configs[:2]:
+        assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(plan, scaler,
+                                                                          config))
+    with pytest.raises(RuntimeError, match="worker 0 exited without the result of config 2"):
+        next(runs)
+
+
+@pytest.mark.parametrize("kept", [lambda n: 1, lambda n: n // 2, lambda n: n - 1],
+                         ids=["first-byte", "half", "all-but-last-byte"])
+def test_worker_stream_ending_inside_a_result_raises_runtime_error(monkeypatch, workers,
+                                                                   kept):
+    # worker 0 writes only part of config 2's pickled result, then dies at
+    # config 4 before writing anything more
+    workers(2)
+    plan, scaler = _plan()
+    parent, seen, real = os.getpid(), [], pickle.dumps
+
+    def cut(obj, *args):
+        blob = real(obj, *args)
+        if os.getpid() == parent or seen[-1].lambda_p != 0.5:
+            return blob
+        return blob[:kept(len(blob))]
+
+    def die_after_cut(config):
+        if os.getpid() != parent and seen and seen[-1].lambda_p == 0.5:
+            os._exit(3)
+        seen.append(config)
+
+    _before_run_from(monkeypatch, die_after_cut)
+    monkeypatch.setattr(pickle, "dumps", cut)
+    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3), _cfg(epochs=2, lr=1e-3, m=2)]
     runs = trainer.run_many(plan, scaler, configs)
     for config in configs[:2]:
         assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(plan, scaler,
