@@ -28,6 +28,9 @@ the same length. ``adam_step`` updates the whole buffer with a few
 vectorised numpy operations, in place and elementwise as a per-parameter
 loop would, so parameters must be changed (or loaded) by writing into their
 values, never by rebinding them; a step refuses one that is no longer a view.
+A deep copy or a pickle round trip of the arrays does not keep the views;
+``adam_bind`` restores them over a buffer of the copy's own, as
+``trainer.TrainState`` does when it is copied or unpickled.
 """
 from __future__ import annotations
 

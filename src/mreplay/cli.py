@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,8 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
-                   atomic_write, grade_split, generate_synthetic, inject_label_noise,
-                   load_csv, normalize_scores, save_csv)
+                   atomic_write, config_from_dict, grade_split, generate_synthetic,
+                   inject_label_noise, load_csv, normalize_scores, save_csv)
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
@@ -65,27 +65,18 @@ def _load_config(path: str | None) -> dict:
 
 
 def _data_config(cfg: dict) -> DataConfig:
-    section = dict(cfg.get("data", {}))
-    known = {f.name for f in fields(DataConfig)}
-    unknown = set(section) - known
-    if unknown:
-        raise ValueError(f"unknown data config fields: {sorted(unknown)}")
-    return DataConfig(**section)
+    return config_from_dict(DataConfig, cfg.get("data", {}), "data")
 
 
 def _train_config(cfg: dict, args) -> TrainConfig:
     tc = TrainConfig.from_dict(cfg.get("train", {}))
-    overrides = {}
+    overrides = {flag: True for flag in ("online", *ABLATION_FLAGS)
+                 if getattr(args, flag, False)}
     if getattr(args, "method", None):
         overrides["method"] = args.method
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "online", False):
-        overrides["online"] = True
-    for flag in ABLATION_FLAGS:
-        if getattr(args, flag, False):
-            overrides[flag] = True
-    return replace(tc, **overrides) if overrides else tc
+    return replace(tc, **overrides)
 
 
 def _out_root(args) -> Path:
@@ -100,8 +91,25 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _json_text(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write_text(path, _json_text(payload))
+
+
+def _emit(out: str | None, text: str) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it."""
+    if out:
+        _write_text(Path(out), text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+
+
+def _num(v: float | None) -> str:
+    return "-" if v is None else f"{v:.4f}"
 
 
 def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -136,26 +144,37 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
     if version != SPLIT_FORMAT_VERSION:
         raise ValueError(f"split manifest format {version!r} does not match "
                          f"supported version {SPLIT_FORMAT_VERSION}")
+
+    def need(d: dict, key: str, where: str = "split manifest"):
+        if key not in d:
+            raise ValueError(f"{where} lacks the field {key!r}")
+        return d[key]
+
+    shots, entries = need(manifest, "shots"), need(manifest, "sessions")
+    if need(manifest, "T") != len(entries):
+        raise ValueError(f"split manifest field 'T' is {manifest['T']!r} "
+                         f"but it lists {len(entries)} sessions")
     by_id = {s.sample_id: s for s in dataset.samples}
     seen: set[str] = set()
     sessions = []
-    for entry in manifest["sessions"]:
-        t = entry["session"]
 
-        def grab(ids):
-            out = []
-            for sid in ids:
-                if sid not in by_id:
-                    raise ValueError(f"split manifest references unknown id {sid!r}")
-                if sid in seen:
-                    raise ValueError(f"split manifest reuses id {sid!r}")
-                seen.add(sid)
-                out.append(by_id[sid])
-            return tuple(out)
+    def grab(ids):
+        for sid in ids:
+            if sid not in by_id:
+                raise ValueError(f"split manifest references unknown id {sid!r}")
+            if sid in seen:
+                raise ValueError(f"split manifest reuses id {sid!r}")
+            seen.add(sid)
+        return tuple(by_id[sid] for sid in ids)
 
-        sessions.append(SessionSplit(session=t, train=grab(entry["train"]),
-                                     held_out=grab(entry["held_out"])))
-    return SessionPlan(sessions=tuple(sessions), shots=manifest["shots"],
+    for t, entry in enumerate(entries, start=1):
+        where = f"split manifest session entry {t}"
+        if need(entry, "session", where) != t:
+            raise ValueError(f"{where} has the field 'session' "
+                             f"{entry['session']!r}, not {t}")
+        sessions.append(SessionSplit(session=t, train=grab(need(entry, "train", where)),
+                                     held_out=grab(need(entry, "held_out", where))))
+    return SessionPlan(sessions=tuple(sessions), shots=shots,
                        input_width=dataset.input_width,
                        score_range=dataset.score_range,
                        feature_mode=dataset.feature_mode)
@@ -184,32 +203,21 @@ def _load_dataset(args, data_cfg: DataConfig) -> Dataset:
 # -------------------------------------------------------------- subcommands
 
 
-def cmd_gen(args) -> int:
-    cfg = _load_config(args.config)
-    data_cfg = _data_config(cfg)
-    if args.seed is not None:
-        data_cfg = replace(data_cfg, seed=args.seed)
-    out = _out_root(args)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset = generate_synthetic(data_cfg)
-    save_csv(dataset, out / "dataset.csv")
-    plan = grade_split(dataset, data_cfg.T, data_cfg.shots, data_cfg.seed)
-    _write_json(out / "split.json", split_manifest(plan, data_cfg.seed))
-    print(f"wrote {out / 'dataset.csv'} ({len(dataset.samples)} samples) and "
-          f"{out / 'split.json'}")
-    return 0
-
-
 def cmd_split(args) -> int:
-    cfg = _load_config(args.config)
-    data_cfg = _data_config(cfg)
-    seed = args.seed if args.seed is not None else data_cfg.seed
-    dataset = load_csv(args.dataset)
+    """``gen`` and ``split``: grade-split ``--dataset`` or, without one, a
+    dataset synthesised with the seed and written beside the split."""
+    data_cfg = _data_config(_load_config(args.config))
+    seed = data_cfg.seed if args.seed is None else args.seed
+    dataset = _load_dataset(args, replace(data_cfg, seed=seed))
     plan = grade_split(dataset, data_cfg.T, data_cfg.shots, seed)
     out = _out_root(args)
     out.mkdir(parents=True, exist_ok=True)
+    wrote = ""
+    if not getattr(args, "dataset", None):
+        save_csv(dataset, out / "dataset.csv")
+        wrote = f"{out / 'dataset.csv'} ({len(dataset.samples)} samples) and "
     _write_json(out / "split.json", split_manifest(plan, seed))
-    print(f"wrote {out / 'split.json'}")
+    print(f"wrote {wrote}{out / 'split.json'}")
     return 0
 
 
@@ -280,10 +288,8 @@ def cmd_train(args) -> int:
     result = _run_and_write(run_dir, dataset, data_cfg, train_cfg,
                             getattr(args, "split", None))
     s = result.summary
-    aft = "-" if s["rho_aft"] is None else f"{s['rho_aft']:.4f}"
-    fwt = "-" if s["rho_fwt"] is None else f"{s['rho_fwt']:.4f}"
-    print(f"{train_cfg.method} seed={train_cfg.seed}: "
-          f"rho_avg={s['rho_avg']:.4f} rho_aft={aft} rho_fwt={fwt}")
+    print(f"{train_cfg.method} seed={train_cfg.seed}: rho_avg={_num(s['rho_avg'])} "
+          f"rho_aft={_num(s['rho_aft'])} rho_fwt={_num(s['rho_fwt'])}")
     print(f"run dir: {run_dir}")
     return 0
 
@@ -317,11 +323,7 @@ def cmd_eval(args) -> int:
                "rho_per_session": {str(j): spearman(truth, pred) for j, (truth, pred)
                                    in enumerate(scored, start=1)},
                "rho_avg": spearman(np.concatenate(truths), np.concatenate(preds))}
-    if args.out:
-        _write_json(Path(args.out), payload)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=1))
+    _emit(args.out, _json_text(payload))
     return 0
 
 
@@ -411,16 +413,14 @@ def cmd_plot(args) -> int:
             rows = list(csv.DictReader(fh))
         curve = [(int(r["session"]), float(r["value"])) for r in rows
                  if r["metric"] == "rho_avg"]
-        path = out / "sessions.svg"
-        _write_text(path, sessions_plot({run_dir.name: curve}))
+        svg = sessions_plot({run_dir.name: curve})
     elif kind == "sweep":
         with open(run_dir / "sweep.csv", newline="") as fh:
             raw = list(csv.DictReader(fh))
         rows = [{"axis": r["axis"], "value": float(r["value"]),
                  "seed": int(r["seed"]), "rho_avg": float(r["rho_avg"])}
                 for r in raw]
-        path = out / "sweep.svg"
-        _write_text(path, sweep_plot(rows))
+        svg = sweep_plot(rows)
     elif kind in ("scatter", "pca2d"):
         ckpts = sorted((run_dir / "checkpoints").glob("session_*.json"))
         if not ckpts:
@@ -428,25 +428,21 @@ def cmd_plot(args) -> int:
         if kind == "scatter":
             _, scored = _checkpoint_predictions(ckpts[-1], run_dir / "dataset.csv",
                                                 run_dir / "split.json")
-            truths, preds, tags = [], [], []
-            for j, (truth, pred) in enumerate(scored, start=1):
-                truths.extend(truth)
-                preds.extend(pred)
-                tags.extend([j] * len(truth))
-            path = out / "scatter.svg"
-            _write_text(path, scatter_plot(truths, preds, tags))
+            truths, preds = zip(*scored)
+            tags = [j for j, truth in enumerate(truths, start=1) for _ in truth]
+            svg = scatter_plot(np.concatenate(truths), np.concatenate(preds), tags)
         else:
             state, _, _ = load_checkpoint(ckpts[-1])
             if state.bank.size == 0:
                 raise ValueError("empty memory bank; pca2d needs stored features")
             labels = [r.session for r in state.bank.entries]
             svg, sil = pca_plot(state.bank.features(), labels)
-            path = out / "pca2d.svg"
-            _write_text(path, svg)
             _write_json(out / "pca2d.json", {"silhouette": sil,
                                              "n_points": state.bank.size})
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
+    path = out / f"{kind}.svg"
+    _write_text(path, svg)
     print(f"wrote {path}")
     return 0
 
@@ -457,16 +453,10 @@ def cmd_report(args) -> int:
     for run in args.runs:
         with open(Path(run) / "summary.json") as fh:
             s = json.load(fh)
-        fmt = lambda v: "-" if v is None else f"{v:.4f}"
         lines.append(f"| {Path(run).name} | {s['method']} | {s['seed']} | "
-                     f"{fmt(s['rho_avg'])} | {fmt(s['rho_aft'])} | "
-                     f"{fmt(s['rho_fwt'])} |")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(Path(args.out), text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+                     f"{_num(s['rho_avg'])} | {_num(s['rho_aft'])} | "
+                     f"{_num(s['rho_fwt'])} |")
+    _emit(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -530,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-COMMANDS = {"gen": cmd_gen, "split": cmd_split, "train": cmd_train,
+COMMANDS = {"gen": cmd_split, "split": cmd_split, "train": cmd_train,
             "eval": cmd_eval, "ablate": cmd_ablate, "sweep": cmd_sweep,
             "plot": cmd_plot, "report": cmd_report}
 

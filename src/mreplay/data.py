@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -70,6 +70,17 @@ class DataConfig:
             raise ValueError(f"d_x must be >= 1, got {self.d_x}")
         if self.noise_x < 0 or self.drift < 0 or self.label_noise < 0:
             raise ValueError("noise_x, drift and label_noise must be >= 0")
+
+
+def config_from_dict(cls, d: dict, what: str):
+    """``cls(**d)`` for a config dataclass, after rejecting the fields it
+    lacks; a JSON list becomes a tuple wherever the field's default is one."""
+    known = {f.name: f.default for f in fields(cls)}
+    unknown = set(d) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} config fields: {sorted(unknown)}")
+    return cls(**{k: tuple(v) if isinstance(known[k], tuple) else v
+                  for k, v in d.items()})
 
 
 def generate_synthetic(cfg: DataConfig) -> Dataset:

@@ -72,6 +72,14 @@ class _Canvas:
         self.parts.append(f'<polyline points="{pts}" fill="none" '
                           f'stroke="{color}" stroke-width="{width}"{extra}/>')
 
+    def tagged(self, xs, ys, tags):
+        """A point per (x, y), coloured by its tag and drawn tag by tag in
+        sorted order, then a legend naming each tag as a session."""
+        colors = {t: PALETTE[k % len(PALETTE)] for k, t in enumerate(sorted(set(tags)))}
+        for i in sorted(range(len(tags)), key=tags.__getitem__):
+            self.circle(float(xs[i]), float(ys[i]), colors[tags[i]])
+        self.legend([(f"session {t}", color) for t, color in colors.items()])
+
     def legend(self, labels_colors):
         y = MARGIN + 6
         for label, color in labels_colors:
@@ -94,14 +102,7 @@ def scatter_plot(truth, pred, sessions, title="predicted vs true") -> str:
     c = _Canvas((lo - pad, hi + pad), (lo - pad, hi + pad), title,
                 "true score", "predicted score")
     c.polyline([lo, hi], [lo, hi], "#999", width=1.0, dash="4 3")
-    tags = sorted(set(int(s) for s in sessions))
-    for k, tag in enumerate(tags):
-        color = PALETTE[k % len(PALETTE)]
-        for x, y, s in zip(truth, pred, sessions):
-            if int(s) == tag:
-                c.circle(float(x), float(y), color)
-    c.legend([(f"session {t}", PALETTE[k % len(PALETTE)])
-              for k, t in enumerate(tags)])
+    c.tagged(truth, pred, [int(s) for s in sessions])
     return c.render()
 
 
@@ -180,12 +181,5 @@ def pca_plot(features, labels, title="feature space (2-D projection)"
     c = _Canvas((pts[:, 0].min() - pad_x, pts[:, 0].max() + pad_x),
                 (pts[:, 1].min() - pad_y, pts[:, 1].max() + pad_y),
                 title, "component 1", "component 2")
-    tags = sorted(set(labels.tolist()))
-    for k, tag in enumerate(tags):
-        color = PALETTE[k % len(PALETTE)]
-        for p, lab in zip(pts, labels):
-            if lab == tag:
-                c.circle(float(p[0]), float(p[1]), color)
-    c.legend([(f"session {t}", PALETTE[k % len(PALETTE)])
-              for k, t in enumerate(tags)])
+    c.tagged(pts[:, 0], pts[:, 1], labels.tolist())
     return c.render(), sil

@@ -51,7 +51,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from . import memory as mem
-from .data import ScoreScaler, SessionPlan
+from .data import ScoreScaler, SessionPlan, config_from_dict
 from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, components, encode,
                      freeze_copy, init_bundle, make_rng, predict, project,
@@ -133,15 +133,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        kw = dict(d)
-        for key in ("encoder_widths", "projector_widths", "trunk_widths"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return TrainConfig(**kw)
+        return config_from_dict(TrainConfig, d, "train")
 
 
 def _preset(config: TrainConfig) -> TrainConfig:
@@ -155,11 +147,25 @@ def _preset(config: TrainConfig) -> TrainConfig:
 
 @dataclass
 class TrainState:
+    """Everything a run carries from session to session. A deep copy or an
+    unpickled state trains on: ``adam_step`` needs each parameter to view
+    its component's Adam buffer, which neither keeps, so ``__setstate__``
+    gives that buffer memory of its own and rebinds the parameters to it.
+    A shallow ``copy.copy`` keeps the views, shared with the original."""
+
     bundle: ModelBundle
     bank: mem.MemoryBank
     adam: dict[str, ad.AdamState]
     rngs: dict[str, np.random.Generator]
     session: int = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name, params in components(self.bundle).items():
+            adam = self.adam[name]
+            if any(p.value.base is not adam.buffer for p in params.values()):
+                adam.buffer = adam.buffer.copy()
+                ad.adam_bind(params, adam)
 
 
 @dataclass
@@ -440,13 +446,6 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: lis
                                    f"of config {i} ({config.method}, seed {config.seed})")
             if not ok:
                 raise result
-            # unpickled arrays are writable but do not own their memory, so a
-            # view cut from one has another base, which adam_step refuses:
-            # give Adam a buffer of its own and bind the parameters to it
-            for name, params in components(result.state.bundle).items():
-                adam = result.state.adam[name]
-                adam.buffer = adam.buffer.copy()
-                ad.adam_bind(params, adam)
             yield result
     finally:
         for pipe in pipes:

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mreplay.autodiff as ad
 from mreplay import checkpoint, cli, data, trainer
-from mreplay.models import components, encode, predict
+from mreplay.memory import FeatureRecord
+from mreplay.models import components, encode, freeze_copy, predict
 
 
 def _plan():
@@ -142,6 +144,45 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
         assert not np.array_equal(before[name], loaded.adam[name].buffer)
     xt = plan.test_arrays(3)[0]
     assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _saved_states(draw):
+    """A config and a state of it with drawn parameter values, RNG
+    positions and session, a frozen encoder or none, and a non-empty bank
+    of arbitrary finite features and scores."""
+    cfg = _cfg(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(1, 6)))
+    state = trainer.new_state(cfg, 8)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.floats(1e-300, 1e300))
+    for params in components(state.bundle).values():
+        for p in params.values():
+            p.value[...] = rng.standard_normal(p.value.shape) * scale
+    if draw(st.booleans()):
+        freeze_copy(state.bundle)
+    for g in state.rngs.values():
+        g.standard_normal(draw(st.integers(0, 5)))
+    state.session = draw(st.integers(1, 9))
+    state.bank.refresh_epoch = draw(st.integers(0, 9))
+    for t in range(draw(st.integers(1, 4))):
+        state.bank.entries.append(FeatureRecord(
+            feature=np.array(draw(st.lists(_any_float, min_size=12, max_size=12))),
+            score=draw(_any_float), session=t + 1, sample_id=draw(st.text(max_size=6))))
+    return cfg, state, data.ScoreScaler(lo=-1.5, hi=draw(st.floats(0.0, 1e6)))
+
+
+@settings(database=None, derandomize=True, max_examples=30, deadline=None)
+@given(_saved_states())
+def test_save_load_save_is_byte_identical(tmp_path_factory, saved):
+    cfg, state, scaler = saved
+    first, second = (tmp_path_factory.mktemp("ckpt") / "c.json" for _ in range(2))
+    checkpoint.save_checkpoint(first, state, scaler, cfg)
+    loaded, loaded_scaler, loaded_cfg = checkpoint.load_checkpoint(first)
+    checkpoint.save_checkpoint(second, loaded, loaded_scaler, loaded_cfg)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_failed_save_keeps_previous_file(tmp_path):

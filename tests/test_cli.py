@@ -68,6 +68,56 @@ def test_split_from_existing_csv(tmp_path, mini_config):
     assert manifest["seed"] == 3
 
 
+def test_gen_and_split_write_the_same_split(tmp_path, mini_config, capsys):
+    gen, split = tmp_path / "gen", tmp_path / "split"
+    assert cli.main(["gen", "--config", mini_config, "--seed", "4", "--out", str(gen)]) == 0
+    assert cli.main(["split", "--config", mini_config, "--seed", "4", "--dataset",
+                     str(gen / "dataset.csv"), "--out", str(split)]) == 0
+    assert (gen / "split.json").read_bytes() == (split / "split.json").read_bytes()
+    assert json.loads((gen / "split.json").read_text())["seed"] == 4
+    assert not (split / "dataset.csv").exists()
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {gen / 'dataset.csv'} (60 samples) and {gen / 'split.json'}",
+        f"wrote {split / 'split.json'}"]
+
+
+def _renumber(manifest, numbers):
+    for entry, t in zip(manifest["sessions"], numbers):
+        entry["session"] = t
+
+
+MANIFEST_FAULTS = {
+    "no_T": (lambda m: m.pop("T"), "lacks the field 'T'"),
+    "no_shots": (lambda m: m.pop("shots"), "lacks the field 'shots'"),
+    "no_sessions": (lambda m: m.pop("sessions"), "lacks the field 'sessions'"),
+    "no_session": (lambda m: m["sessions"][2].pop("session"),
+                   "session entry 3 lacks the field 'session'"),
+    "no_train": (lambda m: m["sessions"][0].pop("train"),
+                 "session entry 1 lacks the field 'train'"),
+    "no_held_out": (lambda m: m["sessions"][1].pop("held_out"),
+                    "session entry 2 lacks the field 'held_out'"),
+    "T_5_for_3": (lambda m: m.update(T=5), "field 'T' is 5 but it lists 3 sessions"),
+    "numbered_3_1_2": (lambda m: _renumber(m, (3, 1, 2)),
+                       "session entry 1 has the field 'session' 3, not 1"),
+}
+
+
+@pytest.mark.parametrize("fault", MANIFEST_FAULTS)
+def test_train_rejects_a_malformed_split_manifest(tmp_path, mini_config, capsys, fault):
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
+    manifest = json.loads((gen / "split.json").read_text())
+    edit, message = MANIFEST_FAULTS[fault]
+    edit(manifest)
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", mini_config, "--dataset", str(gen / "dataset.csv"),
+                     "--split", str(bad), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: split manifest {message}\n"
+    assert not (tmp_path / "run" / "magr-seed0" / "split.json").exists()
+
+
 def test_train_produces_full_artifact_set(tmp_path, mini_config, capsys):
     run_dir = _train(tmp_path, mini_config)
     for name in ("dataset.csv", "split.json", "results.csv", "summary.json",

@@ -64,6 +64,13 @@ def test_config_validation():
         _cfg(d_x=0)
 
 
+def test_config_from_dict_rejects_unknown_fields():
+    assert data.config_from_dict(data.DataConfig, {"n": 80, "T": 4}, "data") == \
+        data.DataConfig(n=80, T=4)
+    with pytest.raises(ValueError, match=r"unknown data config fields: \['bogus'\]"):
+        data.config_from_dict(data.DataConfig, {"n": 80, "bogus": 1}, "data")
+
+
 def test_grade_split_contiguous_equal_bands():
     ds = data.generate_synthetic(_cfg())
     plan = data.grade_split(ds, T=5, shots=10, seed=0)
@@ -279,6 +286,37 @@ def test_csv_round_trip_bit_exact(tmp_path):
         assert a.sample_id == b.sample_id
         assert a.score == b.score
         assert np.array_equal(a.x, b.x)
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _datasets(draw):
+    """Raw or feature-mode datasets with distinct, arbitrary text ids and any
+    finite floats, signed zeros and subnormals included."""
+    width = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=8, unique=True))
+    samples = tuple(data.Sample(sid, np.array(draw(st.lists(_any_float, min_size=width,
+                                                            max_size=width))),
+                                draw(_any_float))
+                    for sid in ids)
+    return data.Dataset(samples=samples, input_width=width, score_range=(0.0, 1.0),
+                        feature_mode=draw(st.booleans()))
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(_datasets())
+def test_csv_round_trip_property(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    data.save_csv(ds, path)
+    back = data.load_csv(path)
+    assert (back.input_width, back.feature_mode) == (ds.input_width, ds.feature_mode)
+    assert [s.sample_id for s in back.samples] == [s.sample_id for s in ds.samples]
+    assert [(np.float64(s.score).tobytes(), s.x.tobytes()) for s in back.samples] == \
+        [(np.float64(s.score).tobytes(), s.x.tobytes()) for s in ds.samples]
+    scores = [s.score for s in ds.samples]
+    assert back.score_range == (min(scores), max(scores))
 
 
 def test_csv_feature_mode_header(tmp_path):

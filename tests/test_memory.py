@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mreplay import memory
 
@@ -53,6 +54,36 @@ def test_ous_matches_oracle_on_random_sets():
         ids = [f"s{int(v):05d}" for v in rng.permutation(n)]
         m = int(rng.integers(1, 15))
         assert memory.ous_select(scores, m, ids=ids) == _ous_oracle(list(scores), m, ids)
+
+
+@st.composite
+def _ous_inputs(draw):
+    """Scores (often tied) with distinct ids, a selection size and a
+    permutation of the items."""
+    score = st.one_of(st.integers(0, 4).map(float),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    items = draw(st.lists(st.tuples(score, st.text(max_size=4)), min_size=1,
+                          max_size=40, unique_by=lambda item: item[1]))
+    return items, draw(st.integers(1, 45)), draw(st.permutations(range(len(items))))
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(_ous_inputs())
+def test_ous_select_properties(inputs):
+    items, m, perm = inputs
+    scores, ids = [s for s, _ in items], [i for _, i in items]
+    n = len(items)
+    picked = memory.ous_select(scores, m, ids=ids)
+    assert len(picked) == len(set(picked)) == min(m, n)
+    keys = [(scores[i], ids[i]) for i in picked]
+    assert keys == sorted(keys)
+    ranked = sorted(range(n), key=lambda i: (scores[i], ids[i]))
+    if min(m, n) >= 2:
+        assert picked[0] == ranked[0] and picked[-1] == ranked[-1]
+    if m == 1:
+        assert picked == [ranked[(n - 1) // 2]]
+    permuted = memory.ous_select([scores[i] for i in perm], m, ids=[ids[i] for i in perm])
+    assert [ids[perm[i]] for i in permuted] == [ids[i] for i in picked]
 
 
 def test_ous_tie_break_uses_ids():

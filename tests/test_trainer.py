@@ -1,6 +1,7 @@
 """Session loop: method switches, loss-term activation, config knobs, determinism."""
 from __future__ import annotations
 
+import copy
 import json
 import os
 import pickle
@@ -484,6 +485,27 @@ def test_workers_match_in_process_runs_as_bytes(workers):
     x, y, ids = plan.training_arrays(3)
     for result, config in zip(pooled, configs):
         trainer.train_session(result.state, x, y, ids, config)
+
+
+def test_copied_and_unpickled_states_train_on():
+    # a deep copy or a pickle round trip of a state keeps its values but not
+    # the parameters' views into the Adam buffers; each must still train
+    # session 2 exactly as the original does, on memory of its own
+    plan, _ = _plan()
+    cfg = _cfg(epochs=2, lr=1e-3)
+    state = trainer.new_state(cfg, plan.input_width)
+    trainer.train_session(state, *plan.training_arrays(1), cfg)
+    copies = [copy.deepcopy(state), pickle.loads(pickle.dumps(state))]
+    shallow = copy.copy(state)
+    assert shallow.bundle is state.bundle and shallow.adam is state.adam
+    for name, params in components(state.bundle).items():
+        assert all(p.value.base is state.adam[name].buffer for p in params.values())
+        for other in copies:
+            assert not np.shares_memory(other.adam[name].buffer, state.adam[name].buffer)
+    for s in [state, *copies]:
+        trainer.train_session(s, *plan.training_arrays(2), cfg)
+    assert _state_bytes(copies[0]) == _state_bytes(state)
+    assert _state_bytes(copies[1]) == _state_bytes(state)
 
 
 def _before_run_from(monkeypatch, hook):
