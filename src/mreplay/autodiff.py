@@ -17,17 +17,24 @@ Two kinds of tensor start a tape:
 
 The primitives are ``matmul``, ``linear`` (``x @ w`` plus a bias row on
 every row), ``add``, ``scale``, ``mul``, ``relu``, ``softplus`` and
-``sq_error``. ``graph_loss`` is the whole graph regularizer as one node; it
-repeats the arithmetic of the composition it replaced, which the tests keep
-as its reference, so its value and gradients equal that one's bit for bit.
+``sq_error``. A training step records few of them: each chain of them it
+used to record is one fused node, which repeats the chain's arithmetic in
+order, so its value and gradients equal the chain's bit for bit; the tests
+keep each chain as its node's reference. The fused nodes are ``mlp`` (a
+chain of ``linear`` layers with ReLUs between), ``sampled_score`` (a ReLU
+trunk, a mean head and a ``softplus`` std head, and ``mean + eps * std``),
+``scaled_sq_error`` (a loss), ``weighted_sum`` (the total loss) and
+``graph_loss`` (the whole graph regularizer). ReLU runs in place, without
+a branch per entry.
 
 Adam keeps a component's parameters in one flat float64 buffer:
 ``adam_init`` copies them into it in dict order, binds each value as a view
 into it (``adam_bind``), and adds flat first and second moment buffers of
-the same length. ``adam_step`` updates the whole buffer with a few
-vectorised numpy operations, in place and elementwise as a per-parameter
-loop would, so parameters must be changed (or loaded) by writing into their
-values, never by rebinding them; a step refuses one that is no longer a view.
+the same length. ``adam_step`` gathers the gradients into one scratch array
+and updates the buffer and both moments in place, one numpy operation at a
+time and elementwise as a per-parameter loop would, so parameters must be
+changed (or loaded) by writing into their values, never by rebinding them;
+a step refuses one that is no longer a view.
 A deep copy or a pickle round trip of the arrays does not keep the views;
 ``adam_bind`` restores them over a buffer of the copy's own, as
 ``trainer.TrainState`` does when it is copied or unpickled.
@@ -136,12 +143,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.value @ b.value, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus the 1 x m bias row ``b`` on every row, as one node."""
-    if x.cols != w.rows:
-        raise ShapeError(f"linear mismatch: {x.shape} @ {w.shape}")
+def _check_linear(shape: tuple, w: Tensor, b: Tensor) -> None:
+    if shape[1] != w.rows:
+        raise ShapeError(f"linear mismatch: {shape} @ {w.shape}")
     if b.shape != (1, w.cols):
         raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.cols} row")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus the 1 x m bias row ``b`` on every row, as one node."""
+    _check_linear(x.shape, w, b)
 
     def bwd(g, grads):
         if b.needs_grad:
@@ -191,27 +202,40 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.value * b.value, (a, b), bwd)
 
 
+def _relu(h: np.ndarray) -> np.ndarray:
+    # max(h, 0) in place, without a branch per entry (np.where(h > 0, h,
+    # 0.0) mispredicts on mixed signs); maximum may return either of two
+    # equal zeros, and adding 0.0 makes a -0.0 the 0.0 that np.where gives
+    np.maximum(h, 0.0, out=h)
+    h += 0.0
+    return h
+
+
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    mask = a.value > 0.0
+    out = _relu(a.value.copy())
 
     def bwd(g, grads):
-        _acc(grads, a, g * mask)
+        _acc(grads, a, g * (out > 0.0))
 
-    return _node(np.where(mask, a.value, 0.0), (a,), bwd)
+    return _node(out, (a,), bwd)
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives sig = 0, the limit
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
-    x = a.value
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
     def bwd(g, grads):
-        with np.errstate(over="ignore"):  # exp(-x) = inf gives sig = 0, the limit
-            sig = 1.0 / (1.0 + np.exp(-x))
-        _acc(grads, a, g * sig)
+        _acc(grads, a, g * _sigmoid(a.value))
 
-    return _node(out, (a,), bwd)
+    return _node(_softplus(a.value), (a,), bwd)
 
 
 def sq_error(a: Tensor, b: Tensor) -> Tensor:
@@ -230,6 +254,168 @@ def sq_error(a: Tensor, b: Tensor) -> Tensor:
     return _node([[(diff * diff).sum()]], (a, b), bwd)
 
 
+# ------------------------------------------------------------- fused nodes
+#
+# Each node below replaces a chain of the primitives above. A chain without
+# fan-out inside leaves the tape's order of work unchanged when it becomes
+# one node, so each repeats the chain's numpy operations in order, and its
+# value and gradients equal the chain's bit for bit. Each keeps the shape
+# checks of the primitives it replaces and the finiteness check of every
+# value they wrapped in a tensor, except a ReLU output, which is finite
+# when its input is.
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("non-finite entries in tensor")
+    return arr
+
+
+def _chain(x: Tensor, layers, output_relu: bool) -> list[np.ndarray]:
+    """An MLP chain's values: its input, then each layer's output, after its
+    ReLU, which runs between layers and, with ``output_relu``, after the
+    last one."""
+    acts = [x.value]
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        _check_linear(acts[-1].shape, w, b)
+        h = acts[-1] @ w.value + b.value
+        acts.append(_relu(_finite(h)) if i < last or output_relu else h)
+    return acts
+
+
+def _chain_bwd(g, grads, x: Tensor, layers, acts, output_relu: bool) -> None:
+    """``backward`` through ``_chain``'s layers, from the gradient ``g`` of
+    its output, in the order the composed nodes would run."""
+    live = [x.needs_grad]  # whether each layer's input needs a gradient
+    for w, b in layers:
+        live.append(live[-1] or w.needs_grad or b.needs_grad)
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        w, b = layers[i]
+        if i < last or output_relu:
+            g = g * (acts[i + 1] > 0.0)
+        if b.needs_grad:
+            _acc(grads, b, g.sum(axis=0, keepdims=True))
+        gx = g @ w.value.T if live[i] else None
+        if i == 0 and live[0]:
+            _acc(grads, x, gx)
+        if w.needs_grad:
+            _acc(grads, w, acts[i].T @ g)
+        if gx is None:
+            return
+        g = gx
+
+
+def _params(layers) -> tuple:
+    # parents in the order the composed chain's depth-first walk meets them
+    return tuple(p for layer in layers for p in layer)
+
+
+def mlp(x: Tensor, layers, output_relu: bool = False) -> Tensor:
+    """A chain of ``linear`` layers, given as (weight, bias) pairs, with a
+    ``relu`` between each two and, with ``output_relu``, after the last,
+    as one node."""
+    acts = _chain(x, layers, output_relu)
+
+    def bwd(g, grads):
+        _chain_bwd(g, grads, x, layers, acts, output_relu)
+
+    return _node(acts[-1], (x, *_params(layers)), bwd)
+
+
+def sampled_score(x: Tensor, layers, mean_head, std_head, eps=None):
+    """A score column sampled over a ReLU trunk, as one node, with its mean
+    and std columns as arrays.
+
+    The trunk is ``mlp(x, layers, output_relu=True)``. The mean is one
+    ``linear`` head on it, the std ``softplus`` of another, and the sample
+    ``mean + eps * std``; with ``eps`` None the node is the mean itself."""
+    (wm, bm), (ws, bs) = mean_head, std_head
+    acts = _chain(x, layers, True)
+    trunk = acts[-1]
+    _check_linear(trunk.shape, wm, bm)
+    _check_linear(trunk.shape, ws, bs)
+    mean = trunk @ wm.value + bm.value
+    pre = _finite(trunk @ ws.value + bs.value)
+    std = _finite(_softplus(pre))
+    if eps is None:
+        out = mean
+    else:
+        if eps.shape != std.shape:
+            raise ShapeError(f"mul mismatch: {eps.shape} * {std.shape}")
+        noise = _finite(_finite(eps) * std)
+        if mean.shape != noise.shape:
+            raise ShapeError(f"add mismatch: {mean.shape} + {noise.shape}")
+        out = _finite(mean) + noise
+    inputs = (x, *_params(layers))
+    trunk_live = any(t.needs_grad for t in inputs)
+
+    def bwd(g, grads):
+        gt = None
+        if bm.needs_grad:
+            _acc(grads, bm, g.sum(axis=0, keepdims=True))
+        if trunk_live:
+            gt = g @ wm.value.T
+        if wm.needs_grad:
+            _acc(grads, wm, trunk.T @ g)
+        if eps is not None:
+            gs = (g * eps) * _sigmoid(pre)
+            if bs.needs_grad:
+                _acc(grads, bs, gs.sum(axis=0, keepdims=True))
+            if trunk_live:
+                gt = gt + gs @ ws.value.T
+            if ws.needs_grad:
+                _acc(grads, ws, trunk.T @ gs)
+        if trunk_live:
+            _chain_bwd(gt, grads, x, layers, acts, True)
+
+    parents = (wm, bm, *inputs) + (() if eps is None else (ws, bs))
+    return _node(out, parents, bwd), mean, std
+
+
+def scaled_sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
+    """``scale(sq_error(a, b), c)`` as one node."""
+    if a.shape != b.shape:
+        raise ShapeError(f"sq_error mismatch: {a.shape} vs {b.shape}")
+    c = float(c)
+    if not np.isfinite(c):
+        raise NonFiniteError(f"scale factor must be finite, got {c}")
+    diff = a.value - b.value
+    total = _finite((diff * diff).sum())
+
+    def bwd(g, grads):
+        d = 2.0 * (c * g[0, 0]) * diff
+        if a.needs_grad:
+            _acc(grads, a, d)
+        if b.needs_grad:
+            _acc(grads, b, -d)
+
+    return _node([[c * total]], (a, b), bwd)
+
+
+def weighted_sum(terms) -> Tensor:
+    """``add`` over (tensor, weight) pairs, left to right, each tensor first
+    ``scale``d by its weight unless that is None, as one node."""
+    weights = [None if c is None else float(c) for _, c in terms]
+    for c in weights:
+        if c is not None and not np.isfinite(c):
+            raise NonFiniteError(f"scale factor must be finite, got {c}")
+    first, c = terms[0][0], weights[0]
+    total = first.value if c is None else _finite(c * first.value)
+    for (t, _), c in zip(terms[1:], weights[1:]):
+        if t.shape != first.shape:
+            raise ShapeError(f"add mismatch: {first.shape} + {t.shape}")
+        total = _finite(total + (t.value if c is None else _finite(c * t.value)))
+
+    def bwd(g, grads):
+        for (t, _), c in zip(terms, weights):
+            if t.needs_grad:
+                _acc(grads, t, g if c is None else c * g)
+
+    return _node(total, tuple(t for t, _ in terms), bwd)
+
+
 def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax and row log-softmax of ``a``, both from one shift."""
     shift = a - a.max(axis=1, keepdims=True)
@@ -238,20 +424,32 @@ def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / z, shift - np.log(z)
 
 
-def _row_term(p: np.ndarray, q: np.ndarray, use_mse: bool, reverse_kl: bool):
-    """One row loss between the angle block ``p`` and the gap block ``q``:
-    its value, and a map from the loss's 1 x 1 gradient to ``p``'s."""
+def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
+               reverse_kl: bool):
+    """Row losses between the angle columns ``p`` and the gap columns ``q``,
+    one per block of rows ``cuts[i]:cuts[i + 1]``: each block's value, and a
+    map from the loss's 1 x 1 gradient to ``p``'s. Each block's value sums a
+    contiguous row slice and every reduction runs along rows, so each equals
+    the loss of its block on its own, bit for bit."""
+    blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if use_mse:
         diff = p - q
-        c = 1.0 / p.size
-        return c * (diff * diff).sum(), lambda g: 2.0 * (c * g[0, 0]) * diff
-    c = 1.0 / p.shape[0]
-    probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
-    _, lq = _softmax(p if reverse_kl else q)
-    diff = lp - lq
+        terms = diff * diff
+        scales = [1.0 / ((r.stop - r.start) * p.shape[1]) for r in blocks]
+    else:
+        probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
+        _, lq = _softmax(p if reverse_kl else q)
+        diff = lp - lq
+        terms = probs * diff
+        scales = [1.0 / (r.stop - r.start) for r in blocks]
+    values = [c * terms[r].sum() for c, r in zip(scales, blocks)]
 
     def back(g):
-        k = c * g[0, 0]
+        k = np.empty((p.shape[0], 1))  # each row's block scale times g
+        for c, r in zip(scales, blocks):
+            k[r] = c * g[0, 0]
+        if use_mse:
+            return 2.0 * k * diff
         if reverse_kl:  # only the second log-softmax depends on p
             gq = -(k * probs)
             return gq - np.exp(lq) * gq.sum(axis=1, keepdims=True)
@@ -260,7 +458,7 @@ def _row_term(p: np.ndarray, q: np.ndarray, use_mse: bool, reverse_kl: bool):
         gl = k * probs
         return gs + (gl - np.exp(lp) * gl.sum(axis=1, keepdims=True))
 
-    return c * (probs * diff).sum(), back
+    return values, back
 
 
 def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
@@ -272,8 +470,10 @@ def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
     softmax(gaps)) on one block, reversed by ``reverse_kl``, or with
     ``use_mse`` the mean squared difference: the whole n x n matrix if
     ``joint``, then the old/old, old/new, new/old and new/new blocks if
-    ``intra_inter``. Every sum runs in the composed tape's order, so the
-    value and gradients equal the composition's bit for bit.
+    ``intra_inter``. The four blocks are computed as two column groups, old
+    columns and new columns, each split into old rows and new rows. Every
+    sum runs in the composed tape's order, so the value and gradients equal
+    the composition's bit for bit.
     """
     if old.cols != new.cols:
         raise ShapeError(f"graph_loss mismatch: {old.shape} over {new.shape}")
@@ -291,19 +491,27 @@ def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
     x = np.clip(cos, lo, hi)
     inside = (cos >= lo) & (cos <= hi)
     angles = np.arccos(x)
-    halves = (slice(0, b1), slice(b1, n))
-    blocks = [(slice(0, n), slice(0, n))] if joint else []
+    values = []
+    if joint:
+        values, back_joint = _row_terms(angles, gaps, (0, n), use_mse, reverse_kl)
     if intra_inter:
-        blocks += [(r, c) for r in halves for c in halves]
-    values, backs = zip(*[_row_term(angles[r, c].copy(), gaps[r, c], use_mse, reverse_kl)
-                          for r, c in blocks])
+        halves = (slice(0, b1), slice(b1, n))
+        (oo, no), back_old = _row_terms(angles[:, halves[0]].copy(), gaps[:, halves[0]],
+                                        (0, b1, n), use_mse, reverse_kl)
+        (on, nn), back_new = _row_terms(angles[:, halves[1]].copy(), gaps[:, halves[1]],
+                                        (0, b1, n), use_mse, reverse_kl)
+        values += [oo, on, no, nn]
 
     def bwd(g, grads):
-        pads = []
-        for (r, c), back in zip(blocks, backs):
-            pads.append(np.zeros_like(angles))
-            pads[-1][r, c] = back(g)
-        ga = sum(pads[1:], pads[0]) * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
+        # the composed tape summed one zero-padded n x n gradient per term;
+        # adding 0.0 after the quadrants repeats its signed zeros
+        ga = back_joint(g) if joint else None
+        if intra_inter:
+            quad = np.empty_like(angles)
+            quad[:, halves[0]] = back_old(g)
+            quad[:, halves[1]] = back_new(g)
+            ga = (quad if ga is None else ga + quad) + 0.0
+        ga = ga * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
         ga = ga @ hnt.T + (hn.T @ ga).T
         ga = (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
         if old.needs_grad:
@@ -444,8 +652,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
     """One Adam update of the parameters that have a gradient, in place.
     Decay is added to the gradient before the moment updates. A non-finite
-    gradient aborts the step untouched."""
-    flat = np.empty_like(state.buffer)
+    gradient aborts the step untouched. The gradients are gathered into one
+    scratch array, which with a second row holds every intermediate, and
+    the buffer and moments are updated in place."""
+    flat, tmp = np.empty((2, state.buffer.size))
     have = []
     for name, p in params.items():
         g = grads.get(name)
@@ -461,12 +671,14 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         flat[lo:hi] = g.reshape(-1)
         have.append((lo, hi))
     if len(have) == len(state.spans):
-        sel = slice(None)
+        sel = None
+        g, buf, m, v = flat, state.buffer, state.m, state.v
     else:
         sel = np.zeros(flat.size, dtype=bool)
         for lo, hi in have:
             sel[lo:hi] = True
-    g = flat[sel]
+        g, buf, m, v = flat[sel], state.buffer[sel], state.m[sel], state.v[sel]
+        tmp = tmp[:g.size]
     if not np.isfinite(g).all():
         bad = next(name for name in params
                    if name in grads and not np.isfinite(grads[name]).all())
@@ -474,8 +686,20 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     t = state.step_count + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
-    g = g + state.weight_decay * state.buffer[sel]
-    m = state.m[sel] = state.beta1 * state.m[sel] + (1 - state.beta1) * g
-    v = state.v[sel] = state.beta2 * state.v[sel] + (1 - state.beta2) * g * g
-    state.buffer[sel] -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    # each line repeats one operation of, in order:
+    # g = g + wd * buf; m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g
+    # buf -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    g += np.multiply(buf, state.weight_decay, out=tmp)
+    m *= state.beta1
+    m += np.multiply(g, 1 - state.beta1, out=tmp)
+    v *= state.beta2
+    np.multiply(g, 1 - state.beta2, out=tmp)
+    v += np.multiply(tmp, g, out=tmp)
+    np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
+    tmp += state.eps
+    np.divide(m, c1, out=g)
+    g *= state.lr
+    buf -= np.divide(g, tmp, out=g)
+    if sel is not None:
+        state.buffer[sel], state.m[sel], state.v[sel] = buf, m, v
     state.step_count = t

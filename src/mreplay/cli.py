@@ -140,7 +140,13 @@ def split_manifest(plan: SessionPlan, seed: int) -> dict:
 
 
 def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
-    version = manifest.get("format_version")
+    def kind(value, want: type, what: str):
+        if not isinstance(value, want):
+            raise ValueError(f"split manifest {what} is {type(value).__name__!r}, "
+                             f"not {'an object' if want is dict else 'a list'}")
+        return value
+
+    version = kind(manifest, dict, "root").get("format_version")
     if version != SPLIT_FORMAT_VERSION:
         raise ValueError(f"split manifest format {version!r} does not match "
                          f"supported version {SPLIT_FORMAT_VERSION}")
@@ -150,7 +156,8 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
             raise ValueError(f"{where} lacks the field {key!r}")
         return d[key]
 
-    shots, entries = need(manifest, "shots"), need(manifest, "sessions")
+    shots = need(manifest, "shots")
+    entries = kind(need(manifest, "sessions"), list, "field 'sessions'")
     if need(manifest, "T") != len(entries):
         raise ValueError(f"split manifest field 'T' is {manifest['T']!r} "
                          f"but it lists {len(entries)} sessions")
@@ -160,7 +167,7 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
 
     def grab(ids):
         for sid in ids:
-            if sid not in by_id:
+            if not isinstance(sid, str) or sid not in by_id:
                 raise ValueError(f"split manifest references unknown id {sid!r}")
             if sid in seen:
                 raise ValueError(f"split manifest reuses id {sid!r}")
@@ -169,11 +176,14 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
 
     for t, entry in enumerate(entries, start=1):
         where = f"split manifest session entry {t}"
+        kind(entry, dict, f"session entry {t}")
         if need(entry, "session", where) != t:
             raise ValueError(f"{where} has the field 'session' "
                              f"{entry['session']!r}, not {t}")
-        sessions.append(SessionSplit(session=t, train=grab(need(entry, "train", where)),
-                                     held_out=grab(need(entry, "held_out", where))))
+        train, held_out = (kind(need(entry, field, where), list,
+                                f"session entry {t} field {field!r}")
+                           for field in ("train", "held_out"))
+        sessions.append(SessionSplit(session=t, train=grab(train), held_out=grab(held_out)))
     return SessionPlan(sessions=tuple(sessions), shots=shots,
                        input_width=dataset.input_width,
                        score_range=dataset.score_range,
@@ -191,6 +201,9 @@ def _build_plan(dataset: Dataset, data_cfg: DataConfig, split_path: str | None,
         manifest = split_manifest(plan, split_seed)
     if data_cfg.label_noise > 0:
         plan = inject_label_noise(plan, data_cfg.label_noise, split_seed)
+    for t in range(1, plan.n_sessions + 1):
+        if not plan.training_arrays(t)[2]:
+            raise ValueError(f"session {t} has no training samples")
     return plan, manifest
 
 
@@ -239,8 +252,8 @@ def _results_rows(result: RunResult) -> list[list]:
 
 def _run_and_write(run_dir: Path, dataset: Dataset, data_cfg: DataConfig,
                    train_cfg: TrainConfig, split_path: str | None) -> RunResult:
-    run_dir.mkdir(parents=True, exist_ok=True)
     plan, manifest = _build_plan(dataset, data_cfg, split_path, train_cfg.seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
     save_csv(dataset, run_dir / "dataset.csv")
     _write_json(run_dir / "split.json", manifest)
     plan_norm, scaler = normalize_scores(plan)

@@ -137,7 +137,8 @@ class SessionPlan:
     def memo(self) -> dict:
         """Scratch space for work that depends on the plan, kept for the
         plan's lifetime: ``trainer`` keeps each key's trained first session
-        here. A ``replace``d plan starts with an empty one."""
+        and the ranks of the test truths here. A ``replace``d plan starts
+        with an empty one."""
         return {}
 
     @property

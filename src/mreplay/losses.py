@@ -14,7 +14,9 @@ within each block. S is data; from the stacked features to the summed
 terms, the regularizer is the one tape node ``autodiff.graph_loss``.
 
 Every feature or prediction argument is a ``Tensor``; scores and targets
-are arrays.
+are arrays. Each loss is one tape node: the two squared-error losses are
+``autodiff.scaled_sq_error`` nodes, and ``total_loss`` is one
+``autodiff.weighted_sum`` node over the active terms.
 """
 from __future__ import annotations
 
@@ -30,12 +32,12 @@ def regression_loss(predicted: Tensor, target) -> Tensor:
     t = np.asarray(target, dtype=np.float64)
     if t.ndim == 1:
         t = t.reshape(-1, 1)
-    return ad.scale(ad.sq_error(predicted, ad.const(t)), 1.0 / predicted.rows)
+    return ad.scaled_sq_error(predicted, ad.const(t), 1.0 / predicted.rows)
 
 
 def projector_loss(actual: Tensor, projected: Tensor) -> Tensor:
     """Mean over rows of the squared L2 distance between matching rows."""
-    return ad.scale(ad.sq_error(actual, projected), 1.0 / actual.rows)
+    return ad.scaled_sq_error(actual, projected, 1.0 / actual.rows)
 
 
 def score_distance_matrix(scores, signed: bool = True) -> np.ndarray:
@@ -83,11 +85,6 @@ def total_loss(l_d: Tensor, l_m: Tensor | None = None, l_p: Tensor | None = None
             raise ad.ShapeError(f"{what} loss must be 1x1, got {term.shape}")
         if not np.isfinite(term.value[0, 0]):
             raise ad.NonFiniteError(f"non-finite {what} loss")
-    total = l_d
-    if l_m is not None:
-        total = ad.add(total, l_m)
-    if l_p is not None:
-        total = ad.add(total, ad.scale(l_p, lambda_p))
-    if l_r is not None:
-        total = ad.add(total, ad.scale(l_r, lambda_r))
-    return total
+    terms = [(t, c) for t, c in ((l_d, None), (l_m, None), (l_p, lambda_p),
+                                 (l_r, lambda_r)) if t is not None]
+    return l_d if len(terms) == 1 else ad.weighted_sum(terms)

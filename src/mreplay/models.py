@@ -13,9 +13,10 @@ constants keyed like the encoder's own weights, so ``encode(frozen=True)``
 runs the same forward pass on it; on constant inputs that pass records
 nothing for ``backward``, and no gradient reaches the live encoder.
 
-Each layer is one fused ``linear`` node. The trainable weights of a
-component become views into one flat buffer when its optimizer state is
-made, so they are updated, and loaded, in place.
+Each MLP pass is one fused ``autodiff.mlp`` node, and a sampled score
+(trunk, both heads and the noise) one ``autodiff.sampled_score`` node. The
+trainable weights of a component become views into one flat buffer when
+its optimizer state is made, so they are updated, and loaded, in place.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head, and ``predict``
@@ -130,14 +131,8 @@ def init_bundle(spec: BundleSpec, seed: int) -> ModelBundle:
                        regressor=regressor)
 
 
-def _mlp_forward(params: dict[str, Tensor], prefix: str, n_layers: int, x: Tensor,
-                 output_relu: bool = False) -> Tensor:
-    h = x
-    for i in range(n_layers):
-        h = ad.linear(h, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
-        if i < n_layers - 1 or output_relu:
-            h = ad.relu(h)
-    return h
+def _layers(params: dict[str, Tensor], prefix: str, n_layers: int) -> list[tuple]:
+    return [(params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]) for i in range(n_layers)]
 
 
 def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
@@ -156,7 +151,7 @@ def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
         if bundle.frozen_encoder is None:
             raise ValueError("no frozen encoder copy; call freeze_copy first")
         params = bundle.frozen_encoder
-    return _mlp_forward(params, "encoder", bundle.spec.encoder.n_layers, x)
+    return ad.mlp(x, _layers(params, "encoder", bundle.spec.encoder.n_layers))
 
 
 def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
@@ -164,41 +159,41 @@ def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
     if h.cols != bundle.spec.feature_width:
         raise ad.ShapeError(f"feature width {h.cols} does not match "
                             f"bundle feature width {bundle.spec.feature_width}")
-    p = _mlp_forward(bundle.projector, "projector", bundle.spec.projector.n_layers, h)
+    p = ad.mlp(h, _layers(bundle.projector, "projector", bundle.spec.projector.n_layers))
     if residual:
         return ad.add(h, p)
     return p
 
 
-def _trunk_and_mean(bundle: ModelBundle, h: Tensor) -> tuple[Tensor, Tensor]:
-    trunk = _mlp_forward(bundle.regressor, "regressor", bundle.spec.trunk.n_layers,
-                         h, output_relu=True)
-    params = bundle.regressor
-    return trunk, ad.linear(trunk, params["regressor.mean.w0"], params["regressor.mean.b0"])
+def _trunk(bundle: ModelBundle) -> list[tuple]:
+    return _layers(bundle.regressor, "regressor", bundle.spec.trunk.n_layers)
+
+
+def _head(bundle: ModelBundle, name: str) -> tuple:
+    return _layers(bundle.regressor, f"regressor.{name}", 1)[0]
 
 
 def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, Tensor]:
     """Score a feature batch; returns (mean, std, sample) column tensors.
 
     ``eps`` is an n x 1 array of noise draws; None means zeros, in which
-    case the sampled score equals the mean exactly.
+    case the sampled score is the mean exactly. The sample is one tape node
+    and the only one of the three with a backward path; the mean and std
+    come back as constants, unless the sample is the mean.
     """
-    trunk, mean = _trunk_and_mean(bundle, h)
-    params = bundle.regressor
-    std = ad.softplus(ad.linear(trunk, params["regressor.std.w0"],
-                                params["regressor.std.b0"]))
-    if eps is None:
-        return mean, std, mean
-    e = np.asarray(eps, dtype=np.float64)
-    if e.shape != (h.rows, 1):
-        raise ad.ShapeError(f"eps shape {e.shape} does not match batch ({h.rows}, 1)")
-    sample = ad.add(mean, ad.mul(ad.const(e), std))
-    return mean, std, sample
+    if eps is not None:
+        eps = np.asarray(eps, dtype=np.float64)
+        if eps.shape != (h.rows, 1):
+            raise ad.ShapeError(f"eps shape {eps.shape} does not match batch ({h.rows}, 1)")
+    sample, mean, std = ad.sampled_score(h, _trunk(bundle), _head(bundle, "mean"),
+                                         _head(bundle, "std"), eps)
+    return sample if eps is None else ad.const(mean), ad.const(std), sample
 
 
 def predict(bundle: ModelBundle, x) -> np.ndarray:
-    """Deterministic scores (eps = 0) for an input batch, as a flat array."""
-    _, mean = _trunk_and_mean(bundle, encode(bundle, ad.const(x)))
+    """Deterministic scores (eps = 0) for an input batch, as a flat array:
+    the trunk and the mean head as one chain, without the std head."""
+    mean = ad.mlp(encode(bundle, ad.const(x)), _trunk(bundle) + [_head(bundle, "mean")])
     return mean.value[:, 0].copy()
 
 

@@ -29,7 +29,9 @@ Until session 1 ends the bank is empty, so its epochs never read the
 ``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key and
 plan, the config as ``sequential-ft`` with those fields at their defaults,
 and keeps it in the plan's ``memo``, so later calls on the same plan reuse
-it; each config goes on from a copy of that state.
+it; each config goes on from a copy of that state. The memo also keeps the
+ranks of the test truths per scaler and ``held_out_only``, so every
+evaluation cell and pooled prefix ranks only its predictions.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
 ``run_many`` call trains all its keys' first sessions, then runs its
@@ -52,7 +54,7 @@ from . import autodiff as ad
 from . import losses as ls
 from . import memory as mem
 from .data import ScoreScaler, SessionPlan, config_from_dict
-from .metrics import EvalMatrix, rho_aft, rho_fwt, spearman
+from .metrics import EvalMatrix, centred_ranks, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, components, encode,
                      freeze_copy, init_bundle, make_rng, predict, project,
                      regress)
@@ -390,16 +392,18 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
         return plan.memo[scaler, key]
     T = plan.n_sessions
     state = new_state(key, plan.input_width, plan.feature_mode)
-    reference, first = {}, range(1, T + 1)  # joint: one pooled session
-    if key.method != "joint":
-        ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
-        reference = {t: spearman(*evaluate_on(
-            ref, *plan.test_arrays(t, key.held_out_only), scaler))
-            for t in range(2, T + 1)}
-        first = [1]
+    joint = key.method == "joint"
+    first = range(1, T + 1) if joint else [1]  # joint: one pooled session
     xs, ys, ids = zip(*map(plan.training_arrays, first))
     data = np.concatenate(xs), np.concatenate(ys), sum(ids, ())
     report = train_session(state, *data, key)
+    reference = {}
+    if not joint:  # ranked after training, so a failed session memoises nothing
+        ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
+        ranks = _truth_ranks(plan, scaler, key.held_out_only)[0]
+        reference = {t: spearman(*evaluate_on(
+            ref, *plan.test_arrays(t, key.held_out_only), scaler), ranks[t - 1])
+            for t in range(2, T + 1)}
     plan.memo[scaler, key] = state, reference, report, data
     return plan.memo[scaler, key]
 
@@ -506,16 +510,18 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     matrix = EvalMatrix(n_sessions=T)
     matrix.reference.update(reference)
     ho = config.held_out_only
+    cell_ranks, pooled_ranks = _truth_ranks(plan, scaler, ho)
 
     def eval_cell(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         truth, pred = evaluate_on(state.bundle, *plan.test_arrays(j, ho), scaler)
-        matrix.set_cell(i, j, spearman(truth, pred))
+        matrix.set_cell(i, j, spearman(truth, pred, cell_ranks[j - 1]))
         return truth, pred
 
     def eval_row(i: int) -> None:
         """Cells (i, 1..i) and their pooled correlation."""
         truths, preds = zip(*(eval_cell(i, j) for j in range(1, i + 1)))
-        matrix.pooled[i] = spearman(np.concatenate(truths), np.concatenate(preds))
+        matrix.pooled[i] = spearman(np.concatenate(truths), np.concatenate(preds),
+                                    pooled_ranks[i - 1])
 
     for t in [T] if joint else range(1, T + 1):
         if t > 1 and not joint:
@@ -532,6 +538,20 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     return RunResult(method=config.method, seed=config.seed, n_sessions=T,
                      matrix=matrix, reports=reports, summary=summary,
                      state=state)
+
+
+def _truth_ranks(plan: SessionPlan, scaler: ScoreScaler, held_out_only: bool) -> tuple:
+    """The centred ranks of each session's test truths, in score units, and
+    of each prefix 1..i of them pooled, as ``run_continual`` scores them:
+    ranked once per plan, scaler and ``held_out_only``, and kept in
+    ``plan.memo``."""
+    if (scaler, held_out_only) not in plan.memo:
+        truths = [scaler.denormalize(plan.test_arrays(t, held_out_only)[1])
+                  for t in range(1, plan.n_sessions + 1)]
+        plan.memo[scaler, held_out_only] = (
+            [centred_ranks(y) for y in truths],
+            [centred_ranks(np.concatenate(truths[:i])) for i in range(1, len(truths) + 1)])
+    return plan.memo[scaler, held_out_only]
 
 
 def _reference_seed(seed: int) -> int:

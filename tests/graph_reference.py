@@ -158,6 +158,23 @@ def _row_loss(p: Tensor, q: Tensor, use_mse: bool, reverse: bool) -> Tensor:
     return kl_row_divergence(p, q)
 
 
+def graph_loss(old: Tensor, new: Tensor, s: np.ndarray, *, joint: bool,
+               intra_inter: bool, use_mse: bool, reverse_kl: bool) -> Tensor:
+    """``autodiff.graph_loss`` composed: the terms over the n x n gap matrix
+    ``s``, summed in order."""
+    b1, n = old.rows, old.rows + new.rows
+    a = angular_distance_matrix(concat_rows(old, new))
+    terms = [_row_loss(a, ad.const(s), use_mse, reverse_kl)] if joint else []
+    if intra_inter:
+        for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
+            terms.append(_row_loss(slice_block(a, r0, r1, c0, c1),
+                                   ad.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
+
+
 def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
                    intra_inter: bool = True, use_mse: bool = False,
                    reverse_kl: bool = False, signed: bool = True) -> Tensor:
@@ -169,20 +186,12 @@ def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
     on. ``use_mse`` swaps the row KL for a plain mean squared error between
     raw distance entries.
     """
-    b1, n = old.rows, old.rows + new.rows
+    n = old.rows + new.rows
     y = np.asarray(scores, dtype=np.float64).reshape(-1)
     if y.size != n:
         raise ValueError(f"{y.size} scores for {n} rows")
     if not joint and not intra_inter:
         raise ValueError("graph regularizer with no joint and no block terms")
-    a = angular_distance_matrix(concat_rows(old, new))
-    s = losses.score_distance_matrix(y, signed=signed)
-    terms = [_row_loss(a, ad.const(s), use_mse, reverse_kl)] if joint else []
-    if intra_inter:
-        for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
-            terms.append(_row_loss(slice_block(a, r0, r1, c0, c1),
-                                   ad.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
-    total = terms[0]
-    for term in terms[1:]:
-        total = ad.add(total, term)
-    return total
+    return graph_loss(old, new, losses.score_distance_matrix(y, signed=signed),
+                      joint=joint, intra_inter=intra_inter, use_mse=use_mse,
+                      reverse_kl=reverse_kl)

@@ -99,6 +99,15 @@ MANIFEST_FAULTS = {
     "T_5_for_3": (lambda m: m.update(T=5), "field 'T' is 5 but it lists 3 sessions"),
     "numbered_3_1_2": (lambda m: _renumber(m, (3, 1, 2)),
                        "session entry 1 has the field 'session' 3, not 1"),
+    # one id where a list belongs used to be read as the list of its letters
+    "train_string": (lambda m: m["sessions"][1].update(train="s00012"),
+                     "session entry 2 field 'train' is 'str', not a list"),
+    "held_out_object": (lambda m: m["sessions"][0].update(held_out={"s00012": 1}),
+                        "session entry 1 field 'held_out' is 'dict', not a list"),
+    "sessions_object": (lambda m: m.update(sessions={}),
+                        "field 'sessions' is 'dict', not a list"),
+    "id_number": (lambda m: m["sessions"][2]["train"].append(12),
+                  "references unknown id 12"),
 }
 
 
@@ -115,7 +124,29 @@ def test_train_rejects_a_malformed_split_manifest(tmp_path, mini_config, capsys,
     assert cli.main(["train", "--config", mini_config, "--dataset", str(gen / "dataset.csv"),
                      "--split", str(bad), "--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == f"error: split manifest {message}\n"
-    assert not (tmp_path / "run" / "magr-seed0" / "split.json").exists()
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("fault", ["root_list", "empty_train"])
+def test_train_rejects_a_split_before_writing_anything(tmp_path, mini_config, capsys,
+                                                      fault):
+    # a manifest that is not an object, and one whose session 2 has nothing
+    # to train on: the whole plan is checked before the run directory exists
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
+    manifest = json.loads((gen / "split.json").read_text())
+    if fault == "root_list":
+        manifest, message = manifest["sessions"], "split manifest root is 'list', not an object"
+    else:
+        manifest["sessions"][1]["train"] = []
+        message = "session 2 has no training samples"
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["train", "--config", mini_config, "--dataset", str(gen / "dataset.csv"),
+                     "--split", str(bad), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_produces_full_artifact_set(tmp_path, mini_config, capsys):

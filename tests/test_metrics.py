@@ -77,6 +77,40 @@ def test_tied_ranks_and_spearman_match_oracle(pair):
         assert abs(metrics.spearman(x, y) - expected) < 1e-12
 
 
+def _unique_ranks(v):
+    # the tie-averaging ranks through np.unique, which every input took
+    # before the no-tie fast path
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(2, 2000), st.sampled_from(["distinct", "few", "zeros", "one_tie"]),
+       st.integers(0, 2**32 - 1))
+def test_rank_fast_path_equals_unique_ranks_as_bytes(n, kind, seed):
+    # distinct values take the fast path; any tie, -0.0 against 0.0
+    # included, falls back to np.unique
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n)
+    if kind == "few":
+        v = rng.choice([-2.5, -1.0, 0.0, 0.5, 3.0], size=n)
+    elif kind == "zeros":
+        v[rng.integers(0, n, size=2)] = [-0.0, 0.0]
+    elif kind == "one_tie":
+        v[rng.integers(0, n)] = v[rng.integers(0, n)]
+    assert metrics._fractional_ranks(v).tobytes() == _unique_ranks(v).tobytes()
+    assert metrics.centred_ranks(v).tobytes() == (_unique_ranks(v) - 0.5 * (n + 1)).tobytes()
+
+
+def test_spearman_with_given_truth_ranks_is_the_same_number():
+    rng = np.random.default_rng(9)
+    truth, pred = rng.normal(size=30), rng.normal(size=30)
+    ranks = metrics.centred_ranks(truth)
+    assert metrics.spearman(truth, pred, ranks) == metrics.spearman(truth, pred)
+    with pytest.raises(ValueError, match="truth ranks"):
+        metrics.spearman(truth, pred, ranks[:-1])
+
+
 def test_spearman_frozen_examples():
     assert metrics.spearman([1, 2, 3, 4], [2, 1, 3, 4]) == 0.8
     assert metrics.spearman([1, 2, 3], [10, 20, 30]) == 1.0

@@ -12,7 +12,7 @@ import pytest
 
 import mreplay.autodiff as ad
 from mreplay import data, trainer
-from mreplay.models import components, encode
+from mreplay.models import components, encode, freeze_copy
 
 SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
@@ -147,3 +147,27 @@ def test_frozen_encoder_pass_records_no_backward(monkeypatch):
     live = encode(state.bundle, ad.const(x[:3]))
     assert live.needs_grad and live._bwd is not None
     assert all(not p.needs_grad for p in state.bundle.frozen_encoder.values())
+
+
+def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
+    # one node per MLP chain (live encoder, frozen encoder, projector twice),
+    # per sampled score (twice), per loss (four), per residual add (twice)
+    # and for the weighted total. The composed tape made 40 here, one per
+    # primitive; a change that splits a fused node shows up in this count.
+    plan, _, cfg = _smoke()
+    state = trainer.new_state(cfg, plan.input_width)
+    trainer.train_session(state, *plan.training_arrays(1), cfg)
+    assert state.bank.size == cfg.m
+    freeze_copy(state.bundle)
+    calls = []
+    real_node = ad._node
+
+    def spy(value, parents, bwd):
+        calls.append(parents)
+        return real_node(value, parents, bwd)
+
+    monkeypatch.setattr(ad, "_node", spy)
+    x, y, _ = plan.training_arrays(2)
+    terms = trainer._train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
+    assert None not in terms.values()  # every term of a magr step is on
+    assert len(calls) == 13

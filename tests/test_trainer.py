@@ -639,7 +639,8 @@ def test_later_runs_on_a_plan_reuse_its_first_session(monkeypatch):
     trainer.run_continual(plan, scaler, _cfg(epochs=1))
     trainer.run_continual(plan, scaler, _cfg(epochs=1, method="replay-raw", m=2))
     assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft")]
-    assert len(plan.memo) == 1
+    # one trained first session, and one set of truth ranks
+    assert sorted(type(k[1]).__name__ for k in plan.memo) == ["TrainConfig", "bool"]
     # another scaler is another key; a fresh plan, or a replaced one, starts
     # with an empty memo
     del calls[:]
@@ -683,7 +684,8 @@ def test_pooled_runs_on_a_warmed_plan_match_fresh_runs(monkeypatch, workers):
     plan, scaler = _plan()
     configs = _three_configs()
     warm = trainer.run_continual(plan, scaler, configs[0])
-    (first, reference, report, arrays), = plan.memo.values()
+    (first, reference, report, arrays), = [
+        v for k, v in plan.memo.items() if isinstance(k[1], trainer.TrainConfig)]
 
     def memoised():
         return (_state_bytes(first), repr(reference), repr(report.step_terms),
