@@ -60,17 +60,11 @@ class NonFiniteError(ValueError):
 class Tensor:
     """A node of the tape: a 2-D float64 value plus backward plumbing."""
 
-    __slots__ = ("value", "name", "needs_grad", "_parents", "_bwd")
+    __slots__ = ("value", "grad", "name", "needs_grad", "_parents", "_bwd")
 
     def __init__(self, value, name=None, _parents=(), _bwd=None, needs_grad=True):
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ShapeError(f"tensor must be non-empty, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"non-finite entries in tensor{_at(name)}")
-        self.value = arr
+        self.value = checked(value, name)
+        self.grad = None  # a parameter's view into its optimizer's gradient
         self.name = name
         self.needs_grad = needs_grad
         self._parents = _parents
@@ -101,6 +95,19 @@ def _at(name):
     return f" {name!r}" if name else ""
 
 
+def checked(value, name=None) -> np.ndarray:
+    """``value`` as a tensor holds it: a non-empty, finite, 2-D float64
+    array."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ShapeError(f"tensor must be non-empty, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"non-finite entries in tensor{_at(name)}")
+    return arr
+
+
 def leaf(value, name=None) -> Tensor:
     """Wrap an array as a tape leaf, which ``backward`` gives a gradient."""
     return Tensor(value, name=name)
@@ -127,6 +134,19 @@ def _acc(grads: dict, t: Tensor, g: np.ndarray) -> None:
         grads[t] = g
 
 
+def _finite(arr):
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("non-finite entries in tensor")
+    return arr
+
+
+def _factor(c) -> float:
+    c = float(c)
+    if not np.isfinite(c):
+        raise NonFiniteError(f"scale factor must be finite, got {c}")
+    return c
+
+
 # ---------------------------------------------------------------- primitives
 
 
@@ -143,16 +163,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.value @ b.value, (a, b), bwd)
 
 
-def _check_linear(shape: tuple, w: Tensor, b: Tensor) -> None:
-    if shape[1] != w.rows:
+def _check_linear(shape: tuple, w: np.ndarray, b: np.ndarray) -> None:
+    if shape[1] != w.shape[0]:
         raise ShapeError(f"linear mismatch: {shape} @ {w.shape}")
-    if b.shape != (1, w.cols):
-        raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.cols} row")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.shape[1]} row")
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w`` plus the 1 x m bias row ``b`` on every row, as one node."""
-    _check_linear(x.shape, w, b)
+    _check_linear(x.shape, w.value, b.value)
 
     def bwd(g, grads):
         if b.needs_grad:
@@ -165,23 +185,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x.value @ w.value + b.value, (x, w, b), bwd)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a + b``, checked; its backward hands its gradient to both."""
     if a.shape != b.shape:
         raise ShapeError(f"add mismatch: {a.shape} + {b.shape}")
+    return _finite(a + b)
 
+
+def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g, grads):
         if a.needs_grad:
             _acc(grads, a, g)
         if b.needs_grad:
             _acc(grads, b, g)
 
-    return _node(a.value + b.value, (a, b), bwd)
+    return _node(add_fwd(a.value, b.value), (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    if not np.isfinite(c):
-        raise NonFiniteError(f"scale factor must be finite, got {c}")
+    c = _factor(c)
 
     def bwd(g, grads):
         _acc(grads, a, c * g)
@@ -263,52 +285,66 @@ def sq_error(a: Tensor, b: Tensor) -> Tensor:
 # checks of the primitives it replaces and the finiteness check of every
 # value they wrapped in a tensor, except a ReLU output, which is finite
 # when its input is.
+#
+# Each node is two array-level halves, which the training step also calls,
+# without a tape. ``<node>_fwd`` makes the checks and returns the value and
+# what the backward half needs. ``<node>_bwd`` adds each input's gradient
+# into that input's sink, or skips an input whose sink is None. A sink
+# starts at -0.0, the exact additive identity, so adding every contribution
+# with ``+=`` gives the bits of the tape, which keeps the first gradient and
+# adds later ones to it. A node hands its halves a fresh sink per input that
+# needs a gradient.
 
 
-def _finite(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError("non-finite entries in tensor")
-    return arr
+def _sinks(inputs) -> list:
+    return [np.full(t.value.shape, -0.0) if t.needs_grad else None for t in inputs]
 
 
-def _chain(x: Tensor, layers, output_relu: bool) -> list[np.ndarray]:
+def _drain(grads: dict, inputs, sinks) -> None:
+    for t, s in zip(inputs, sinks):
+        if s is not None:
+            _acc(grads, t, s)
+
+
+def mlp_fwd(x: np.ndarray, params, output_relu: bool = False) -> list[np.ndarray]:
     """An MLP chain's values: its input, then each layer's output, after its
     ReLU, which runs between layers and, with ``output_relu``, after the
-    last one."""
-    acts = [x.value]
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
+    last one. ``params`` holds each layer's weight, then its bias."""
+    acts = [x]
+    last = len(params) // 2 - 1
+    for i in range(last + 1):
+        w, b = params[2 * i], params[2 * i + 1]
         _check_linear(acts[-1].shape, w, b)
-        h = acts[-1] @ w.value + b.value
-        acts.append(_relu(_finite(h)) if i < last or output_relu else h)
+        h = _finite(acts[-1] @ w + b)
+        acts.append(_relu(h) if i < last or output_relu else h)
     return acts
 
 
-def _chain_bwd(g, grads, x: Tensor, layers, acts, output_relu: bool) -> None:
-    """``backward`` through ``_chain``'s layers, from the gradient ``g`` of
-    its output, in the order the composed nodes would run."""
-    live = [x.needs_grad]  # whether each layer's input needs a gradient
-    for w, b in layers:
-        live.append(live[-1] or w.needs_grad or b.needs_grad)
-    last = len(layers) - 1
-    for i in range(last, -1, -1):
-        w, b = layers[i]
-        if i < last or output_relu:
+def mlp_bwd(g, params, acts, output_relu: bool, sinks, x_sink=None) -> None:
+    """``mlp_fwd``'s backward from its output's gradient ``g``, with one sink
+    per parameter and ``x_sink`` for the input, in the order the composed
+    nodes would run."""
+    n = len(params) // 2
+    live = [x_sink is not None]  # whether each layer's input needs a gradient
+    for i in range(n):
+        live.append(live[-1] or sinks[2 * i] is not None or sinks[2 * i + 1] is not None)
+    for i in range(n - 1, -1, -1):
+        gw, gb = sinks[2 * i], sinks[2 * i + 1]
+        if i < n - 1 or output_relu:
             g = g * (acts[i + 1] > 0.0)
-        if b.needs_grad:
-            _acc(grads, b, g.sum(axis=0, keepdims=True))
-        gx = g @ w.value.T if live[i] else None
+        if gb is not None:
+            gb += g.sum(axis=0, keepdims=True)
+        gx = g @ params[2 * i].T if live[i] else None
         if i == 0 and live[0]:
-            _acc(grads, x, gx)
-        if w.needs_grad:
-            _acc(grads, w, acts[i].T @ g)
+            x_sink += gx
+        if gw is not None:
+            gw += acts[i].T @ g
         if gx is None:
             return
         g = gx
 
 
 def _params(layers) -> tuple:
-    # parents in the order the composed chain's depth-first walk meets them
     return tuple(p for layer in layers for p in layer)
 
 
@@ -316,102 +352,148 @@ def mlp(x: Tensor, layers, output_relu: bool = False) -> Tensor:
     """A chain of ``linear`` layers, given as (weight, bias) pairs, with a
     ``relu`` between each two and, with ``output_relu``, after the last,
     as one node."""
-    acts = _chain(x, layers, output_relu)
+    inputs = (x, *_params(layers))
+    values = [p.value for p in inputs[1:]]
+    acts = mlp_fwd(x.value, values, output_relu)
 
     def bwd(g, grads):
-        _chain_bwd(g, grads, x, layers, acts, output_relu)
+        sinks = _sinks(inputs)
+        mlp_bwd(g, values, acts, output_relu, sinks[1:], sinks[0])
+        _drain(grads, inputs, sinks)
 
-    return _node(acts[-1], (x, *_params(layers)), bwd)
+    return _node(acts[-1], inputs, bwd)
 
 
-def sampled_score(x: Tensor, layers, mean_head, std_head, eps=None):
-    """A score column sampled over a ReLU trunk, as one node, with its mean
-    and std columns as arrays.
-
-    The trunk is ``mlp(x, layers, output_relu=True)``. The mean is one
-    ``linear`` head on it, the std ``softplus`` of another, and the sample
-    ``mean + eps * std``; with ``eps`` None the node is the mean itself."""
-    (wm, bm), (ws, bs) = mean_head, std_head
-    acts = _chain(x, layers, True)
+def score_fwd(x: np.ndarray, params, eps=None):
+    """A score column sampled over a ReLU trunk. ``params`` holds the trunk's
+    layers as ``mlp_fwd`` takes them, then the mean head's weight and bias,
+    then the std head's. The mean is the mean head on the trunk, the std
+    softplus of the std head, and the sample ``mean + eps * std``, or the
+    mean with ``eps`` None. Returns the sample, mean, std, and the context
+    of ``score_bwd``."""
+    wm, bm, ws, bs = params[-4:]
+    acts = mlp_fwd(x, params[:-4], True)
     trunk = acts[-1]
     _check_linear(trunk.shape, wm, bm)
     _check_linear(trunk.shape, ws, bs)
-    mean = trunk @ wm.value + bm.value
-    pre = _finite(trunk @ ws.value + bs.value)
+    mean = trunk @ wm + bm
+    pre = _finite(trunk @ ws + bs)
     std = _finite(_softplus(pre))
     if eps is None:
-        out = mean
-    else:
-        if eps.shape != std.shape:
-            raise ShapeError(f"mul mismatch: {eps.shape} * {std.shape}")
-        noise = _finite(_finite(eps) * std)
-        if mean.shape != noise.shape:
-            raise ShapeError(f"add mismatch: {mean.shape} + {noise.shape}")
-        out = _finite(mean) + noise
-    inputs = (x, *_params(layers))
-    trunk_live = any(t.needs_grad for t in inputs)
+        return _finite(mean), mean, std, (acts, pre)
+    if eps.shape != std.shape:
+        raise ShapeError(f"mul mismatch: {eps.shape} * {std.shape}")
+    noise = _finite(_finite(eps) * std)
+    if mean.shape != noise.shape:
+        raise ShapeError(f"add mismatch: {mean.shape} + {noise.shape}")
+    return _finite(_finite(mean) + noise), mean, std, (acts, pre)
+
+
+def score_bwd(g, params, eps, ctx, sinks, x_sink=None) -> None:
+    """``score_fwd``'s backward from the sample's gradient ``g``, with one
+    sink per parameter and ``x_sink`` for the input. Without ``eps`` the std
+    head gets nothing."""
+    acts, pre = ctx
+    trunk = acts[-1]
+    wm, _, ws, _ = params[-4:]
+    gwm, gbm, gws, gbs = sinks[-4:]
+    trunk_live = x_sink is not None or any(s is not None for s in sinks[:-4])
+    gt = None
+    if gbm is not None:
+        gbm += g.sum(axis=0, keepdims=True)
+    if trunk_live:
+        gt = g @ wm.T
+    if gwm is not None:
+        gwm += trunk.T @ g
+    if eps is not None:
+        gs = (g * eps) * _sigmoid(pre)
+        if gbs is not None:
+            gbs += gs.sum(axis=0, keepdims=True)
+        if trunk_live:
+            gt = gt + gs @ ws.T
+        if gws is not None:
+            gws += trunk.T @ gs
+    if trunk_live:
+        mlp_bwd(gt, params[:-4], acts, True, sinks[:-4], x_sink)
+
+
+def sampled_score(x: Tensor, layers, mean_head, std_head, eps=None):
+    """``score_fwd``'s sample as one node, with the trunk given as (weight,
+    bias) pairs and each head as a pair, and its mean and std columns as
+    arrays. With ``eps`` None the node is the mean itself."""
+    (wm, bm), (ws, bs) = mean_head, std_head
+    trunk = _params(layers)
+    inputs = (x, *trunk, wm, bm, ws, bs)
+    values = [p.value for p in inputs[1:]]
+    out, mean, std, ctx = score_fwd(x.value, values, eps)
 
     def bwd(g, grads):
-        gt = None
-        if bm.needs_grad:
-            _acc(grads, bm, g.sum(axis=0, keepdims=True))
-        if trunk_live:
-            gt = g @ wm.value.T
-        if wm.needs_grad:
-            _acc(grads, wm, trunk.T @ g)
-        if eps is not None:
-            gs = (g * eps) * _sigmoid(pre)
-            if bs.needs_grad:
-                _acc(grads, bs, gs.sum(axis=0, keepdims=True))
-            if trunk_live:
-                gt = gt + gs @ ws.value.T
-            if ws.needs_grad:
-                _acc(grads, ws, trunk.T @ gs)
-        if trunk_live:
-            _chain_bwd(gt, grads, x, layers, acts, True)
+        sinks = _sinks(inputs)
+        score_bwd(g, values, eps, ctx, sinks[1:], sinks[0])
+        _drain(grads, inputs if eps is not None else inputs[:-2], sinks)
 
-    parents = (wm, bm, *inputs) + (() if eps is None else (ws, bs))
+    parents = (wm, bm, x, *trunk) + (() if eps is None else (ws, bs))
     return _node(out, parents, bwd), mean, std
+
+
+def sq_error_fwd(a: np.ndarray, b: np.ndarray, c) -> tuple:
+    """``c`` times the sum of squared differences of ``a`` and ``b``, and
+    the differences, which ``sq_error_bwd`` takes."""
+    if a.shape != b.shape:
+        raise ShapeError(f"sq_error mismatch: {a.shape} vs {b.shape}")
+    c = _factor(c)
+    diff = a - b
+    return _finite(c * _finite((diff * diff).sum())), diff
+
+
+def sq_error_bwd(g, c: float, diff: np.ndarray) -> np.ndarray:
+    """``a``'s gradient from the value's gradient ``g``; ``b``'s is its
+    negation."""
+    return 2.0 * (c * g) * diff
 
 
 def scaled_sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
     """``scale(sq_error(a, b), c)`` as one node."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sq_error mismatch: {a.shape} vs {b.shape}")
+    value, diff = sq_error_fwd(a.value, b.value, c)
     c = float(c)
-    if not np.isfinite(c):
-        raise NonFiniteError(f"scale factor must be finite, got {c}")
-    diff = a.value - b.value
-    total = _finite((diff * diff).sum())
 
     def bwd(g, grads):
-        d = 2.0 * (c * g[0, 0]) * diff
+        d = sq_error_bwd(g[0, 0], c, diff)
         if a.needs_grad:
             _acc(grads, a, d)
         if b.needs_grad:
             _acc(grads, b, -d)
 
-    return _node([[c * total]], (a, b), bwd)
+    return _node([[value]], (a, b), bwd)
+
+
+def weighted_sum_fwd(values, weights) -> tuple:
+    """The sum of ``values``, left to right, each first scaled by its weight
+    unless that is None; and the weights as floats."""
+    weights = [None if c is None else _factor(c) for c in weights]
+    first, c = values[0], weights[0]
+    total = first if c is None else _finite(c * first)
+    for v, c in zip(values[1:], weights[1:]):
+        if v.shape != first.shape:
+            raise ShapeError(f"add mismatch: {first.shape} + {v.shape}")
+        total = _finite(total + (v if c is None else _finite(c * v)))
+    return total, weights
+
+
+def weighted_sum_bwd(g, weights) -> list:
+    """Each value's gradient from the sum's gradient ``g``."""
+    return [g if c is None else c * g for c in weights]
 
 
 def weighted_sum(terms) -> Tensor:
     """``add`` over (tensor, weight) pairs, left to right, each tensor first
     ``scale``d by its weight unless that is None, as one node."""
-    weights = [None if c is None else float(c) for _, c in terms]
-    for c in weights:
-        if c is not None and not np.isfinite(c):
-            raise NonFiniteError(f"scale factor must be finite, got {c}")
-    first, c = terms[0][0], weights[0]
-    total = first.value if c is None else _finite(c * first.value)
-    for (t, _), c in zip(terms[1:], weights[1:]):
-        if t.shape != first.shape:
-            raise ShapeError(f"add mismatch: {first.shape} + {t.shape}")
-        total = _finite(total + (t.value if c is None else _finite(c * t.value)))
+    total, weights = weighted_sum_fwd([t.value for t, _ in terms], [c for _, c in terms])
 
     def bwd(g, grads):
-        for (t, _), c in zip(terms, weights):
+        for (t, _), gt in zip(terms, weighted_sum_bwd(g, weights)):
             if t.needs_grad:
-                _acc(grads, t, g if c is None else c * g)
+                _acc(grads, t, gt)
 
     return _node(total, tuple(t for t, _ in terms), bwd)
 
@@ -427,11 +509,13 @@ def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
                reverse_kl: bool):
     """Row losses between the angle columns ``p`` and the gap columns ``q``,
-    one per block of rows ``cuts[i]:cuts[i + 1]``: each block's value, and a
-    map from the loss's 1 x 1 gradient to ``p``'s. Each block's value sums a
-    contiguous row slice and every reduction runs along rows, so each equals
-    the loss of its block on its own, bit for bit."""
+    one per block of rows ``cuts[i]:cuts[i + 1]``: each block's value, and
+    the context of ``_row_bwd``, which maps the loss's gradient to ``p``'s.
+    Each block's value sums a contiguous row slice and every reduction runs
+    along rows, so each equals the loss of its block on its own, bit for
+    bit."""
     blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    probs = lp = lq = None
     if use_mse:
         diff = p - q
         terms = diff * diff
@@ -443,22 +527,74 @@ def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
         terms = probs * diff
         scales = [1.0 / (r.stop - r.start) for r in blocks]
     values = [c * terms[r].sum() for c, r in zip(scales, blocks)]
+    return values, (blocks, scales, reverse_kl, diff, probs, lp, lq)
 
-    def back(g):
-        k = np.empty((p.shape[0], 1))  # each row's block scale times g
-        for c, r in zip(scales, blocks):
-            k[r] = c * g[0, 0]
-        if use_mse:
-            return 2.0 * k * diff
-        if reverse_kl:  # only the second log-softmax depends on p
-            gq = -(k * probs)
-            return gq - np.exp(lq) * gq.sum(axis=1, keepdims=True)
-        gs = k * diff
-        gs = probs * (gs - (gs * probs).sum(axis=1, keepdims=True))
-        gl = k * probs
-        return gs + (gl - np.exp(lp) * gl.sum(axis=1, keepdims=True))
 
-    return values, back
+def _row_bwd(g, ctx) -> np.ndarray:
+    blocks, scales, reverse_kl, diff, probs, lp, lq = ctx
+    k = np.empty((diff.shape[0], 1))  # each row's block scale times g
+    for c, r in zip(scales, blocks):
+        k[r] = c * g
+    if probs is None:
+        return 2.0 * k * diff
+    if reverse_kl:  # only the second log-softmax depends on p
+        gq = -(k * probs)
+        return gq - np.exp(lq) * gq.sum(axis=1, keepdims=True)
+    gs = k * diff
+    gs = probs * (gs - (gs * probs).sum(axis=1, keepdims=True))
+    gl = k * probs
+    return gs + (gl - np.exp(lp) * gl.sum(axis=1, keepdims=True))
+
+
+def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint: bool,
+              intra_inter: bool, use_mse: bool, reverse_kl: bool) -> tuple:
+    """``graph_loss``'s value over the arrays ``old`` and ``new``, and the
+    context of ``graph_bwd``."""
+    if old.shape[1] != new.shape[1]:
+        raise ShapeError(f"graph_loss mismatch: {old.shape} over {new.shape}")
+    b1, n = old.shape[0], old.shape[0] + new.shape[0]
+    if gaps.shape != (n, n):
+        raise ShapeError(f"graph_loss gaps {gaps.shape} for {n} rows")
+    h = np.concatenate([old, new], axis=0)
+    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    denom = np.maximum(norms, NORM_FLOOR)
+    hn = h / denom
+    active = norms > NORM_FLOOR
+    hnt = hn.T.copy()  # hn @ hn.T, without the copy, rounds differently
+    cos = hn @ hnt
+    lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
+    x = np.clip(cos, lo, hi)
+    inside = (cos >= lo) & (cos <= hi)
+    angles = np.arccos(x)
+    values, whole, halves = [], None, None
+    if joint:
+        values, whole = _row_terms(angles, gaps, (0, n), use_mse, reverse_kl)
+    if intra_inter:
+        (oo, no), old_cols = _row_terms(angles[:, :b1].copy(), gaps[:, :b1],
+                                        (0, b1, n), use_mse, reverse_kl)
+        (on, nn), new_cols = _row_terms(angles[:, b1:].copy(), gaps[:, b1:],
+                                        (0, b1, n), use_mse, reverse_kl)
+        values += [oo, on, no, nn]
+        halves = old_cols, new_cols
+    value = _finite(sum(values[1:], values[0]))
+    return value, (b1, whole, halves, hn, hnt, denom, active, x, inside)
+
+
+def graph_bwd(g, ctx) -> np.ndarray:
+    """The gradient of the stacked rows, old first, from the value's
+    gradient ``g``."""
+    b1, whole, halves, hn, hnt, denom, active, x, inside = ctx
+    # the composed tape summed one zero-padded n x n gradient per term;
+    # adding 0.0 after the quadrants repeats its signed zeros
+    ga = None if whole is None else _row_bwd(g, whole)
+    if halves is not None:
+        quad = np.empty(x.shape)
+        quad[:, :b1] = _row_bwd(g, halves[0])
+        quad[:, b1:] = _row_bwd(g, halves[1])
+        ga = (quad if ga is None else ga + quad) + 0.0
+    ga = ga * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
+    ga = ga @ hnt.T + (hn.T @ ga).T
+    return (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
 
 
 def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
@@ -475,51 +611,17 @@ def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
     sum runs in the composed tape's order, so the value and gradients equal
     the composition's bit for bit.
     """
-    if old.cols != new.cols:
-        raise ShapeError(f"graph_loss mismatch: {old.shape} over {new.shape}")
-    b1, n = old.rows, old.rows + new.rows
-    if gaps.shape != (n, n):
-        raise ShapeError(f"graph_loss gaps {gaps.shape} for {n} rows")
-    h = np.concatenate([old.value, new.value], axis=0)
-    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
-    denom = np.maximum(norms, NORM_FLOOR)
-    hn = h / denom
-    active = norms > NORM_FLOOR
-    hnt = hn.T.copy()  # hn @ hn.T, without the copy, rounds differently
-    cos = hn @ hnt
-    lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
-    x = np.clip(cos, lo, hi)
-    inside = (cos >= lo) & (cos <= hi)
-    angles = np.arccos(x)
-    values = []
-    if joint:
-        values, back_joint = _row_terms(angles, gaps, (0, n), use_mse, reverse_kl)
-    if intra_inter:
-        halves = (slice(0, b1), slice(b1, n))
-        (oo, no), back_old = _row_terms(angles[:, halves[0]].copy(), gaps[:, halves[0]],
-                                        (0, b1, n), use_mse, reverse_kl)
-        (on, nn), back_new = _row_terms(angles[:, halves[1]].copy(), gaps[:, halves[1]],
-                                        (0, b1, n), use_mse, reverse_kl)
-        values += [oo, on, no, nn]
+    value, ctx = graph_fwd(old.value, new.value, gaps, joint=joint, intra_inter=intra_inter,
+                           use_mse=use_mse, reverse_kl=reverse_kl)
 
     def bwd(g, grads):
-        # the composed tape summed one zero-padded n x n gradient per term;
-        # adding 0.0 after the quadrants repeats its signed zeros
-        ga = back_joint(g) if joint else None
-        if intra_inter:
-            quad = np.empty_like(angles)
-            quad[:, halves[0]] = back_old(g)
-            quad[:, halves[1]] = back_new(g)
-            ga = (quad if ga is None else ga + quad) + 0.0
-        ga = ga * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
-        ga = ga @ hnt.T + (hn.T @ ga).T
-        ga = (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
+        ga = graph_bwd(g[0, 0], ctx)
         if old.needs_grad:
-            _acc(grads, old, ga[:b1])
+            _acc(grads, old, ga[:old.rows])
         if new.needs_grad:
-            _acc(grads, new, ga[b1:])
+            _acc(grads, new, ga[old.rows:])
 
-    return _node([[sum(values[1:], values[0])]], (old, new), bwd)
+    return _node([[value]], (old, new), bwd)
 
 
 def stop_gradient(a: Tensor) -> Tensor:
@@ -608,12 +710,14 @@ def grad_check(f, leaves: list[Tensor], fd_step: float = 1e-5) -> float:
 @dataclass
 class AdamState:
     """Adam moments over one flat parameter buffer, with coupled L2 weight
-    decay. ``spans`` gives each parameter's [start, end) in the buffer."""
+    decay. ``spans`` gives each parameter's [start, end) in the buffer and
+    in ``grad``, the flat gradient an update reads."""
 
     buffer: np.ndarray
     spans: dict[str, tuple[int, int]]
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray
     lr: float = 1e-4
     weight_decay: float = 1e-4
     beta1: float = 0.9
@@ -635,27 +739,57 @@ def adam_init(params: dict[str, Tensor], lr: float = 1e-4,
         spans[name] = (lo, hi)
         lo = hi
     state = AdamState(buffer=buffer, spans=spans, m=np.zeros_like(buffer),
-                      v=np.zeros_like(buffer), lr=lr, weight_decay=weight_decay)
+                      v=np.zeros_like(buffer), grad=np.zeros_like(buffer), lr=lr,
+                      weight_decay=weight_decay)
     adam_bind(params, state)
     return state
 
 
 def adam_bind(params: dict[str, Tensor], state: AdamState) -> None:
-    """Rebind each parameter's value as a view into ``state.buffer``, at its
-    span, as ``adam_step`` requires."""
+    """Rebind each parameter's value and gradient as views into
+    ``state.buffer`` and ``state.grad``, at its span, as an update requires."""
     for name, p in params.items():
         lo, hi = state.spans[name]
         p.value = state.buffer[lo:hi].reshape(p.value.shape)
+        p.grad = state.grad[lo:hi].reshape(p.value.shape)
+
+
+def _check_view(name: str, p: Tensor, state: AdamState) -> None:
+    if p.value.base is not state.buffer:
+        raise ValueError(f"parameter {name!r} is not a view into the "
+                         f"optimizer's buffer; write values in place")
+
+
+def adam_views(params: dict[str, Tensor], state: AdamState) -> tuple[list, list]:
+    """The parameters' values and gradients, in dict order, for a step that
+    writes the gradients itself; ``adam_update`` then reads them. Every
+    gradient is set to -0.0, the exact additive identity, so the step can add
+    each contribution with ``+=``."""
+    for name, p in params.items():
+        _check_view(name, p, state)
+    state.grad.fill(-0.0)
+    return [p.value for p in params.values()], [p.grad for p in params.values()]
+
+
+def adam_update(states) -> None:
+    """One Adam update of every parameter of each state from its ``grad``,
+    in place. All gradients are checked first: a non-finite one, which is
+    named, aborts the update with every state untouched."""
+    for state in states:
+        if not np.isfinite(state.grad).all():
+            bad = next(name for name, (lo, hi) in state.spans.items()
+                       if not np.isfinite(state.grad[lo:hi]).all())
+            raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
+    for state in states:
+        _adam(state, state.grad, state.buffer, state.m, state.v)
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """One Adam update of the parameters that have a gradient, in place.
-    Decay is added to the gradient before the moment updates. A non-finite
-    gradient aborts the step untouched. The gradients are gathered into one
-    scratch array, which with a second row holds every intermediate, and
-    the buffer and moments are updated in place."""
-    flat, tmp = np.empty((2, state.buffer.size))
+    """One Adam update of the parameters that have a gradient in ``grads``,
+    in place; a non-finite gradient aborts it untouched. The gradients are
+    gathered into ``state.grad``, and with every parameter present this is
+    ``adam_update``."""
     have = []
     for name, p in params.items():
         g = grads.get(name)
@@ -664,42 +798,48 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if g.shape != p.value.shape:
             raise ShapeError(f"gradient shape {g.shape} does not match "
                              f"parameter {name!r} {p.value.shape}")
-        if p.value.base is not state.buffer:
-            raise ValueError(f"parameter {name!r} is not a view into the "
-                             f"optimizer's buffer; write values in place")
+        _check_view(name, p, state)
         lo, hi = state.spans[name]
-        flat[lo:hi] = g.reshape(-1)
+        state.grad[lo:hi] = g.reshape(-1)
         have.append((lo, hi))
     if len(have) == len(state.spans):
-        sel = None
-        g, buf, m, v = flat, state.buffer, state.m, state.v
-    else:
-        sel = np.zeros(flat.size, dtype=bool)
-        for lo, hi in have:
-            sel[lo:hi] = True
-        g, buf, m, v = flat[sel], state.buffer[sel], state.m[sel], state.v[sel]
-        tmp = tmp[:g.size]
+        return adam_update([state])
+    sel = np.zeros(state.buffer.size, dtype=bool)
+    for lo, hi in have:
+        sel[lo:hi] = True
+    g = state.grad[sel]
     if not np.isfinite(g).all():
         bad = next(name for name in params
                    if name in grads and not np.isfinite(grads[name]).all())
         raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
+    buf, m, v = state.buffer[sel], state.m[sel], state.v[sel]
+    _adam(state, g, buf, m, v)
+    state.buffer[sel], state.m[sel], state.v[sel] = buf, m, v
+
+
+def _adam(state: AdamState, g: np.ndarray, buf: np.ndarray, m: np.ndarray,
+          v: np.ndarray) -> None:
+    """Update ``buf``, ``m`` and ``v`` in place from ``g``, which it leaves
+    as it is, one numpy operation at a time, elementwise as a per-parameter
+    loop would, with the decayed gradient and every intermediate in one
+    scratch array of two rows."""
+    d, tmp = np.empty((2, g.size))
     t = state.step_count + 1
     c1 = 1.0 - state.beta1 ** t
     c2 = 1.0 - state.beta2 ** t
     # each line repeats one operation of, in order:
-    # g = g + wd * buf; m = b1 * m + (1 - b1) * g; v = b2 * v + (1 - b2) * g * g
+    # d = g + wd * buf; m = b1 * m + (1 - b1) * d; v = b2 * v + (1 - b2) * d * d
     # buf -= lr * (m / c1) / (sqrt(v / c2) + eps)
-    g += np.multiply(buf, state.weight_decay, out=tmp)
+    np.multiply(buf, state.weight_decay, out=d)
+    d += g
     m *= state.beta1
-    m += np.multiply(g, 1 - state.beta1, out=tmp)
+    m += np.multiply(d, 1 - state.beta1, out=tmp)
     v *= state.beta2
-    np.multiply(g, 1 - state.beta2, out=tmp)
-    v += np.multiply(tmp, g, out=tmp)
+    np.multiply(d, 1 - state.beta2, out=tmp)
+    v += np.multiply(tmp, d, out=tmp)
     np.sqrt(np.divide(v, c2, out=tmp), out=tmp)
     tmp += state.eps
-    np.divide(m, c1, out=g)
-    g *= state.lr
-    buf -= np.divide(g, tmp, out=g)
-    if sel is not None:
-        state.buffer[sel], state.m[sel], state.v[sel] = buf, m, v
+    np.divide(m, c1, out=d)
+    d *= state.lr
+    buf -= np.divide(d, tmp, out=d)
     state.step_count = t

@@ -303,27 +303,38 @@ def load_csv(path) -> Dataset:
     expected = [f"{prefix}{j}" for j in range(width)]
     if header[2:] != expected:
         raise CsvFormatError(f"{path}: malformed value columns {header[2:]}")
-    samples = []
+    ids, values = [], []
     seen: set[str] = set()
+
+    def check_finite(table: np.ndarray) -> None:
+        # a non-finite value reports its line; the lines before it are fine
+        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        if bad.size:
+            raise CsvFormatError(f"{path}: line {bad[0] + 2}: non-finite value")
+
     for lineno, row in enumerate(rows[1:], start=2):
+        fault = None
         if len(row) != width + 2:
-            raise CsvFormatError(f"{path}: line {lineno}: expected {width + 2} "
-                                 f"fields, got {len(row)}")
-        sid = row[0]
-        if sid in seen:
-            raise CsvFormatError(f"{path}: line {lineno}: duplicate id {sid!r}")
-        seen.add(sid)
-        try:
-            score = float(row[1])
-            x = np.array([float(v) for v in row[2:]], dtype=np.float64)
-        except ValueError as e:
-            raise CsvFormatError(f"{path}: line {lineno}: {e}") from None
-        if not np.isfinite(score) or not np.isfinite(x).all():
-            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-        samples.append(Sample(sample_id=sid, x=x, score=score))
-    if not samples:
+            fault = f"expected {width + 2} fields, got {len(row)}"
+        elif row[0] in seen:
+            fault = f"duplicate id {row[0]!r}"
+        else:
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as e:
+                fault = str(e)
+        if fault is not None:
+            check_finite(np.array(values, dtype=np.float64).reshape(-1, width + 1))
+            raise CsvFormatError(f"{path}: line {lineno}: {fault}")
+        seen.add(row[0])
+        ids.append(row[0])
+    if not ids:
         raise CsvFormatError(f"{path}: no data rows")
-    scores = [s.score for s in samples]
-    return Dataset(samples=tuple(samples), input_width=width,
+    table = np.array(values, dtype=np.float64)
+    check_finite(table)
+    scores = table[:, 0].tolist()
+    samples = tuple(Sample(sample_id=sid, x=x, score=score)
+                    for sid, score, x in zip(ids, scores, table[:, 1:]))
+    return Dataset(samples=samples, input_width=width,
                    score_range=(min(scores), max(scores)),
                    feature_mode=(prefix == "f"))

@@ -135,30 +135,45 @@ def _layers(params: dict[str, Tensor], prefix: str, n_layers: int) -> list[tuple
     return [(params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]) for i in range(n_layers)]
 
 
+def check_width(bundle: ModelBundle, cols: int, features: bool = False) -> None:
+    """Reject a batch of ``cols`` columns that is not as wide as the bundle's
+    inputs, or with ``features`` as its features."""
+    if features and cols != bundle.spec.feature_width:
+        raise ad.ShapeError(f"feature width {cols} does not match "
+                            f"bundle feature width {bundle.spec.feature_width}")
+    if not features and cols != bundle.spec.input_width:
+        raise ad.ShapeError(f"input width {cols} does not match "
+                            f"bundle input {bundle.spec.input_width}")
+
+
+def encoder_params(bundle: ModelBundle, frozen: bool = False) -> dict | None:
+    """The encoder's weights, or with ``frozen`` its frozen copy's; None in
+    feature mode, where the encoder is the identity."""
+    if bundle.spec.encoder is None:
+        return None
+    if not frozen:
+        return bundle.encoder
+    if bundle.frozen_encoder is None:
+        raise ValueError("no frozen encoder copy; call freeze_copy first")
+    return bundle.frozen_encoder
+
+
 def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
     """Map an n x d_x input batch to n x D features.
 
     ``frozen=True`` routes through the frozen encoder copy, whose weights
     are constants.
     """
-    if x.cols != bundle.spec.input_width:
-        raise ad.ShapeError(f"input width {x.cols} does not match "
-                            f"bundle input {bundle.spec.input_width}")
-    if bundle.spec.encoder is None:
+    check_width(bundle, x.cols)
+    params = encoder_params(bundle, frozen)
+    if params is None:
         return x
-    params = bundle.encoder
-    if frozen:
-        if bundle.frozen_encoder is None:
-            raise ValueError("no frozen encoder copy; call freeze_copy first")
-        params = bundle.frozen_encoder
     return ad.mlp(x, _layers(params, "encoder", bundle.spec.encoder.n_layers))
 
 
 def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
     """Apply the projector: ``h + p(h)``, or ``p(h)`` when ``residual`` is off."""
-    if h.cols != bundle.spec.feature_width:
-        raise ad.ShapeError(f"feature width {h.cols} does not match "
-                            f"bundle feature width {bundle.spec.feature_width}")
+    check_width(bundle, h.cols, features=True)
     p = ad.mlp(h, _layers(bundle.projector, "projector", bundle.spec.projector.n_layers))
     if residual:
         return ad.add(h, p)

@@ -55,13 +55,15 @@ from . import losses as ls
 from . import memory as mem
 from .data import ScoreScaler, SessionPlan, config_from_dict
 from .metrics import EvalMatrix, centred_ranks, rho_aft, rho_fwt, spearman
-from .models import (BundleSpec, MlpSpec, ModelBundle, components, encode,
-                     freeze_copy, init_bundle, make_rng, predict, project,
-                     regress)
+from .models import (BundleSpec, MlpSpec, ModelBundle, check_width, components,
+                     encode, encoder_params, freeze_copy, init_bundle, make_rng,
+                     predict, project)
 
 METHODS = ("magr", "sequential-ft", "joint", "replay-raw", "replay-feature-naive")
 MEMORYLESS = ("sequential-ft", "joint")
 REPLAY_BASELINES = ("replay-raw", "replay-feature-naive")
+
+TERMS = ("l_d", "l_m", "l_p", "l_r")
 
 STREAM_ORDER = 5
 STREAM_REPLAY = 6
@@ -225,50 +227,103 @@ def new_state(config: TrainConfig, input_width: int,
 
 def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
                 config: TrainConfig) -> dict:
-    bundle = state.bundle
-    xt = ad.const(xb)
-    h_new = encode(bundle, xt)
-    eps_new = state.rngs["eps"].standard_normal((xb.shape[0], 1))
-    _, _, y_hat = regress(bundle, h_new, eps_new)
-    l_d = ls.regression_loss(y_hat, yb.reshape(-1, 1))
-    l_m = l_p = l_r = None
-    if config.method not in MEMORYLESS and state.bank.size > 0:
+    """One step without a tape, through ``autodiff``'s array-level halves.
+
+    The forward pass makes every check the tape's step made, once. Each
+    gradient is then added into its parameter's view of its component's
+    flat gradient, in the order the tape's ``backward`` summed it: ``h_new``
+    gets its score's, then the projector loss's, then the graph term's. A
+    component gets a gradient for all of its parameters or for none; the
+    projector's are none until the bank has entries. One Adam update of
+    the live components follows, after every gradient is checked."""
+    bundle, rngs = state.bundle, state.rngs
+    memory = config.method not in MEMORYLESS and state.bank.size > 0
+    projected = memory and not config.no_mp
+    comps = components(bundle)
+    live = [name for name in comps if name != "projector" or projected]
+    views = {name: ad.adam_views(comps[name], state.adam[name]) for name in live}
+    reg, reg_g = views["regressor"]
+    enc, enc_g = views.get("encoder", (None, None))
+    x = ad.checked(xb)
+    check_width(bundle, x.shape[1])
+    n = x.shape[0]
+    acts_new = [x] if enc is None else ad.mlp_fwd(x, enc)
+    h_new = acts_new[-1]
+    eps_new = rngs["eps"].standard_normal((n, 1))
+    y_hat, _, _, score_new = ad.score_fwd(h_new, reg, eps_new)
+    terms = {"l_d": ad.sq_error_fwd(y_hat, ad.checked(yb.reshape(-1, 1)), 1.0 / n)}
+    if memory:
         residual = not config.no_residual
-        if not config.no_mp:
-            h_frozen = encode(bundle, xt, frozen=True)
-            h_projected = project(bundle, h_frozen, residual=residual)
-            l_p = ls.projector_loss(h_new, h_projected)
-        feats, y_old, _ = mem.sample_replay(state.bank, config.b1,
-                                            state.rngs["replay"],
+        if projected:
+            proj, proj_g = views["projector"]
+            frozen = encoder_params(bundle, frozen=True)
+            h_frozen = x if frozen is None else ad.mlp_fwd(
+                x, [p.value for p in frozen.values()])[-1]
+            acts_frozen = ad.mlp_fwd(h_frozen, proj)
+            h_projected = acts_frozen[-1]
+            if residual:
+                h_projected = ad.add_fwd(h_frozen, h_projected)
+            terms["l_p"] = ad.sq_error_fwd(h_new, h_projected, 1.0 / n)
+        feats, y_old, _ = mem.sample_replay(state.bank, config.b1, rngs["replay"],
                                             stratified=config.stratified_replay)
-        stored = ad.const(feats)
+        stored = ad.checked(feats)
+        k = stored.shape[0]
+        acts_old, old, old_g = [stored], None, None  # h_old's chain, if trainable
         if config.method == "replay-raw":
-            h_old = encode(bundle, stored)
-        elif not config.no_mp:
-            h_old = project(bundle, stored, residual=residual)
+            check_width(bundle, stored.shape[1])
+            if enc is not None:
+                acts_old, old, old_g = ad.mlp_fwd(stored, enc), enc, enc_g
+            h_old = acts_old[-1]
+        elif projected:
+            check_width(bundle, stored.shape[1], features=True)
+            acts_old, old, old_g = ad.mlp_fwd(stored, proj), proj, proj_g
+            h_old = ad.add_fwd(stored, acts_old[-1]) if residual else acts_old[-1]
         else:
             h_old = stored
-        eps_old = state.rngs["eps"].standard_normal((feats.shape[0], 1))
-        h_for_scoring = ad.stop_gradient(h_old) if config.lm_stop_grad else h_old
-        _, _, y_hat_old = regress(bundle, h_for_scoring, eps_old)
-        l_m = ls.regression_loss(y_hat_old, y_old.reshape(-1, 1))
+        eps_old = rngs["eps"].standard_normal((k, 1))
+        y_hat_old, _, _, score_old = ad.score_fwd(h_old, reg, eps_old)
+        terms["l_m"] = ad.sq_error_fwd(y_hat_old, ad.checked(y_old.reshape(-1, 1)), 1.0 / k)
         if not (config.no_j_gr and config.no_ii_gr):
-            l_r = ls.graph_reg_loss(h_old, h_new, np.concatenate([y_old, yb]),
-                                    joint=not config.no_j_gr,
-                                    intra_inter=not config.no_ii_gr,
-                                    use_mse=config.mse_gr,
-                                    reverse_kl=config.reverse_kl,
-                                    signed=not config.abs_score_distance)
-    total = ls.total_loss(l_d, l_m, l_p, l_r,
-                          lambda_p=config.lambda_p, lambda_r=config.lambda_r)
-    grads = ad.backward(total, [[1.0]])
-    for name, params in components(bundle).items():
-        comp = {key: grads[t] for key, t in params.items() if t in grads}
-        if comp:
-            ad.adam_step(params, comp, state.adam[name])
-    val = lambda t: None if t is None else float(t.value[0, 0])
-    return {"l_d": val(l_d), "l_m": val(l_m), "l_p": val(l_p), "l_r": val(l_r),
-            "total": float(total.value[0, 0])}
+            gaps = ls.score_distance_matrix(np.concatenate([y_old, yb]),
+                                            signed=not config.abs_score_distance)
+            terms["l_r"] = ad.graph_fwd(h_old, h_new, gaps, joint=not config.no_j_gr,
+                                        intra_inter=not config.no_ii_gr,
+                                        use_mse=config.mse_gr, reverse_kl=config.reverse_kl)
+    keys = [key for key in TERMS if key in terms]  # the total sums them in this order
+    weights = {"l_p": config.lambda_p, "l_r": config.lambda_r}
+    total, factors = ad.weighted_sum_fwd([terms[key][0] for key in keys],
+                                         [weights.get(key) for key in keys])
+    g = dict(zip(keys, ad.weighted_sum_bwd(1.0, factors)))
+
+    gh_new = None if enc is None else np.full(h_new.shape, -0.0)
+    ad.score_bwd(ad.sq_error_bwd(g["l_d"], 1.0 / n, terms["l_d"][1]), reg, eps_new,
+                 score_new, reg_g, gh_new)
+    if memory:
+        # h_old needs a gradient if it came through trainable weights and a
+        # term other than a stopped score reads it
+        gh_old = None
+        if old is not None and ("l_r" in terms or not config.lm_stop_grad):
+            gh_old = np.full(h_old.shape, -0.0)
+        ad.score_bwd(ad.sq_error_bwd(g["l_m"], 1.0 / k, terms["l_m"][1]), reg, eps_old,
+                     score_old, reg_g, None if config.lm_stop_grad else gh_old)
+        if projected:
+            d = ad.sq_error_bwd(g["l_p"], 1.0 / n, terms["l_p"][1])
+            if gh_new is not None:
+                gh_new += d
+            ad.mlp_bwd(-d, proj, acts_frozen, False, proj_g)
+        if "l_r" in terms:
+            ga = ad.graph_bwd(g["l_r"], terms["l_r"][1])
+            if gh_old is not None:
+                gh_old += ga[:k]
+            if gh_new is not None:
+                gh_new += ga[k:]
+        if gh_old is not None:
+            ad.mlp_bwd(gh_old, old, acts_old, False, old_g)
+    if gh_new is not None:
+        ad.mlp_bwd(gh_new, enc, acts_new, False, enc_g)
+    ad.adam_update([state.adam[name] for name in live])
+    out = {key: float(terms[key][0]) if key in terms else None for key in TERMS}
+    return {**out, "total": float(total)}
 
 
 def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
@@ -408,16 +463,28 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
     return plan.memo[scaler, key]
 
 
-def _fork(state: TrainState, config: TrainConfig, plan: SessionPlan) -> TrainState:
-    """A copy of ``state``'s weights, Adam state, RNGs and session for ``config``."""
-    out = new_state(config, plan.input_width, plan.feature_mode)
-    for adam, src in zip(out.adam.values(), state.adam.values()):
-        adam.buffer[:], adam.m[:], adam.v[:] = src.buffer, src.m, src.v
-        adam.step_count = src.step_count
-    for name, rng in out.rngs.items():
-        rng.bit_generator.state = state.rngs[name].bit_generator.state
-    out.session = state.session
-    return out
+def _fork(state: TrainState, config: TrainConfig) -> TrainState:
+    """A copy of ``state``'s weights, Adam state, RNGs and session for
+    ``config``, sharing no array with it, with an empty bank of its own."""
+    adam = {name: replace(a, buffer=a.buffer.copy(), m=a.m.copy(), v=a.v.copy(),
+                          grad=a.grad.copy(), lr=config.lr,
+                          weight_decay=config.weight_decay)
+            for name, a in state.adam.items()}
+    comps = {name: {key: ad.leaf(p.value, name=key) for key, p in params.items()}
+             for name, params in components(state.bundle).items()}
+    for name, params in comps.items():
+        ad.adam_bind(params, adam[name])
+    frozen = state.bundle.frozen_encoder
+    if frozen is not None:
+        frozen = {key: ad.const(p.value.copy()) for key, p in frozen.items()}
+    bundle = replace(state.bundle, encoder=comps.get("encoder"), projector=comps["projector"],
+                     regressor=comps["regressor"], frozen_encoder=frozen)
+    rngs = {}
+    for name, rng in state.rngs.items():
+        rngs[name] = np.random.Generator(type(rng.bit_generator)(0))
+        rngs[name].bit_generator.state = rng.bit_generator.state
+    return TrainState(bundle=bundle, bank=mem.MemoryBank(capacity=config.m), adam=adam,
+                      rngs=rngs, session=state.session)
 
 
 def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
@@ -503,7 +570,7 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     first, reference, report, data = prefix
     T = plan.n_sessions
     joint = config.method == "joint"
-    state = _fork(first, config, plan)
+    state = _fork(first, config)
     _update_bank(state, *data, _preset(config), 1)
     reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
                        epoch_losses=list(report.epoch_losses))]

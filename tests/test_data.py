@@ -370,3 +370,21 @@ def test_csv_error_cases(tmp_path):
     p.write_text("id,score,x0\n")
     with pytest.raises(data.CsvFormatError, match="no data rows"):
         data.load_csv(p)
+
+
+@pytest.mark.parametrize("lines, first", [
+    (["a,1,2", "b,inf,2", "c,1,2", "d,1"], "line 3: non-finite value"),
+    (["a,1,2", "b,1,nan", "b,1,2"], "line 3: non-finite value"),
+    (["a,1,2", "a,1,2", "b,1,-inf"], "line 3: duplicate id 'a'"),
+    (["a,1,nan", "b,1,x"], "line 2: non-finite value"),
+    (["a,1,2", "b,1,x", "c,inf,2"], "line 3: could not convert string to float: 'x'"),
+    (["a,1,2", "b,2,3", "c,nan,inf", "d,inf,1"], "line 4: non-finite value"),
+])
+def test_csv_with_several_faults_reports_the_first_line(tmp_path, lines, first):
+    # values are checked for finiteness in one pass after parsing, yet a
+    # later line's fault must not hide an earlier non-finite value
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(["id,score,x0", *lines]) + "\n")
+    with pytest.raises(data.CsvFormatError) as err:
+        data.load_csv(p)
+    assert str(err.value) == f"{p}: {first}"

@@ -141,3 +141,86 @@ def test_graph_loss_keeps_signed_zeros_of_the_padded_sum(b1, b2, d, seed, draw):
             grads = ad.backward(out, [[seed]])
             runs.append((out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()))
         assert runs[0] == runs[1], flags
+
+
+# ---------------------------------------------------- gradient fidelity
+
+
+GRAD_SETTINGS = settings(database=None, derandomize=True, max_examples=40, deadline=None)
+
+
+@st.composite
+def _graded(draw):
+    """(rng, rows, widths) with every input a leaf of normal values."""
+    k = draw(st.integers(1, 2))
+    widths = draw(st.lists(st.integers(1, 4), min_size=k + 1, max_size=k + 1))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 4)), widths
+
+
+def _scalar(out, weights):
+    """A 1 x 1 tensor that depends on every entry of ``out``."""
+    return gr.sum_all(ad.mul(out, ad.const(weights)))
+
+
+def _leaf_layers(rng, widths):
+    leaves = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        leaves += [ad.leaf(rng.normal(size=(fan_in, fan_out))), ad.leaf(rng.normal(size=(1, fan_out)))]
+    return leaves, list(zip(leaves[::2], leaves[1::2]))
+
+
+@GRAD_SETTINGS
+@given(_graded(), st.booleans())
+def test_grad_check_mlp(case, output_relu):
+    rng, rows, widths = case
+    x = ad.leaf(rng.normal(size=(rows, widths[0])))
+    leaves, layers = _leaf_layers(rng, widths)
+    weights = rng.normal(size=(rows, widths[-1]))
+    assert ad.grad_check(lambda: _scalar(ad.mlp(x, layers, output_relu), weights),
+                         [x, *leaves]) < 1e-4
+
+
+@GRAD_SETTINGS
+@given(_graded(), st.booleans())
+def test_grad_check_sampled_score(case, with_eps):
+    rng, rows, widths = case
+    x = ad.leaf(rng.normal(size=(rows, widths[0])))
+    leaves, layers = _leaf_layers(rng, widths)
+    heads = [ad.leaf(rng.normal(size=shape)) for shape in [(widths[-1], 1), (1, 1)] * 2]
+    mean_head, std_head = heads[:2], heads[2:]
+    eps = rng.normal(size=(rows, 1)) if with_eps else None
+    weights = rng.normal(size=(rows, 1))
+    assert ad.grad_check(lambda: _scalar(ad.sampled_score(x, layers, mean_head, std_head,
+                                                          eps)[0], weights),
+                         [x, *leaves, *heads]) < 1e-4
+
+
+@GRAD_SETTINGS
+@given(_graded(), st.sampled_from([1.0, 0.25, 7.0]))
+def test_grad_check_scaled_sq_error(case, c):
+    rng, rows, widths = case
+    a, b = (ad.leaf(rng.normal(size=(rows, widths[0]))) for _ in range(2))
+    assert ad.grad_check(lambda: ad.scaled_sq_error(a, b, c), [a, b]) < 1e-4
+
+
+@GRAD_SETTINGS
+@given(_graded(), st.lists(st.sampled_from([None, 0.3, 2.5]), min_size=1, max_size=4))
+def test_grad_check_weighted_sum(case, weights):
+    rng, _, _ = case
+    terms = [ad.leaf(rng.normal(size=(1, 1))) for _ in weights]
+    assert ad.grad_check(lambda: ad.weighted_sum(list(zip(terms, weights))), terms) < 1e-4
+
+
+@GRAD_SETTINGS
+@given(_graded(), st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
+       st.booleans())
+def test_grad_check_graph_loss(case, b2, joint, intra_inter, use_mse, reverse_kl):
+    rng, b1, widths = case
+    joint = joint or not intra_inter
+    old = ad.leaf(rng.normal(size=(b1, widths[0] + 1)))
+    new = ad.leaf(rng.normal(size=(b2, widths[0] + 1)))
+    y = rng.normal(size=b1 + b2)
+    gaps = y[:, None] - y[None, :]
+    assert ad.grad_check(lambda: ad.graph_loss(old, new, gaps, joint=joint,
+                                               intra_inter=intra_inter, use_mse=use_mse,
+                                               reverse_kl=reverse_kl), [old, new]) < 1e-4

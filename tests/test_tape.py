@@ -1,5 +1,6 @@
-"""The training step's tape on ``configs/smoke.json``: which tensors get a
-gradient, and bit identity of whole runs against recorded digests."""
+"""The training step on ``configs/smoke.json``: which parameters get a
+gradient, that the step builds no tape, the node count of the tape step it
+replaced, and bit identity of whole runs against recorded digests."""
 from __future__ import annotations
 
 import hashlib
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mreplay.autodiff as ad
+import tape_reference
 from mreplay import data, trainer
 from mreplay.models import components, encode, freeze_copy
 
@@ -97,33 +99,52 @@ def test_runs_match_recorded_digests(key):
     assert digests == DIGESTS[key]
 
 
+def _spy_on_sinks(monkeypatch) -> tuple[list, list]:
+    """Make the step's backward halves record the gradient sinks they are
+    handed, and ``adam_update`` the states it updates; returns the sinks of
+    the step under way and a list of each step's (sinks, states)."""
+    sinks, steps = [], []
+    for name in ("mlp_bwd", "score_bwd"):
+        def spy(*args, real=getattr(ad, name)):
+            sinks.extend(s for s in args[4] if s is not None)  # the parameter sinks
+            return real(*args)
+
+        monkeypatch.setattr(ad, name, spy)
+    real_update = ad.adam_update
+
+    def update(states):
+        steps.append(({id(s) for s in sinks}, list(states)))
+        sinks.clear()
+        return real_update(states)
+
+    monkeypatch.setattr(ad, "adam_update", update)
+    return sinks, steps
+
+
 def test_backward_reaches_only_trainable_parameters(monkeypatch):
     # the input batch, replayed features, noise draws, targets, score gaps
     # and the frozen snapshot are constants, so a magr step with a full bank
-    # gets exactly one gradient per trainable parameter
+    # writes exactly one gradient per trainable parameter, into its view of
+    # its component's flat gradient, and updates every component
     plan, _, cfg = _smoke()
     state = trainer.new_state(cfg, plan.input_width)
-    returned = []
-    real_backward = ad.backward
-
-    def spy(root, seed):
-        grads = real_backward(root, seed)
-        returned.append(set(grads))
-        return grads
-
-    monkeypatch.setattr(ad, "backward", spy)
-    trainable = {t for params in components(state.bundle).values() for t in params.values()}
+    _, steps = _spy_on_sinks(monkeypatch)
+    comps = components(state.bundle)
+    trainable = {t for params in comps.values() for t in params.values()}
     assert len(trainable) == 14
     for t in (1, 2):
-        returned.clear()
+        steps.clear()
         x, y, ids = plan.training_arrays(t)
         trainer.train_session(state, x, y, ids, cfg)
-        assert returned
-        if t == 1:  # empty bank: the projector is not on the tape yet
-            projector = set(state.bundle.projector.values())
-            assert all(r == trainable - projector for r in returned)
-        else:
-            assert all(r == trainable for r in returned)
+        assert steps
+        for written, updated in steps:
+            got = {p for p in trainable if id(p.grad) in written}
+            if t == 1:  # empty bank: the projector is not in the step yet
+                assert got == trainable - set(comps["projector"].values())
+                assert updated == [state.adam["regressor"], state.adam["encoder"]]
+            else:
+                assert got == trainable
+                assert updated == [state.adam[name] for name in comps]
 
 
 def test_frozen_encoder_pass_records_no_backward(monkeypatch):
@@ -149,16 +170,23 @@ def test_frozen_encoder_pass_records_no_backward(monkeypatch):
     assert all(not p.needs_grad for p in state.bundle.frozen_encoder.values())
 
 
-def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
-    # one node per MLP chain (live encoder, frozen encoder, projector twice),
-    # per sampled score (twice), per loss (four), per residual add (twice)
-    # and for the weighted total. The composed tape made 40 here, one per
-    # primitive; a change that splits a fused node shows up in this count.
+def _full_bank_state():
+    """The smoke config, and a state after session 1 with a full bank and a
+    frozen encoder, ready for a session-2 magr step."""
     plan, _, cfg = _smoke()
     state = trainer.new_state(cfg, plan.input_width)
     trainer.train_session(state, *plan.training_arrays(1), cfg)
     assert state.bank.size == cfg.m
     freeze_copy(state.bundle)
+    return plan, cfg, state
+
+
+def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
+    # one node per MLP chain (live encoder, frozen encoder, projector twice),
+    # per sampled score (twice), per loss (four), per residual add (twice)
+    # and for the weighted total. The composed tape made 40 here, one per
+    # primitive; a change that splits a fused node shows up in this count.
+    plan, cfg, state = _full_bank_state()
     calls = []
     real_node = ad._node
 
@@ -168,6 +196,27 @@ def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
 
     monkeypatch.setattr(ad, "_node", spy)
     x, y, _ = plan.training_arrays(2)
-    terms = trainer._train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
+    terms, _ = tape_reference.train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
     assert None not in terms.values()  # every term of a magr step is on
     assert len(calls) == 13
+
+
+def test_magr_step_with_a_full_bank_builds_no_tape(monkeypatch):
+    plan, cfg, state = _full_bank_state()
+    calls = []
+    real_node, real_backward = ad._node, ad.backward
+
+    def node(*args):
+        calls.append("_node")
+        return real_node(*args)
+
+    def backward(*args):
+        calls.append("backward")
+        return real_backward(*args)
+
+    monkeypatch.setattr(ad, "_node", node)
+    monkeypatch.setattr(ad, "backward", backward)
+    x, y, _ = plan.training_arrays(2)
+    terms = trainer._train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
+    assert None not in terms.values()
+    assert calls == []

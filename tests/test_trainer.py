@@ -402,9 +402,9 @@ def _count_sessions(monkeypatch) -> list:
         calls.append((state.session + 1, config.method))
         return real_train(state, x, y, ids, config)
 
-    def fork(state, config, plan):
+    def fork(state, config):
         calls.append(("fork", config.method))
-        return real_fork(state, config, plan)
+        return real_fork(state, config)
 
     monkeypatch.setattr(trainer, "train_session", train)
     monkeypatch.setattr(trainer, "_fork", fork)
