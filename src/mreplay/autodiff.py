@@ -17,30 +17,39 @@ Two kinds of tensor start a tape:
 
 The primitives are ``matmul``, ``linear`` (``x @ w`` plus a bias row on
 every row), ``add``, ``scale``, ``mul``, ``relu``, ``softplus`` and
-``sq_error``. A training step records few of them: each chain of them it
-used to record is one fused node, which repeats the chain's arithmetic in
-order, so its value and gradients equal the chain's bit for bit; the tests
-keep each chain as its node's reference. The fused nodes are ``mlp`` (a
-chain of ``linear`` layers with ReLUs between), ``sampled_score`` (a ReLU
-trunk, a mean head and a ``softplus`` std head, and ``mean + eps * std``),
-``scaled_sq_error`` (a loss), ``weighted_sum`` (the total loss) and
-``graph_loss`` (the whole graph regularizer). ReLU runs in place, without
-a branch per entry.
+``sq_error``. The fused nodes each replace a chain of them, repeating the
+chain's arithmetic in order, so their values and gradients equal the
+chain's bit for bit; the tests keep each chain as its node's reference.
+They are ``mlp`` (a chain of ``linear`` layers with ReLUs between),
+``sampled_score`` (a ReLU trunk, a mean head and a ``softplus`` std head,
+and ``mean + eps * std``), ``scaled_sq_error`` (a loss), ``weighted_sum``
+(the total loss) and ``graph_loss`` (the whole graph regularizer). ReLU
+runs in place, without a branch per entry.
+
+Each fused node, and ``add``, is two array-level halves, ``<node>_fwd``
+and ``<node>_bwd``, which the node calls and the training step calls
+without a tape: the step builds no tensor and never calls ``backward``.
+The tape serves evaluation, the bank's refresh and store (``models``),
+and ``grad_check``, the gradients' oracle.
 
 Adam keeps a component's parameters in one flat float64 buffer:
 ``adam_init`` copies them into it in dict order, binds each value as a view
-into it (``adam_bind``), and adds flat first and second moment buffers of
-the same length. ``adam_step`` gathers the gradients into one scratch array
-and updates the buffer and both moments in place, one numpy operation at a
-time and elementwise as a per-parameter loop would, so parameters must be
-changed (or loaded) by writing into their values, never by rebinding them;
-a step refuses one that is no longer a view.
+into it (``adam_bind``), and adds flat first and second moment buffers and
+a flat gradient of the same length, which each parameter's ``grad`` views.
+The training step takes the views from ``adam_views``, adds its gradients
+into them and calls ``adam_update``, which checks every component's
+gradient, then updates each buffer and both moments in place, one numpy
+operation at a time and elementwise as a per-parameter loop would.
+``adam_step`` does the same from a dict of gradients, which it gathers.
+Parameters must be changed (or loaded) by writing into their values, never
+by rebinding them; an update refuses one that is no longer a view.
 A deep copy or a pickle round trip of the arrays does not keep the views;
 ``adam_bind`` restores them over a buffer of the copy's own, as
 ``trainer.TrainState`` does when it is copied or unpickled.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +112,7 @@ def checked(value, name=None) -> np.ndarray:
         raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"tensor must be non-empty, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError(f"non-finite entries in tensor{_at(name)}")
     return arr
 
@@ -134,15 +143,25 @@ def _acc(grads: dict, t: Tensor, g: np.ndarray) -> None:
         grads[t] = g
 
 
+def _all_finite(arr) -> bool:
+    # a float (numpy's float64 is one) takes math.isfinite, 40 times faster
+    # than numpy; an array whose sum is finite holds no NaN or infinity,
+    # which would make the sum one, so only an overflowing sum needs the
+    # entrywise test
+    if isinstance(arr, float):
+        return math.isfinite(arr)
+    return math.isfinite(np.add.reduce(arr, None)) or bool(np.isfinite(arr).all())
+
+
 def _finite(arr):
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise NonFiniteError("non-finite entries in tensor")
     return arr
 
 
 def _factor(c) -> float:
     c = float(c)
-    if not np.isfinite(c):
+    if not math.isfinite(c):
         raise NonFiniteError(f"scale factor must be finite, got {c}")
     return c
 
@@ -776,7 +795,7 @@ def adam_update(states) -> None:
     in place. All gradients are checked first: a non-finite one, which is
     named, aborts the update with every state untouched."""
     for state in states:
-        if not np.isfinite(state.grad).all():
+        if not _all_finite(state.grad):
             bad = next(name for name, (lo, hi) in state.spans.items()
                        if not np.isfinite(state.grad[lo:hi]).all())
             raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")

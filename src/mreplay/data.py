@@ -303,16 +303,17 @@ def load_csv(path) -> Dataset:
     expected = [f"{prefix}{j}" for j in range(width)]
     if header[2:] != expected:
         raise CsvFormatError(f"{path}: malformed value columns {header[2:]}")
-    ids, values = [], []
+    ids: list[str] = []
+    table = np.empty((len(rows) - 1, width + 1))  # each line's score, then its values
     seen: set[str] = set()
 
-    def check_finite(table: np.ndarray) -> None:
+    def check_finite(lines: np.ndarray) -> None:
         # a non-finite value reports its line; the lines before it are fine
-        bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(lines).all(axis=1))
         if bad.size:
             raise CsvFormatError(f"{path}: line {bad[0] + 2}: non-finite value")
 
-    for lineno, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(rows[1:]):
         fault = None
         if len(row) != width + 2:
             fault = f"expected {width + 2} fields, got {len(row)}"
@@ -320,17 +321,16 @@ def load_csv(path) -> Dataset:
             fault = f"duplicate id {row[0]!r}"
         else:
             try:
-                values.append([float(v) for v in row[1:]])
+                table[i] = [float(v) for v in row[1:]]
             except ValueError as e:
                 fault = str(e)
         if fault is not None:
-            check_finite(np.array(values, dtype=np.float64).reshape(-1, width + 1))
-            raise CsvFormatError(f"{path}: line {lineno}: {fault}")
+            check_finite(table[:i])
+            raise CsvFormatError(f"{path}: line {i + 2}: {fault}")
         seen.add(row[0])
         ids.append(row[0])
     if not ids:
         raise CsvFormatError(f"{path}: no data rows")
-    table = np.array(values, dtype=np.float64)
     check_finite(table)
     scores = table[:, 0].tolist()
     samples = tuple(Sample(sample_id=sid, x=x, score=score)

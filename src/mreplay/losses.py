@@ -16,7 +16,9 @@ terms, the regularizer is the one tape node ``autodiff.graph_loss``.
 Every feature or prediction argument is a ``Tensor``; scores and targets
 are arrays. Each loss is one tape node: the two squared-error losses are
 ``autodiff.scaled_sq_error`` nodes, and ``total_loss`` is one
-``autodiff.weighted_sum`` node over the active terms.
+``autodiff.weighted_sum`` node over the active terms. The training step
+computes the same terms without a tape, through those nodes' array-level
+halves, and takes its score gaps from ``score_distance_matrix``.
 """
 from __future__ import annotations
 

@@ -13,10 +13,17 @@ constants keyed like the encoder's own weights, so ``encode(frozen=True)``
 runs the same forward pass on it; on constant inputs that pass records
 nothing for ``backward``, and no gradient reaches the live encoder.
 
-Each MLP pass is one fused ``autodiff.mlp`` node, and a sampled score
-(trunk, both heads and the noise) one ``autodiff.sampled_score`` node. The
-trainable weights of a component become views into one flat buffer when
-its optimizer state is made, so they are updated, and loaded, in place.
+These tape functions serve evaluation (``predict``), the bank's refresh
+and store (``project``, ``encode``) and the tests; the training step runs
+the same arithmetic through ``autodiff``'s array-level halves, with the
+checks of ``check_width`` and ``encoder_params``. Each MLP pass is one
+fused ``autodiff.mlp`` node, and a sampled score (trunk, both heads and
+the noise) one ``autodiff.sampled_score`` node. Each component's dict
+holds its layers' weights and biases in layer order, the regressor's trunk
+then its mean head and its std head, which is the order those halves take
+them in. The trainable weights of a component become views into one flat
+buffer when its optimizer state is made, so they are updated, and loaded,
+in place.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head, and ``predict``

@@ -9,7 +9,9 @@ on the current batch; once the memory bank is non-empty it adds
 * a replay regression loss on projected stored features,
 * the graph regularizer over the joint replayed/current batch,
 
-and takes one Adam step on the weighted sum. At session end the stored
+and takes one Adam step on the weighted sum. The step builds no tape: it
+calls ``autodiff``'s array-level halves and adds each gradient straight
+into its component's flat Adam gradient. At session end the stored
 features are refreshed through the projector exactly once, then the
 finished session's features are stored by score-ordered uniform selection.
 
@@ -152,10 +154,11 @@ def _preset(config: TrainConfig) -> TrainConfig:
 @dataclass
 class TrainState:
     """Everything a run carries from session to session. A deep copy or an
-    unpickled state trains on: ``adam_step`` needs each parameter to view
-    its component's Adam buffer, which neither keeps, so ``__setstate__``
-    gives that buffer memory of its own and rebinds the parameters to it.
-    A shallow ``copy.copy`` keeps the views, shared with the original."""
+    unpickled state trains on: a step needs each parameter's value and
+    gradient to view its component's Adam buffer and gradient, which
+    neither keeps, so ``__setstate__`` gives the buffer memory of its own
+    and rebinds the parameters to both. A shallow ``copy.copy`` keeps the
+    views, shared with the original."""
 
     bundle: ModelBundle
     bank: mem.MemoryBank
