@@ -235,10 +235,13 @@ def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
     The forward pass makes every check the tape's step made, once. Each
     gradient is then added into its parameter's view of its component's
     flat gradient, in the order the tape's ``backward`` summed it: ``h_new``
-    gets its score's, then the projector loss's, then the graph term's. A
-    component gets a gradient for all of its parameters or for none; the
-    projector's are none until the bank has entries. One Adam update of
-    the live components follows, after every gradient is checked."""
+    gets its score's, then the projector loss's, then the graph term's.
+    Every other sum has at most two terms (``h_old``, the regressor and
+    projector weights, the encoder under ``replay-raw``), and a + b equals
+    b + a exactly, so their order cannot change a bit. A component gets a
+    gradient for all of its parameters or for none; the projector's are
+    none until the bank has entries. One Adam update of the live
+    components follows, after every gradient is checked."""
     bundle, rngs = state.bundle, state.rngs
     memory = config.method not in MEMORYLESS and state.bank.size > 0
     projected = memory and not config.no_mp

@@ -204,7 +204,7 @@ def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
 def test_magr_step_with_a_full_bank_builds_no_tape(monkeypatch):
     plan, cfg, state = _full_bank_state()
     calls = []
-    real_node, real_backward = ad._node, ad.backward
+    real_node, real_backward, real_init = ad._node, ad.backward, ad.Tensor.__init__
 
     def node(*args):
         calls.append("_node")
@@ -214,8 +214,13 @@ def test_magr_step_with_a_full_bank_builds_no_tape(monkeypatch):
         calls.append("backward")
         return real_backward(*args)
 
+    def init(*args, **kwargs):
+        calls.append("Tensor")
+        return real_init(*args, **kwargs)
+
     monkeypatch.setattr(ad, "_node", node)
     monkeypatch.setattr(ad, "backward", backward)
+    monkeypatch.setattr(ad.Tensor, "__init__", init)
     x, y, _ = plan.training_arrays(2)
     terms = trainer._train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
     assert None not in terms.values()
