@@ -525,6 +525,12 @@ def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / z, shift - np.log(z)
 
 
+def _log_softmax(a: np.ndarray) -> np.ndarray:
+    """``_softmax``'s row log-softmax alone, computed the same way."""
+    shift = a - a.max(axis=1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+
+
 def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
                reverse_kl: bool):
     """Row losses between the angle columns ``p`` and the gap columns ``q``,
@@ -541,7 +547,7 @@ def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
         scales = [1.0 / ((r.stop - r.start) * p.shape[1]) for r in blocks]
     else:
         probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
-        _, lq = _softmax(p if reverse_kl else q)
+        lq = _log_softmax(p if reverse_kl else q)
         diff = lp - lq
         terms = probs * diff
         scales = [1.0 / (r.stop - r.start) for r in blocks]

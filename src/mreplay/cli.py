@@ -28,11 +28,12 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
                    atomic_write, config_from_dict, grade_split, generate_synthetic,
-                   inject_label_noise, load_csv, normalize_scores, save_csv)
+                   inject_label_noise, load_csv, normalize_scores, parse_csv,
+                   save_csv)
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
-                      evaluate_on, run_continual, run_many)
+                      bundle_spec_for, evaluate_on, run_continual, run_many)
 
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
@@ -207,10 +208,13 @@ def _build_plan(dataset: Dataset, data_cfg: DataConfig, split_path: str | None,
     return plan, manifest
 
 
-def _load_dataset(args, data_cfg: DataConfig) -> Dataset:
+def _load_dataset(args, data_cfg: DataConfig) -> tuple[Dataset, bytes | None]:
+    """The ``--dataset`` file's dataset and the bytes it was parsed from,
+    or a dataset synthesized from ``data_cfg`` and None."""
     if getattr(args, "dataset", None):
-        return load_csv(args.dataset)
-    return generate_synthetic(data_cfg)
+        raw = Path(args.dataset).read_bytes()
+        return parse_csv(raw, args.dataset), raw
+    return generate_synthetic(data_cfg), None
 
 
 # -------------------------------------------------------------- subcommands
@@ -221,7 +225,7 @@ def cmd_split(args) -> int:
     dataset synthesised with the seed and written beside the split."""
     data_cfg = _data_config(_load_config(args.config))
     seed = data_cfg.seed if args.seed is None else args.seed
-    dataset = _load_dataset(args, replace(data_cfg, seed=seed))
+    dataset, _ = _load_dataset(args, replace(data_cfg, seed=seed))
     plan = grade_split(dataset, data_cfg.T, data_cfg.shots, seed)
     out = _out_root(args)
     out.mkdir(parents=True, exist_ok=True)
@@ -250,11 +254,21 @@ def _results_rows(result: RunResult) -> list[list]:
     return rows
 
 
-def _run_and_write(run_dir: Path, dataset: Dataset, data_cfg: DataConfig,
-                   train_cfg: TrainConfig, split_path: str | None) -> RunResult:
+def _run_and_write(run_dir: Path, dataset: Dataset, raw: bytes | None,
+                   data_cfg: DataConfig, train_cfg: TrainConfig,
+                   split_path: str | None) -> RunResult:
+    """Run ``train_cfg`` and write its run directory. The run's
+    ``dataset.csv`` is ``raw``, the bytes the dataset was read from, or the
+    rendered dataset if it was synthesized. The plan and the model's widths
+    are checked before the directory exists."""
     plan, manifest = _build_plan(dataset, data_cfg, split_path, train_cfg.seed)
+    bundle_spec_for(train_cfg, dataset.input_width, dataset.feature_mode)
     run_dir.mkdir(parents=True, exist_ok=True)
-    save_csv(dataset, run_dir / "dataset.csv")
+    if raw is None:
+        save_csv(dataset, run_dir / "dataset.csv")
+    else:
+        with atomic_write(run_dir / "dataset.csv", binary=True) as fh:
+            fh.write(raw)
     _write_json(run_dir / "split.json", manifest)
     plan_norm, scaler = normalize_scores(plan)
     ckpt_dir = run_dir / "checkpoints"
@@ -296,9 +310,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
-    dataset = _load_dataset(args, data_cfg)
+    dataset, raw = _load_dataset(args, data_cfg)
     run_dir = _out_root(args) / f"{train_cfg.method}-seed{train_cfg.seed}"
-    result = _run_and_write(run_dir, dataset, data_cfg, train_cfg,
+    result = _run_and_write(run_dir, dataset, raw, data_cfg, train_cfg,
                             getattr(args, "split", None))
     s = result.summary
     print(f"{train_cfg.method} seed={train_cfg.seed}: rho_avg={_num(s['rho_avg'])} "
@@ -349,7 +363,7 @@ def _run_grid(args, cells):
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
     seeds = cfg.get("seeds", [train_cfg.seed]) if args.seed is None else [args.seed]
-    dataset = _load_dataset(args, data_cfg)
+    dataset, _ = _load_dataset(args, data_cfg)
     grid = list(cells(data_cfg, train_cfg))
     summaries = {}
     for seed in seeds:

@@ -12,6 +12,7 @@ fine-tuning data.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -263,14 +264,14 @@ def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> Sessio
 
 
 @contextmanager
-def atomic_write(path, newline=None):
-    """Open a temporary file beside ``path`` for writing text. On a clean
-    exit it replaces ``path`` in one step; on an error it is removed, and
-    whatever ``path`` held before stays intact."""
+def atomic_write(path, newline=None, binary=False):
+    """Open a temporary file beside ``path`` for writing text, or bytes if
+    ``binary``. On a clean exit it replaces ``path`` in one step; on an
+    error it is removed, and whatever ``path`` held before stays intact."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "wb" if binary else "w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -289,8 +290,13 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Read a dataset; the header decides raw (x0..) vs feature (f0..) mode."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    return parse_csv(Path(path).read_bytes(), path)
+
+
+def parse_csv(raw: bytes, path) -> Dataset:
+    """The dataset held by ``raw``, the bytes of the CSV file ``path``,
+    decoded as ``open`` would decode the file."""
+    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     header = rows[0]

@@ -7,12 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mreplay.autodiff as ad
 from mreplay import checkpoint, cli, data, trainer
 from mreplay.memory import FeatureRecord
 from mreplay.models import components, encode, freeze_copy, predict
+
+
+SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+# session 2 of `mreplay train --config configs/smoke.json`, as format 1 wrote it
+FORMAT_1_SMOKE = Path(__file__).resolve().parent / "fixtures" / "smoke_session_02_format1.json"
 
 
 def _plan():
@@ -92,35 +98,64 @@ def test_has_frozen_key_of_older_files_ignored(tmp_path):
             assert loaded.bundle.frozen_encoder is None
 
 
+def _smoke_plan():
+    """The normalized plan, scaler and train config that `mreplay train
+    --config configs/smoke.json` runs on."""
+    raw = json.loads(SMOKE.read_text())
+    data_cfg, cfg = cli._data_config(raw), trainer.TrainConfig.from_dict(raw["train"])
+    plan, _ = cli._build_plan(data.generate_synthetic(data_cfg), data_cfg, None, cfg.seed)
+    return (*data.normalize_scores(plan), cfg)
+
+
+def _assert_same_state(a, b, adam=True):
+    """Parameters, frozen encoder, bank, RNG states and session of two
+    states, bit for bit, and their Adam buffers, moments and counts if
+    ``adam``."""
+    assert a.session == b.session
+    for comp, params in components(a.bundle).items():
+        other = components(b.bundle)[comp]
+        assert list(params) == list(other)
+        for k in params:
+            assert params[k].value.tobytes() == other[k].value.tobytes(), k
+        if adam:
+            x, y = a.adam[comp], b.adam[comp]
+            assert x.step_count == y.step_count, comp
+            for key in ("buffer", "m", "v"):
+                assert getattr(x, key).tobytes() == getattr(y, key).tobytes(), (comp, key)
+    assert list(a.bundle.frozen_encoder) == list(b.bundle.frozen_encoder)
+    for name, t in a.bundle.frozen_encoder.items():
+        assert t.value.tobytes() == b.bundle.frozen_encoder[name].value.tobytes()
+    assert (a.bank.capacity, a.bank.refresh_epoch, a.bank.size) == \
+        (b.bank.capacity, b.bank.refresh_epoch, b.bank.size)
+    for x, y in zip(a.bank.entries, b.bank.entries):
+        assert x.feature.tobytes() == y.feature.tobytes()
+        assert (x.score, x.session, x.sample_id) == (y.score, y.session, y.sample_id)
+    assert {k: g.bit_generator.state for k, g in a.rngs.items()} == \
+        {k: g.bit_generator.state for k, g in b.rngs.items()}
+
+
 def test_resume_training_is_bit_exact(tmp_path):
-    # optimizer moments are not part of the format, so resumption is defined
-    # as: any two loads of the same file continue identically
-    plan, scaler = _plan()
-    cfg = _cfg()
-    state = _trained_state(plan, cfg, sessions=2)
-    path = tmp_path / "ckpt.json"
-    checkpoint.save_checkpoint(path, state, scaler, cfg)
-    first, _, _ = checkpoint.load_checkpoint(path)
-    second, _, _ = checkpoint.load_checkpoint(path)
+    # sessions 1-2, save, load, session 3 end in the same bits as the
+    # uninterrupted run, Adam moments and RNG streams included
+    plan, scaler, cfg = _smoke_plan()
+    path = tmp_path / "session_02.json"
 
-    x, y, ids = plan.training_arrays(3)
-    ra = trainer.train_session(first, x, y, ids, cfg)
-    rb = trainer.train_session(second, x, y, ids, cfg)
+    def save(state, t):
+        if t == 2:
+            checkpoint.save_checkpoint(path, state, scaler, cfg)
 
-    assert ra.epoch_losses == rb.epoch_losses
-    for comp in components(first.bundle):
-        pa, pb = components(first.bundle)[comp], components(second.bundle)[comp]
-        for k in pa:
-            assert np.array_equal(pa[k].value, pb[k].value)
-    for a, b in zip(first.bank.entries, second.bank.entries):
-        assert np.array_equal(a.feature, b.feature)
+    whole = trainer.run_continual(plan, scaler, cfg, on_session=save).state
+    resumed, _, _ = checkpoint.load_checkpoint(path)
+    trainer.train_session(resumed, *plan.training_arrays(3), cfg)
+    _assert_same_state(resumed, whole)
+    assert whole.session == 3 and all(a.step_count > 0 for a in whole.adam.values())
 
 
 def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
-    # loading keeps the fresh state's leaves and writes into the flat
-    # buffers their values view, so Adam steps the tensors the forward pass
-    # reads: session 3 from the file equals session 3 of the in-memory state
-    # given the same fresh optimizer state
+    # loading keeps the fresh state's leaves and writes the parameters, Adam
+    # moments and step counts into its optimizer in place, so Adam steps the
+    # tensors the forward pass reads: session 3 from the file equals session
+    # 3 of the in-memory state
     plan, scaler = _plan()
     cfg = _cfg()
     state = _trained_state(plan, cfg, sessions=2)
@@ -129,11 +164,11 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
     loaded, _, _ = checkpoint.load_checkpoint(path)
     for name, params in components(loaded.bundle).items():
         assert all(t.value.base is loaded.adam[name].buffer for t in params.values())
-        assert loaded.adam[name].step_count == 0
+        assert loaded.adam[name].step_count == state.adam[name].step_count > 0
+        assert loaded.adam[name].m.tobytes() == state.adam[name].m.tobytes()
+        assert loaded.adam[name].v.tobytes() == state.adam[name].v.tobytes()
     assert all(not t.needs_grad for t in loaded.bundle.frozen_encoder.values())
 
-    state.adam = {name: ad.adam_init(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-                  for name, params in components(state.bundle).items()}
     before = {name: loaded.adam[name].buffer.copy() for name in loaded.adam}
     x, y, ids = plan.training_arrays(3)
     ra = trainer.train_session(state, x, y, ids, cfg)
@@ -144,6 +179,95 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
         assert not np.array_equal(before[name], loaded.adam[name].buffer)
     xt = plan.test_arrays(3)[0]
     assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
+
+
+def test_format_1_file_loads_like_format_2(tmp_path):
+    # the float-text format still loads, to the state the format-2 file of
+    # the same run holds, but with fresh optimizer state
+    assert json.loads(FORMAT_1_SMOKE.read_text())["format_version"] == 1
+    assert cli.main(["train", "--config", str(SMOKE), "--out", str(tmp_path)]) == 0
+    new = checkpoint.load_checkpoint(tmp_path / "magr-seed0" / "checkpoints" /
+                                     "session_02.json")
+    old = checkpoint.load_checkpoint(FORMAT_1_SMOKE)
+    assert old[1:] == new[1:]  # scaler and config
+    _assert_same_state(old[0], new[0], adam=False)
+    for a in old[0].adam.values():
+        assert a.step_count == 0 and not a.m.any() and not a.v.any()
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0]]))
+@example(np.array([[5e-324, -2.2250738585072e-308, 1e308, -1e308, -0.0]]))
+def test_array_payload_round_trips_bit_for_bit(a):
+    packed = json.loads(json.dumps(checkpoint._pack_array(a)))
+    back = checkpoint._unpack_array(packed, "a")
+    assert back.dtype == np.float64 and back.shape == a.shape
+    assert back.tobytes() == a.tobytes()
+
+
+def _truncate(d):
+    d["f64"] = d["f64"][:-4]
+
+
+def _bad_base64(d):
+    d["f64"] = "!" + d["f64"][1:]
+
+
+def _non_finite(d):
+    d.update(checkpoint._pack_array(np.full(d["shape"], np.nan)))
+
+
+# a path into the payload -> the array's name in the error
+PAYLOAD_ARRAYS = {
+    ("params", "projector", "projector.w0"): "params/projector/projector.w0",
+    ("frozen_encoder", "encoder.b1"): "frozen_encoder/encoder.b1",
+    ("bank", "features"): "bank/features",
+    ("adam", "regressor", "v"): "adam/regressor/v",
+}
+
+
+@pytest.mark.parametrize("keys", PAYLOAD_ARRAYS)
+@pytest.mark.parametrize("fault, message", [
+    (_truncate, "payload of .* bytes does not match shape"),
+    (_bad_base64, "bad base64 payload"),
+    (_non_finite, "non-finite values"),
+])
+def test_malformed_payload_rejected(tmp_path, keys, fault, message):
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=2)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    payload = json.loads(path.read_text())
+    d = payload
+    for key in keys:
+        d = d[key]
+    fault(d)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(checkpoint.CheckpointError,
+                       match=f"{PAYLOAD_ARRAYS[keys]}: {message}"):
+        checkpoint.load_checkpoint(path)
+
+
+def test_layout_read_by_the_benchmark_checks(tmp_path):
+    # bench/checks.py reads "session", params/<comp>/<name>/shape and, from
+    # session 2 on, frozen_encoder/<name>/shape of every checkpoint
+    assert cli.main(["train", "--config", str(SMOKE), "--out", str(tmp_path)]) == 0
+    for t in (1, 2, 3):
+        path = tmp_path / "magr-seed0" / "checkpoints" / f"session_{t:02d}.json"
+        payload = json.loads(path.read_text())
+        state, _, _ = checkpoint.load_checkpoint(path)
+        assert payload["session"] == t
+        assert {comp: {name: d["shape"] for name, d in params.items()}
+                for comp, params in payload["params"].items()} == \
+            {comp: {name: list(p.value.shape) for name, p in params.items()}
+             for comp, params in components(state.bundle).items()}
+        frozen = payload["frozen_encoder"]
+        if t >= 2:
+            assert {name: d["shape"] for name, d in frozen.items()} == \
+                {name: list(p.value.shape) for name, p in state.bundle.encoder.items()}
 
 
 _any_float = st.floats(allow_nan=False, allow_infinity=False)
@@ -251,8 +375,7 @@ def test_tampered_shape_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     checkpoint.save_checkpoint(path, state, scaler, cfg)
     payload = json.loads(path.read_text())
-    payload["params"]["projector"]["projector.w0"]["shape"] = [3, 3]
-    payload["params"]["projector"]["projector.w0"]["data"] = [0.0] * 9
+    payload["params"]["projector"]["projector.w0"] = checkpoint._pack_array(np.zeros((3, 3)))
     path.write_text(json.dumps(payload))
     with pytest.raises(checkpoint.CheckpointError, match="spec|shape"):
         checkpoint.load_checkpoint(path)
@@ -286,18 +409,17 @@ def test_unknown_config_field_rejected(tmp_path):
 
 
 # SHA-256 of each session checkpoint that `mreplay train --config
-# configs/smoke.json` writes, recorded when checkpoints were written by
-# `json.dump`; the C encoder behind `json.dumps` must give the same bytes
+# configs/smoke.json` writes in format 2, raw float64 payloads; the
+# format-1 bytes of session 2 are kept in FORMAT_1_SMOKE
 SMOKE_CHECKPOINTS = {
-    "session_01.json": "75931f7986fb145cd76aa2b0ab2e3b4a841d7cecd55cde6c015eea0c6c22323a",
-    "session_02.json": "5c5d4c21bb3d55edcc06f78802ed9b565176ac1b6831eebe9a1f618b473c70cb",
-    "session_03.json": "7b59a2bda790a670ead66679e4e0e0bdf8b4546aa377e7df4e3db634d81b7a3d",
+    "session_01.json": "afbae32636e5c9db1fa8104853e7fc9656785b3a9f8d5e832377210c6ef94ce0",
+    "session_02.json": "b4b8280030d9a384a177045f6cb9b2314cd7ae7497368a9e61f07847d4842947",
+    "session_03.json": "e7a9a6940aeb47fdad2d7256bb798f6e8fcd7b58b04d02330c45480ce3380739",
 }
 
 
 def test_smoke_checkpoints_match_recorded_bytes(tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
-    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert cli.main(["train", "--config", str(SMOKE), "--out", str(tmp_path)]) == 0
     written = sorted((tmp_path / "magr-seed0" / "checkpoints").iterdir())
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in written} == SMOKE_CHECKPOINTS

@@ -149,6 +149,40 @@ def test_train_rejects_a_split_before_writing_anything(tmp_path, mini_config, ca
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("trunk, message", [
+    ([4, 2], "regressor trunk input 4 does not match feature width 12"),
+    ([12], "MlpSpec needs at least 2 widths, got (12,)"),
+])
+def test_train_rejects_a_bad_trunk_before_writing_anything(tmp_path, capsys, trunk,
+                                                          message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**MINI, "train": {**MINI["train"], "trunk_widths": trunk}}))
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_keeps_the_given_dataset_bytes(tmp_path, mini_config):
+    # the run's dataset.csv is the --dataset file as given; for a file
+    # `gen` wrote, those are the bytes a re-render of its dataset gives
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
+    given = (gen / "dataset.csv").read_bytes()
+    rendered = tmp_path / "rendered.csv"
+    data.save_csv(data.load_csv(gen / "dataset.csv"), rendered)
+    assert rendered.read_bytes() == given
+    hand = tmp_path / "hand.csv"  # the same table with bare line feeds
+    hand.write_bytes(given.replace(b"\r\n", b"\n"))
+    for source, out in ((gen / "dataset.csv", "ra"), (hand, "rb")):
+        assert cli.main(["train", "--config", mini_config, "--dataset", str(source),
+                         "--split", str(gen / "split.json"),
+                         "--out", str(tmp_path / out)]) == 0
+    a, b = (tmp_path / out / "magr-seed0" for out in ("ra", "rb"))
+    assert (a / "dataset.csv").read_bytes() == given
+    assert (b / "dataset.csv").read_bytes() == hand.read_bytes() != given
+    assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+
 def test_train_produces_full_artifact_set(tmp_path, mini_config, capsys):
     run_dir = _train(tmp_path, mini_config)
     for name in ("dataset.csv", "split.json", "results.csv", "summary.json",
