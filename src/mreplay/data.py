@@ -290,13 +290,18 @@ def save_csv(dataset: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Read a dataset; the header decides raw (x0..) vs feature (f0..) mode."""
-    return parse_csv(Path(path).read_bytes(), path)
+    with open(path, newline="") as fh:
+        return _parse_csv(fh, path)
 
 
 def parse_csv(raw: bytes, path) -> Dataset:
-    """The dataset held by ``raw``, the bytes of the CSV file ``path``,
-    decoded as ``open`` would decode the file."""
-    rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(raw), newline="")))
+    """``load_csv`` of ``raw``, the bytes of the CSV file ``path``, decoded
+    as ``open`` would decode the file."""
+    return _parse_csv(io.TextIOWrapper(io.BytesIO(raw), newline=""), path)
+
+
+def _parse_csv(lines, path) -> Dataset:
+    rows = list(csv.reader(lines))
     if not rows:
         raise CsvFormatError(f"{path}: empty file")
     header = rows[0]
