@@ -254,14 +254,16 @@ def _results_rows(result: RunResult) -> list[list]:
     return rows
 
 
-def _run_and_write(run_dir: Path, dataset: Dataset, raw: bytes | None,
-                   data_cfg: DataConfig, train_cfg: TrainConfig,
-                   split_path: str | None) -> RunResult:
-    """Run ``train_cfg`` and write its run directory. The run's
-    ``dataset.csv`` is ``raw``, the bytes the dataset was read from, or the
-    rendered dataset if it was synthesized. The plan and the model's widths
-    are checked before the directory exists."""
-    plan, manifest = _build_plan(dataset, data_cfg, split_path, train_cfg.seed)
+def _open_run(run_dir: Path, args, data_cfg: DataConfig,
+              train_cfg: TrainConfig) -> SessionPlan:
+    """The run's plan, once ``run_dir`` holds its ``dataset.csv`` and
+    ``split.json``. ``dataset.csv`` is the ``--dataset`` file's bytes as
+    given, or the synthesized dataset rendered. The plan and the model's
+    widths are checked before the directory exists, and the bytes are let
+    go before training starts."""
+    dataset, raw = _load_dataset(args, data_cfg)
+    plan, manifest = _build_plan(dataset, data_cfg, getattr(args, "split", None),
+                                 train_cfg.seed)
     bundle_spec_for(train_cfg, dataset.input_width, dataset.feature_mode)
     run_dir.mkdir(parents=True, exist_ok=True)
     if raw is None:
@@ -270,6 +272,11 @@ def _run_and_write(run_dir: Path, dataset: Dataset, raw: bytes | None,
         with atomic_write(run_dir / "dataset.csv", binary=True) as fh:
             fh.write(raw)
     _write_json(run_dir / "split.json", manifest)
+    return plan
+
+
+def _run_and_write(run_dir: Path, plan: SessionPlan, data_cfg: DataConfig,
+                   train_cfg: TrainConfig) -> RunResult:
     plan_norm, scaler = normalize_scores(plan)
     ckpt_dir = run_dir / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
@@ -310,10 +317,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
-    dataset, raw = _load_dataset(args, data_cfg)
     run_dir = _out_root(args) / f"{train_cfg.method}-seed{train_cfg.seed}"
-    result = _run_and_write(run_dir, dataset, raw, data_cfg, train_cfg,
-                            getattr(args, "split", None))
+    result = _run_and_write(run_dir, _open_run(run_dir, args, data_cfg, train_cfg),
+                            data_cfg, train_cfg)
     s = result.summary
     print(f"{train_cfg.method} seed={train_cfg.seed}: rho_avg={_num(s['rho_avg'])} "
           f"rho_aft={_num(s['rho_aft'])} rho_fwt={_num(s['rho_fwt'])}")

@@ -43,6 +43,43 @@ def _trained_state(plan, cfg, sessions=2):
     return state
 
 
+def _smoke_plan():
+    """The normalized plan, scaler and train config that `mreplay train
+    --config configs/smoke.json` runs on."""
+    raw = json.loads(SMOKE.read_text())
+    data_cfg, cfg = cli._data_config(raw), trainer.TrainConfig.from_dict(raw["train"])
+    plan, _ = cli._build_plan(data.generate_synthetic(data_cfg), data_cfg, None, cfg.seed)
+    return (*data.normalize_scores(plan), cfg)
+
+
+def _assert_same_state(a, b, adam=True):
+    """Parameters, frozen encoder, bank, RNG states and session of two
+    states, bit for bit, and their Adam buffers, moments and counts if
+    ``adam``."""
+    assert a.session == b.session
+    for comp, params in components(a.bundle).items():
+        other = components(b.bundle)[comp]
+        assert list(params) == list(other)
+        for k in params:
+            assert params[k].value.tobytes() == other[k].value.tobytes(), k
+        if adam:
+            x, y = a.adam[comp], b.adam[comp]
+            assert x.step_count == y.step_count, comp
+            for key in ("buffer", "m", "v"):
+                assert getattr(x, key).tobytes() == getattr(y, key).tobytes(), (comp, key)
+    frozen_a, frozen_b = a.bundle.frozen_encoder or {}, b.bundle.frozen_encoder or {}
+    assert list(frozen_a) == list(frozen_b)
+    for name, t in frozen_a.items():
+        assert t.value.tobytes() == frozen_b[name].value.tobytes()
+    assert (a.bank.capacity, a.bank.refresh_epoch, a.bank.size) == \
+        (b.bank.capacity, b.bank.refresh_epoch, b.bank.size)
+    for x, y in zip(a.bank.entries, b.bank.entries):
+        assert x.feature.tobytes() == y.feature.tobytes()
+        assert (x.score, x.session, x.sample_id) == (y.score, y.session, y.sample_id)
+    assert {k: g.bit_generator.state for k, g in a.rngs.items()} == \
+        {k: g.bit_generator.state for k, g in b.rngs.items()}
+
+
 def test_round_trip_bit_exact(tmp_path):
     plan, scaler = _plan()
     cfg = _cfg()
@@ -53,22 +90,7 @@ def test_round_trip_bit_exact(tmp_path):
 
     assert loaded_cfg == cfg
     assert loaded_scaler == scaler
-    assert loaded.session == state.session
-    for comp in components(state.bundle):
-        pa, pb = components(state.bundle)[comp], components(loaded.bundle)[comp]
-        assert set(pa) == set(pb)
-        for k in pa:
-            assert np.array_equal(pa[k].value, pb[k].value)
-    assert set(loaded.bundle.frozen_encoder) == set(state.bundle.frozen_encoder)
-    for name, t in state.bundle.frozen_encoder.items():
-        assert np.array_equal(t.value, loaded.bundle.frozen_encoder[name].value)
-    assert loaded.bank.size == state.bank.size
-    assert loaded.bank.capacity == state.bank.capacity
-    assert loaded.bank.refresh_epoch == state.bank.refresh_epoch
-    for a, b in zip(state.bank.entries, loaded.bank.entries):
-        assert np.array_equal(a.feature, b.feature)
-        assert a.score == b.score and a.session == b.session
-        assert a.sample_id == b.sample_id
+    _assert_same_state(loaded, state)
 
     x = plan.test_arrays(2)[0]
     assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
@@ -96,42 +118,6 @@ def test_has_frozen_key_of_older_files_ignored(tmp_path):
                                   encode(loaded.bundle, ad.leaf(x), frozen=True).value)
         else:
             assert loaded.bundle.frozen_encoder is None
-
-
-def _smoke_plan():
-    """The normalized plan, scaler and train config that `mreplay train
-    --config configs/smoke.json` runs on."""
-    raw = json.loads(SMOKE.read_text())
-    data_cfg, cfg = cli._data_config(raw), trainer.TrainConfig.from_dict(raw["train"])
-    plan, _ = cli._build_plan(data.generate_synthetic(data_cfg), data_cfg, None, cfg.seed)
-    return (*data.normalize_scores(plan), cfg)
-
-
-def _assert_same_state(a, b, adam=True):
-    """Parameters, frozen encoder, bank, RNG states and session of two
-    states, bit for bit, and their Adam buffers, moments and counts if
-    ``adam``."""
-    assert a.session == b.session
-    for comp, params in components(a.bundle).items():
-        other = components(b.bundle)[comp]
-        assert list(params) == list(other)
-        for k in params:
-            assert params[k].value.tobytes() == other[k].value.tobytes(), k
-        if adam:
-            x, y = a.adam[comp], b.adam[comp]
-            assert x.step_count == y.step_count, comp
-            for key in ("buffer", "m", "v"):
-                assert getattr(x, key).tobytes() == getattr(y, key).tobytes(), (comp, key)
-    assert list(a.bundle.frozen_encoder) == list(b.bundle.frozen_encoder)
-    for name, t in a.bundle.frozen_encoder.items():
-        assert t.value.tobytes() == b.bundle.frozen_encoder[name].value.tobytes()
-    assert (a.bank.capacity, a.bank.refresh_epoch, a.bank.size) == \
-        (b.bank.capacity, b.bank.refresh_epoch, b.bank.size)
-    for x, y in zip(a.bank.entries, b.bank.entries):
-        assert x.feature.tobytes() == y.feature.tobytes()
-        assert (x.score, x.session, x.sample_id) == (y.score, y.session, y.sample_id)
-    assert {k: g.bit_generator.state for k, g in a.rngs.items()} == \
-        {k: g.bit_generator.state for k, g in b.rngs.items()}
 
 
 def test_resume_training_is_bit_exact(tmp_path):
@@ -228,12 +214,12 @@ PAYLOAD_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("keys", PAYLOAD_ARRAYS)
+@pytest.mark.parametrize("keys", PAYLOAD_ARRAYS, ids=list(PAYLOAD_ARRAYS.values()))
 @pytest.mark.parametrize("fault, message", [
     (_truncate, "payload of .* bytes does not match shape"),
     (_bad_base64, "bad base64 payload"),
     (_non_finite, "non-finite values"),
-])
+], ids=["truncated", "bad_base64", "non_finite"])
 def test_malformed_payload_rejected(tmp_path, keys, fault, message):
     plan, scaler = _plan()
     cfg = _cfg()
