@@ -10,12 +10,12 @@ features are one (size, D) matrix beside lists of its scores, sessions
 and ids. A file is written beside its target and then moved over it, so a
 failed save leaves the previous file intact.
 
-Loading writes the parameters and the Adam moments and step counts into
-the fresh state's optimizer in place and restores the frozen copy as
-constants, so training on from a loaded checkpoint reproduces the
-uninterrupted run bit for bit. A payload that is not base64, does not
-fill its shape or holds a non-finite value raises ``CheckpointError``
-naming the array. Format-1 files, which store arrays as float lists and
+Loading builds the bundle from the stored parameters, with no random
+init, writes the Adam moments and step counts into its fresh optimizer
+state in place and restores the frozen copy as constants, so training on
+from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
+payload that is not base64, does not fill its shape or holds a non-finite
+value raises ``CheckpointError`` naming the array. Format-1 files, which store arrays as float lists and
 the bank entry by entry, and hold no Adam state, still load, with fresh
 optimizer state; the loader reads only the keys it needs, so the
 ``has_frozen`` flag some of them carry is ignored.
@@ -33,8 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import ScoreScaler, atomic_write
 from .memory import FeatureRecord, MemoryBank
-from .models import BundleSpec, MlpSpec, ModelBundle
-from .trainer import TrainConfig, TrainState, new_state
+from .models import BundleSpec, MlpSpec, build_bundle, param_shapes
+from .trainer import TrainConfig, TrainState, bundle_spec_for, fresh_state
 
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, FORMAT_VERSION)
@@ -136,28 +136,29 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
                               f"the supported versions {READABLE_VERSIONS}")
     unpack = _unpack_array if version == FORMAT_VERSION else _unpack_text_array
     config = TrainConfig.from_dict(payload["config"])
-    spec = _unpack_spec(payload["spec"])
-    state = new_state(config, spec.input_width, feature_mode=spec.encoder is None)
-    bundle: ModelBundle = state.bundle
-    if _pack_spec(bundle.spec) != payload["spec"]:
+    stored = _unpack_spec(payload["spec"])
+    spec = bundle_spec_for(config, stored.input_width, stored.encoder is None)
+    if _pack_spec(spec) != payload["spec"]:
         raise CheckpointError(f"{path}: stored spec {payload['spec']} does not "
-                              f"match config-derived spec {_pack_spec(bundle.spec)}")
-    for comp_name, packed in payload["params"].items():
-        if packed is None:
-            continue
-        params = getattr(bundle, comp_name)
-        if set(packed) != set(params):
+                              f"match config-derived spec {_pack_spec(spec)}")
+    for comp_name, shapes in param_shapes(spec).items():
+        if set(payload["params"][comp_name] or ()) != set(shapes or ()):
             raise CheckpointError(f"{path}: parameter names for {comp_name} do "
                                   f"not match the spec")
-        for name, d in packed.items():
-            arr = unpack(d, f"{path}: params/{comp_name}/{name}")
-            if arr.shape != params[name].value.shape:
-                raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
-                                      f"does not match {params[name].value.shape}")
-            # in place: the values are views into the optimizer's buffer;
-            # wrapping the array first keeps the tensor's finiteness check
-            params[name].value[...] = ad.const(arr, name=name).value
-    bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
+
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        comp_name = name.partition(".")[0]
+        arr = unpack(payload["params"][comp_name][name],
+                     f"{path}: params/{comp_name}/{name}")
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
+                                  f"does not match {shape}")
+        return arr
+
+    # the bundle holds the stored arrays, each checked as a tensor holds it,
+    # and the optimizer state copies them into its buffer
+    state = fresh_state(build_bundle(spec, value), config)
+    state.bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
         {name: ad.const(unpack(d, f"{path}: frozen_encoder/{name}"))
          for name, d in payload["frozen_encoder"].items()}
     packed_bank = payload["bank"]

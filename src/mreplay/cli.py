@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -33,7 +34,8 @@ from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
-                      bundle_spec_for, evaluate_on, run_continual, run_many)
+                      bundle_spec_for, check_test_sets, evaluate_on, run_continual,
+                      run_many)
 
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
@@ -258,12 +260,13 @@ def _open_run(run_dir: Path, args, data_cfg: DataConfig,
               train_cfg: TrainConfig) -> SessionPlan:
     """The run's plan, once ``run_dir`` holds its ``dataset.csv`` and
     ``split.json``. ``dataset.csv`` is the ``--dataset`` file's bytes as
-    given, or the synthesized dataset rendered. The plan and the model's
-    widths are checked before the directory exists, and the bytes are let
-    go before training starts."""
+    given, or the synthesized dataset rendered. The plan, its test sets and
+    the model's widths are checked before the directory exists, and the
+    bytes are let go before training starts."""
     dataset, raw = _load_dataset(args, data_cfg)
     plan, manifest = _build_plan(dataset, data_cfg, getattr(args, "split", None),
                                  train_cfg.seed)
+    check_test_sets(plan, train_cfg.held_out_only)
     bundle_spec_for(train_cfg, dataset.input_width, dataset.feature_mode)
     run_dir.mkdir(parents=True, exist_ok=True)
     if raw is None:
@@ -496,7 +499,10 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------- parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every parse returns a
+    new namespace and leaves the parser as it was."""
     p = argparse.ArgumentParser(prog="mreplay",
                                 description="continual score-regression lab")
     sub = p.add_subparsers(dest="command", required=True)

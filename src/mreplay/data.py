@@ -289,22 +289,43 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset; the header decides raw (x0..) vs feature (f0..) mode."""
+    """Read a dataset; the header decides raw (x0..) vs feature (f0..) mode.
+
+    The values are read by numpy's C reader in one pass. A file it cannot
+    read, or could read differently from ``csv.reader`` (blank lines, a
+    quoted field over several lines, lone carriage returns, an overlong
+    field), and any file with a fault go through the row loop, which gives
+    the same result and names the first faulty line."""
     with open(path, newline="") as fh:
         return _parse_csv(fh, path)
 
 
 def parse_csv(raw: bytes, path) -> Dataset:
     """``load_csv`` of ``raw``, the bytes of the CSV file ``path``, decoded
-    as ``open`` would decode the file."""
+    as ``open`` would decode the file: read in C, with the row loop naming
+    the first faulty line."""
     return _parse_csv(io.TextIOWrapper(io.BytesIO(raw), newline=""), path)
 
 
-def _parse_csv(lines, path) -> Dataset:
-    rows = list(csv.reader(lines))
-    if not rows:
-        raise CsvFormatError(f"{path}: empty file")
-    header = rows[0]
+def _parse_csv(fh, path) -> Dataset:
+    try:
+        text = fh.read()
+    except UnicodeDecodeError:
+        # decoded line by line, as the row loop's reader decodes, the error
+        # names the same position
+        fh.seek(0)
+        text = "".join(fh)
+    prefix, ids, table = _read_table(text, path) or _read_rows(text, path)
+    scores = table[:, 0].tolist()
+    samples = tuple(Sample(sample_id=sid, x=x, score=score)
+                    for sid, score, x in zip(ids, scores, table[:, 1:]))
+    return Dataset(samples=samples, input_width=table.shape[1] - 1,
+                   score_range=(min(scores), max(scores)),
+                   feature_mode=(prefix == "f"))
+
+
+def _check_header(header: list[str], path) -> tuple[str, int]:
+    """The value-column prefix and width of a valid header."""
     if len(header) < 3 or header[0] != "id" or header[1] != "score":
         raise CsvFormatError(f"{path}: header must start with id,score; got {header[:3]}")
     prefix = header[2][:1]
@@ -314,6 +335,50 @@ def _parse_csv(lines, path) -> Dataset:
     expected = [f"{prefix}{j}" for j in range(width)]
     if header[2:] != expected:
         raise CsvFormatError(f"{path}: malformed value columns {header[2:]}")
+    return prefix, width
+
+
+def _read_table(text: str, path):
+    """The prefix, ids and (rows, 1 + width) score-and-value table of a
+    faultless file whose every record is one line, read by ``np.loadtxt``;
+    None for any other file, which the row loop then reads."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    head = lines[0].removesuffix("\r") if lines else ""
+    body = lines[1:]
+    # a blank line is a row of no fields to csv.reader, which loadtxt skips
+    # (and warns of when nothing is left); csv.reader rejects a field longer
+    # than its limit, which loadtxt reads
+    if not body or "" in body or "\r" in body or '"' in head or "\r" in head or \
+            max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        prefix, width = _check_header(head.split(","), path)
+    except CsvFormatError:
+        return None
+    try:
+        rows = np.loadtxt(body, dtype=[("id", object), ("v", "f8", (width + 1,))],
+                          delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+    ids = rows["id"].tolist()
+    table = np.ascontiguousarray(rows["v"])
+    # one row per line: no quoted field went on to the next line
+    if len(ids) != len(body) or len(set(ids)) != len(ids) or \
+            not np.isfinite(table).all():
+        return None
+    return prefix, ids, table
+
+
+def _read_rows(text: str, path):
+    """``_read_table``'s result for any file ``csv.reader`` reads, row by
+    row with ``float``; a faulty file raises ``CsvFormatError`` naming its
+    first faulty line."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise CsvFormatError(f"{path}: empty file")
+    prefix, width = _check_header(rows[0], path)
     ids: list[str] = []
     table = np.empty((len(rows) - 1, width + 1))  # each line's score, then its values
     seen: set[str] = set()
@@ -343,9 +408,4 @@ def _parse_csv(lines, path) -> Dataset:
     if not ids:
         raise CsvFormatError(f"{path}: no data rows")
     check_finite(table)
-    scores = table[:, 0].tolist()
-    samples = tuple(Sample(sample_id=sid, x=x, score=score)
-                    for sid, score, x in zip(ids, scores, table[:, 1:]))
-    return Dataset(samples=samples, input_width=width,
-                   score_range=(min(scores), max(scores)),
-                   feature_mode=(prefix == "f"))
+    return prefix, ids, table

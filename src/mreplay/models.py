@@ -20,10 +20,11 @@ checks of ``check_width`` and ``encoder_params``. Each MLP pass is one
 fused ``autodiff.mlp`` node, and a sampled score (trunk, both heads and
 the noise) one ``autodiff.sampled_score`` node. Each component's dict
 holds its layers' weights and biases in layer order, the regressor's trunk
-then its mean head and its std head, which is the order those halves take
-them in. The trainable weights of a component become views into one flat
-buffer when its optimizer state is made, so they are updated, and loaded,
-in place.
+then its mean head and its std head (``param_shapes``), which is the order
+those halves take them in. A bundle is built from values for that layout:
+random ones (``init_bundle``) or a checkpoint's. The trainable weights of a
+component become views into one flat buffer when its optimizer state is
+made, so they are updated in place.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head, and ``predict``
@@ -110,32 +111,49 @@ class ModelBundle:
     frozen_encoder: dict[str, Tensor] | None = None
 
 
-def _init_layer(params: dict, prefix: str, i: int, fan_in: int, fan_out: int,
-                rng: np.random.Generator) -> None:
-    bound = 1.0 / np.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    params[f"{prefix}.w{i}"] = ad.leaf(w, name=f"{prefix}.w{i}")
-    params[f"{prefix}.b{i}"] = ad.leaf(np.zeros((1, fan_out)), name=f"{prefix}.b{i}")
-
-
-def _init_mlp(spec: MlpSpec, prefix: str, rng: np.random.Generator) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
+def _mlp_shapes(spec: MlpSpec, prefix: str) -> dict[str, tuple[int, int]]:
+    shapes = {}
     for i in range(spec.n_layers):
-        _init_layer(params, prefix, i, spec.widths[i], spec.widths[i + 1], rng)
-    return params
+        shapes[f"{prefix}.w{i}"] = (spec.widths[i], spec.widths[i + 1])
+        shapes[f"{prefix}.b{i}"] = (1, spec.widths[i + 1])
+    return shapes
+
+
+def param_shapes(spec: BundleSpec) -> dict[str, dict[str, tuple[int, int]] | None]:
+    """Each component's parameter names and shapes in layer order, the
+    regressor's trunk then its mean head and its std head; None for the
+    encoder in feature mode."""
+    head = MlpSpec((spec.trunk.widths[-1], 1))
+    return {
+        "encoder": None if spec.encoder is None else _mlp_shapes(spec.encoder, "encoder"),
+        "projector": _mlp_shapes(spec.projector, "projector"),
+        "regressor": {**_mlp_shapes(spec.trunk, "regressor"),
+                      **_mlp_shapes(head, "regressor.mean"),
+                      **_mlp_shapes(head, "regressor.std")},
+    }
+
+
+def build_bundle(spec: BundleSpec, value) -> ModelBundle:
+    """A bundle whose parameter ``name`` of ``shape`` holds ``value(name,
+    shape)``, which is called in ``param_shapes`` order, encoder first. Each
+    value is checked as a tensor holds it."""
+    comps = {comp: None if shapes is None else
+             {name: ad.leaf(value(name, shape), name=name) for name, shape in shapes.items()}
+             for comp, shapes in param_shapes(spec).items()}
+    return ModelBundle(spec=spec, **comps)
 
 
 def init_bundle(spec: BundleSpec, seed: int) -> ModelBundle:
     """Deterministic init: weights U[-1/sqrt(fan_in), +1/sqrt(fan_in)], biases 0."""
     rng = make_rng(seed, STREAM_INIT)
-    encoder = None if spec.encoder is None else _init_mlp(spec.encoder, "encoder", rng)
-    projector = _init_mlp(spec.projector, "projector", rng)
-    regressor = _init_mlp(spec.trunk, "regressor", rng)
-    h = spec.trunk.widths[-1]
-    _init_layer(regressor, "regressor.mean", 0, h, 1, rng)
-    _init_layer(regressor, "regressor.std", 0, h, 1, rng)
-    return ModelBundle(spec=spec, encoder=encoder, projector=projector,
-                       regressor=regressor)
+
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        if name.rpartition(".")[2].startswith("b"):
+            return np.zeros(shape)
+        bound = 1.0 / np.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape)
+
+    return build_bundle(spec, value)
 
 
 def _layers(params: dict[str, Tensor], prefix: str, n_layers: int) -> list[tuple]:

@@ -211,10 +211,31 @@ def bundle_spec_for(config: TrainConfig, input_width: int,
                       trunk=MlpSpec(tuple(config.trunk_widths)))
 
 
+class PlanError(ValueError):
+    pass
+
+
+def check_test_sets(plan: SessionPlan, held_out_only: bool) -> None:
+    """Reject a plan with a session whose test set, ``train + held_out`` or
+    with ``held_out_only`` ``held_out`` alone, has fewer than the 2 samples
+    a rank correlation needs; every method scores every session's."""
+    for s in plan.sessions:
+        n = len(s.held_out) + (0 if held_out_only else len(s.train))
+        if n < 2:
+            raise PlanError(f"session {s.session} has {n} test sample{'s' * (n != 1)} "
+                            f"with held_out_only={held_out_only}; a rank "
+                            f"correlation needs at least 2")
+
+
 def new_state(config: TrainConfig, input_width: int,
               feature_mode: bool = False) -> TrainState:
     spec = bundle_spec_for(config, input_width, feature_mode)
-    bundle = init_bundle(spec, config.seed)
+    return fresh_state(init_bundle(spec, config.seed), config)
+
+
+def fresh_state(bundle: ModelBundle, config: TrainConfig) -> TrainState:
+    """A state that has trained no session, around ``bundle``: fresh Adam
+    state over its parameters, an empty bank and the config's RNG streams."""
     adam = {name: ad.adam_init(params, lr=config.lr,
                                weight_decay=config.weight_decay)
             for name, params in components(bundle).items()}
@@ -429,6 +450,8 @@ def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
+    for config in configs:
+        check_test_sets(plan, config.held_out_only)
     free = {f.name: f.default for f in fields(TrainConfig) if f.name in SESSION_1_FREE}
     keys = [c if c.method == "joint" else replace(c, method="sequential-ft", **free)
             for c in configs]

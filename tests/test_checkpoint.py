@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import mreplay.autodiff as ad
-from mreplay import checkpoint, cli, data, trainer
+from mreplay import checkpoint, cli, data, models, trainer
 from mreplay.memory import FeatureRecord
 from mreplay.models import components, encode, freeze_copy, predict
 
@@ -165,6 +165,27 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
         assert not np.array_equal(before[name], loaded.adam[name].buffer)
     xt = plan.test_arrays(3)[0]
     assert np.array_equal(predict(state.bundle, xt), predict(loaded.bundle, xt))
+
+
+def test_load_draws_no_init(tmp_path, monkeypatch):
+    # the loaded state is built from the stored arrays: no random weights
+    # are drawn only to be overwritten
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew a random init")
+
+    for module, name in ((models, "init_bundle"), (trainer, "init_bundle"),
+                         (trainer, "new_state"), (checkpoint, "init_bundle"),
+                         (checkpoint, "new_state")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    loaded, _, _ = checkpoint.load_checkpoint(path)
+    _assert_same_state(state, loaded)
+    checkpoint.load_checkpoint(FORMAT_1_SMOKE)
 
 
 def test_format_1_file_loads_like_format_2(tmp_path):

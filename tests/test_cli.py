@@ -162,6 +162,60 @@ def test_train_rejects_a_bad_trunk_before_writing_anything(tmp_path, capsys, tru
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("data_fields, held_out_only, message", [
+    ({"n": 3, "T": 3, "shots": 1}, False,
+     "session 1 has 1 test sample with held_out_only=False"),
+    ({"n": 50, "T": 5, "shots": 10}, True,
+     "session 1 has 0 test samples with held_out_only=True"),
+])
+def test_train_rejects_a_tiny_test_set_before_writing_anything(tmp_path, capsys,
+                                                              data_fields,
+                                                              held_out_only, message):
+    # one-sample test sets, and with held_out_only bands of exactly `shots`
+    # samples, cannot be ranked: the plan fails before the run directory exists
+    smoke = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                        "smoke.json").read_text())
+    smoke["data"].update(data_fields)
+    smoke["train"]["held_out_only"] = held_out_only
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(smoke))
+    assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {message}; a rank correlation needs at least 2\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_reused_parser_gives_each_call_only_its_own_arguments(monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(vars(args))
+        return 0
+
+    for command in ("train", "eval"):
+        monkeypatch.setitem(cli.COMMANDS, command, record)
+    runs = [["train", "--online", "--no-mp", "--seed", "3", "--out", "a"],
+            ["train", "--mse-gr", "--out", "b"],
+            ["eval", "--checkpoint", "c", "--dataset", "d", "--split", "s",
+             "--session", "2"],
+            ["eval", "--checkpoint", "c", "--dataset", "d", "--split", "s"],
+            ["train"]]
+    for argv in runs:
+        assert cli.main(argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    flags = {flag: False for flag in trainer.ABLATION_FLAGS}
+    train = dict(command="train", config=None, method=None, dataset=None, split=None,
+                 **flags)
+    evaluate = dict(command="eval", checkpoint="c", dataset="d", split="s", out=None)
+    assert seen == [
+        {**train, "online": True, "no_mp": True, "seed": 3, "out": "a"},
+        {**train, "online": False, "mse_gr": True, "seed": None, "out": "b"},
+        {**evaluate, "session": 2},
+        {**evaluate, "session": None},
+        {**train, "online": False, "seed": None, "out": None},
+    ]
+
+
 def test_train_keeps_the_given_dataset_bytes(tmp_path, mini_config):
     # the run's dataset.csv is the --dataset file as given; for a file
     # `gen` wrote, those are the bytes a re-render of its dataset gives

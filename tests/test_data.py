@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import csv_reference
 from mreplay import data
 
 
@@ -388,3 +389,109 @@ def test_csv_with_several_faults_reports_the_first_line(tmp_path, lines, first):
     with pytest.raises(data.CsvFormatError) as err:
         data.load_csv(p)
     assert str(err.value) == f"{p}: {first}"
+
+
+def _outcome(load, path):
+    """What reading ``path`` gives: the dataset's ids, score and value bits,
+    score range, width and mode, or the type and message of the error."""
+    try:
+        ds = load(path)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome
+        return type(e).__name__, str(e)
+    return ([s.sample_id for s in ds.samples],
+            [np.float64(s.score).tobytes() + s.x.tobytes() for s in ds.samples],
+            ds.score_range, ds.input_width, ds.feature_mode)
+
+
+def _assert_reads_like_the_row_loop(path):
+    assert _outcome(data.load_csv, path) == _outcome(csv_reference.load_csv, path)
+    assert _outcome(lambda p: data.parse_csv(p.read_bytes(), p), path) == \
+        _outcome(csv_reference.load_csv, path)
+
+
+def _set_value(line: str, draw) -> str:
+    fields = line.split(",")
+    if len(fields) > 1:
+        fields[draw(st.integers(1, len(fields) - 1))] = draw(st.sampled_from(
+            ["1_000", "inf", "-Infinity", "nan", "x1", "1.2.3", "", " 2.5 ", '"3"',
+             "0x10", "1e999", "5e-324"]))
+    return ",".join(fields)
+
+
+def _insert(line: str, draw, text: str) -> str:
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + text + line[at:]
+
+
+# each takes the file's lines, the index of one data line and ``draw``
+_CSV_MUTATIONS = {
+    "blank line": lambda lines, i, draw: lines.insert(i, ""),
+    "blank last line": lambda lines, i, draw: lines.append(""),
+    "id starting with #": lambda lines, i, draw: lines.__setitem__(i, "#" + lines[i]),
+    "quote": lambda lines, i, draw: lines.__setitem__(i, _insert(lines[i], draw, '"')),
+    "carriage return": lambda lines, i, draw: lines.__setitem__(
+        i, _insert(lines[i], draw, "\r")),
+    "short row": lambda lines, i, draw: lines.__setitem__(i, lines[i].rpartition(",")[0]),
+    "long row": lambda lines, i, draw: lines.__setitem__(i, lines[i] + ",1.0"),
+    "value": lambda lines, i, draw: lines.__setitem__(i, _set_value(lines[i], draw)),
+    "duplicate row": lambda lines, i, draw: lines.insert(i, lines[i]),
+    "header only": lambda lines, i, draw: lines.__delitem__(slice(1, None)),
+    "one row": lambda lines, i, draw: lines.__delitem__(slice(2, None)),
+}
+
+
+@pytest.mark.filterwarnings("error")  # the C reader is never handed a text it skips
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(_datasets(), st.lists(st.sampled_from(sorted(_CSV_MUTATIONS)), max_size=3),
+       st.sampled_from(["\r\n", "\n"]), st.booleans(), st.data())
+def test_csv_reads_like_the_row_loop(tmp_path_factory, ds, mutations, newline, final,
+                                     draws):
+    # save_csv's output, then mutated: the C reader must give the row
+    # loop's dataset or its error for every text
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    data.save_csv(ds, path)
+    lines = path.read_bytes().decode().split("\r\n")[:-1]
+    for name in mutations:
+        i = draws.draw(st.integers(1, max(1, len(lines) - 1)))
+        if i < len(lines) or name == "blank line":
+            _CSV_MUTATIONS[name](lines, i, draws.draw)
+    path.write_bytes((newline.join(lines) + newline * final).encode())
+    _assert_reads_like_the_row_loop(path)
+
+
+@pytest.mark.parametrize("text", [
+    "id,score,x0\r\na,1,2\r\n\r\nb,1,2\r\n",  # a blank line
+    "id,score,x0\na,1,2\n\n",  # a blank last line
+    "id,score,x0\r\n\r\n",  # only a blank line
+    "id,score,x0\n#a,1,2\n#b,1,2\n",  # ids that look like comments
+    "id,score,x0\na,1_000,2\n",  # float() reads the underscore
+    "id,score,x0\ra,1,2\rb,3,4\r",  # lone carriage returns
+    'id,score,x0\n"a\nb",1,2\n"c,""d""",3,4\n',  # quoted newline, comma, quote
+    "id,score,x0\n a ,1 , 2\n",  # spaces around ids and values
+    "id,score,x0\na,1,2",  # no final line end
+    "id,score,x0\n",  # header only
+    "id,score,x0\n" + "a" * 131073 + ",1,2\n",  # over csv.reader's field limit
+    # not UTF-8 past the first 8 KiB: the decode error names the same position
+    "id,score,x0\n" + "".join(f"a{i},1,2\n" for i in range(1500)) + "\udcff,1,2\n",
+])
+@pytest.mark.filterwarnings("error")
+def test_csv_edge_cases_read_like_the_row_loop(tmp_path, text):
+    path = tmp_path / "ds.csv"
+    path.write_bytes(text.encode(errors="surrogateescape"))
+    _assert_reads_like_the_row_loop(path)
+
+
+def test_clean_csv_is_read_in_one_pass_into_one_table(tmp_path, monkeypatch):
+    ds = data.generate_synthetic(_cfg(n=40, d_x=6))
+    path = tmp_path / "ds.csv"
+    data.save_csv(ds, path)
+
+    def row_loop(text, path):
+        raise AssertionError("a clean file went through the row loop")
+
+    monkeypatch.setattr(data, "_read_rows", row_loop)
+    back = data.load_csv(path)
+    table = back.samples[0].x.base
+    assert table.flags.c_contiguous and table.shape == (40, 7)
+    assert all(s.x.base is table for s in back.samples)
+    assert [s.x.tobytes() for s in back.samples] == [s.x.tobytes() for s in ds.samples]

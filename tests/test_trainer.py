@@ -798,3 +798,17 @@ def test_stratified_replay_knob():
     default = trainer.run_continual(plan, scaler, cfg)
     assert a.summary == b.summary and a.matrix.cells == b.matrix.cells
     assert a.summary["rho_avg"] != default.summary["rho_avg"]
+
+
+@pytest.mark.parametrize("n, T, shots, held_out_only, session, count", [
+    (3, 3, 1, False, 1, 1),
+    (6, 3, 2, True, 1, 0),
+    (10, 3, 2, True, 2, 1),
+])
+def test_a_test_set_too_small_to_rank_fails_before_training(monkeypatch, n, T, shots,
+                                                           held_out_only, session,
+                                                           count):
+    plan, scaler = _plan(n=n, T=T, shots=shots)
+    monkeypatch.setattr(trainer, "train_session", None)  # nothing may train
+    with pytest.raises(trainer.PlanError, match=f"session {session} has {count} test"):
+        trainer.run_continual(plan, scaler, _cfg(held_out_only=held_out_only))
