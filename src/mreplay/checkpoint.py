@@ -15,10 +15,10 @@ init, writes the Adam moments and step counts into its fresh optimizer
 state in place and restores the frozen copy as constants, so training on
 from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
 payload that is not base64, does not fill its shape or holds a non-finite
-value raises ``CheckpointError`` naming the array. Format-1 files, which store arrays as float lists and
-the bank entry by entry, and hold no Adam state, still load, with fresh
-optimizer state; the loader reads only the keys it needs, so the
-``has_frozen`` flag some of them carry is ignored.
+value raises ``CheckpointError`` naming the array. Format-1 files, which
+store arrays as float lists and the bank entry by entry, and hold no Adam
+state, still load, with fresh optimizer state; the loader reads only the
+keys it needs, so the ``has_frozen`` flag some of them carry is ignored.
 """
 from __future__ import annotations
 

@@ -342,11 +342,8 @@ def _read_table(text: str, path):
     """The prefix, ids and (rows, 1 + width) score-and-value table of a
     faultless file whose every record is one line, read by ``np.loadtxt``;
     None for any other file, which the row loop then reads."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    head = lines[0].removesuffix("\r") if lines else ""
-    body = lines[1:]
+    lines = text.removesuffix("\n").split("\n")
+    head, body = lines[0].removesuffix("\r"), lines[1:]
     # a blank line is a row of no fields to csv.reader, which loadtxt skips
     # (and warns of when nothing is left); csv.reader rejects a field longer
     # than its limit, which loadtxt reads

@@ -402,6 +402,20 @@ def test_tampered_param_names_rejected(tmp_path):
         checkpoint.load_checkpoint(path)
 
 
+def test_missing_component_rejected(tmp_path):
+    # a component the spec has must be stored: none of its weights is drawn
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=1)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    payload = json.loads(path.read_text())
+    payload["params"]["encoder"] = None
+    path.write_text(json.dumps(payload))
+    with pytest.raises(checkpoint.CheckpointError, match="parameter names for encoder"):
+        checkpoint.load_checkpoint(path)
+
+
 def test_unknown_config_field_rejected(tmp_path):
     plan, scaler = _plan()
     cfg = _cfg()
