@@ -296,32 +296,42 @@ def load_csv(path) -> Dataset:
     quoted field over several lines, lone carriage returns, an overlong
     field), and any file with a fault go through the row loop, which gives
     the same result and names the first faulty line."""
-    with open(path, newline="") as fh:
-        return _parse_csv(fh, path)
+    return parse_csv(Path(path).read_bytes(), path)
+
+
+# the SHA-256 of the bytes parse_csv last parsed and their dataset, or None
+_LAST: tuple[bytes, Dataset] | None = None
 
 
 def parse_csv(raw: bytes, path) -> Dataset:
     """``load_csv`` of ``raw``, the bytes of the CSV file ``path``, decoded
-    as ``open`` would decode the file: read in C, with the row loop naming
-    the first faulty line."""
-    return _parse_csv(io.TextIOWrapper(io.BytesIO(raw), newline=""), path)
+    as ``open`` would decode the file.
 
+    The last dataset parsed is kept with the digest of its bytes, so equal
+    bytes, under any path, give that same object again without a parse; its
+    value table is read-only, so no caller can change it under another. A
+    faulty file is parsed, and raises, on every call and leaves the kept
+    dataset as it was."""
+    global _LAST
+    import hashlib  # on first use: it loads OpenSSL, about 3 ms of every start
 
-def _parse_csv(fh, path) -> Dataset:
+    digest = hashlib.sha256(raw).digest()
+    if _LAST is not None and _LAST[0] == digest:
+        return _LAST[1]
     try:
-        text = fh.read()
-    except UnicodeDecodeError:
-        # decoded line by line, as the row loop's reader decodes, the error
-        # names the same position
-        fh.seek(0)
-        text = "".join(fh)
+        text = io.TextIOWrapper(io.BytesIO(raw), newline="").read()
+    except UnicodeDecodeError as e:
+        raise CsvFormatError(f"{path}: {e}") from None
     prefix, ids, table = _read_table(text, path) or _read_rows(text, path)
+    table.flags.writeable = False
     scores = table[:, 0].tolist()
     samples = tuple(Sample(sample_id=sid, x=x, score=score)
                     for sid, score, x in zip(ids, scores, table[:, 1:]))
-    return Dataset(samples=samples, input_width=table.shape[1] - 1,
-                   score_range=(min(scores), max(scores)),
-                   feature_mode=(prefix == "f"))
+    dataset = Dataset(samples=samples, input_width=table.shape[1] - 1,
+                      score_range=(min(scores), max(scores)),
+                      feature_mode=(prefix == "f"))
+    _LAST = digest, dataset
+    return dataset
 
 
 def _check_header(header: list[str], path) -> tuple[str, int]:
@@ -372,9 +382,18 @@ def _read_rows(text: str, path):
     """``_read_table``'s result for any file ``csv.reader`` reads, row by
     row with ``float``; a faulty file raises ``CsvFormatError`` naming its
     first faulty line."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # csv.reader's own fault, a field over its limit, is raised only once
+    # the rows read before it are found faultless
+    rows: list[list[str]] = []
+    unread = None
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as e:
+        unread = CsvFormatError(f"{path}: line {reader.line_num}: {e}")
     if not rows:
-        raise CsvFormatError(f"{path}: empty file")
+        raise unread or CsvFormatError(f"{path}: empty file")
     prefix, width = _check_header(rows[0], path)
     ids: list[str] = []
     table = np.empty((len(rows) - 1, width + 1))  # each line's score, then its values
@@ -402,7 +421,9 @@ def _read_rows(text: str, path):
             raise CsvFormatError(f"{path}: line {i + 2}: {fault}")
         seen.add(row[0])
         ids.append(row[0])
+    check_finite(table)
+    if unread:
+        raise unread
     if not ids:
         raise CsvFormatError(f"{path}: no data rows")
-    check_finite(table)
     return prefix, ids, table

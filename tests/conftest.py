@@ -9,6 +9,8 @@ import tempfile
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from mreplay import data
+
 _hypothesis_home = tempfile.mkdtemp(prefix="hypothesis-")
 
 
@@ -33,6 +35,14 @@ def no_stray_children():
         return
     pytest.fail("a child process is still running" if pid == 0 else
                 f"child process {pid} was never reaped")
+
+
+@pytest.fixture(autouse=True)
+def no_kept_dataset(monkeypatch):
+    """Start every test with no dataset kept by ``data.parse_csv``, so a
+    test that reads a file runs the reader, not a dataset that an earlier
+    test left behind."""
+    monkeypatch.setattr(data, "_LAST", None)
 
 
 WORKER_TEST_SECONDS = 300

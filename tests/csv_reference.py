@@ -4,11 +4,16 @@ This is how ``load_csv`` read every file before numpy's C reader took over
 the files it can read exactly: ``csv.reader`` splits the records, ``float``
 converts each value, and the first faulty line is named. ``load_csv`` must
 give the same ids, scores, values and score range, or raise
-``CsvFormatError`` with the same message, for any text.
+``CsvFormatError`` with the same message, for any text. Two faults that
+``csv.reader`` and the decoder raise themselves are typed here as well: a
+field over ``csv.reader``'s limit names its line once the lines before it
+are found faultless, and a byte the encoding cannot decode names its
+position in the file.
 """
 from __future__ import annotations
 
 import csv
+import io
 
 import numpy as np
 
@@ -17,13 +22,24 @@ from mreplay.data import CsvFormatError, Dataset, Sample
 
 def load_csv(path) -> Dataset:
     with open(path, newline="") as fh:
-        return _parse_csv(fh, path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise CsvFormatError(f"{path}: {e}") from None
+    return _parse_csv(io.StringIO(text, newline=""), path)
 
 
 def _parse_csv(lines, path) -> Dataset:
-    rows = list(csv.reader(lines))
+    reader = csv.reader(lines)
+    rows: list[list[str]] = []
+    unread = None
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as e:
+        unread = CsvFormatError(f"{path}: line {reader.line_num}: {e}")
     if not rows:
-        raise CsvFormatError(f"{path}: empty file")
+        raise unread or CsvFormatError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 3 or header[0] != "id" or header[1] != "score":
         raise CsvFormatError(f"{path}: header must start with id,score; got {header[:3]}")
@@ -60,9 +76,11 @@ def _parse_csv(lines, path) -> Dataset:
             raise CsvFormatError(f"{path}: line {i + 2}: {fault}")
         seen.add(row[0])
         ids.append(row[0])
+    check_finite(table)
+    if unread:
+        raise unread
     if not ids:
         raise CsvFormatError(f"{path}: no data rows")
-    check_finite(table)
     scores = table[:, 0].tolist()
     samples = tuple(Sample(sample_id=sid, x=x, score=score)
                     for sid, score, x in zip(ids, scores, table[:, 1:]))

@@ -237,6 +237,56 @@ def test_train_keeps_the_given_dataset_bytes(tmp_path, mini_config):
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize("line, fault", [
+    (b"a" * 131073 + b",1,2\n", "line 3: field larger than field limit (131072)"),
+    (b"\xff,1,2\n",
+     "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+])
+def test_train_names_the_dataset_file_it_cannot_read(tmp_path, mini_config, capsys,
+                                                     line, fault):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"id,score,x0\nb,1,2\n" + line)
+    assert cli.main(["train", "--config", mini_config, "--dataset", str(bad),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {fault}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_commands_on_one_dataset_parse_it_once(tmp_path, mini_config, monkeypatch):
+    # train, eval on two checkpoints and a scatter plot read the same bytes,
+    # the --dataset file and then the run's copy of it: one parse serves
+    # them all, and each writes what it writes with nothing kept before it
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
+    parses, read = [], data._read_table
+    monkeypatch.setattr(data, "_read_table",
+                        lambda text, path: parses.append(str(path)) or read(text, path))
+
+    def outputs(out: Path, keep: bool) -> list:
+        run = out / "magr-seed0"
+        commands = [["train", "--config", mini_config, "--dataset", str(gen / "dataset.csv"),
+                     "--split", str(gen / "split.json"), "--out", str(out)]]
+        commands += [["eval", "--checkpoint", str(run / "checkpoints" / f"session_0{t}.json"),
+                      "--dataset", str(run / "dataset.csv"),
+                      "--split", str(run / "split.json"), "--out", str(out / f"{t}.json")]
+                     for t in (2, 3)]
+        commands.append(["plot", "--run", str(run), "--kind", "scatter"])
+        for argv in commands:
+            if not keep:
+                monkeypatch.setattr(data, "_LAST", None)
+            assert cli.main(argv) == 0
+        evals = [json.loads((out / f"{t}.json").read_text()) for t in (2, 3)]
+        for payload in evals:
+            payload["checkpoint"] = str(Path(payload["checkpoint"]).relative_to(out))
+        return [(run / "results.csv").read_bytes(), evals,
+                (run / "plots" / "scatter.svg").read_bytes()]
+
+    kept = outputs(tmp_path / "kept", keep=True)
+    assert parses == [str(gen / "dataset.csv")]
+    assert outputs(tmp_path / "fresh", keep=False) == kept
+    assert len(parses) == 5
+
+
 def test_train_produces_full_artifact_set(tmp_path, mini_config, capsys):
     run_dir = _train(tmp_path, mini_config)
     for name in ("dataset.csv", "split.json", "results.csv", "summary.json",

@@ -405,6 +405,7 @@ def _outcome(load, path):
 
 def _assert_reads_like_the_row_loop(path):
     assert _outcome(data.load_csv, path) == _outcome(csv_reference.load_csv, path)
+    data._LAST = None  # parse the bytes again rather than return the kept dataset
     assert _outcome(lambda p: data.parse_csv(p.read_bytes(), p), path) == \
         _outcome(csv_reference.load_csv, path)
 
@@ -470,8 +471,12 @@ def test_csv_reads_like_the_row_loop(tmp_path_factory, ds, mutations, newline, f
     "id,score,x0\n a ,1 , 2\n",  # spaces around ids and values
     "id,score,x0\na,1,2",  # no final line end
     "id,score,x0\n",  # header only
-    "id,score,x0\n" + "a" * 131073 + ",1,2\n",  # over csv.reader's field limit
-    # not UTF-8 past the first 8 KiB: the decode error names the same position
+    # over csv.reader's field limit: both name the line, after any earlier fault
+    "id,score,x0\n" + "a" * 131073 + ",1,2\n",
+    "id,score,x0\na,1,x\n" + "a" * 131073 + ",1,2\n",
+    "id,score,x0\na,inf,2\n" + "a" * 131073 + ",1,2\n",
+    "id,score\n" + "a" * 131073 + ",1,2\n",
+    # not UTF-8 past the first 8 KiB: both name the byte's position in the file
     "id,score,x0\n" + "".join(f"a{i},1,2\n" for i in range(1500)) + "\udcff,1,2\n",
 ])
 @pytest.mark.filterwarnings("error")
@@ -495,3 +500,80 @@ def test_clean_csv_is_read_in_one_pass_into_one_table(tmp_path, monkeypatch):
     assert table.flags.c_contiguous and table.shape == (40, 7)
     assert all(s.x.base is table for s in back.samples)
     assert [s.x.tobytes() for s in back.samples] == [s.x.tobytes() for s in ds.samples]
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    """The reader calls from here on, as (reader, path) pairs in order."""
+    calls = []
+    for name in ("_read_table", "_read_rows"):
+        def count(text, path, name=name, read=getattr(data, name)):
+            calls.append((name, str(path)))
+            return read(text, path)
+        monkeypatch.setattr(data, name, count)
+    return calls
+
+
+def test_equal_bytes_under_any_path_are_parsed_once(tmp_path, parses):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), a)
+    b.write_bytes(a.read_bytes())
+    first = data.load_csv(a)
+    assert data.load_csv(b) is first
+    assert data.parse_csv(a.read_bytes(), "elsewhere.csv") is first
+    assert parses == [("_read_table", str(a))]
+
+
+def test_changed_bytes_are_parsed_again(tmp_path, parses):
+    # the same table with bare line feeds is other bytes: a parse of its
+    # own, equal values, and only the last dataset is kept
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), crlf)
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    first = data.load_csv(crlf)
+    second = data.load_csv(lf)
+    assert second is not first
+    assert _outcome(lambda p: second, lf) == _outcome(lambda p: first, crlf)
+    third = data.load_csv(crlf)
+    assert third is not first and data.load_csv(crlf) is third
+    assert parses == [("_read_table", str(p)) for p in (crlf, lf, crlf)]
+
+
+@pytest.mark.parametrize("body, fault, readers", [
+    (b"a,1,x\n", "line 2: could not convert string to float: 'x'",
+     ("_read_table", "_read_rows")),
+    (b"a" * 131073 + b",1,2\n", "line 2: field larger than field limit (131072)",
+     ("_read_table", "_read_rows")),
+    (b"\xff,1,2\n",  # fails in decoding, before either reader
+     "'utf-8' codec can't decode byte 0xff in position 12: invalid start byte", ()),
+])
+def test_a_faulty_file_raises_on_every_call_and_keeps_nothing(tmp_path, parses,
+                                                               body, fault, readers):
+    good = tmp_path / "good.csv"
+    data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), good)
+    kept = data.load_csv(good)
+    slot = data._LAST
+    bad, copy = tmp_path / "bad.csv", tmp_path / "copy.csv"
+    for p in (bad, copy):
+        p.write_bytes(b"id,score,x0\n" + body)
+    for p in (bad, copy, bad):
+        with pytest.raises(data.CsvFormatError) as err:
+            data.load_csv(p)
+        assert str(err.value) == f"{p}: {fault}"
+        assert data._LAST is slot
+    assert data.load_csv(good) is kept
+    assert parses == [("_read_table", str(good))] + \
+        [(name, str(p)) for p in (bad, copy, bad) for name in readers]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])  # C reader, row loop
+def test_a_parsed_dataset_is_read_only(tmp_path, parses, newline):
+    path = tmp_path / "ds.csv"
+    data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
+    ds = data.load_csv(path)
+    assert parses[-1][0] == ("_read_table" if newline == "\r\n" else "_read_rows")
+    with pytest.raises(ValueError, match="read-only"):
+        ds.samples[0].x[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.samples[0].x.base[1, 0] = 0.0
