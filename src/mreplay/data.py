@@ -295,7 +295,12 @@ def load_csv(path) -> Dataset:
     read, or could read differently from ``csv.reader`` (blank lines, a
     quoted field over several lines, lone carriage returns, an overlong
     field), and any file with a fault go through the row loop, which gives
-    the same result and names the first faulty line."""
+    the same result and names the first faulty line.
+
+    The dataset is shared, as ``parse_csv`` describes: a later call on
+    equal bytes returns this same object, its values are read-only (writing
+    to ``sample.x`` raises ``ValueError``), and the process keeps it until
+    a file with other bytes is parsed."""
     return parse_csv(Path(path).read_bytes(), path)
 
 
@@ -313,7 +318,9 @@ def parse_csv(raw: bytes, path) -> Dataset:
     faulty file is parsed, and raises, on every call and leaves the kept
     dataset as it was."""
     global _LAST
-    import hashlib  # on first use: it loads OpenSSL, about 3 ms of every start
+    # imported here, not with the module: it loads OpenSSL (3-5 ms), which
+    # a process that parses no CSV need not pay (numpy.random loads it too)
+    import hashlib
 
     digest = hashlib.sha256(raw).digest()
     if _LAST is not None and _LAST[0] == digest:
