@@ -1,36 +1,23 @@
-"""Dense 2-D float64 tensors with a reverse-mode tape and an Adam optimizer.
+"""Array-level forward and backward halves of the training step's
+operations, their checks, and an Adam optimizer over flat buffers.
 
-Evaluation is eager: building an expression computes its value immediately
-and records its parents, so ``backward`` can replay the chain rule in
-reverse topological order. All values are strictly 2-D and nothing
-broadcasts: elementwise operations take equal shapes. Every public
-operation validates shapes and rejects non-finite values.
+All values are strictly 2-D float64 arrays and nothing broadcasts:
+elementwise operations take equal shapes. ``checked`` admits an array
+from outside (an input batch, stored features, a parameter value): it
+must be 2-D, non-empty and finite. Every half checks its shapes and
+rejects a non-finite value it computes.
 
-Two kinds of tensor start a tape:
-
-* ``leaf``: a value that receives a gradient, such as a parameter;
-* ``const``: data that needs none (inputs, targets, noise draws, a frozen
-  snapshot). An operation whose inputs are all constants returns a
-  constant with no parents and no backward closure, so a pass over
-  constants only computes values. A backward closure computes nothing for
-  a constant parent, and ``backward`` returns gradients only for leaves.
-
-The primitives are ``matmul``, ``linear`` (``x @ w`` plus a bias row on
-every row), ``add``, ``scale``, ``mul``, ``relu``, ``softplus`` and
-``sq_error``. The fused nodes each replace a chain of them, repeating the
-chain's arithmetic in order, so their values and gradients equal the
-chain's bit for bit; the tests keep each chain as its node's reference.
-They are ``mlp`` (a chain of ``linear`` layers with ReLUs between),
-``sampled_score`` (a ReLU trunk, a mean head and a ``softplus`` std head,
-and ``mean + eps * std``), ``scaled_sq_error`` (a loss), ``weighted_sum``
-(the total loss) and ``graph_loss`` (the whole graph regularizer). ReLU
-runs in place, without a branch per entry.
-
-Each fused node, and ``add``, is two array-level halves, ``<node>_fwd``
-and ``<node>_bwd``, which the node calls and the training step calls
-without a tape: the step builds no tensor and never calls ``backward``.
-The tape serves evaluation, the bank's refresh and store (``models``),
-and ``grad_check``, the gradients' oracle.
+Each operation is two halves, ``<op>_fwd`` and ``<op>_bwd``: ``mlp`` (a
+chain of ``x @ w + b`` layers with ReLUs between), ``score`` (a ReLU
+trunk, a mean head and a ``softplus`` std head, and ``mean + eps * std``),
+``sq_error`` (a scaled squared-error loss), ``weighted_sum`` (the total
+loss) and ``graph`` (the whole graph regularizer); ``add_fwd`` is a
+residual sum, whose backward hands its gradient to both sides. The
+training step calls them directly; ``models`` runs the forward halves to
+evaluate, refresh and store. Each pair repeats, in order, the arithmetic of
+a chain of reverse-mode tape primitives, so its value and gradients equal
+that chain's bit for bit; the tests keep the tape and each chain as the
+reference.
 
 Adam keeps a component's parameters in one flat float64 buffer:
 ``adam_init`` copies them into it in dict order, binds each value as a view
@@ -40,7 +27,6 @@ The training step takes the views from ``adam_views``, adds its gradients
 into them and calls ``adam_update``, which checks every component's
 gradient, then updates each buffer and both moments in place, one numpy
 operation at a time and elementwise as a per-parameter loop would.
-``adam_step`` does the same from a dict of gradients, which it gathers.
 Parameters must be changed (or loaded) by writing into their values, never
 by rebinding them; an update refuses one that is no longer a view.
 A deep copy or a pickle round trip of the arrays does not keep the views;
@@ -66,47 +52,12 @@ class NonFiniteError(ValueError):
     pass
 
 
-class Tensor:
-    """A node of the tape: a 2-D float64 value plus backward plumbing."""
-
-    __slots__ = ("value", "grad", "name", "needs_grad", "_parents", "_bwd")
-
-    def __init__(self, value, name=None, _parents=(), _bwd=None, needs_grad=True):
-        self.value = checked(value, name)
-        self.grad = None  # a parameter's view into its optimizer's gradient
-        self.name = name
-        self.needs_grad = needs_grad
-        self._parents = _parents
-        self._bwd = _bwd
-
-    @property
-    def rows(self) -> int:
-        return self.value.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.value.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
-    def is_leaf(self) -> bool:
-        """A leaf starts the tape and receives a gradient."""
-        return self.needs_grad and not self._parents
-
-    def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor({self.rows}x{self.cols}{tag})"
-
-
 def _at(name):
     return f" {name!r}" if name else ""
 
 
 def checked(value, name=None) -> np.ndarray:
-    """``value`` as a tensor holds it: a non-empty, finite, 2-D float64
-    array."""
+    """``value`` as a non-empty, finite, 2-D float64 array."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
@@ -115,32 +66,6 @@ def checked(value, name=None) -> np.ndarray:
     if not _all_finite(arr):
         raise NonFiniteError(f"non-finite entries in tensor{_at(name)}")
     return arr
-
-
-def leaf(value, name=None) -> Tensor:
-    """Wrap an array as a tape leaf, which ``backward`` gives a gradient."""
-    return Tensor(value, name=name)
-
-
-def const(value, name=None) -> Tensor:
-    """Wrap an array as data that needs no gradient."""
-    return Tensor(value, name=name, needs_grad=False)
-
-
-def _node(value, parents, bwd) -> Tensor:
-    """An operation's result. Only parents that need a gradient are kept,
-    and with none the result is a constant without a backward closure."""
-    live = tuple([p for p in parents if p.needs_grad])
-    if not live:
-        return Tensor(value, needs_grad=False)
-    return Tensor(value, _parents=live, _bwd=bwd)
-
-
-def _acc(grads: dict, t: Tensor, g: np.ndarray) -> None:
-    if t in grads:
-        grads[t] = grads[t] + g
-    else:
-        grads[t] = g
 
 
 def _all_finite(arr) -> bool:
@@ -166,20 +91,15 @@ def _factor(c) -> float:
     return c
 
 
-# ---------------------------------------------------------------- primitives
+class Param:
+    """A parameter, or a frozen copy of one: its ``checked`` value and, once
+    ``adam_bind`` has viewed it into an optimizer, its gradient."""
 
+    __slots__ = ("value", "grad")
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul mismatch: {a.shape} @ {b.shape}")
-
-    def bwd(g, grads):
-        if a.needs_grad:
-            _acc(grads, a, g @ b.value.T)
-        if b.needs_grad:
-            _acc(grads, b, a.value.T @ g)
-
-    return _node(a.value @ b.value, (a, b), bwd)
+    def __init__(self, value, name=None):
+        self.value = checked(value, name)
+        self.grad = None
 
 
 def _check_linear(shape: tuple, w: np.ndarray, b: np.ndarray) -> None:
@@ -189,58 +109,11 @@ def _check_linear(shape: tuple, w: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.shape[1]} row")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w`` plus the 1 x m bias row ``b`` on every row, as one node."""
-    _check_linear(x.shape, w.value, b.value)
-
-    def bwd(g, grads):
-        if b.needs_grad:
-            _acc(grads, b, g.sum(axis=0, keepdims=True))
-        if x.needs_grad:
-            _acc(grads, x, g @ w.value.T)
-        if w.needs_grad:
-            _acc(grads, w, x.value.T @ g)
-
-    return _node(x.value @ w.value + b.value, (x, w, b), bwd)
-
-
 def add_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a + b``, checked; its backward hands its gradient to both."""
     if a.shape != b.shape:
         raise ShapeError(f"add mismatch: {a.shape} + {b.shape}")
     return _finite(a + b)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, grads):
-        if a.needs_grad:
-            _acc(grads, a, g)
-        if b.needs_grad:
-            _acc(grads, b, g)
-
-    return _node(add_fwd(a.value, b.value), (a, b), bwd)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = _factor(c)
-
-    def bwd(g, grads):
-        _acc(grads, a, c * g)
-
-    return _node(c * a.value, (a,), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul mismatch: {a.shape} * {b.shape}")
-
-    def bwd(g, grads):
-        if a.needs_grad:
-            _acc(grads, a, g * b.value)
-        if b.needs_grad:
-            _acc(grads, b, g * a.value)
-
-    return _node(a.value * b.value, (a, b), bwd)
 
 
 def _relu(h: np.ndarray) -> np.ndarray:
@@ -252,16 +125,6 @@ def _relu(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken as 0."""
-    out = _relu(a.value.copy())
-
-    def bwd(g, grads):
-        _acc(grads, a, g * (out > 0.0))
-
-    return _node(out, (a,), bwd)
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
@@ -271,58 +134,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + exp(x)), computed stably; gradient is the logistic sigmoid."""
-    def bwd(g, grads):
-        _acc(grads, a, g * _sigmoid(a.value))
-
-    return _node(_softplus(a.value), (a,), bwd)
-
-
-def sq_error(a: Tensor, b: Tensor) -> Tensor:
-    """Sum of squared elementwise differences, as a 1 x 1 tensor."""
-    if a.shape != b.shape:
-        raise ShapeError(f"sq_error mismatch: {a.shape} vs {b.shape}")
-    diff = a.value - b.value
-
-    def bwd(g, grads):
-        d = 2.0 * g[0, 0] * diff
-        if a.needs_grad:
-            _acc(grads, a, d)
-        if b.needs_grad:
-            _acc(grads, b, -d)
-
-    return _node([[(diff * diff).sum()]], (a, b), bwd)
-
-
-# ------------------------------------------------------------- fused nodes
+# ------------------------------------------------------------------ halves
 #
-# Each node below replaces a chain of the primitives above. A chain without
-# fan-out inside leaves the tape's order of work unchanged when it becomes
-# one node, so each repeats the chain's numpy operations in order, and its
+# Each pair below repeats a chain of tape primitives without the tape. The
+# tape's order of work along a chain without fan-out inside is the chain's
+# own, so each half repeats the chain's numpy operations in order, and its
 # value and gradients equal the chain's bit for bit. Each keeps the shape
 # checks of the primitives it replaces and the finiteness check of every
-# value they wrapped in a tensor, except a ReLU output, which is finite
-# when its input is.
+# value the tape wrapped, except a ReLU output, which is finite when its
+# input is.
 #
-# Each node is two array-level halves, which the training step also calls,
-# without a tape. ``<node>_fwd`` makes the checks and returns the value and
-# what the backward half needs. ``<node>_bwd`` adds each input's gradient
-# into that input's sink, or skips an input whose sink is None. A sink
-# starts at -0.0, the exact additive identity, so adding every contribution
-# with ``+=`` gives the bits of the tape, which keeps the first gradient and
-# adds later ones to it. A node hands its halves a fresh sink per input that
-# needs a gradient.
-
-
-def _sinks(inputs) -> list:
-    return [np.full(t.value.shape, -0.0) if t.needs_grad else None for t in inputs]
-
-
-def _drain(grads: dict, inputs, sinks) -> None:
-    for t, s in zip(inputs, sinks):
-        if s is not None:
-            _acc(grads, t, s)
+# ``<op>_fwd`` makes the checks and returns the value and what the backward
+# half needs. ``<op>_bwd`` adds each input's gradient into that input's
+# sink, or skips an input whose sink is None. A sink starts at -0.0, the
+# exact additive identity, so adding every contribution with ``+=`` gives
+# the bits of the tape, which keeps the first gradient and adds later ones
+# to it.
 
 
 def mlp_fwd(x: np.ndarray, params, output_relu: bool = False) -> list[np.ndarray]:
@@ -342,7 +169,7 @@ def mlp_fwd(x: np.ndarray, params, output_relu: bool = False) -> list[np.ndarray
 def mlp_bwd(g, params, acts, output_relu: bool, sinks, x_sink=None) -> None:
     """``mlp_fwd``'s backward from its output's gradient ``g``, with one sink
     per parameter and ``x_sink`` for the input, in the order the composed
-    nodes would run."""
+    tape would run."""
     n = len(params) // 2
     live = [x_sink is not None]  # whether each layer's input needs a gradient
     for i in range(n):
@@ -361,26 +188,6 @@ def mlp_bwd(g, params, acts, output_relu: bool, sinks, x_sink=None) -> None:
         if gx is None:
             return
         g = gx
-
-
-def _params(layers) -> tuple:
-    return tuple(p for layer in layers for p in layer)
-
-
-def mlp(x: Tensor, layers, output_relu: bool = False) -> Tensor:
-    """A chain of ``linear`` layers, given as (weight, bias) pairs, with a
-    ``relu`` between each two and, with ``output_relu``, after the last,
-    as one node."""
-    inputs = (x, *_params(layers))
-    values = [p.value for p in inputs[1:]]
-    acts = mlp_fwd(x.value, values, output_relu)
-
-    def bwd(g, grads):
-        sinks = _sinks(inputs)
-        mlp_bwd(g, values, acts, output_relu, sinks[1:], sinks[0])
-        _drain(grads, inputs, sinks)
-
-    return _node(acts[-1], inputs, bwd)
 
 
 def score_fwd(x: np.ndarray, params, eps=None):
@@ -436,25 +243,6 @@ def score_bwd(g, params, eps, ctx, sinks, x_sink=None) -> None:
         mlp_bwd(gt, params[:-4], acts, True, sinks[:-4], x_sink)
 
 
-def sampled_score(x: Tensor, layers, mean_head, std_head, eps=None):
-    """``score_fwd``'s sample as one node, with the trunk given as (weight,
-    bias) pairs and each head as a pair, and its mean and std columns as
-    arrays. With ``eps`` None the node is the mean itself."""
-    (wm, bm), (ws, bs) = mean_head, std_head
-    trunk = _params(layers)
-    inputs = (x, *trunk, wm, bm, ws, bs)
-    values = [p.value for p in inputs[1:]]
-    out, mean, std, ctx = score_fwd(x.value, values, eps)
-
-    def bwd(g, grads):
-        sinks = _sinks(inputs)
-        score_bwd(g, values, eps, ctx, sinks[1:], sinks[0])
-        _drain(grads, inputs if eps is not None else inputs[:-2], sinks)
-
-    parents = (wm, bm, x, *trunk) + (() if eps is None else (ws, bs))
-    return _node(out, parents, bwd), mean, std
-
-
 def sq_error_fwd(a: np.ndarray, b: np.ndarray, c) -> tuple:
     """``c`` times the sum of squared differences of ``a`` and ``b``, and
     the differences, which ``sq_error_bwd`` takes."""
@@ -469,21 +257,6 @@ def sq_error_bwd(g, c: float, diff: np.ndarray) -> np.ndarray:
     """``a``'s gradient from the value's gradient ``g``; ``b``'s is its
     negation."""
     return 2.0 * (c * g) * diff
-
-
-def scaled_sq_error(a: Tensor, b: Tensor, c: float) -> Tensor:
-    """``scale(sq_error(a, b), c)`` as one node."""
-    value, diff = sq_error_fwd(a.value, b.value, c)
-    c = float(c)
-
-    def bwd(g, grads):
-        d = sq_error_bwd(g[0, 0], c, diff)
-        if a.needs_grad:
-            _acc(grads, a, d)
-        if b.needs_grad:
-            _acc(grads, b, -d)
-
-    return _node([[value]], (a, b), bwd)
 
 
 def weighted_sum_fwd(values, weights) -> tuple:
@@ -502,19 +275,6 @@ def weighted_sum_fwd(values, weights) -> tuple:
 def weighted_sum_bwd(g, weights) -> list:
     """Each value's gradient from the sum's gradient ``g``."""
     return [g if c is None else c * g for c in weights]
-
-
-def weighted_sum(terms) -> Tensor:
-    """``add`` over (tensor, weight) pairs, left to right, each tensor first
-    ``scale``d by its weight unless that is None, as one node."""
-    total, weights = weighted_sum_fwd([t.value for t, _ in terms], [c for _, c in terms])
-
-    def bwd(g, grads):
-        for (t, _), gt in zip(terms, weighted_sum_bwd(g, weights)):
-            if t.needs_grad:
-                _acc(grads, t, gt)
-
-    return _node(total, tuple(t for t, _ in terms), bwd)
 
 
 def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -573,13 +333,25 @@ def _row_bwd(g, ctx) -> np.ndarray:
 
 def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint: bool,
               intra_inter: bool, use_mse: bool, reverse_kl: bool) -> tuple:
-    """``graph_loss``'s value over the arrays ``old`` and ``new``, and the
-    context of ``graph_bwd``."""
+    """The graph regularizer over ``old`` stacked on ``new``, and the context
+    of ``graph_bwd``.
+
+    The angles are the clamped arccos of the cosines between the stacked
+    rows. Each term is the mean over rows of KL(softmax(angles) ||
+    softmax(gaps)) on one block, reversed by ``reverse_kl``, or with
+    ``use_mse`` the mean squared difference: the whole n x n matrix if
+    ``joint``, then the old/old, old/new, new/old and new/new blocks if
+    ``intra_inter``; at least one must be on. The four blocks are computed
+    as two column groups, old columns and new columns, each split into old
+    rows and new rows. Every sum runs in the composed tape's order.
+    """
+    if not joint and not intra_inter:
+        raise ValueError("graph regularizer with no joint and no block terms")
     if old.shape[1] != new.shape[1]:
-        raise ShapeError(f"graph_loss mismatch: {old.shape} over {new.shape}")
+        raise ShapeError(f"graph mismatch: {old.shape} over {new.shape}")
     b1, n = old.shape[0], old.shape[0] + new.shape[0]
     if gaps.shape != (n, n):
-        raise ShapeError(f"graph_loss gaps {gaps.shape} for {n} rows")
+        raise ShapeError(f"graph gaps {gaps.shape} for {n} rows")
     h = np.concatenate([old, new], axis=0)
     norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
     denom = np.maximum(norms, NORM_FLOOR)
@@ -622,113 +394,6 @@ def graph_bwd(g, ctx) -> np.ndarray:
     return (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
 
 
-def graph_loss(old: Tensor, new: Tensor, gaps: np.ndarray, *, joint: bool,
-               intra_inter: bool, use_mse: bool, reverse_kl: bool) -> Tensor:
-    """The graph regularizer as one node over ``old`` stacked on ``new``.
-
-    The angles are the clamped arccos of the cosines between the stacked
-    rows. Each term is the mean over rows of KL(softmax(angles) ||
-    softmax(gaps)) on one block, reversed by ``reverse_kl``, or with
-    ``use_mse`` the mean squared difference: the whole n x n matrix if
-    ``joint``, then the old/old, old/new, new/old and new/new blocks if
-    ``intra_inter``. The four blocks are computed as two column groups, old
-    columns and new columns, each split into old rows and new rows. Every
-    sum runs in the composed tape's order, so the value and gradients equal
-    the composition's bit for bit.
-    """
-    value, ctx = graph_fwd(old.value, new.value, gaps, joint=joint, intra_inter=intra_inter,
-                           use_mse=use_mse, reverse_kl=reverse_kl)
-
-    def bwd(g, grads):
-        ga = graph_bwd(g[0, 0], ctx)
-        if old.needs_grad:
-            _acc(grads, old, ga[:old.rows])
-        if new.needs_grad:
-            _acc(grads, new, ga[old.rows:])
-
-    return _node([[value]], (old, new), bwd)
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Detach a value from the tape: a constant sharing ``a``'s value."""
-    return const(a.value)
-
-
-# ------------------------------------------------------------------ backward
-
-
-def _topo(root: Tensor) -> list[Tensor]:
-    # depth-first post-order over the parents that need a gradient; the
-    # order decides how fan-out gradients are summed, so it fixes the bits
-    order, seen, stack = [], set(), [(root, False)]
-    push, pop = stack.append, stack.pop
-    while stack:
-        node, done = pop()
-        if done:
-            order.append(node)
-        elif node not in seen:
-            seen.add(node)
-            push((node, True))
-            for p in node._parents:
-                push((p, False))
-    return order
-
-
-def backward(root: Tensor, seed_grad) -> dict[Tensor, np.ndarray]:
-    """Propagate ``seed_grad`` from ``root`` back to every leaf.
-
-    Returns a map from each leaf on the tape to its gradient; constants get
-    none. Gradients accumulate across fan-out.
-    """
-    seed = np.asarray(seed_grad, dtype=np.float64)
-    if seed.shape != root.value.shape:
-        raise ShapeError(f"seed shape {seed.shape} does not match root {root.shape}")
-    if not np.isfinite(seed).all():
-        raise NonFiniteError("non-finite seed gradient")
-    grads: dict[Tensor, np.ndarray] = {root: seed}
-    for node in reversed(_topo(root)):
-        if node._bwd is None:
-            continue
-        g = grads.get(node)
-        if g is None:  # node not on any path from root
-            continue
-        node._bwd(g, grads)
-    return {n: g for n, g in grads.items() if n.is_leaf()}
-
-
-def grad_check(f, leaves: list[Tensor], fd_step: float = 1e-5) -> float:
-    """Worst relative error between backward and central finite differences.
-
-    ``f`` is a zero-argument callable that rebuilds a scalar (1 x 1)
-    expression from ``leaves``; their values are perturbed in place for
-    the finite-difference probes. The relative error denominator is
-    max(|analytic|, |numeric|, 1e-8).
-    """
-    if fd_step <= 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
-    out = f()
-    if out.shape != (1, 1):
-        raise ShapeError(f"grad_check target must be 1x1, got {out.shape}")
-    grads = backward(out, [[1.0]])
-    worst = 0.0
-    for t in leaves:
-        analytic = grads.get(t)
-        if analytic is None:
-            analytic = np.zeros_like(t.value)
-        for idx in np.ndindex(t.value.shape):
-            orig = t.value[idx]
-            t.value[idx] = orig + fd_step
-            hi = f().value[0, 0]
-            t.value[idx] = orig - fd_step
-            lo = f().value[0, 0]
-            t.value[idx] = orig
-            numeric = (hi - lo) / (2.0 * fd_step)
-            a = analytic[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
-
-
 # ---------------------------------------------------------------------- adam
 
 
@@ -751,7 +416,7 @@ class AdamState:
     step_count: int = 0
 
 
-def adam_init(params: dict[str, Tensor], lr: float = 1e-4,
+def adam_init(params: dict[str, Param], lr: float = 1e-4,
               weight_decay: float = 1e-4) -> AdamState:
     """Optimizer state for ``params``. Their values are copied into one flat
     buffer, in dict order, and each is rebound as a view into it, so later
@@ -770,7 +435,7 @@ def adam_init(params: dict[str, Tensor], lr: float = 1e-4,
     return state
 
 
-def adam_bind(params: dict[str, Tensor], state: AdamState) -> None:
+def adam_bind(params: dict[str, Param], state: AdamState) -> None:
     """Rebind each parameter's value and gradient as views into
     ``state.buffer`` and ``state.grad``, at its span, as an update requires."""
     for name, p in params.items():
@@ -779,13 +444,13 @@ def adam_bind(params: dict[str, Tensor], state: AdamState) -> None:
         p.grad = state.grad[lo:hi].reshape(p.value.shape)
 
 
-def _check_view(name: str, p: Tensor, state: AdamState) -> None:
+def _check_view(name: str, p: Param, state: AdamState) -> None:
     if p.value.base is not state.buffer:
         raise ValueError(f"parameter {name!r} is not a view into the "
                          f"optimizer's buffer; write values in place")
 
 
-def adam_views(params: dict[str, Tensor], state: AdamState) -> tuple[list, list]:
+def adam_views(params: dict[str, Param], state: AdamState) -> tuple[list, list]:
     """The parameters' values and gradients, in dict order, for a step that
     writes the gradients itself; ``adam_update`` then reads them. Every
     gradient is set to -0.0, the exact additive identity, so the step can add
@@ -807,39 +472,6 @@ def adam_update(states) -> None:
             raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
     for state in states:
         _adam(state, state.grad, state.buffer, state.m, state.v)
-
-
-def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState) -> None:
-    """One Adam update of the parameters that have a gradient in ``grads``,
-    in place; a non-finite gradient aborts it untouched. The gradients are
-    gathered into ``state.grad``, and with every parameter present this is
-    ``adam_update``."""
-    have = []
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if g.shape != p.value.shape:
-            raise ShapeError(f"gradient shape {g.shape} does not match "
-                             f"parameter {name!r} {p.value.shape}")
-        _check_view(name, p, state)
-        lo, hi = state.spans[name]
-        state.grad[lo:hi] = g.reshape(-1)
-        have.append((lo, hi))
-    if len(have) == len(state.spans):
-        return adam_update([state])
-    sel = np.zeros(state.buffer.size, dtype=bool)
-    for lo, hi in have:
-        sel[lo:hi] = True
-    g = state.grad[sel]
-    if not np.isfinite(g).all():
-        bad = next(name for name in params
-                   if name in grads and not np.isfinite(grads[name]).all())
-        raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
-    buf, m, v = state.buffer[sel], state.m[sel], state.v[sel]
-    _adam(state, g, buf, m, v)
-    state.buffer[sel], state.m[sel], state.v[sel] = buf, m, v
 
 
 def _adam(state: AdamState, g: np.ndarray, buf: np.ndarray, m: np.ndarray,
@@ -868,3 +500,4 @@ def _adam(state: AdamState, g: np.ndarray, buf: np.ndarray, m: np.ndarray,
     d *= state.lr
     buf -= np.divide(d, tmp, out=d)
     state.step_count = t
+

@@ -12,7 +12,7 @@ failed save leaves the previous file intact.
 
 Loading builds the bundle from the stored parameters, with no random
 init, writes the Adam moments and step counts into its fresh optimizer
-state in place and restores the frozen copy as constants, so training on
+state in place and restores the frozen copy, so training on
 from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
 payload that is not base64, does not fill its shape or holds a non-finite
 value raises ``CheckpointError`` naming the array. Format-1 files, which
@@ -159,7 +159,7 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     # and the optimizer state copies them into its buffer
     state = fresh_state(build_bundle(spec, value), config)
     state.bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
-        {name: ad.const(unpack(d, f"{path}: frozen_encoder/{name}"))
+        {name: ad.Param(unpack(d, f"{path}: frozen_encoder/{name}"))
          for name, d in payload["frozen_encoder"].items()}
     packed_bank = payload["bank"]
     bank = MemoryBank(capacity=packed_bank["capacity"])

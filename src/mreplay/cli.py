@@ -160,6 +160,8 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
         return d[key]
 
     shots = need(manifest, "shots")
+    if type(shots) is not int or shots < 1:  # a bool is an int, but not a count
+        raise ValueError(f"split manifest field 'shots' is {shots!r}, not an int >= 1")
     entries = kind(need(manifest, "sessions"), list, "field 'sessions'")
     if need(manifest, "T") != len(entries):
         raise ValueError(f"split manifest field 'T' is {manifest['T']!r} "

@@ -1,4 +1,5 @@
-"""Encoder / projector / regressor bundle built on the autodiff tape.
+"""Encoder / projector / regressor bundle over ``autodiff``'s array-level
+halves.
 
 The bundle holds three trainable components plus an optional frozen copy
 of the encoder:
@@ -7,24 +8,22 @@ of the encoder:
 * projector: residual map applied to stale feature vectors,
 * regressor: shared trunk with a mean head and a softplus std head.
 
-Every forward function takes a ``Tensor``; only ``predict`` takes an array,
-which enters the tape as a constant. The frozen copy is a dict of
-constants keyed like the encoder's own weights, so ``encode(frozen=True)``
-runs the same forward pass on it; on constant inputs that pass records
-nothing for ``backward``, and no gradient reaches the live encoder.
+Every parameter, and each weight of the frozen copy, is an
+``autodiff.Param``. The frozen copy is keyed like the encoder's own
+weights, so ``encode(frozen=True)`` runs the same forward pass on it, and
+it never gets a gradient. Each component's dict holds its layers' weights
+and biases in layer order, the regressor's trunk then its mean head and
+its std head (``param_shapes``), which is the order the halves take them
+in. A bundle is built from values for that layout: random ones
+(``init_bundle``) or a checkpoint's. The trainable weights of a component
+become views into one flat buffer when its optimizer state is made, so
+they are updated in place.
 
-These tape functions serve evaluation (``predict``), the bank's refresh
-and store (``project``, ``encode``) and the tests; the training step runs
-the same arithmetic through ``autodiff``'s array-level halves, with the
-checks of ``check_width`` and ``encoder_params``. Each MLP pass is one
-fused ``autodiff.mlp`` node, and a sampled score (trunk, both heads and
-the noise) one ``autodiff.sampled_score`` node. Each component's dict
-holds its layers' weights and biases in layer order, the regressor's trunk
-then its mean head and its std head (``param_shapes``), which is the order
-those halves take them in. A bundle is built from values for that layout:
-random ones (``init_bundle``) or a checkpoint's. The trainable weights of a
-component become views into one flat buffer when its optimizer state is
-made, so they are updated in place.
+``encode``, ``project`` and ``predict`` take and return arrays: they serve
+evaluation and the bank's refresh and store through ``autodiff.mlp_fwd``,
+each checking its input as ``autodiff.checked`` does. The training step
+runs the same forward halves, and their backward halves, with the checks
+of ``check_width`` and ``encoder_params``.
 
 Scores are predicted as ``mean + eps * std`` per row; evaluation uses
 ``eps = 0`` so predictions collapse to the mean head, and ``predict``
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Param
 
 STREAM_INIT = 4
 
@@ -105,10 +104,10 @@ class BundleSpec:
 @dataclass
 class ModelBundle:
     spec: BundleSpec
-    encoder: dict[str, Tensor] | None
-    projector: dict[str, Tensor]
-    regressor: dict[str, Tensor]
-    frozen_encoder: dict[str, Tensor] | None = None
+    encoder: dict[str, Param] | None
+    projector: dict[str, Param]
+    regressor: dict[str, Param]
+    frozen_encoder: dict[str, Param] | None = None
 
 
 def _mlp_shapes(spec: MlpSpec, prefix: str) -> dict[str, tuple[int, int]]:
@@ -138,7 +137,7 @@ def build_bundle(spec: BundleSpec, value) -> ModelBundle:
     shape)``, which is called in ``param_shapes`` order, encoder first. Each
     value is checked as a tensor holds it."""
     comps = {comp: None if shapes is None else
-             {name: ad.leaf(value(name, shape), name=name) for name, shape in shapes.items()}
+             {name: Param(value(name, shape), name) for name, shape in shapes.items()}
              for comp, shapes in param_shapes(spec).items()}
     return ModelBundle(spec=spec, **comps)
 
@@ -156,8 +155,8 @@ def init_bundle(spec: BundleSpec, seed: int) -> ModelBundle:
     return build_bundle(spec, value)
 
 
-def _layers(params: dict[str, Tensor], prefix: str, n_layers: int) -> list[tuple]:
-    return [(params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"]) for i in range(n_layers)]
+def _values(params: dict[str, Param]) -> list[np.ndarray]:
+    return [p.value for p in params.values()]
 
 
 def check_width(bundle: ModelBundle, cols: int, features: bool = False) -> None:
@@ -183,69 +182,43 @@ def encoder_params(bundle: ModelBundle, frozen: bool = False) -> dict | None:
     return bundle.frozen_encoder
 
 
-def encode(bundle: ModelBundle, x: Tensor, frozen: bool = False) -> Tensor:
+def encode(bundle: ModelBundle, x, frozen: bool = False) -> np.ndarray:
     """Map an n x d_x input batch to n x D features.
 
-    ``frozen=True`` routes through the frozen encoder copy, whose weights
-    are constants.
+    ``frozen=True`` routes through the frozen encoder copy.
     """
-    check_width(bundle, x.cols)
+    x = ad.checked(x)
+    check_width(bundle, x.shape[1])
     params = encoder_params(bundle, frozen)
     if params is None:
         return x
-    return ad.mlp(x, _layers(params, "encoder", bundle.spec.encoder.n_layers))
+    return ad.mlp_fwd(x, _values(params))[-1]
 
 
-def project(bundle: ModelBundle, h: Tensor, residual: bool = True) -> Tensor:
+def project(bundle: ModelBundle, h, residual: bool = True) -> np.ndarray:
     """Apply the projector: ``h + p(h)``, or ``p(h)`` when ``residual`` is off."""
-    check_width(bundle, h.cols, features=True)
-    p = ad.mlp(h, _layers(bundle.projector, "projector", bundle.spec.projector.n_layers))
-    if residual:
-        return ad.add(h, p)
-    return p
-
-
-def _trunk(bundle: ModelBundle) -> list[tuple]:
-    return _layers(bundle.regressor, "regressor", bundle.spec.trunk.n_layers)
-
-
-def _head(bundle: ModelBundle, name: str) -> tuple:
-    return _layers(bundle.regressor, f"regressor.{name}", 1)[0]
-
-
-def regress(bundle: ModelBundle, h: Tensor, eps=None) -> tuple[Tensor, Tensor, Tensor]:
-    """Score a feature batch; returns (mean, std, sample) column tensors.
-
-    ``eps`` is an n x 1 array of noise draws; None means zeros, in which
-    case the sampled score is the mean exactly. The sample is one tape node
-    and the only one of the three with a backward path; the mean and std
-    come back as constants, unless the sample is the mean.
-    """
-    if eps is not None:
-        eps = np.asarray(eps, dtype=np.float64)
-        if eps.shape != (h.rows, 1):
-            raise ad.ShapeError(f"eps shape {eps.shape} does not match batch ({h.rows}, 1)")
-    sample, mean, std = ad.sampled_score(h, _trunk(bundle), _head(bundle, "mean"),
-                                         _head(bundle, "std"), eps)
-    return sample if eps is None else ad.const(mean), ad.const(std), sample
+    h = ad.checked(h)
+    check_width(bundle, h.shape[1], features=True)
+    p = ad.mlp_fwd(h, _values(bundle.projector))[-1]
+    return ad.add_fwd(h, p) if residual else p
 
 
 def predict(bundle: ModelBundle, x) -> np.ndarray:
     """Deterministic scores (eps = 0) for an input batch, as a flat array:
     the trunk and the mean head as one chain, without the std head."""
-    mean = ad.mlp(encode(bundle, ad.const(x)), _trunk(bundle) + [_head(bundle, "mean")])
-    return mean.value[:, 0].copy()
+    trunk_and_mean = _values(bundle.regressor)[:-2]
+    return ad.mlp_fwd(encode(bundle, x), trunk_and_mean)[-1][:, 0].copy()
 
 
 def freeze_copy(bundle: ModelBundle) -> None:
-    """Snapshot the encoder weights as constants. Identity encoders have no
-    weights, so there is nothing to snapshot."""
+    """Snapshot the encoder weights. Identity encoders have no weights, so
+    there is nothing to snapshot."""
     if bundle.spec.encoder is not None:
-        bundle.frozen_encoder = {name: ad.const(p.value.copy())
+        bundle.frozen_encoder = {name: Param(p.value.copy())
                                  for name, p in bundle.encoder.items()}
 
 
-def components(bundle: ModelBundle) -> dict[str, dict[str, Tensor]]:
+def components(bundle: ModelBundle) -> dict[str, dict[str, Param]]:
     """Trainable parameter groups keyed by component name."""
     out = {"projector": bundle.projector, "regressor": bundle.regressor}
     if bundle.encoder is not None:

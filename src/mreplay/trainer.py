@@ -9,9 +9,9 @@ on the current batch; once the memory bank is non-empty it adds
 * a replay regression loss on projected stored features,
 * the graph regularizer over the joint replayed/current batch,
 
-and takes one Adam step on the weighted sum. The step builds no tape: it
-calls ``autodiff``'s array-level halves and adds each gradient straight
-into its component's flat Adam gradient. At session end the stored
+and takes one Adam step on the weighted sum. The step calls
+``autodiff``'s array-level halves and adds each gradient straight into
+its component's flat Adam gradient. At session end the stored
 features are refreshed through the projector exactly once, then the
 finished session's features are stored by score-ordered uniform selection.
 
@@ -251,11 +251,11 @@ def fresh_state(bundle: ModelBundle, config: TrainConfig) -> TrainState:
 
 def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
                 config: TrainConfig) -> dict:
-    """One step without a tape, through ``autodiff``'s array-level halves.
+    """One step through ``autodiff``'s array-level halves.
 
-    The forward pass makes every check the tape's step made, once. Each
-    gradient is then added into its parameter's view of its component's
-    flat gradient, in the order the tape's ``backward`` summed it: ``h_new``
+    The forward pass makes every check the reference tape step makes, once.
+    Each gradient is then added into its parameter's view of its component's
+    flat gradient, in the order that step's ``backward`` sums it: ``h_new``
     gets its score's, then the projector loss's, then the graph term's.
     Every other sum has at most two terms (``h_old``, the regressor and
     projector weights, the encoder under ``replay-raw``), and a + b equals
@@ -403,13 +403,12 @@ def _update_bank(state: TrainState, x: np.ndarray, y: np.ndarray,
         return
     if not config.no_mp and state.bank.size > 0:
         def refreshed(stored: np.ndarray) -> np.ndarray:
-            return project(state.bundle, ad.const(stored),
-                           residual=not config.no_residual).value
+            return project(state.bundle, stored, residual=not config.no_residual)
         mem.refresh(state.bank, refreshed, t)
     if config.method == "replay-raw":
         stored_feats = x
     else:
-        stored_feats = encode(state.bundle, ad.const(x)).value
+        stored_feats = encode(state.bundle, x)
     mem.store_session(state.bank, stored_feats, y, ids, t,
                       rng=state.rngs["store"],
                       random_sampling=config.random_sampling)
@@ -499,13 +498,13 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
                           grad=a.grad.copy(), lr=config.lr,
                           weight_decay=config.weight_decay)
             for name, a in state.adam.items()}
-    comps = {name: {key: ad.leaf(p.value, name=key) for key, p in params.items()}
+    comps = {name: {key: ad.Param(p.value, key) for key, p in params.items()}
              for name, params in components(state.bundle).items()}
     for name, params in comps.items():
         ad.adam_bind(params, adam[name])
     frozen = state.bundle.frozen_encoder
     if frozen is not None:
-        frozen = {key: ad.const(p.value.copy()) for key, p in frozen.items()}
+        frozen = {key: ad.Param(p.value.copy()) for key, p in frozen.items()}
     bundle = replace(state.bundle, encoder=comps.get("encoder"), projector=comps["projector"],
                      regressor=comps["regressor"], frozen_encoder=frozen)
     rngs = {}

@@ -1,12 +1,12 @@
 """The graph regularizer composed from tape primitives, as the reference
-for ``autodiff.graph_loss``.
+for ``autodiff.graph_fwd`` and ``autodiff.graph_bwd``.
 
 The primitives here (row normalization, clamped arccos, row softmax and
 log-softmax, transpose, row concatenation, block slicing, difference and
-full sum) and the losses built from them are what ``losses.graph_reg_loss``
-was made of before it became one node. The fused node repeats their
-arithmetic in the tape's order, so the two agree bit for bit; the tests
-also use them to scalarise expressions and to check the tape on
+full sum) extend ``tape_reference``'s, and the losses built from them are
+the regularizer as the training step computed it on the tape. The halves
+repeat their arithmetic in the tape's order, so the two agree bit for bit;
+the tests also use them to scalarise expressions and to check the tape on
 compositions.
 """
 from __future__ import annotations
@@ -16,8 +16,9 @@ from itertools import product
 import numpy as np
 
 import mreplay.autodiff as ad
+import tape_reference as tp
 from mreplay import losses
-from mreplay.autodiff import Tensor
+from tape_reference import Tensor
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -26,11 +27,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, grads):
         if a.needs_grad:
-            ad._acc(grads, a, g)
+            tp._acc(grads, a, g)
         if b.needs_grad:
-            ad._acc(grads, b, -g)
+            tp._acc(grads, b, -g)
 
-    return ad._node(a.value - b.value, (a, b), bwd)
+    return tp._node(a.value - b.value, (a, b), bwd)
 
 
 def row_normalize(a: Tensor) -> Tensor:
@@ -43,9 +44,9 @@ def row_normalize(a: Tensor) -> Tensor:
     def bwd(g, grads):
         dot = (out * g).sum(axis=1, keepdims=True)
         ga = (g - np.where(active, out * dot, 0.0)) / denom
-        ad._acc(grads, a, ga)
+        tp._acc(grads, a, ga)
 
-    return ad._node(out, (a,), bwd)
+    return tp._node(out, (a,), bwd)
 
 
 def arccos(a: Tensor) -> Tensor:
@@ -60,9 +61,9 @@ def arccos(a: Tensor) -> Tensor:
 
     def bwd(g, grads):
         d = np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
-        ad._acc(grads, a, g * d)
+        tp._acc(grads, a, g * d)
 
-    return ad._node(np.arccos(x), (a,), bwd)
+    return tp._node(np.arccos(x), (a,), bwd)
 
 
 def row_softmax(a: Tensor) -> Tensor:
@@ -72,9 +73,9 @@ def row_softmax(a: Tensor) -> Tensor:
 
     def bwd(g, grads):
         dot = (g * out).sum(axis=1, keepdims=True)
-        ad._acc(grads, a, out * (g - dot))
+        tp._acc(grads, a, out * (g - dot))
 
-    return ad._node(out, (a,), bwd)
+    return tp._node(out, (a,), bwd)
 
 
 def row_log_softmax(a: Tensor) -> Tensor:
@@ -84,16 +85,16 @@ def row_log_softmax(a: Tensor) -> Tensor:
     soft = np.exp(out)
 
     def bwd(g, grads):
-        ad._acc(grads, a, g - soft * g.sum(axis=1, keepdims=True))
+        tp._acc(grads, a, g - soft * g.sum(axis=1, keepdims=True))
 
-    return ad._node(out, (a,), bwd)
+    return tp._node(out, (a,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
     def bwd(g, grads):
-        ad._acc(grads, a, g.T)
+        tp._acc(grads, a, g.T)
 
-    return ad._node(a.value.T.copy(), (a,), bwd)
+    return tp._node(a.value.T.copy(), (a,), bwd)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -103,11 +104,11 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, grads):
         if a.needs_grad:
-            ad._acc(grads, a, g[:na])
+            tp._acc(grads, a, g[:na])
         if b.needs_grad:
-            ad._acc(grads, b, g[na:])
+            tp._acc(grads, b, g[na:])
 
-    return ad._node(np.concatenate([a.value, b.value], axis=0), (a, b), bwd)
+    return tp._node(np.concatenate([a.value, b.value], axis=0), (a, b), bwd)
 
 
 def slice_block(a: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
@@ -117,16 +118,16 @@ def slice_block(a: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
     def bwd(g, grads):
         ga = np.zeros_like(a.value)
         ga[r0:r1, c0:c1] = g
-        ad._acc(grads, a, ga)
+        tp._acc(grads, a, ga)
 
-    return ad._node(a.value[r0:r1, c0:c1].copy(), (a,), bwd)
+    return tp._node(a.value[r0:r1, c0:c1].copy(), (a,), bwd)
 
 
 def sum_all(a: Tensor) -> Tensor:
     def bwd(g, grads):
-        ad._acc(grads, a, np.full_like(a.value, g[0, 0]))
+        tp._acc(grads, a, np.full_like(a.value, g[0, 0]))
 
-    return ad._node([[a.value.sum()]], (a,), bwd)
+    return tp._node([[a.value.sum()]], (a,), bwd)
 
 
 def angular_distance_matrix(h: Tensor) -> Tensor:
@@ -136,7 +137,7 @@ def angular_distance_matrix(h: Tensor) -> Tensor:
     clamp rather than exactly 0.
     """
     hn = row_normalize(h)
-    return arccos(ad.matmul(hn, transpose(hn)))
+    return arccos(tp.matmul(hn, transpose(hn)))
 
 
 def kl_row_divergence(p: Tensor, q: Tensor) -> Tensor:
@@ -147,12 +148,12 @@ def kl_row_divergence(p: Tensor, q: Tensor) -> Tensor:
     """
     probs = row_softmax(p)
     diff = sub(row_log_softmax(p), row_log_softmax(q))
-    return ad.scale(sum_all(ad.mul(probs, diff)), 1.0 / p.rows)
+    return tp.scale(sum_all(tp.mul(probs, diff)), 1.0 / p.rows)
 
 
 def _row_loss(p: Tensor, q: Tensor, use_mse: bool, reverse: bool) -> Tensor:
     if use_mse:
-        return ad.scale(ad.sq_error(p, q), 1.0 / p.value.size)
+        return tp.scale(tp.sq_error(p, q), 1.0 / p.value.size)
     if reverse:
         return kl_row_divergence(q, p)
     return kl_row_divergence(p, q)
@@ -160,18 +161,18 @@ def _row_loss(p: Tensor, q: Tensor, use_mse: bool, reverse: bool) -> Tensor:
 
 def graph_loss(old: Tensor, new: Tensor, s: np.ndarray, *, joint: bool,
                intra_inter: bool, use_mse: bool, reverse_kl: bool) -> Tensor:
-    """``autodiff.graph_loss`` composed: the terms over the n x n gap matrix
+    """The graph regularizer composed: the terms over the n x n gap matrix
     ``s``, summed in order."""
     b1, n = old.rows, old.rows + new.rows
     a = angular_distance_matrix(concat_rows(old, new))
-    terms = [_row_loss(a, ad.const(s), use_mse, reverse_kl)] if joint else []
+    terms = [_row_loss(a, tp.const(s), use_mse, reverse_kl)] if joint else []
     if intra_inter:
         for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
             terms.append(_row_loss(slice_block(a, r0, r1, c0, c1),
-                                   ad.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
+                                   tp.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
     total = terms[0]
     for term in terms[1:]:
-        total = ad.add(total, term)
+        total = tp.add(total, term)
     return total
 
 

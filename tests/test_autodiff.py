@@ -1,7 +1,9 @@
-"""Tape primitives: frozen hand values, gradient fidelity, Adam behavior.
+"""The reference tape's primitives: frozen hand values, gradient fidelity;
+and Adam's behavior on the package's parameters.
 
-The primitives of the composed graph regularizer live in
-``graph_reference``; they are checked here with the rest."""
+The tape (``tape_reference``) is the oracle of the array-level halves, so
+it is checked here on its own. The primitives of the composed graph
+regularizer live in ``graph_reference``; they are checked with the rest."""
 from __future__ import annotations
 
 import warnings
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_reference as gr
 import mreplay.autodiff as ad
+import tape_reference as tp
 
 
 def _rng(seed):
@@ -22,30 +25,30 @@ def _rng(seed):
 
 
 def test_row_normalize_hand_value():
-    t = gr.row_normalize(ad.leaf([[3.0, 4.0]]))
+    t = gr.row_normalize(tp.leaf([[3.0, 4.0]]))
     assert np.array_equal(t.value, [[0.6, 0.8]])
 
 
 def test_relu_matmul_hand_values():
-    x = ad.leaf([[1.0, -2.0], [0.0, 3.0]])
-    r = ad.relu(x)
+    x = tp.leaf([[1.0, -2.0], [0.0, 3.0]])
+    r = tp.relu(x)
     assert np.array_equal(r.value, [[1.0, 0.0], [0.0, 3.0]])
-    eye = ad.leaf(np.eye(2))
-    assert np.array_equal(ad.matmul(x, eye).value, x.value)
+    eye = tp.leaf(np.eye(2))
+    assert np.array_equal(tp.matmul(x, eye).value, x.value)
 
 
 def test_arccos_geometry_values():
-    h = gr.row_normalize(ad.leaf([[1.0, 0.0], [1.0, 1.0]]))
-    a = gr.arccos(ad.matmul(h, gr.transpose(h)))
+    h = gr.row_normalize(tp.leaf([[1.0, 0.0], [1.0, 1.0]]))
+    a = gr.arccos(tp.matmul(h, gr.transpose(h)))
     assert abs(a.value[0, 1] - np.pi / 4) < 1e-12
-    orth = gr.arccos(ad.leaf([[0.0]]))
+    orth = gr.arccos(tp.leaf([[0.0]]))
     assert abs(orth.value[0, 0] - np.pi / 2) < 1e-12
-    anti = gr.arccos(ad.leaf([[-1.0]]))
+    anti = gr.arccos(tp.leaf([[-1.0]]))
     assert abs(anti.value[0, 0] - np.pi) < 1e-3  # clamp keeps it off the pole
 
 
 def test_arccos_clamp_bounds_output():
-    a = gr.arccos(ad.leaf([[1.0, -1.0, 5.0, -5.0]]))
+    a = gr.arccos(tp.leaf([[1.0, -1.0, 5.0, -5.0]]))
     assert np.isfinite(a.value).all()
     assert a.value[0, 0] <= np.arccos(1.0 - 1e-7) + 1e-15
     assert a.value[0, 1] >= np.arccos(-1.0 + 1e-7) - 1e-15
@@ -53,7 +56,7 @@ def test_arccos_clamp_bounds_output():
 
 def test_row_softmax_rows_sum_to_one():
     for seed in range(10):
-        x = ad.leaf(_rng(seed).normal(size=(5, 7)) * 10)
+        x = tp.leaf(_rng(seed).normal(size=(5, 7)) * 10)
         s = gr.row_softmax(x)
         assert np.abs(s.value.sum(axis=1) - 1.0).max() < 1e-12
         assert np.allclose(np.exp(gr.row_log_softmax(x).value), s.value,
@@ -62,108 +65,108 @@ def test_row_softmax_rows_sum_to_one():
 
 def test_elementwise_ops_do_not_broadcast():
     # a bias row is added by ``linear``; no elementwise op broadcasts one
-    x = ad.leaf(np.ones((3, 4)))
-    row = ad.leaf(np.arange(4.0).reshape(1, 4))
-    for op in (ad.add, gr.sub, ad.mul):
+    x = tp.leaf(np.ones((3, 4)))
+    row = tp.leaf(np.arange(4.0).reshape(1, 4))
+    for op in (tp.add, gr.sub, tp.mul):
         with pytest.raises(ad.ShapeError):
             op(x, row)
     with pytest.raises(ad.ShapeError):
-        ad.add(x, ad.leaf(np.ones((3, 1))))
+        tp.add(x, tp.leaf(np.ones((3, 1))))
 
 
 def test_non_finite_and_shape_errors():
     with pytest.raises(ad.NonFiniteError):
-        ad.leaf([[np.inf]])
+        tp.leaf([[np.inf]])
     with pytest.raises(ad.NonFiniteError):
-        ad.leaf([[np.nan, 1.0]])
+        tp.leaf([[np.nan, 1.0]])
     with pytest.raises(ad.ShapeError):
-        ad.leaf([1.0, 2.0])
+        tp.leaf([1.0, 2.0])
     with pytest.raises(ad.ShapeError):
-        ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
+        tp.matmul(tp.leaf(np.ones((2, 3))), tp.leaf(np.ones((2, 3))))
     with pytest.raises(ad.NonFiniteError):
-        ad.scale(ad.leaf([[1.0]]), np.nan)
+        tp.scale(tp.leaf([[1.0]]), np.nan)
 
 
 # ----------------------------------------------------------------- backward
 
 
 def test_backward_simple_square():
-    x = ad.leaf([[3.0]])
-    y = ad.mul(x, x)
-    grads = ad.backward(y, [[1.0]])
+    x = tp.leaf([[3.0]])
+    y = tp.mul(x, x)
+    grads = tp.backward(y, [[1.0]])
     assert np.array_equal(grads[x], [[6.0]])
 
 
 def test_relu_subgradient_at_kink_is_zero():
-    x = ad.leaf([[-1.0, 0.0, 2.0]])
-    grads = ad.backward(gr.sum_all(ad.relu(x)), [[1.0]])
+    x = tp.leaf([[-1.0, 0.0, 2.0]])
+    grads = tp.backward(gr.sum_all(tp.relu(x)), [[1.0]])
     assert np.array_equal(grads[x], [[0.0, 0.0, 1.0]])
 
 
 def test_softplus_backward_saturates_without_overflow():
     # exp(-x) overflows at x = -1000; the sigmoid's limit there is exactly 0
-    x = ad.leaf([[-1000.0, 0.0, 1000.0]])
+    x = tp.leaf([[-1000.0, 0.0, 1000.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grads = ad.backward(gr.sum_all(ad.softplus(x)), [[1.0]])
+        grads = tp.backward(gr.sum_all(tp.softplus(x)), [[1.0]])
     assert np.array_equal(grads[x], [[0.0, 0.5, 1.0]])
 
 
 def test_fanout_accumulates():
-    x = ad.leaf([[2.0]])
-    y = ad.add(ad.mul(x, x), ad.scale(x, 3.0))  # x^2 + 3x
-    grads = ad.backward(y, [[1.0]])
+    x = tp.leaf([[2.0]])
+    y = tp.add(tp.mul(x, x), tp.scale(x, 3.0))  # x^2 + 3x
+    grads = tp.backward(y, [[1.0]])
     assert np.array_equal(grads[x], [[7.0]])
 
 
 def test_backward_seed_shape_checked():
-    x = ad.leaf([[1.0, 2.0]])
+    x = tp.leaf([[1.0, 2.0]])
     y = gr.sum_all(x)
     with pytest.raises(ad.ShapeError):
-        ad.backward(y, [[1.0, 1.0]])
+        tp.backward(y, [[1.0, 1.0]])
 
 
 def test_backward_unused_leaf_gets_no_entry():
-    x = ad.leaf([[1.0]])
-    z = ad.leaf([[5.0]])
-    grads = ad.backward(ad.mul(x, x), [[1.0]])
+    x = tp.leaf([[1.0]])
+    z = tp.leaf([[5.0]])
+    grads = tp.backward(tp.mul(x, x), [[1.0]])
     assert z not in grads
     # a constant on the tape gets no entry either, and the leaf's gradient
     # is what it would be with the constant as a leaf
-    c = ad.const([[3.0]])
-    grads = ad.backward(ad.mul(ad.mul(x, c), x), [[1.0]])
+    c = tp.const([[3.0]])
+    grads = tp.backward(tp.mul(tp.mul(x, c), x), [[1.0]])
     assert set(grads) == {x}
     assert np.array_equal(grads[x], [[6.0]])
-    assert ad.backward(gr.sum_all(ad.mul(c, c)), [[1.0]]) == {}
+    assert tp.backward(gr.sum_all(tp.mul(c, c)), [[1.0]]) == {}
 
 
 def test_ops_on_constants_record_nothing():
     rng = _rng(5)
-    a, b = ad.const(rng.normal(size=(3, 4))), ad.const(rng.normal(size=(3, 4)))
-    w, row = ad.const(rng.normal(size=(4, 2))), ad.const(rng.normal(size=(1, 2)))
-    outs = [ad.matmul(a, w), ad.add(a, b), gr.sub(a, b), ad.mul(a, b),
-            ad.scale(a, 2.0), ad.relu(a), gr.row_normalize(a), gr.arccos(ad.scale(a, 0.1)),
-            gr.row_softmax(a), gr.row_log_softmax(a), ad.softplus(a), gr.transpose(a),
+    a, b = tp.const(rng.normal(size=(3, 4))), tp.const(rng.normal(size=(3, 4)))
+    w, row = tp.const(rng.normal(size=(4, 2))), tp.const(rng.normal(size=(1, 2)))
+    outs = [tp.matmul(a, w), tp.add(a, b), gr.sub(a, b), tp.mul(a, b),
+            tp.scale(a, 2.0), tp.relu(a), gr.row_normalize(a), gr.arccos(tp.scale(a, 0.1)),
+            gr.row_softmax(a), gr.row_log_softmax(a), tp.softplus(a), gr.transpose(a),
             gr.concat_rows(a, b), gr.slice_block(a, 0, 2, 1, 3), gr.sum_all(a),
-            ad.sq_error(a, b), ad.linear(a, w, row),
-            ad.graph_loss(a, b, np.zeros((6, 6)), joint=True, intra_inter=True,
+            tp.sq_error(a, b), tp.linear(a, w, row),
+            gr.graph_loss(a, b, np.zeros((6, 6)), joint=True, intra_inter=True,
                           use_mse=False, reverse_kl=False)]
     for out in outs:
         assert not out.needs_grad and not out._parents and out._bwd is None
     # values match the same expression over leaves
-    la, lw, lrow = ad.leaf(a.value), ad.leaf(w.value), ad.leaf(row.value)
-    assert np.array_equal(ad.linear(a, w, row).value, ad.linear(la, lw, lrow).value)
+    la, lw, lrow = tp.leaf(a.value), tp.leaf(w.value), tp.leaf(row.value)
+    assert np.array_equal(tp.linear(a, w, row).value, tp.linear(la, lw, lrow).value)
     # one leaf input is enough to record the node, with only that parent
-    mixed = ad.matmul(a, lw)
+    mixed = tp.matmul(a, lw)
     assert mixed.needs_grad and mixed._parents == (lw,)
 
 
 def test_stop_gradient_is_a_constant_view():
-    x = ad.leaf([[1.0, 2.0]])
-    y = ad.scale(x, 2.0)
-    s = ad.stop_gradient(y)
+    x = tp.leaf([[1.0, 2.0]])
+    y = tp.scale(x, 2.0)
+    s = tp.stop_gradient(y)
     assert not s.needs_grad and s.value is y.value
-    grads = ad.backward(gr.sum_all(ad.add(ad.mul(s, y), x)), [[1.0]])
+    grads = tp.backward(gr.sum_all(tp.add(tp.mul(s, y), x)), [[1.0]])
     assert set(grads) == {x}
     assert np.array_equal(grads[x], [[1.0 + 2.0 * 2.0, 1.0 + 2.0 * 4.0]])
 
@@ -176,32 +179,32 @@ def test_grad_check_every_primitive():
     tol = 1e-5
     for seed in range(10):
         rng = _rng(1000 + seed)
-        a = ad.leaf(rng.normal(size=(4, 6)))
-        b = ad.leaf(rng.normal(size=(4, 6)))
-        w = ad.leaf(rng.normal(size=(6, 3)))
+        a = tp.leaf(rng.normal(size=(4, 6)))
+        b = tp.leaf(rng.normal(size=(4, 6)))
+        w = tp.leaf(rng.normal(size=(6, 3)))
         rng.normal(size=(1, 6))  # a dropped case's draw; later draws stay as they were
-        cw = ad.leaf(rng.normal(size=(4, 6)))  # fixed weights; f() must be deterministic
+        cw = tp.leaf(rng.normal(size=(4, 6)))  # fixed weights; f() must be deterministic
         cases = [
-            ([a, w], lambda: gr.sum_all(ad.matmul(a, w))),
-            ([a, b], lambda: gr.sum_all(ad.add(a, b))),
+            ([a, w], lambda: gr.sum_all(tp.matmul(a, w))),
+            ([a, b], lambda: gr.sum_all(tp.add(a, b))),
             ([a, b], lambda: gr.sum_all(gr.sub(a, b))),
-            ([a, b], lambda: gr.sum_all(ad.mul(a, b))),
-            ([a], lambda: gr.sum_all(ad.scale(a, -2.5))),
-            ([a], lambda: gr.sum_all(ad.relu(a))),
+            ([a, b], lambda: gr.sum_all(tp.mul(a, b))),
+            ([a], lambda: gr.sum_all(tp.scale(a, -2.5))),
+            ([a], lambda: gr.sum_all(tp.relu(a))),
             ([a], lambda: gr.sum_all(gr.row_normalize(a))),
-            ([a], lambda: gr.sum_all(ad.mul(gr.row_softmax(a), cw))),
-            ([a], lambda: gr.sum_all(ad.mul(gr.row_log_softmax(a), cw))),
-            ([a], lambda: gr.sum_all(ad.softplus(a))),
+            ([a], lambda: gr.sum_all(tp.mul(gr.row_softmax(a), cw))),
+            ([a], lambda: gr.sum_all(tp.mul(gr.row_log_softmax(a), cw))),
+            ([a], lambda: gr.sum_all(tp.softplus(a))),
             ([a], lambda: gr.sum_all(gr.transpose(a))),
             ([a, b], lambda: gr.sum_all(gr.concat_rows(a, b))),
             ([a], lambda: gr.sum_all(gr.slice_block(a, 1, 3, 2, 5))),
-            ([a, b], lambda: ad.sq_error(a, b)),
+            ([a, b], lambda: tp.sq_error(a, b)),
         ]
         for leaves, f in cases:
-            assert ad.grad_check(f, leaves) < tol
+            assert tp.grad_check(f, leaves) < tol
         # arccos probed away from the clamp edges
-        c = ad.leaf(rng.uniform(-0.9, 0.9, size=(3, 3)))
-        assert ad.grad_check(lambda: gr.sum_all(gr.arccos(c)), [c]) < tol
+        c = tp.leaf(rng.uniform(-0.9, 0.9, size=(3, 3)))
+        assert tp.grad_check(lambda: gr.sum_all(gr.arccos(c)), [c]) < tol
 
 
 def test_grad_check_linear():
@@ -210,16 +213,16 @@ def test_grad_check_linear():
     tol = 1e-5
     for seed in range(10):
         rng = _rng(1500 + seed)
-        x = ad.leaf(rng.normal(size=(4, 6)))
-        w = ad.leaf(rng.normal(size=(6, 3)))
-        b = ad.leaf(rng.normal(size=(1, 3)))
-        cw = ad.const(rng.normal(size=(4, 3)))
-        f = lambda: gr.sum_all(ad.mul(ad.linear(x, w, b), cw))
-        assert ad.grad_check(f, [x, w, b]) < tol
-        xc = ad.const(x.value)
-        g = lambda: gr.sum_all(ad.mul(ad.linear(xc, w, b), cw))
-        assert ad.grad_check(g, [w, b]) < tol
-        assert xc not in ad.backward(g(), [[1.0]])
+        x = tp.leaf(rng.normal(size=(4, 6)))
+        w = tp.leaf(rng.normal(size=(6, 3)))
+        b = tp.leaf(rng.normal(size=(1, 3)))
+        cw = tp.const(rng.normal(size=(4, 3)))
+        f = lambda: gr.sum_all(tp.mul(tp.linear(x, w, b), cw))
+        assert tp.grad_check(f, [x, w, b]) < tol
+        xc = tp.const(x.value)
+        g = lambda: gr.sum_all(tp.mul(tp.linear(xc, w, b), cw))
+        assert tp.grad_check(g, [w, b]) < tol
+        assert xc not in tp.backward(g(), [[1.0]])
 
 
 def test_linear_equals_matmul_add_bit_for_bit():
@@ -229,57 +232,57 @@ def test_linear_equals_matmul_add_bit_for_bit():
                       rng.normal(size=(1, 4)))
         seed = rng.normal(size=(rows, 4))
 
-        x, w, b = ad.leaf(xv), ad.leaf(wv), ad.leaf(bv)
-        out = ad.linear(x, w, b)
-        grads = ad.backward(out, seed)
+        x, w, b = tp.leaf(xv), tp.leaf(wv), tp.leaf(bv)
+        out = tp.linear(x, w, b)
+        grads = tp.backward(out, seed)
         fused = out.value, grads[x], grads[w], grads[b]
         # the bias row added to every row by hand: its gradient is the
         # column sum of the seed
-        x, w = ad.leaf(xv), ad.leaf(wv)
-        prod = ad.matmul(x, w)
-        grads = ad.backward(prod, seed)
+        x, w = tp.leaf(xv), tp.leaf(wv)
+        prod = tp.matmul(x, w)
+        grads = tp.backward(prod, seed)
         plain = prod.value + bv, grads[x], grads[w], seed.sum(axis=0, keepdims=True)
         for f, p in zip(fused, plain):
             assert f.tobytes() == p.tobytes()
 
 
 def test_linear_shape_checks():
-    x, w = ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 4)))
+    x, w = tp.leaf(np.ones((2, 3))), tp.leaf(np.ones((3, 4)))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, ad.leaf(np.ones((2, 4))), ad.leaf(np.ones((1, 4))))
+        tp.linear(x, tp.leaf(np.ones((2, 4))), tp.leaf(np.ones((1, 4))))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, w, ad.leaf(np.ones((2, 4))))
+        tp.linear(x, w, tp.leaf(np.ones((2, 4))))
     with pytest.raises(ad.ShapeError):
-        ad.linear(x, w, ad.leaf(np.ones((1, 3))))
+        tp.linear(x, w, tp.leaf(np.ones((1, 3))))
 
 
 def test_grad_check_quadratic_form_tight():
     for seed in range(10):
         rng = _rng(2000 + seed)
-        x = ad.leaf(rng.normal(size=(3, 1)))
-        q = ad.leaf(rng.normal(size=(3, 3)))
-        f = lambda: ad.matmul(ad.matmul(gr.transpose(x), q), x)
-        assert ad.grad_check(f, [x]) < 1e-7
+        x = tp.leaf(rng.normal(size=(3, 1)))
+        q = tp.leaf(rng.normal(size=(3, 3)))
+        f = lambda: tp.matmul(tp.matmul(gr.transpose(x), q), x)
+        assert tp.grad_check(f, [x]) < 1e-7
 
 
 def test_grad_check_softmax_kl_composite():
     for seed in range(10):
         rng = _rng(3000 + seed)
-        p = ad.leaf(rng.normal(size=(4, 5)))
-        q = ad.leaf(rng.normal(size=(4, 5)))
+        p = tp.leaf(rng.normal(size=(4, 5)))
+        q = tp.leaf(rng.normal(size=(4, 5)))
 
         def f():
             probs = gr.row_softmax(p)
             diff = gr.sub(gr.row_log_softmax(p), gr.row_log_softmax(q))
-            return gr.sum_all(ad.mul(probs, diff))
+            return gr.sum_all(tp.mul(probs, diff))
 
-        assert ad.grad_check(f, [p, q]) < 1e-5
+        assert tp.grad_check(f, [p, q]) < 1e-5
 
 
 def test_grad_check_constant_expression_is_exact_zero():
-    x = ad.leaf([[1.0, 2.0]])
-    f = lambda: gr.sum_all(ad.leaf([[4.0]]))
-    assert ad.grad_check(f, [x]) == 0.0
+    x = tp.leaf([[1.0, 2.0]])
+    f = lambda: gr.sum_all(tp.leaf([[4.0]]))
+    assert tp.grad_check(f, [x]) == 0.0
 
 
 def test_grad_check_through_angular_distance():
@@ -287,58 +290,58 @@ def test_grad_check_through_angular_distance():
     # hits the clamp and must contribute exactly zero
     for seed in range(5):
         rng = _rng(4000 + seed)
-        h = ad.leaf(rng.normal(size=(4, 5)))
+        h = tp.leaf(rng.normal(size=(4, 5)))
 
         def f():
             hn = gr.row_normalize(h)
-            return gr.sum_all(gr.arccos(ad.matmul(hn, gr.transpose(hn))))
+            return gr.sum_all(gr.arccos(tp.matmul(hn, gr.transpose(hn))))
 
-        assert ad.grad_check(f, [h]) < 1e-4
+        assert tp.grad_check(f, [h]) < 1e-4
 
 
 def test_grad_check_rejects_bad_step():
-    x = ad.leaf([[1.0]])
+    x = tp.leaf([[1.0]])
     with pytest.raises(ValueError):
-        ad.grad_check(lambda: gr.sum_all(x), [x], fd_step=0.0)
+        tp.grad_check(lambda: gr.sum_all(x), [x], fd_step=0.0)
 
 
 # --------------------------------------------------------------------- adam
 
 
 def test_adam_zero_grad_zero_decay_leaves_params():
-    p = {"w": ad.leaf([[1.0, -2.0]])}
+    p = {"w": ad.Param([[1.0, -2.0]])}
     st = ad.adam_init(p, lr=1e-4, weight_decay=0.0)
     before = p["w"].value.copy()
-    ad.adam_step(p, {"w": np.zeros((1, 2))}, st)
+    tp.adam_step(p, {"w": np.zeros((1, 2))}, st)
     assert np.array_equal(p["w"].value, before)
     assert st.step_count == 1
 
 
 def test_adam_first_step_magnitude_close_to_lr():
-    p = {"w": ad.leaf([[1.0]])}
+    p = {"w": ad.Param([[1.0]])}
     st = ad.adam_init(p, lr=1e-4, weight_decay=0.0)
-    ad.adam_step(p, {"w": np.array([[0.5]])}, st)
+    tp.adam_step(p, {"w": np.array([[0.5]])}, st)
     delta = p["w"].value[0, 0] - 1.0
     assert delta < 0
     assert abs(abs(delta) - 1e-4) < 1e-9
 
 
 def test_adam_decay_pulls_toward_zero():
-    p = {"w": ad.leaf([[10.0]])}
+    p = {"w": ad.Param([[10.0]])}
     st = ad.adam_init(p, lr=1e-2, weight_decay=1e-1)
     for _ in range(200):
-        ad.adam_step(p, {"w": np.array([[0.0]])}, st)
+        tp.adam_step(p, {"w": np.array([[0.0]])}, st)
     assert abs(p["w"].value[0, 0]) < 10.0
 
 
 def test_adam_deterministic():
     def run():
-        p = {"w": ad.leaf([[1.0, 2.0]]), "b": ad.leaf([[0.5, 0.5]])}
+        p = {"w": ad.Param([[1.0, 2.0]]), "b": ad.Param([[0.5, 0.5]])}
         st = ad.adam_init(p)
         rng = _rng(7)
         for _ in range(50):
             g = {k: rng.normal(size=(1, 2)) for k in p}
-            ad.adam_step(p, g, st)
+            tp.adam_step(p, g, st)
         return {k: v.value.copy() for k, v in p.items()}
 
     a, b = run(), run()
@@ -347,19 +350,19 @@ def test_adam_deterministic():
 
 
 def test_adam_aborts_on_non_finite_grad():
-    p = {"w": ad.leaf([[1.0]]), "v": ad.leaf([[2.0]])}
+    p = {"w": ad.Param([[1.0]]), "v": ad.Param([[2.0]])}
     st = ad.adam_init(p)
     before_w = p["w"].value.copy()
     with pytest.raises(ad.NonFiniteError, match="v"):
-        ad.adam_step(p, {"w": np.array([[1.0]]), "v": np.array([[np.nan]])}, st)
+        tp.adam_step(p, {"w": np.array([[1.0]]), "v": np.array([[np.nan]])}, st)
     assert np.array_equal(p["w"].value, before_w)
     assert st.step_count == 0
 
 
 def test_adam_skips_params_without_grads():
-    p = {"w": ad.leaf([[1.0]]), "idle": ad.leaf([[3.0]])}
+    p = {"w": ad.Param([[1.0]]), "idle": ad.Param([[3.0]])}
     st = ad.adam_init(p)
-    ad.adam_step(p, {"w": np.array([[0.5]])}, st)
+    tp.adam_step(p, {"w": np.array([[0.5]])}, st)
     assert p["idle"].value[0, 0] == 3.0
 
 
@@ -399,7 +402,7 @@ def test_flat_adam_matches_per_parameter_reference(run):
     rng = _rng(seed)
     params, states, ref = [], [], []
     for shapes in comps:
-        p = {f"p{i}": ad.leaf(rng.normal(size=s) * 3.0) for i, s in enumerate(shapes)}
+        p = {f"p{i}": ad.Param(rng.normal(size=s) * 3.0) for i, s in enumerate(shapes)}
         ref.append(({k: t.value.copy() for k, t in p.items()},
                     {k: np.zeros(s) for k, s in zip(p, shapes)},
                     {k: np.zeros(s) for k, s in zip(p, shapes)}, [0]))
@@ -413,7 +416,7 @@ def test_flat_adam_matches_per_parameter_reference(run):
                      for k, t in p.items() if rng.random() >= missing}
             if not grads:
                 continue
-            ad.adam_step(p, grads, state)
+            tp.adam_step(p, grads, state)
             count[0] = _reference_adam_step(values, grads, m, v, count[0], lr, wd)
     for p, state, (values, m, v, count) in zip(params, states, ref):
         assert state.step_count == count[0]
@@ -426,20 +429,20 @@ def test_flat_adam_matches_per_parameter_reference(run):
 
 
 def test_adam_rejects_rebound_parameter():
-    p = {"w": ad.leaf([[1.0]]), "b": ad.leaf([[2.0]])}
+    p = {"w": ad.Param([[1.0]]), "b": ad.Param([[2.0]])}
     st_ = ad.adam_init(p)
     p["b"].value = np.array([[2.0]])  # no longer a view into the buffer
     with pytest.raises(ValueError, match="in place"):
-        ad.adam_step(p, {"w": np.array([[1.0]]), "b": np.array([[1.0]])}, st_)
+        tp.adam_step(p, {"w": np.array([[1.0]]), "b": np.array([[1.0]])}, st_)
     assert st_.step_count == 0 and p["w"].value[0, 0] == 1.0
 
 
 def test_ops_deterministic_bit_identical():
     def build():
         rng = _rng(11)
-        x = ad.leaf(rng.normal(size=(6, 6)))
-        y = gr.row_softmax(ad.matmul(ad.relu(x), gr.transpose(x)))
-        return y.value.copy(), ad.backward(gr.sum_all(y), [[1.0]])[x].copy()
+        x = tp.leaf(rng.normal(size=(6, 6)))
+        y = gr.row_softmax(tp.matmul(tp.relu(x), gr.transpose(x)))
+        return y.value.copy(), tp.backward(gr.sum_all(y), [[1.0]])[x].copy()
 
     (v1, g1), (v2, g2) = build(), build()
     assert np.array_equal(v1, v2)

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import mreplay.autodiff as ad
 from mreplay import checkpoint, cli, data, models, trainer
 from mreplay.memory import FeatureRecord
 from mreplay.models import components, encode, freeze_copy, predict
@@ -114,8 +113,8 @@ def test_has_frozen_key_of_older_files_ignored(tmp_path):
         loaded, _, _ = checkpoint.load_checkpoint(path)
         assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
         if flag:
-            assert np.array_equal(encode(state.bundle, ad.leaf(x), frozen=True).value,
-                                  encode(loaded.bundle, ad.leaf(x), frozen=True).value)
+            assert np.array_equal(encode(state.bundle, x, frozen=True),
+                                  encode(loaded.bundle, x, frozen=True))
         else:
             assert loaded.bundle.frozen_encoder is None
 
@@ -153,7 +152,7 @@ def test_load_writes_into_optimizer_buffers_and_training_continues(tmp_path):
         assert loaded.adam[name].step_count == state.adam[name].step_count > 0
         assert loaded.adam[name].m.tobytes() == state.adam[name].m.tobytes()
         assert loaded.adam[name].v.tobytes() == state.adam[name].v.tobytes()
-    assert all(not t.needs_grad for t in loaded.bundle.frozen_encoder.values())
+    assert all(t.grad is None for t in loaded.bundle.frozen_encoder.values())
 
     before = {name: loaded.adam[name].buffer.copy() for name in loaded.adam}
     x, y, ids = plan.training_arrays(3)

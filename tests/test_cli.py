@@ -97,6 +97,9 @@ MANIFEST_FAULTS = {
     "no_held_out": (lambda m: m["sessions"][1].pop("held_out"),
                     "session entry 2 lacks the field 'held_out'"),
     "T_5_for_3": (lambda m: m.update(T=5), "field 'T' is 5 but it lists 3 sessions"),
+    "shots_word": (lambda m: m.update(shots="many"), "field 'shots' is 'many', not an int >= 1"),
+    "shots_negative": (lambda m: m.update(shots=-3), "field 'shots' is -3, not an int >= 1"),
+    "shots_bool": (lambda m: m.update(shots=True), "field 'shots' is True, not an int >= 1"),
     "numbered_3_1_2": (lambda m: _renumber(m, (3, 1, 2)),
                        "session entry 1 has the field 'session' 3, not 1"),
     # one id where a list belongs used to be read as the list of its letters

@@ -1,11 +1,14 @@
-"""Fused tape nodes against the primitives they replace, bit for bit.
+"""``autodiff``'s array-level halves against the tape chains they repeat,
+bit for bit.
 
-Each node of ``autodiff`` that stands for a chain of primitives (``mlp``,
-``sampled_score``, ``scaled_sq_error``, ``weighted_sum``) is built beside
-its composition in ``tape_reference`` over random shapes, with every input
-a leaf or a constant, and both are run back from one seed gradient. Values
-come from a small set that includes 0.0 and -0.0 half of the time, so ReLU
-kinks and signed zeros occur."""
+Each pair of halves that stands for a chain of tape primitives (``mlp``,
+``score``, ``sq_error``, ``weighted_sum`` and ``graph``) runs beside its
+composition in ``tape_reference`` or ``graph_reference`` over random
+shapes. Each input of the chain is a leaf or a constant; the backward half
+gets a fresh sink for each leaf and None for each constant, and both run
+back from one seed gradient. Values come from a small set that includes
+0.0 and -0.0 half of the time, so ReLU kinks and signed zeros occur. The
+halves' gradients are then checked against finite differences."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import graph_reference as gr
 import mreplay.autodiff as ad
-import tape_reference as ref
+import tape_reference as tp
 
 SETTINGS = settings(database=None, derandomize=True, max_examples=150, deadline=None)
 ATOMS = np.array([-1.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -40,56 +43,69 @@ def _cases(draw, n_layers=(1, 3)):
 
 def _wrap(values, leafy):
     flags = [False] * len(values) if leafy is None else leafy
-    return [ad.leaf(v) if f else ad.const(v) for v, f in zip(values, flags)]
+    return [tp.leaf(v) if f else tp.const(v) for v, f in zip(values, flags)]
 
 
-def _layers(rng, widths, atoms, leafy, offset=1):
+def _layers(rng, widths, atoms) -> list:
+    """Each layer's weight, then its bias."""
     values = []
     for fan_in, fan_out in zip(widths, widths[1:]):
         values += [_values(rng, (fan_in, fan_out), atoms), _values(rng, (1, fan_out), atoms)]
-    ts = _wrap(values, None if leafy is None else leafy[offset:])
-    return list(zip(ts[::2], ts[1::2]))
+    return values
 
 
-def _assert_same(fused, composed, rng, atoms):
-    """Equal values as bytes, equal liveness; then, if live, equal leaf
-    gradients as bytes from one seed, else no backward recorded."""
-    assert fused.value.tobytes() == composed.value.tobytes()
-    assert fused.needs_grad == composed.needs_grad
-    if not fused.needs_grad:
-        assert fused._bwd is None and not fused._parents
-        return
-    seed = _values(rng, fused.shape, atoms)
-    got, want = ad.backward(fused, seed), ad.backward(composed, seed)
-    assert set(got) == set(want)
-    for t, g in want.items():
-        assert got[t].tobytes() == g.tobytes()
+def _sinks(inputs) -> list:
+    """A fresh -0.0 sink for each leaf and None for each constant."""
+    return [np.full(t.shape, -0.0) if t.needs_grad else None for t in inputs]
+
+
+def _assert_same(value, sinks, composed, inputs, seed):
+    """The halves' value equals the chain's as bytes, and each sink holds
+    the tape's gradient of its input from ``seed`` as bytes, or is still
+    -0.0 where the tape gives that input none."""
+    assert np.asarray(value).tobytes() == composed.value.tobytes()
+    grads = tp.backward(composed, seed) if composed.needs_grad else {}
+    for t, s in zip(inputs, sinks):
+        if s is None:
+            assert t not in grads
+        else:
+            want = grads.get(t, np.full(s.shape, -0.0))
+            assert s.tobytes() == want.tobytes()
 
 
 @SETTINGS
 @given(_cases(), st.booleans())
 def test_mlp_equals_its_linear_relu_chain(case, output_relu):
     rng, rows, widths, atoms, leafy = case
-    x, = _wrap([_values(rng, (rows, widths[0]), atoms)], leafy)
-    layers = _layers(rng, widths, atoms, leafy)
-    _assert_same(ad.mlp(x, layers, output_relu), ref.mlp(x, layers, output_relu),
-                 rng, atoms)
+    x, *params = _wrap([_values(rng, (rows, widths[0]), atoms), *_layers(rng, widths, atoms)],
+                       leafy)
+    values = [t.value for t in params]
+    acts = ad.mlp_fwd(x.value, values, output_relu)
+    seed = _values(rng, acts[-1].shape, atoms)
+    sinks = _sinks([x, *params])
+    ad.mlp_bwd(seed, values, acts, output_relu, sinks[1:], sinks[0])
+    _assert_same(acts[-1], sinks, tp.mlp(x, tp._pairs(params), output_relu), [x, *params],
+                 seed)
 
 
 @SETTINGS
 @given(_cases(n_layers=(1, 2)), st.booleans())
 def test_sampled_score_equals_its_heads_softplus_mul_add(case, with_eps):
     rng, rows, widths, atoms, leafy = case
-    x, = _wrap([_values(rng, (rows, widths[0]), atoms)], leafy)
-    layers = _layers(rng, widths, atoms, leafy)
-    mean_head, std_head = (_layers(rng, [widths[-1], 1], atoms, leafy, offset)[0]
-                           for offset in (12, 14))
+    heads = [_layers(rng, [widths[-1], 1], atoms) for _ in range(2)]
+    x, *params = _wrap([_values(rng, (rows, widths[0]), atoms), *_layers(rng, widths, atoms),
+                        *heads[0], *heads[1]], leafy)
     eps = _values(rng, (rows, 1), atoms) if with_eps else None
-    sample, mean, std = ad.sampled_score(x, layers, mean_head, std_head, eps)
-    want, want_mean, want_std = ref.sampled_score(x, layers, mean_head, std_head, eps)
+    values = [t.value for t in params]
+    sample, mean, std, ctx = ad.score_fwd(x.value, values, eps)
+    want, want_mean, want_std = tp.sampled_score(x, tp._pairs(params[:-4]), params[-4:-2],
+                                                 params[-2:], eps)
     assert mean.tobytes() == want_mean.value.tobytes()
     assert std.tobytes() == want_std.value.tobytes()
-    _assert_same(sample, want, rng, atoms)
+    seed = _values(rng, sample.shape, atoms)
+    sinks = _sinks([x, *params])
+    ad.score_bwd(seed, values, eps, ctx, sinks[1:], sinks[0])
+    _assert_same(sample, sinks, want, [x, *params], seed)
 
 
 @SETTINGS
@@ -97,7 +113,22 @@ def test_sampled_score_equals_its_heads_softplus_mul_add(case, with_eps):
 def test_scaled_sq_error_equals_scale_of_sq_error(case, c):
     rng, rows, widths, atoms, leafy = case
     a, b = _wrap([_values(rng, (rows, widths[0]), atoms) for _ in range(2)], leafy)
-    _assert_same(ad.scaled_sq_error(a, b, c), ref.scaled_sq_error(a, b, c), rng, atoms)
+    value, diff = ad.sq_error_fwd(a.value, b.value, c)
+    seed = _values(rng, (1, 1), atoms)
+    ga = ad.sq_error_bwd(seed[0, 0], c, diff)
+    sinks = [g if t.needs_grad else None for t, g in ((a, ga), (b, -ga))]
+    _assert_same([[value]], sinks, tp.scaled_sq_error(a, b, c), [a, b], seed)
+
+
+def _weighted_sum_sinks(terms, weights, seed) -> tuple:
+    """The halves' total, and a sink per distinct leaf into which each of its
+    gradients is added in term order, as the training step adds them."""
+    total, factors = ad.weighted_sum_fwd([t.value for t in terms], weights)
+    sinks = dict(zip(terms, _sinks(terms)))
+    for t, g in zip(terms, ad.weighted_sum_bwd(seed, factors)):
+        if t.needs_grad:
+            sinks[t] += g
+    return total, list(sinks), list(sinks.values())
 
 
 @SETTINGS
@@ -105,15 +136,18 @@ def test_scaled_sq_error_equals_scale_of_sq_error(case, c):
                                          min_size=2, max_size=4))
 def test_weighted_sum_equals_its_add_scale_chain(case, weights):
     rng, _, _, atoms, leafy = case
-    terms = list(zip(_wrap([_values(rng, (1, 1), atoms) for _ in weights], leafy), weights))
-    _assert_same(ad.weighted_sum(terms), ref.weighted_sum(terms), rng, atoms)
+    terms = _wrap([_values(rng, (1, 1), atoms) for _ in weights], leafy)
+    seed = _values(rng, (1, 1), atoms)
+    total, inputs, sinks = _weighted_sum_sinks(terms, weights, seed)
+    _assert_same(total, sinks, tp.weighted_sum(list(zip(terms, weights))), inputs, seed)
 
 
 def test_weighted_sum_of_one_tensor_twice_accumulates_in_order():
-    t = ad.leaf([[0.1]])
-    terms = [(t, None), (t, None), (t, 0.3)]
-    _assert_same(ad.weighted_sum(terms), ref.weighted_sum(terms),
-                 np.random.default_rng(0), False)
+    t = tp.leaf([[0.1]])
+    weights = [None, None, 0.3]
+    seed = np.random.default_rng(0).normal(size=(1, 1))
+    total, inputs, sinks = _weighted_sum_sinks([t] * 3, weights, seed)
+    _assert_same(total, sinks, tp.weighted_sum([(t, c) for c in weights]), inputs, seed)
 
 
 @SETTINGS
@@ -126,7 +160,7 @@ def test_graph_loss_keeps_signed_zeros_of_the_padded_sum(b1, b2, d, seed, draw):
     # reproduce the composed sum of zero-padded blocks
     rng = np.random.default_rng(draw)
     h = rng.choice(ATOMS, size=(b1 + b2, d))
-    angles = gr.angular_distance_matrix(ad.const(h)).value
+    angles = gr.angular_distance_matrix(tp.const(h)).value
     gaps = rng.normal(size=angles.shape)
     same = rng.random(angles.shape) < 0.5
     same[rng.random(b1 + b2) < 0.5] = True
@@ -134,13 +168,13 @@ def test_graph_loss_keeps_signed_zeros_of_the_padded_sum(b1, b2, d, seed, draw):
     for flags in [dict(joint=j, intra_inter=i, use_mse=m, reverse_kl=r)
                   for j in (True, False) for i in (True, False)
                   for m in (True, False) for r in (True, False) if j or i]:
-        runs = []
-        for fn in (ad.graph_loss, gr.graph_loss):
-            old, new = ad.leaf(h[:b1]), ad.leaf(h[b1:])
-            out = fn(old, new, gaps, **flags)
-            grads = ad.backward(out, [[seed]])
-            runs.append((out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()))
-        assert runs[0] == runs[1], flags
+        value, ctx = ad.graph_fwd(h[:b1], h[b1:], gaps, **flags)
+        ga = ad.graph_bwd(seed, ctx)
+        old, new = tp.leaf(h[:b1]), tp.leaf(h[b1:])
+        out = gr.graph_loss(old, new, gaps, **flags)
+        grads = tp.backward(out, [[seed]])
+        assert (np.float64(value).tobytes(), ga[:b1].tobytes(), ga[b1:].tobytes()) == \
+            (out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()), flags
 
 
 # ---------------------------------------------------- gradient fidelity
@@ -151,64 +185,47 @@ GRAD_SETTINGS = settings(database=None, derandomize=True, max_examples=40, deadl
 
 @st.composite
 def _graded(draw):
-    """(rng, rows, widths) with every input a leaf of normal values."""
+    """(rng, rows, widths) for inputs of normal values."""
     k = draw(st.integers(1, 2))
     widths = draw(st.lists(st.integers(1, 4), min_size=k + 1, max_size=k + 1))
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(1, 4)), widths
-
-
-def _scalar(out, weights):
-    """A 1 x 1 tensor that depends on every entry of ``out``."""
-    return gr.sum_all(ad.mul(out, ad.const(weights)))
-
-
-def _leaf_layers(rng, widths):
-    leaves = []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        leaves += [ad.leaf(rng.normal(size=(fan_in, fan_out))), ad.leaf(rng.normal(size=(1, fan_out)))]
-    return leaves, list(zip(leaves[::2], leaves[1::2]))
 
 
 @GRAD_SETTINGS
 @given(_graded(), st.booleans())
 def test_grad_check_mlp(case, output_relu):
     rng, rows, widths = case
-    x = ad.leaf(rng.normal(size=(rows, widths[0])))
-    leaves, layers = _leaf_layers(rng, widths)
+    x = rng.normal(size=(rows, widths[0]))
+    params = _layers(rng, widths, False)
     weights = rng.normal(size=(rows, widths[-1]))
-    assert ad.grad_check(lambda: _scalar(ad.mlp(x, layers, output_relu), weights),
-                         [x, *leaves]) < 1e-4
+    assert tp.mlp_halves_error(x, params, output_relu, weights) < 1e-4
 
 
 @GRAD_SETTINGS
 @given(_graded(), st.booleans())
 def test_grad_check_sampled_score(case, with_eps):
     rng, rows, widths = case
-    x = ad.leaf(rng.normal(size=(rows, widths[0])))
-    leaves, layers = _leaf_layers(rng, widths)
-    heads = [ad.leaf(rng.normal(size=shape)) for shape in [(widths[-1], 1), (1, 1)] * 2]
-    mean_head, std_head = heads[:2], heads[2:]
+    x = rng.normal(size=(rows, widths[0]))
+    params = _layers(rng, widths, False) + [
+        a for _ in range(2) for a in _layers(rng, [widths[-1], 1], False)]  # both heads
     eps = rng.normal(size=(rows, 1)) if with_eps else None
-    weights = rng.normal(size=(rows, 1))
-    assert ad.grad_check(lambda: _scalar(ad.sampled_score(x, layers, mean_head, std_head,
-                                                          eps)[0], weights),
-                         [x, *leaves, *heads]) < 1e-4
+    assert tp.score_halves_error(x, params, eps, rng.normal(size=(rows, 1))) < 1e-4
 
 
 @GRAD_SETTINGS
 @given(_graded(), st.sampled_from([1.0, 0.25, 7.0]))
 def test_grad_check_scaled_sq_error(case, c):
     rng, rows, widths = case
-    a, b = (ad.leaf(rng.normal(size=(rows, widths[0]))) for _ in range(2))
-    assert ad.grad_check(lambda: ad.scaled_sq_error(a, b, c), [a, b]) < 1e-4
+    a, b = (rng.normal(size=(rows, widths[0])) for _ in range(2))
+    assert tp.sq_error_halves_error(a, b, c) < 1e-4
 
 
 @GRAD_SETTINGS
 @given(_graded(), st.lists(st.sampled_from([None, 0.3, 2.5]), min_size=1, max_size=4))
 def test_grad_check_weighted_sum(case, weights):
     rng, _, _ = case
-    terms = [ad.leaf(rng.normal(size=(1, 1))) for _ in weights]
-    assert ad.grad_check(lambda: ad.weighted_sum(list(zip(terms, weights))), terms) < 1e-4
+    values = [rng.normal(size=(1, 1)) for _ in weights]
+    assert tp.weighted_sum_halves_error(values, weights, rng.normal(size=(1, 1))) < 1e-4
 
 
 @GRAD_SETTINGS
@@ -217,10 +234,9 @@ def test_grad_check_weighted_sum(case, weights):
 def test_grad_check_graph_loss(case, b2, joint, intra_inter, use_mse, reverse_kl):
     rng, b1, widths = case
     joint = joint or not intra_inter
-    old = ad.leaf(rng.normal(size=(b1, widths[0] + 1)))
-    new = ad.leaf(rng.normal(size=(b2, widths[0] + 1)))
+    old = rng.normal(size=(b1, widths[0] + 1))
+    new = rng.normal(size=(b2, widths[0] + 1))
     y = rng.normal(size=b1 + b2)
     gaps = y[:, None] - y[None, :]
-    assert ad.grad_check(lambda: ad.graph_loss(old, new, gaps, joint=joint,
-                                               intra_inter=intra_inter, use_mse=use_mse,
-                                               reverse_kl=reverse_kl), [old, new]) < 1e-4
+    assert tp.graph_halves_error(old, new, gaps, joint=joint, intra_inter=intra_inter,
+                                 use_mse=use_mse, reverse_kl=reverse_kl) < 1e-4

@@ -12,6 +12,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mreplay"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+# the reverse-mode tape is the tests' reference; the package runs halves
+TAPE = {"Tensor", "backward", "grad_check", "_topo"}
 
 # module -> the only siblings it may import
 ALLOWED = {
@@ -79,3 +82,33 @@ def test_module_imports_only_its_lower_layers(module):
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_module_never_imports_upper_layers(module):
     assert not _imports(module) & FORBIDDEN[module]
+
+
+def tape_offences(source: str) -> set[str]:
+    """Each name of the tape that ``source`` defines, and each module of
+    ``tests/`` it imports, as ``tests.<module>``."""
+    test_modules = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {node.name} & TAPE
+        elif isinstance(node, ast.Assign):
+            found |= {t.id for t in node.targets if isinstance(t, ast.Name)} & TAPE
+        elif isinstance(node, ast.Import):
+            found |= {f"tests.{a.name.split('.')[0]}" for a in node.names
+                      if a.name.split(".")[0] in test_modules}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] in test_modules:
+                found.add(f"tests.{node.module.split('.')[0]}")
+    return found
+
+
+def test_no_module_defines_or_imports_the_tape():
+    assert tape_offences("class Tensor:\n    pass\n"
+                         "def later():\n    def backward(): pass\n"
+                         "_topo = None\n"
+                         "import tape_reference\n"
+                         "from graph_reference import sub\n") == {
+        "Tensor", "backward", "_topo", "tests.tape_reference", "tests.graph_reference"}
+    offences = {m: tape_offences((PACKAGE / f"{m}.py").read_text()) for m in MODULES}
+    assert not {m: found for m, found in offences.items() if found}

@@ -1,4 +1,6 @@
-"""Loss terms: closed-form hand values, block algebra, gradient fidelity."""
+"""The training step's loss terms, as its halves compute them: closed-form
+hand values, block algebra, gradient fidelity. The angular-distance and
+row-KL hand values are checked on the tape reference the halves equal."""
 from __future__ import annotations
 
 import math
@@ -10,33 +12,44 @@ from hypothesis import given, settings, strategies as st
 
 import graph_reference as gr
 import mreplay.autodiff as ad
+import tape_reference as tp
 from mreplay import losses
 
 
+def _graph(old, new, scores, *, signed=True, joint=True, intra_inter=True, use_mse=False,
+           reverse_kl=False) -> tuple:
+    """The graph term's value and backward context as the training step
+    makes them, from the score gaps of ``losses.score_distance_matrix``."""
+    return ad.graph_fwd(old, new, losses.score_distance_matrix(scores, signed=signed),
+                        joint=joint, intra_inter=intra_inter, use_mse=use_mse,
+                        reverse_kl=reverse_kl)
+
+
 def _batch(rng, b1=2, b2=3, d=4):
-    """(old, new, scores): the positional arguments of graph_reg_loss."""
-    return (ad.leaf(rng.normal(size=(b1, d))), ad.leaf(rng.normal(size=(b2, d))),
-            rng.uniform(size=b1 + b2))
+    """(old, new, scores): the positional arguments of ``_graph``."""
+    return rng.normal(size=(b1, d)), rng.normal(size=(b2, d)), rng.uniform(size=b1 + b2)
 
 
 # ------------------------------------------------------------ hand values
 
 
 def test_regression_loss_hand_value():
-    pred = ad.leaf([[1.0], [2.0]])
-    out = losses.regression_loss(pred, [0.0, 0.0])
-    assert out.value[0, 0] == 2.5
-    zero = losses.regression_loss(pred, [[1.0], [2.0]])
-    assert zero.value[0, 0] == 0.0
-    # a target that is neither flat nor a matching column
+    # the mean squared error of a score column: the sum scaled by 1 / rows
+    pred = np.array([[1.0], [2.0]])
+    assert ad.sq_error_fwd(pred, np.zeros((2, 1)), 0.5)[0] == 2.5
+    assert ad.sq_error_fwd(pred, np.array([[1.0], [2.0]]), 0.5)[0] == 0.0
+    # a target that is not a matching column
     for bad in ([[1.0, 2.0]], [0.0, 0.0, 0.0], np.zeros((2, 1, 1)), 1.0):
         with pytest.raises(ad.ShapeError):
-            losses.regression_loss(pred, bad)
+            ad.sq_error_fwd(pred, np.asarray(bad), 0.5)
+    with pytest.raises(ad.NonFiniteError):
+        ad.sq_error_fwd(pred, pred, np.nan)
 
 
 def test_projector_loss_hand_values():
     def proj(a, b):
-        return losses.projector_loss(ad.leaf(a), ad.leaf(b)).value[0, 0]
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return ad.sq_error_fwd(a, b, 1.0 / a.shape[0])[0]
 
     assert proj([[3.0, 4.0]], [[0.0, 0.0]]) == 25.0
     assert proj([[1.0]], [[0.0]]) == 1.0
@@ -47,11 +60,11 @@ def test_projector_loss_hand_values():
 
 
 def _angular(h):
-    return gr.angular_distance_matrix(ad.leaf(h))
+    return gr.angular_distance_matrix(tp.leaf(h))
 
 
 def _kl(p, q):
-    return gr.kl_row_divergence(ad.leaf(p), ad.leaf(q)).value[0, 0]
+    return gr.kl_row_divergence(tp.leaf(p), tp.leaf(q)).value[0, 0]
 
 
 def test_angular_distance_hand_values():
@@ -140,12 +153,8 @@ def test_graph_reg_blocks_match_sliced_oracle():
         for rows in halves:
             for cols in halves:
                 expected += _kl(a[rows, cols], s[rows, cols])
-        got = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores,
-                                    joint=False).value[0, 0]
-        assert got == expected
-        joint = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores,
-                                      intra_inter=False).value[0, 0]
-        assert joint == _kl(a, s)
+        assert _graph(old, new, scores, joint=False)[0] == expected
+        assert _graph(old, new, scores, intra_inter=False)[0] == _kl(a, s)
 
 
 # ---------------------------------------------------------- graph regularizer
@@ -154,9 +163,9 @@ def test_graph_reg_blocks_match_sliced_oracle():
 def test_graph_reg_decomposes_into_joint_plus_blocks():
     rng = np.random.default_rng(30)
     batch = _batch(rng)
-    full = losses.graph_reg_loss(*batch).value[0, 0]
-    joint = losses.graph_reg_loss(*batch, intra_inter=False).value[0, 0]
-    blocks = losses.graph_reg_loss(*batch, joint=False).value[0, 0]
+    full = _graph(*batch)[0]
+    joint = _graph(*batch, intra_inter=False)[0]
+    blocks = _graph(*batch, joint=False)[0]
     assert abs(full - (joint + blocks)) < 1e-12
     assert full > 0.0
 
@@ -164,7 +173,7 @@ def test_graph_reg_decomposes_into_joint_plus_blocks():
 def test_graph_reg_rejects_no_terms():
     batch = _batch(np.random.default_rng(31))
     with pytest.raises(ValueError):
-        losses.graph_reg_loss(*batch, joint=False, intra_inter=False)
+        _graph(*batch, joint=False, intra_inter=False)
 
 
 def test_graph_reg_zero_when_geometry_is_uninformative():
@@ -172,12 +181,10 @@ def test_graph_reg_zero_when_geometry_is_uninformative():
     # distance matrices is constant, so every softmax is uniform and each
     # of the five terms vanishes exactly
     row = np.array([[0.3, -0.7, 0.2]])
-    old = ad.leaf(np.repeat(row, 2, axis=0))
-    new = ad.leaf(np.repeat(row, 3, axis=0))
-    batch = (old, new, np.full(5, 0.42))
-    assert losses.graph_reg_loss(*batch).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(*batch, joint=False).value[0, 0] == 0.0
-    assert losses.graph_reg_loss(*batch, intra_inter=False).value[0, 0] == 0.0
+    batch = (np.repeat(row, 2, axis=0), np.repeat(row, 3, axis=0), np.full(5, 0.42))
+    assert _graph(*batch)[0] == 0.0
+    assert _graph(*batch, joint=False)[0] == 0.0
+    assert _graph(*batch, intra_inter=False)[0] == 0.0
 
 
 def test_graph_reg_row_permutation_invariance():
@@ -185,22 +192,20 @@ def test_graph_reg_row_permutation_invariance():
     old = rng.normal(size=(3, 4))
     new = rng.normal(size=(4, 4))
     scores = rng.uniform(size=7)
-    base = losses.graph_reg_loss(ad.leaf(old), ad.leaf(new), scores)
+    base = _graph(old, new, scores)[0]
     po = np.random.default_rng(1).permutation(3)
     pn = np.random.default_rng(2).permutation(4)
-    perm = losses.graph_reg_loss(
-        ad.leaf(old[po]), ad.leaf(new[pn]),
-        np.concatenate([scores[:3][po], scores[3:][pn]]))
-    assert abs(base.value[0, 0] - perm.value[0, 0]) < 1e-12
+    perm = _graph(old[po], new[pn], np.concatenate([scores[:3][po], scores[3:][pn]]))[0]
+    assert abs(base - perm) < 1e-12
 
 
 def test_graph_reg_variants_differ():
     rng = np.random.default_rng(34)
     batch = _batch(rng)
-    base = losses.graph_reg_loss(*batch).value[0, 0]
-    assert losses.graph_reg_loss(*batch, use_mse=True).value[0, 0] != base
-    assert losses.graph_reg_loss(*batch, reverse_kl=True).value[0, 0] != base
-    assert losses.graph_reg_loss(*batch, signed=False).value[0, 0] != base
+    base = _graph(*batch)[0]
+    assert _graph(*batch, use_mse=True)[0] != base
+    assert _graph(*batch, reverse_kl=True)[0] != base
+    assert _graph(*batch, signed=False)[0] != base
 
 
 def test_graph_reg_mse_self_consistency():
@@ -208,29 +213,26 @@ def test_graph_reg_mse_self_consistency():
     # gap matrix equals the angular matrix would zero it; check the simpler
     # invariant that mse >= 0 and equals 0 against itself
     rng = np.random.default_rng(35)
-    h = ad.leaf(rng.normal(size=(4, 3)))
+    h = tp.leaf(rng.normal(size=(4, 3)))
     a = gr.angular_distance_matrix(h)
     assert gr._row_loss(a, a, use_mse=True, reverse=False).value[0, 0] == 0.0
 
 
 def test_joint_batch_validation():
-    # the joint batch is graph_reg_loss's (old, new, scores)
+    # the joint batch is (old, new, scores), and takes one score per row
     rng = np.random.default_rng(36)
     with pytest.raises(ad.ShapeError):
-        losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
-                              ad.leaf(rng.normal(size=(2, 4))), np.zeros(4))
+        _graph(rng.normal(size=(2, 3)), rng.normal(size=(2, 4)), np.zeros(4))
     for n_scores in (3, 5):
-        with pytest.raises(ValueError, match="scores for 4 rows"):
-            losses.graph_reg_loss(ad.leaf(rng.normal(size=(2, 3))),
-                                  ad.leaf(rng.normal(size=(2, 3))),
-                                  np.zeros(n_scores))
-    # the node itself takes only an n x n gap matrix
+        with pytest.raises(ad.ShapeError, match="for 4 rows"):
+            _graph(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)), np.zeros(n_scores))
+    # the forward half takes only an n x n gap matrix
     with pytest.raises(ad.ShapeError):
-        ad.graph_loss(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))), np.zeros((4, 3)),
-                      joint=True, intra_inter=True, use_mse=False, reverse_kl=False)
+        ad.graph_fwd(np.ones((2, 3)), np.ones((2, 3)), np.zeros((4, 3)),
+                     joint=True, intra_inter=True, use_mse=False, reverse_kl=False)
 
 
-# ---------------------------------------------------------- one fused node
+# ------------------------------------------------ the halves and the tape
 
 # every valid (joint, intra_inter, use_mse, reverse_kl, signed)
 GRAPH_FLAGS = [dict(zip(("joint", "intra_inter", "use_mse", "reverse_kl", "signed"), f))
@@ -258,29 +260,14 @@ def test_fused_graph_loss_equals_composed_reference(batch):
     # the value and both gradients, as bytes, under every flag combination
     old_v, new_v, scores, seed = batch
     for flags in GRAPH_FLAGS:
-        runs = []
-        for fn in (losses.graph_reg_loss, gr.graph_reg_loss):
-            old, new = ad.leaf(old_v), ad.leaf(new_v)
-            out = fn(old, new, scores, **flags)
-            grads = ad.backward(out, seed)
-            runs.append((out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()))
-        assert runs[0] == runs[1], flags
-
-
-def test_graph_reg_loss_is_one_node(monkeypatch):
-    calls = []
-    real_node = ad._node
-
-    def spy(value, parents, bwd):
-        calls.append(parents)
-        return real_node(value, parents, bwd)
-
-    monkeypatch.setattr(ad, "_node", spy)
-    old, new, scores = _batch(np.random.default_rng(37))
-    for flags in GRAPH_FLAGS:
-        calls.clear()
-        losses.graph_reg_loss(old, new, scores, **flags)
-        assert calls == [(old, new)]
+        value, ctx = _graph(old_v, new_v, scores, **flags)
+        ga = ad.graph_bwd(seed[0, 0], ctx)
+        old, new = tp.leaf(old_v), tp.leaf(new_v)
+        out = gr.graph_reg_loss(old, new, scores, **flags)
+        grads = tp.backward(out, seed)
+        assert (np.float64(value).tobytes(), ga[:len(old_v)].tobytes(),
+                ga[len(old_v):].tobytes()) == \
+            (out.value.tobytes(), grads[old].tobytes(), grads[new].tobytes()), flags
 
 
 # ------------------------------------------------------------------ gradients
@@ -289,58 +276,55 @@ def test_graph_reg_loss_is_one_node(monkeypatch):
 def test_grad_check_all_graph_variants():
     for seed in range(3):
         rng = np.random.default_rng(500 + seed)
-        old = ad.leaf(rng.normal(size=(2, 4)))
-        new = ad.leaf(rng.normal(size=(3, 4)))
-        scores = rng.uniform(size=5)
+        old, new, scores = _batch(rng, 2, 3, 4)
         for kwargs in ({}, {"intra_inter": False}, {"joint": False},
-                       {"use_mse": True}, {"reverse_kl": True},
-                       {"signed": False}):
-            def f():
-                return losses.graph_reg_loss(old, new, scores, **kwargs)
-
-            assert ad.grad_check(f, [old, new]) < 1e-5
+                       {"use_mse": True}, {"reverse_kl": True}):
+            for signed in (True, False):
+                gaps = losses.score_distance_matrix(scores, signed=signed)
+                flags = {"joint": True, "intra_inter": True, "use_mse": False,
+                         "reverse_kl": False, **kwargs}
+                assert tp.graph_halves_error(old, new, gaps, **flags) < 1e-5
 
 
 def test_grad_check_regression_and_projector():
     rng = np.random.default_rng(600)
-    pred = ad.leaf(rng.normal(size=(6, 1)))
-    target = rng.normal(size=6)
-    assert ad.grad_check(lambda: losses.regression_loss(pred, target),
-                         [pred]) < 1e-7
-    a = ad.leaf(rng.normal(size=(4, 5)))
-    b = ad.leaf(rng.normal(size=(4, 5)))
-    assert ad.grad_check(lambda: losses.projector_loss(a, b), [a, b]) < 1e-7
+    pred, target = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+    assert tp.sq_error_halves_error(pred, target, 1.0 / 6) < 1e-7
+    a, b = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+    assert tp.sq_error_halves_error(a, b, 1.0 / 4) < 1e-7
 
 
 def test_grad_check_total_loss_composition():
+    # the regression and graph terms under one weighted sum, each gradient
+    # taken back through the halves as the training step takes it
     rng = np.random.default_rng(700)
-    pred = ad.leaf(rng.normal(size=(4, 1)))
-    old = ad.leaf(rng.normal(size=(2, 3)))
-    new = ad.leaf(rng.normal(size=(2, 3)))
-    target = rng.normal(size=4)
-    scores = rng.uniform(size=4)
+    pred, target = rng.normal(size=(4, 1)), rng.normal(size=(4, 1))
+    old, new, scores = _batch(rng, 2, 2, 3)
 
-    def f():
-        l_d = losses.regression_loss(pred, target)
-        l_r = losses.graph_reg_loss(old, new, scores)
-        return losses.total_loss(l_d, l_r=l_r, lambda_r=0.7)
+    def forward():
+        (l_d, diff), (l_r, ctx) = ad.sq_error_fwd(pred, target, 0.25), _graph(old, new, scores)
+        total, factors = ad.weighted_sum_fwd([l_d, l_r], [None, 0.7])
+        return total, factors, diff, ctx
 
-    assert ad.grad_check(f, [pred, old, new]) < 1e-5
+    _, factors, diff, ctx = forward()
+    g_d, g_r = ad.weighted_sum_bwd(1.0, factors)
+    ga = ad.graph_bwd(g_r, ctx)
+    analytic = [ad.sq_error_bwd(g_d, 0.25, diff), ga[:2], ga[2:]]
+    assert tp.fd_error(lambda: forward()[0], [pred, old, new], analytic) < 1e-5
 
 
 # ----------------------------------------------------------------- total
 
 
 def test_total_loss_weighted_sum():
-    one = lambda: ad.leaf([[1.0]])
-    out = losses.total_loss(one(), one(), one(), one())
-    assert out.value[0, 0] == 4.0
-    weighted = losses.total_loss(one(), one(), one(), one(),
-                                 lambda_p=2.0, lambda_r=0.5)
-    assert weighted.value[0, 0] == 4.5
-    assert losses.total_loss(one()).value[0, 0] == 1.0
+    ones = [np.ones((1, 1)) for _ in range(4)]
+    assert ad.weighted_sum_fwd(ones, [None, None, 1.0, 1.0])[0][0, 0] == 4.0
+    assert ad.weighted_sum_fwd(ones, [None, None, 2.0, 0.5])[0][0, 0] == 4.5
+    assert ad.weighted_sum_fwd(ones[:1], [None])[0][0, 0] == 1.0
 
 
 def test_total_loss_shape_checked():
     with pytest.raises(ad.ShapeError):
-        losses.total_loss(ad.leaf([[1.0, 2.0]]))
+        ad.weighted_sum_fwd([np.ones((1, 1)), np.ones((1, 2))], [None, None])
+    with pytest.raises(ad.NonFiniteError):
+        ad.weighted_sum_fwd([np.ones((1, 1)), np.ones((1, 1))], [None, np.inf])

@@ -4,10 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from graph_reference import sum_all
 import mreplay.autodiff as ad
 from mreplay import models
-from mreplay.trainer import TrainConfig, bundle_spec_for
+from mreplay.trainer import TrainConfig, bundle_spec_for, new_state
 
 
 def _bundle(seed=0, d_x=32, feature_mode=False):
@@ -98,14 +97,18 @@ def test_init_deterministic():
 def test_encode_shapes_and_feature_mode():
     bundle = _bundle(seed=0, d_x=10)
     x = np.random.default_rng(0).normal(size=(7, 10))
-    h = models.encode(bundle, ad.leaf(x))
+    h = models.encode(bundle, x)
     assert h.shape == (7, 16)
     with pytest.raises(ad.ShapeError):
-        models.encode(bundle, ad.leaf(np.ones((3, 5))))
+        models.encode(bundle, np.ones((3, 5)))
+    # an input is checked as the array entry points check it
+    with pytest.raises(ad.ShapeError, match="non-empty"):
+        models.encode(bundle, np.ones((0, 10)))
+    with pytest.raises(ad.NonFiniteError):
+        models.encode(bundle, np.full((2, 10), np.nan))
     fm = _bundle(seed=0, feature_mode=True)
     feats = np.random.default_rng(1).normal(size=(4, 16))
-    out = models.encode(fm, ad.leaf(feats))
-    assert np.array_equal(out.value, feats)
+    assert np.array_equal(models.encode(fm, feats), feats)
 
 
 def test_zero_projector_residual_is_identity_bit_exact():
@@ -113,57 +116,72 @@ def test_zero_projector_residual_is_identity_bit_exact():
     for name, p in bundle.projector.items():
         p.value[:] = 0.0
     h = np.random.default_rng(3).normal(size=(5, 16))
-    out = models.project(bundle, ad.leaf(h))
-    assert np.array_equal(out.value, h)
-    non_res = models.project(bundle, ad.leaf(h), residual=False)
-    assert np.array_equal(non_res.value, np.zeros((5, 16)))
+    assert np.array_equal(models.project(bundle, h), h)
+    assert np.array_equal(models.project(bundle, h, residual=False), np.zeros((5, 16)))
+    with pytest.raises(ad.ShapeError):
+        models.project(bundle, np.ones((5, 8)))
+
+
+def _regressor(bundle) -> list:
+    """The regressor's values in the order ``autodiff.score_fwd`` takes them."""
+    return [p.value for p in bundle.regressor.values()]
 
 
 def test_regress_shapes_std_positive_sample_is_mean():
+    # the regressor's score, as the training step computes it
     bundle = _bundle(seed=4)
-    h = ad.leaf(np.random.default_rng(5).normal(size=(6, 16)))
-    mean, std, sample = models.regress(bundle, h)
+    h = np.random.default_rng(5).normal(size=(6, 16))
+    sample, mean, std, _ = ad.score_fwd(h, _regressor(bundle))
     assert mean.shape == (6, 1) and std.shape == (6, 1) and sample.shape == (6, 1)
-    assert (std.value > 0.0).all()
-    assert sample is mean  # eps=None collapses to the mean head
+    assert (std > 0.0).all()
+    assert np.array_equal(sample, mean)  # eps=None collapses to the mean head
     eps = np.random.default_rng(6).normal(size=(6, 1))
-    m2, s2, samp = models.regress(bundle, h, eps=eps)
-    assert np.array_equal(samp.value, m2.value + eps * s2.value)
+    samp, m2, s2, _ = ad.score_fwd(h, _regressor(bundle), eps)
+    assert np.array_equal(samp, m2 + eps * s2)
     with pytest.raises(ad.ShapeError):
-        models.regress(bundle, h, eps=np.zeros((3, 1)))
+        ad.score_fwd(h, _regressor(bundle), np.zeros((3, 1)))
 
 
 def test_predict_matches_mean_head():
     bundle = _bundle(seed=7, d_x=8)
     x = np.random.default_rng(8).normal(size=(5, 8))
     preds = models.predict(bundle, x)
-    mean, _, _ = models.regress(bundle, models.encode(bundle, ad.leaf(x)))
-    assert np.array_equal(preds, mean.value[:, 0])
+    mean = ad.score_fwd(models.encode(bundle, x), _regressor(bundle))[1]
+    assert np.array_equal(preds, mean[:, 0])
 
 
 def test_freeze_copy_is_immutable_snapshot():
     bundle = _bundle(seed=9, d_x=6)
-    x = ad.leaf(np.random.default_rng(10).normal(size=(4, 6)))
+    x = np.random.default_rng(10).normal(size=(4, 6))
     with pytest.raises(ValueError):
         models.encode(bundle, x, frozen=True)
     models.freeze_copy(bundle)
-    before = models.encode(bundle, x, frozen=True).value.copy()
+    before = models.encode(bundle, x, frozen=True).copy()
     for p in bundle.encoder.values():
         p.value[:] = p.value + 1.0
-    after = models.encode(bundle, x, frozen=True).value
+    after = models.encode(bundle, x, frozen=True)
     assert np.array_equal(before, after)
-    live = models.encode(bundle, x).value
+    live = models.encode(bundle, x)
     assert not np.array_equal(live, after)
 
 
 def test_frozen_encode_carries_no_gradient_to_encoder():
-    bundle = _bundle(seed=11, d_x=6)
-    models.freeze_copy(bundle)
-    x = ad.leaf(np.random.default_rng(12).normal(size=(3, 6)))
-    out = sum_all(models.encode(bundle, x, frozen=True))
-    grads = ad.backward(out, [[1.0]])
-    for p in bundle.encoder.values():
-        assert p not in grads
+    # the frozen copy has no gradient view and shares no memory with the
+    # encoder's optimizer buffers, so an update cannot reach it
+    state = new_state(TrainConfig(), 6)
+    models.freeze_copy(state.bundle)
+    frozen = state.bundle.frozen_encoder
+    before = {k: p.value.copy() for k, p in frozen.items()}
+    adam = state.adam["encoder"]
+    assert all(p.grad is None for p in frozen.values())
+    assert not any(np.shares_memory(p.value, a) for p in frozen.values()
+                   for a in (adam.buffer, adam.grad))
+    ad.adam_views(state.bundle.encoder, adam)
+    adam.grad[:] = 1.0
+    ad.adam_update([adam])
+    assert all(np.array_equal(frozen[k].value, v) for k, v in before.items())
+    assert not np.array_equal(state.bundle.encoder["encoder.w0"].value,
+                              before["encoder.w0"])
 
 
 def test_freeze_copy_feature_mode_marks_only():
@@ -171,7 +189,7 @@ def test_freeze_copy_feature_mode_marks_only():
     models.freeze_copy(fm)
     assert fm.frozen_encoder is None  # an identity encoder has no weights
     feats = np.ones((2, 16))
-    assert np.array_equal(models.encode(fm, ad.leaf(feats), frozen=True).value, feats)
+    assert np.array_equal(models.encode(fm, feats, frozen=True), feats)
 
 
 def test_regressor_trunk_applies_output_relu():

@@ -1,6 +1,6 @@
 """The training step on ``configs/smoke.json``: which parameters get a
-gradient, that the step builds no tape, the node count of the tape step it
-replaced, and bit identity of whole runs against recorded digests."""
+gradient, that the frozen encoder runs forward only, and bit identity of
+whole runs against recorded digests."""
 from __future__ import annotations
 
 import hashlib
@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 import mreplay.autodiff as ad
-import tape_reference
 from mreplay import data, trainer
-from mreplay.models import components, encode, freeze_copy
+from mreplay.models import components
 
 SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
@@ -148,80 +147,21 @@ def test_backward_reaches_only_trainable_parameters(monkeypatch):
 
 
 def test_frozen_encoder_pass_records_no_backward(monkeypatch):
-    plan, _, cfg = _smoke()
-    state = trainer.new_state(cfg, plan.input_width)
-    for t in (1, 2):
-        x, y, ids = plan.training_arrays(t)
-        trainer.train_session(state, x, y, ids, cfg)
-    recorded = []
-    real_node = ad._node
-
-    def spy(value, parents, bwd):
-        out = real_node(value, parents, bwd)
-        recorded.append(out)
-        return out
-
-    monkeypatch.setattr(ad, "_node", spy)
-    frozen = encode(state.bundle, ad.const(x[:3]), frozen=True)
-    assert recorded and all(n._bwd is None and not n._parents for n in recorded)
-    assert not frozen.needs_grad
-    live = encode(state.bundle, ad.const(x[:3]))
-    assert live.needs_grad and live._bwd is not None
-    assert all(not p.needs_grad for p in state.bundle.frozen_encoder.values())
-
-
-def _full_bank_state():
-    """The smoke config, and a state after session 1 with a full bank and a
-    frozen encoder, ready for a session-2 magr step."""
+    # session 2's magr steps run the frozen copy forward for the projector
+    # loss, but hand no backward half its weights, so it never changes
     plan, _, cfg = _smoke()
     state = trainer.new_state(cfg, plan.input_width)
     trainer.train_session(state, *plan.training_arrays(1), cfg)
-    assert state.bank.size == cfg.m
-    freeze_copy(state.bundle)
-    return plan, cfg, state
+    handed = {"mlp_fwd": set(), "mlp_bwd": set(), "score_bwd": set()}
+    for name, ids in handed.items():
+        def spy(*args, real=getattr(ad, name), ids=ids):
+            ids.update(map(id, args[1]))  # the parameter values
+            return real(*args)
 
-
-def test_magr_step_with_a_full_bank_records_thirteen_nodes(monkeypatch):
-    # one node per MLP chain (live encoder, frozen encoder, projector twice),
-    # per sampled score (twice), per loss (four), per residual add (twice)
-    # and for the weighted total. The composed tape made 40 here, one per
-    # primitive; a change that splits a fused node shows up in this count.
-    plan, cfg, state = _full_bank_state()
-    calls = []
-    real_node = ad._node
-
-    def spy(value, parents, bwd):
-        calls.append(parents)
-        return real_node(value, parents, bwd)
-
-    monkeypatch.setattr(ad, "_node", spy)
-    x, y, _ = plan.training_arrays(2)
-    terms, _ = tape_reference.train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
-    assert None not in terms.values()  # every term of a magr step is on
-    assert len(calls) == 13
-
-
-def test_magr_step_with_a_full_bank_builds_no_tape(monkeypatch):
-    plan, cfg, state = _full_bank_state()
-    calls = []
-    real_node, real_backward, real_init = ad._node, ad.backward, ad.Tensor.__init__
-
-    def node(*args):
-        calls.append("_node")
-        return real_node(*args)
-
-    def backward(*args):
-        calls.append("backward")
-        return real_backward(*args)
-
-    def init(*args, **kwargs):
-        calls.append("Tensor")
-        return real_init(*args, **kwargs)
-
-    monkeypatch.setattr(ad, "_node", node)
-    monkeypatch.setattr(ad, "backward", backward)
-    monkeypatch.setattr(ad.Tensor, "__init__", init)
-    x, y, _ = plan.training_arrays(2)
-    terms = trainer._train_step(state, x[:cfg.b2], y[:cfg.b2], cfg)
-    assert None not in terms.values()
-    assert calls == []
+        monkeypatch.setattr(ad, name, spy)
+    trainer.train_session(state, *plan.training_arrays(2), cfg)
+    frozen = state.bundle.frozen_encoder
+    ids = {id(p.value) for p in frozen.values()}
+    assert ids <= handed["mlp_fwd"]
+    assert not ids & (handed["mlp_bwd"] | handed["score_bwd"])
+    assert all(p.grad is None for p in frozen.values())

@@ -319,8 +319,8 @@ def test_reference_seed_distinct():
 
 def feature_deviation(bundle_a: ModelBundle, bundle_b: ModelBundle, x) -> float:
     """Mean squared entrywise gap between the two encoders' features."""
-    fa = encode(bundle_a, ad.const(x)).value
-    fb = encode(bundle_b, ad.const(x)).value
+    fa = encode(bundle_a, x)
+    fb = encode(bundle_b, x)
     if fa.shape != fb.shape:
         raise ad.ShapeError(f"feature shapes differ: {fa.shape} vs {fb.shape}")
     return float(((fa - fb) ** 2).mean())
