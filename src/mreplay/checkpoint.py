@@ -15,10 +15,10 @@ init, writes the Adam moments and step counts into its fresh optimizer
 state in place and restores the frozen copy, so training on
 from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
 payload that is not base64, does not fill its shape or holds a non-finite
-value raises ``CheckpointError`` naming the array. Format-1 files, which
-store arrays as float lists and the bank entry by entry, and hold no Adam
-state, still load, with fresh optimizer state; the loader reads only the
-keys it needs, so the ``has_frozen`` flag some of them carry is ignored.
+value raises ``CheckpointError`` naming the array; so does a file of another
+format version, such as format 1's float lists. The stored train config is
+checked field by field, as a config file is. The loader reads only the keys
+it needs, so the ``has_frozen`` flag of older files is ignored.
 """
 from __future__ import annotations
 
@@ -31,13 +31,12 @@ from dataclasses import asdict
 import numpy as np
 
 from . import autodiff as ad
-from .data import ScoreScaler, atomic_write
+from .data import ScoreScaler, atomic_write, config_from_dict
 from .memory import FeatureRecord, MemoryBank
 from .models import BundleSpec, MlpSpec, build_bundle, param_shapes
 from .trainer import TrainConfig, TrainState, bundle_spec_for, fresh_state
 
 FORMAT_VERSION = 2
-READABLE_VERSIONS = (1, FORMAT_VERSION)
 
 
 class CheckpointError(ValueError):
@@ -63,11 +62,6 @@ def _unpack_array(d: dict, where: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise CheckpointError(f"{where}: non-finite values")
     return a
-
-
-def _unpack_text_array(d: dict, where: str) -> np.ndarray:
-    # format 1: the values as a flat list of JSON floats
-    return np.array(d["data"], dtype=np.float64).reshape(d["shape"])
 
 
 def _pack_params(params: dict) -> dict:
@@ -131,11 +125,10 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     with open(path) as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
-    if version not in READABLE_VERSIONS:
-        raise CheckpointError(f"{path}: checkpoint format {version!r} is not one of "
-                              f"the supported versions {READABLE_VERSIONS}")
-    unpack = _unpack_array if version == FORMAT_VERSION else _unpack_text_array
-    config = TrainConfig.from_dict(payload["config"])
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: checkpoint format {version!r} is not the "
+                              f"supported version {FORMAT_VERSION}")
+    config = config_from_dict(TrainConfig, payload["config"], "train")
     stored = _unpack_spec(payload["spec"])
     spec = bundle_spec_for(config, stored.input_width, stored.encoder is None)
     if _pack_spec(spec) != payload["spec"]:
@@ -148,8 +141,8 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
 
     def value(name: str, shape: tuple[int, int]) -> np.ndarray:
         comp_name = name.partition(".")[0]
-        arr = unpack(payload["params"][comp_name][name],
-                     f"{path}: params/{comp_name}/{name}")
+        arr = _unpack_array(payload["params"][comp_name][name],
+                            f"{path}: params/{comp_name}/{name}")
         if arr.shape != shape:
             raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
                                   f"does not match {shape}")
@@ -159,19 +152,13 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     # and the optimizer state copies them into its buffer
     state = fresh_state(build_bundle(spec, value), config)
     state.bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
-        {name: ad.Param(unpack(d, f"{path}: frozen_encoder/{name}"))
+        {name: ad.Param(_unpack_array(d, f"{path}: frozen_encoder/{name}"))
          for name, d in payload["frozen_encoder"].items()}
     packed_bank = payload["bank"]
     bank = MemoryBank(capacity=packed_bank["capacity"])
     bank.refresh_epoch = packed_bank["refresh_epoch"]
-    if version == FORMAT_VERSION:
-        _load_bank(bank, packed_bank, f"{path}: bank")
-        _load_adam(state, payload["adam"], path)
-    else:
-        for e in packed_bank["entries"]:
-            bank.entries.append(FeatureRecord(
-                feature=np.array(e["feature"], dtype=np.float64),
-                score=e["score"], session=e["session"], sample_id=e["id"]))
+    _load_bank(bank, packed_bank, f"{path}: bank")
+    _load_adam(state, payload["adam"], path)
     state.bank = bank
     state.session = payload["session"]
     for name, s in payload["rng"].items():

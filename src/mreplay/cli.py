@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DataConfig, Dataset, SessionPlan, SessionSplit, apply_scaler,
-                   atomic_write, config_from_dict, grade_split, generate_synthetic,
-                   inject_label_noise, load_csv, normalize_scores, parse_csv,
-                   save_csv)
+from .data import (DATA_BOUNDS, DataConfig, Dataset, SessionPlan, SessionSplit,
+                   apply_scaler, atomic_write, check_field, config_from_dict,
+                   grade_split, generate_synthetic, inject_label_noise, load_csv,
+                   normalize_scores, parse_csv, save_csv)
 from .metrics import spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
@@ -72,7 +72,7 @@ def _data_config(cfg: dict) -> DataConfig:
 
 
 def _train_config(cfg: dict, args) -> TrainConfig:
-    tc = TrainConfig.from_dict(cfg.get("train", {}))
+    tc = config_from_dict(TrainConfig, cfg.get("train", {}), "train")
     overrides = {flag: True for flag in ("online", *ABLATION_FLAGS)
                  if getattr(args, flag, False)}
     if getattr(args, "method", None):
@@ -159,11 +159,10 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
             raise ValueError(f"{where} lacks the field {key!r}")
         return d[key]
 
-    shots = need(manifest, "shots")
-    if type(shots) is not int or shots < 1:  # a bool is an int, but not a count
-        raise ValueError(f"split manifest field 'shots' is {shots!r}, not an int >= 1")
+    for key in ("T", "shots"):
+        check_field("split manifest", key, "int", need(manifest, key), DATA_BOUNDS[key])
     entries = kind(need(manifest, "sessions"), list, "field 'sessions'")
-    if need(manifest, "T") != len(entries):
+    if manifest["T"] != len(entries):
         raise ValueError(f"split manifest field 'T' is {manifest['T']!r} "
                          f"but it lists {len(entries)} sessions")
     by_id = {s.sample_id: s for s in dataset.samples}
@@ -189,7 +188,7 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
                                 f"session entry {t} field {field!r}")
                            for field in ("train", "held_out"))
         sessions.append(SessionSplit(session=t, train=grab(train), held_out=grab(held_out)))
-    return SessionPlan(sessions=tuple(sessions), shots=shots,
+    return SessionPlan(sessions=tuple(sessions), shots=manifest["shots"],
                        input_width=dataset.input_width,
                        score_range=dataset.score_range,
                        feature_mode=dataset.feature_mode)
@@ -374,8 +373,13 @@ def _run_grid(args, cells):
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
     seeds = cfg.get("seeds", [train_cfg.seed]) if args.seed is None else [args.seed]
-    dataset, _ = _load_dataset(args, data_cfg)
+    if not isinstance(seeds, list) or not seeds or \
+            any(type(s) is not int or s < 0 for s in seeds):  # a bool is no seed
+        raise ValueError(f"config field 'seeds' is {seeds!r}, "
+                         "not a non-empty list of ints >= 0")
+    # every cell is built, and so checked, before any of them trains
     grid = list(cells(data_cfg, train_cfg))
+    dataset, _ = _load_dataset(args, data_cfg)
     summaries = {}
     for seed in seeds:
         for cell_data in dict.fromkeys(data for _, data, _ in grid):
@@ -415,14 +419,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
-        for value in values:
-            if args.axis in ("shots", "memory") and not value.is_integer():
-                raise ValueError(f"--axis {args.axis} takes whole numbers, "
-                                 f"got {value!r}")
-    else:
-        values = DEFAULT_SWEEP_VALUES[args.axis]
+    values = [float(v) for v in args.values.split(",")] if args.values else \
+        DEFAULT_SWEEP_VALUES[args.axis]
+    for value in values:
+        if args.axis != "noise" and not float(value).is_integer():
+            raise ValueError(f"--axis {args.axis} takes whole numbers, got {value!r}")
 
     def cells(data_cfg, train_cfg):
         for value in values:

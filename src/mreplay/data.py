@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -49,6 +50,11 @@ class Dataset:
     feature_mode: bool = False
 
 
+# the least value of each numeric DataConfig field but n, whose least is T
+DATA_BOUNDS = {"d_x": 1, "T": 2, "shots": 1, "noise_x": 0, "drift": 0, "label_noise": 0,
+               "seed": 0}
+
+
 @dataclass(frozen=True)
 class DataConfig:
     n: int = 500
@@ -61,27 +67,54 @@ class DataConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.T < 2:
-            raise ValueError(f"need at least 2 sessions, got T={self.T}")
+        check_config(self, "data", DATA_BOUNDS)
         if self.n < self.T:
-            raise ValueError(f"n={self.n} smaller than T={self.T}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.d_x < 1:
-            raise ValueError(f"d_x must be >= 1, got {self.d_x}")
-        if self.noise_x < 0 or self.drift < 0 or self.label_noise < 0:
-            raise ValueError("noise_x, drift and label_noise must be >= 0")
+            raise ValueError(f"data field 'n' is {self.n}, fewer than T={self.T}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# each field annotation but str's: the test of a value, and what a value must be
+_FIELD_TYPES = {"int": (_is_int, "an int"), "bool": (lambda v: isinstance(v, bool), "a bool"),
+                "float": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+                          "a finite float"),
+                "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+                                    "a tuple of ints")}
+
+
+def check_field(section: str, name: str, annotation: str, value, bound=None) -> None:
+    """Raise a ``ValueError`` naming ``section`` and the field ``name``
+    unless ``value`` is of the type ``annotation`` and not below ``bound``,
+    or, for a str, one of the choices ``bound``."""
+    if isinstance(bound, tuple):
+        ok, want = value in bound, f"one of {bound}"
+    else:
+        test, want = _FIELD_TYPES[annotation]
+        ok = test(value) and (bound is None or value >= bound)
+        want += "" if bound is None else f" >= {bound}"
+    if not ok:
+        raise ValueError(f"{section} field {name!r} is {value!r}, not {want}")
+
+
+def check_config(config, section: str, bounds: dict) -> None:
+    """``check_field`` on each field of a config dataclass, whose annotations
+    are strings, with its bound from ``bounds``; an accepted value is kept."""
+    for f in fields(config):
+        check_field(section, f.name, f.type, getattr(config, f.name), bounds.get(f.name))
 
 
 def config_from_dict(cls, d: dict, what: str):
-    """``cls(**d)`` for a config dataclass, after rejecting the fields it
-    lacks; a JSON list becomes a tuple wherever the field's default is one."""
+    """``cls(**d)`` for a config dataclass, whose ``__post_init__`` checks
+    every field, after rejecting the fields it lacks; a JSON list becomes a
+    tuple wherever the field's default is one."""
     known = {f.name: f.default for f in fields(cls)}
     unknown = set(d) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} config fields: {sorted(unknown)}")
-    return cls(**{k: tuple(v) if isinstance(known[k], tuple) else v
-                  for k, v in d.items()})
+    return cls(**{k: tuple(v) if isinstance(v, list) and isinstance(known[k], tuple)
+                  else v for k, v in d.items()})
 
 
 def generate_synthetic(cfg: DataConfig) -> Dataset:
@@ -164,8 +197,6 @@ class SessionPlan:
 def grade_split(dataset: Dataset, T: int, shots: int, seed: int) -> SessionPlan:
     """Sort by score, cut T contiguous grade bands, draw few-shot splits."""
     n = len(dataset.samples)
-    if T < 2:
-        raise ValueError(f"need at least 2 sessions, got T={T}")
     if n < T:
         raise ValueError(f"{n} samples cannot fill {T} sessions")
     rng = make_rng(seed, STREAM_SPLIT)
@@ -247,8 +278,6 @@ def apply_scaler(plan: SessionPlan, scaler: ScoreScaler) -> SessionPlan:
 def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> SessionPlan:
     """Add gaussian noise to training-split scores only, in original units,
     clamped to the declared score range. Held-out scores are untouched."""
-    if intensity < 0:
-        raise ValueError(f"noise intensity must be >= 0, got {intensity}")
     rng = make_rng(seed, STREAM_NOISE)
     lo, hi = plan.score_range
 

@@ -43,8 +43,6 @@ STREAM_INIT = 4
 
 def make_rng(seed: int, stream: int) -> np.random.Generator:
     """Independent deterministic generator for (seed, stream)."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 

@@ -46,6 +46,7 @@ option sets the worker count; ``taskset`` limits it.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -55,7 +56,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as ls
 from . import memory as mem
-from .data import ScoreScaler, SessionPlan, config_from_dict
+from .data import ScoreScaler, SessionPlan, check_config
 from .metrics import EvalMatrix, centred_ranks, rho_aft, rho_fwt, spearman
 from .models import (BundleSpec, MlpSpec, ModelBundle, check_width, components,
                      encode, encoder_params, freeze_copy, init_bundle, make_rng,
@@ -76,6 +77,11 @@ ABLATION_FLAGS = ("no_mp", "no_residual", "no_ii_gr", "no_j_gr", "mse_gr",
                   "random_sampling", "reverse_kl", "abs_score_distance")
 SESSION_1_FREE = ("m", *ABLATION_FLAGS, "lambda_p", "lambda_r", "b1", "lm_stop_grad",
                   "stratified_replay", "classic_forgetting")
+# the choices of method and the least value of each numeric TrainConfig
+# field; lr's is the least float above 0
+TRAIN_BOUNDS = {"method": METHODS, "lambda_p": 0, "lambda_r": 0, "b1": 1, "b2": 1,
+                "epochs": 1, "patience": 1, "min_delta": 0, "m": 1, "lr": math.ulp(0.0),
+                "weight_decay": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -110,36 +116,14 @@ class TrainConfig:
     trunk_widths: tuple[int, ...] = (16, 8)
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; pick one of {METHODS}")
-        if self.b1 < 1 or self.b2 < 1:
-            raise ValueError(f"batch sizes must be >= 1, got b1={self.b1} b2={self.b2}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.min_delta < 0:
-            raise ValueError(f"min_delta must be >= 0, got {self.min_delta}")
-        if self.m < 1:
-            raise ValueError(f"memory per session must be >= 1, got {self.m}")
-        if self.lambda_p < 0 or self.lambda_r < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.lr <= 0 or self.weight_decay < 0:
-            raise ValueError(f"bad optimizer settings lr={self.lr} "
-                             f"weight_decay={self.weight_decay}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_config(self, "train", TRAIN_BOUNDS)
         if self.no_mp and self.no_residual:
-            raise ValueError("no_mp removes the projector entirely; "
-                             "no_residual contradicts it")
+            raise ValueError("train field 'no_residual' is True, but no_mp removes "
+                             "the projector it would change")
 
     @property
     def effective_epochs(self) -> int:
         return 1 if self.online else self.epochs
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return config_from_dict(TrainConfig, d, "train")
 
 
 def _preset(config: TrainConfig) -> TrainConfig:

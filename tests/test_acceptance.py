@@ -287,8 +287,8 @@ def _benchmark_scores(config_name="benchmark.json",
         plan = data.grade_split(dataset, T=cfg["data"]["T"],
                                 shots=cfg["data"]["shots"], seed=seed)
         plan, scaler = data.normalize_scores(plan)
-        configs = [trainer.TrainConfig.from_dict({**cfg["train"], **overrides,
-                                                  "seed": seed})
+        configs = [data.config_from_dict(trainer.TrainConfig,
+                                         {**cfg["train"], **overrides, "seed": seed}, "train")
                    for overrides in tags.values()]
         for tag, run in zip(tags, trainer.run_many(plan, scaler, configs)):
             scores[tag].append(run.summary["rho_avg"])

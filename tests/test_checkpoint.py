@@ -16,8 +16,6 @@ from mreplay.models import components, encode, freeze_copy, predict
 
 
 SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
-# session 2 of `mreplay train --config configs/smoke.json`, as format 1 wrote it
-FORMAT_1_SMOKE = Path(__file__).resolve().parent / "fixtures" / "smoke_session_02_format1.json"
 
 
 def _plan():
@@ -46,26 +44,25 @@ def _smoke_plan():
     """The normalized plan, scaler and train config that `mreplay train
     --config configs/smoke.json` runs on."""
     raw = json.loads(SMOKE.read_text())
-    data_cfg, cfg = cli._data_config(raw), trainer.TrainConfig.from_dict(raw["train"])
+    data_cfg = cli._data_config(raw)
+    cfg = data.config_from_dict(trainer.TrainConfig, raw["train"], "train")
     plan, _ = cli._build_plan(data.generate_synthetic(data_cfg), data_cfg, None, cfg.seed)
     return (*data.normalize_scores(plan), cfg)
 
 
-def _assert_same_state(a, b, adam=True):
-    """Parameters, frozen encoder, bank, RNG states and session of two
-    states, bit for bit, and their Adam buffers, moments and counts if
-    ``adam``."""
+def _assert_same_state(a, b):
+    """Parameters, Adam buffers, moments and counts, frozen encoder, bank,
+    RNG states and session of two states, bit for bit."""
     assert a.session == b.session
     for comp, params in components(a.bundle).items():
         other = components(b.bundle)[comp]
         assert list(params) == list(other)
         for k in params:
             assert params[k].value.tobytes() == other[k].value.tobytes(), k
-        if adam:
-            x, y = a.adam[comp], b.adam[comp]
-            assert x.step_count == y.step_count, comp
-            for key in ("buffer", "m", "v"):
-                assert getattr(x, key).tobytes() == getattr(y, key).tobytes(), (comp, key)
+        x, y = a.adam[comp], b.adam[comp]
+        assert x.step_count == y.step_count, comp
+        for key in ("buffer", "m", "v"):
+            assert getattr(x, key).tobytes() == getattr(y, key).tobytes(), (comp, key)
     frozen_a, frozen_b = a.bundle.frozen_encoder or {}, b.bundle.frozen_encoder or {}
     assert list(frozen_a) == list(frozen_b)
     for name, t in frozen_a.items():
@@ -184,21 +181,6 @@ def test_load_draws_no_init(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, forbidden, raising=False)
     loaded, _, _ = checkpoint.load_checkpoint(path)
     _assert_same_state(state, loaded)
-    checkpoint.load_checkpoint(FORMAT_1_SMOKE)
-
-
-def test_format_1_file_loads_like_format_2(tmp_path):
-    # the float-text format still loads, to the state the format-2 file of
-    # the same run holds, but with fresh optimizer state
-    assert json.loads(FORMAT_1_SMOKE.read_text())["format_version"] == 1
-    assert cli.main(["train", "--config", str(SMOKE), "--out", str(tmp_path)]) == 0
-    new = checkpoint.load_checkpoint(tmp_path / "magr-seed0" / "checkpoints" /
-                                     "session_02.json")
-    old = checkpoint.load_checkpoint(FORMAT_1_SMOKE)
-    assert old[1:] == new[1:]  # scaler and config
-    _assert_same_state(old[0], new[0], adam=False)
-    for a in old[0].adam.values():
-        assert a.step_count == 0 and not a.m.any() and not a.v.any()
 
 
 @settings(database=None, derandomize=True, max_examples=200, deadline=None)
@@ -368,10 +350,13 @@ def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "ckpt.json"
     checkpoint.save_checkpoint(path, state, scaler, cfg)
     payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(checkpoint.CheckpointError, match="format"):
-        checkpoint.load_checkpoint(path)
+    # 1 is the float-list format, which is no longer read
+    for version in (99, 1):
+        payload["format_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(checkpoint.CheckpointError,
+                           match=f"checkpoint format {version} is not the supported"):
+            checkpoint.load_checkpoint(path)
 
 
 def test_tampered_shape_rejected(tmp_path):
@@ -429,8 +414,7 @@ def test_unknown_config_field_rejected(tmp_path):
 
 
 # SHA-256 of each session checkpoint that `mreplay train --config
-# configs/smoke.json` writes in format 2, raw float64 payloads; the
-# format-1 bytes of session 2 are kept in FORMAT_1_SMOKE
+# configs/smoke.json` writes in format 2, raw float64 payloads
 SMOKE_CHECKPOINTS = {
     "session_01.json": "afbae32636e5c9db1fa8104853e7fc9656785b3a9f8d5e832377210c6ef94ce0",
     "session_02.json": "b4b8280030d9a384a177045f6cb9b2314cd7ae7497368a9e61f07847d4842947",

@@ -1,14 +1,20 @@
 """End-to-end CLI runs on a miniature benchmark."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mreplay import cli, data, metrics, trainer
 
@@ -97,6 +103,8 @@ MANIFEST_FAULTS = {
     "no_held_out": (lambda m: m["sessions"][1].pop("held_out"),
                     "session entry 2 lacks the field 'held_out'"),
     "T_5_for_3": (lambda m: m.update(T=5), "field 'T' is 5 but it lists 3 sessions"),
+    "T_float": (lambda m: m.update(T=3.0), "field 'T' is 3.0, not an int >= 2"),
+    "T_bool": (lambda m: m.update(T=True), "field 'T' is True, not an int >= 2"),
     "shots_word": (lambda m: m.update(shots="many"), "field 'shots' is 'many', not an int >= 1"),
     "shots_negative": (lambda m: m.update(shots=-3), "field 'shots' is -3, not an int >= 1"),
     "shots_bool": (lambda m: m.update(shots=True), "field 'shots' is True, not an int >= 1"),
@@ -186,6 +194,65 @@ def test_train_rejects_a_tiny_test_set_before_writing_anything(tmp_path, capsys,
     assert capsys.readouterr().err == \
         f"error: {message}; a rank correlation needs at least 2\n"
     assert not (tmp_path / "run").exists()
+
+
+# each field of both config sections: (section, name, annotation, bound)
+CONFIG_FIELDS = [(section, f.name, f.type, bounds.get(f.name))
+                 for section, cls, bounds in (("data", data.DataConfig, data.DATA_BOUNDS),
+                                              ("train", trainer.TrainConfig,
+                                               trainer.TRAIN_BOUNDS))
+                 for f in fields(cls)]
+
+
+def _wrong_values(annotation, bound):
+    """Values that a field of type ``annotation`` and bound ``bound`` must
+    refuse: each wrong type, and one step below a number's bound."""
+    if annotation == "int":
+        wrong = st.booleans() | st.floats()
+    elif annotation == "float":
+        wrong = st.text() | st.booleans() | st.sampled_from([math.nan, math.inf, -math.inf])
+    elif annotation == "bool":
+        wrong = st.text() | st.integers()
+    elif annotation == "str":
+        wrong = st.text().filter(lambda v: v not in bound) | st.integers()
+    else:
+        wrong = st.integers() | st.lists(st.integers(1, 64), max_size=3).flatmap(
+            lambda widths: st.floats().map(lambda w: [*widths, w]))
+    if annotation in ("int", "float") and bound is not None:
+        wrong |= st.just(bound - 1 if annotation == "int" else math.nextafter(bound, -math.inf))
+    return wrong
+
+
+# values that trained, or failed only once the run directory existed, or
+# failed naming no field, before every config field was checked by type
+PROBES = [("train", "seed", True), ("train", "no_mp", "yes"), ("train", "online", "no"),
+          ("train", "epochs", 2.5), ("train", "m", 2.5), ("train", "b1", 2.5),
+          ("train", "b2", 1.5), ("train", "trunk_widths", [12, 6.0]),
+          ("train", "lambda_p", math.nan), ("train", "lr", "0.01"),
+          ("train", "encoder_widths", 5), ("data", "drift", math.nan), ("data", "T", 3.0),
+          ("data", "shots", 2.5), ("data", "n", 60.5)]
+
+
+def _with_probes(test):
+    for probe in PROBES:
+        test = example(probe)(test)
+    return test
+
+
+@_with_probes
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS).flatmap(
+    lambda f: _wrong_values(f[2], f[3]).map(lambda value: (f[0], f[1], value))))
+def test_a_wrong_config_value_fails_naming_its_field_before_the_run_directory(case):
+    section, name, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        config.write_text(json.dumps({**MINI, section: {**MINI[section], name: value}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
+        assert err.getvalue().startswith(f"error: {section} field {name!r} is ")
+        assert not out.exists()
 
 
 def test_reused_parser_gives_each_call_only_its_own_arguments(monkeypatch):
@@ -444,6 +511,30 @@ def test_sweep_rejects_fractional_counts(tmp_path, mini_config, capsys):
         assert not (out / "sweep.csv").exists()
 
 
+def test_sweep_rejects_non_finite_noise_before_training(tmp_path, mini_config, capsys,
+                                                       monkeypatch):
+    # every cell is checked before the first one trains
+    monkeypatch.setattr(trainer, "train_session", None)
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", mini_config, "--out", str(out),
+                     "--axis", "noise", "--values", "0,nan,inf"]) == 1
+    assert capsys.readouterr().err == \
+        "error: data field 'label_noise' is nan, not a finite float >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [[True], [], [0, -1], [0.0], 3, "0"])
+def test_grid_rejects_a_bad_seeds_list_before_any_run(tmp_path, capsys, seeds):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINI, seeds=seeds)))
+    for command in (["ablate"], ["sweep", "--axis", "memory", "--values", "3"]):
+        out = tmp_path / command[0]
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: config field 'seeds' is {seeds!r}, "
+                                           f"not a non-empty list of ints >= 0\n")
+        assert not out.exists()
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -457,7 +548,7 @@ def _direct_summary(seed, train, data_kw=None):
     if dcfg.label_noise > 0:
         plan = data.inject_label_noise(plan, dcfg.label_noise, seed)
     plan, scaler = data.normalize_scores(plan)
-    cfg = trainer.TrainConfig.from_dict({**train, "seed": seed})
+    cfg = data.config_from_dict(trainer.TrainConfig, {**train, "seed": seed}, "train")
     return trainer.run_continual(plan, scaler, cfg).summary
 
 

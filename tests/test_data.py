@@ -53,15 +53,15 @@ def test_inputs_deterministic_in_score_without_noise():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data field 'T' is 1, not an int >= 2"):
         _cfg(T=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data field 'n' is 3, fewer than T=5"):
         _cfg(n=3, T=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data field 'shots' is 0, not an int >= 1"):
         _cfg(shots=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data field 'noise_x' is -0.1, not a finite float >= 0"):
         _cfg(noise_x=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="data field 'd_x' is 0, not an int >= 1"):
         _cfg(d_x=0)
 
 

@@ -68,7 +68,8 @@ def _smoke(**overrides):
     ``mreplay train`` builds them."""
     cfg = json.loads(SMOKE.read_text())
     data_cfg = data.DataConfig(**cfg["data"])
-    train_cfg = replace(trainer.TrainConfig.from_dict(cfg["train"]), **overrides)
+    train_cfg = replace(data.config_from_dict(trainer.TrainConfig, cfg["train"], "train"),
+                        **overrides)
     split = data.grade_split(data.generate_synthetic(data_cfg), data_cfg.T,
                              data_cfg.shots, train_cfg.seed)
     plan, scaler = data.normalize_scores(split)

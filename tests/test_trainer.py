@@ -100,17 +100,18 @@ def test_resolve_ablation_flags():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(ValueError, match="train field 'method' is 'does-not-exist', "
+                                         "not one of \\('magr', "):
         _cfg(method="does-not-exist")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train field 'b1' is 0, not an int >= 1"):
         _cfg(b1=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train field 'epochs' is 0, not an int >= 1"):
         _cfg(epochs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train field 'm' is 0, not an int >= 1"):
         _cfg(m=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="train field 'lr' is 0.0, not a finite float >= 5e-324"):
         _cfg(lr=0.0)
-    with pytest.raises(ValueError, match="no_residual"):
+    with pytest.raises(ValueError, match="train field 'no_residual' is True, but no_mp"):
         _cfg(no_mp=True, no_residual=True)
 
 
@@ -119,10 +120,10 @@ def test_config_dict_round_trip():
                projector_widths=(12, 12, 12), trunk_widths=(12, 6))
     d = json.loads(json.dumps(asdict(cfg)))
     assert d["encoder_widths"] == [8, 32, 12]
-    back = trainer.TrainConfig.from_dict(d)
+    back = data.config_from_dict(trainer.TrainConfig, d, "train")
     assert back == cfg
     with pytest.raises(ValueError, match="unknown train config"):
-        trainer.TrainConfig.from_dict({"method": "magr", "bogus": 1})
+        data.config_from_dict(trainer.TrainConfig, {"method": "magr", "bogus": 1}, "train")
 
 
 def test_online_mode_caps_epochs():
