@@ -17,8 +17,10 @@ from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
 payload that is not base64, does not fill its shape or holds a non-finite
 value raises ``CheckpointError`` naming the array; so does a file of another
 format version, such as format 1's float lists. The stored train config is
-checked field by field, as a config file is. The loader reads only the keys
-it needs, so the ``has_frozen`` flag of older files is ignored.
+checked field by field, as a config file is, and so are the session and the
+bank's capacity and refresh epoch, which is no later than the session. The
+loader reads only the keys it needs, so the ``has_frozen`` flag of older
+files is ignored.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import autodiff as ad
-from .data import ScoreScaler, atomic_write, config_from_dict
+from .data import ScoreScaler, atomic_write, check_field, config_from_dict
 from .memory import FeatureRecord, MemoryBank
 from .models import BundleSpec, MlpSpec, build_bundle, param_shapes
 from .trainer import TrainConfig, TrainState, bundle_spec_for, fresh_state
@@ -128,6 +130,13 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: checkpoint format {version!r} is not the "
                               f"supported version {FORMAT_VERSION}")
+    session = _count(path, "session", payload["session"], 0)
+    packed_bank = payload["bank"]
+    capacity = _count(path, "bank.capacity", packed_bank["capacity"], 1)
+    refresh_epoch = _count(path, "bank.refresh_epoch", packed_bank["refresh_epoch"], 0)
+    if refresh_epoch > session:
+        raise CheckpointError(f"{path}: checkpoint field 'bank.refresh_epoch' is "
+                              f"{refresh_epoch}, above its session {session}")
     config = config_from_dict(TrainConfig, payload["config"], "train")
     stored = _unpack_spec(payload["spec"])
     spec = bundle_spec_for(config, stored.input_width, stored.encoder is None)
@@ -154,17 +163,24 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     state.bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
         {name: ad.Param(_unpack_array(d, f"{path}: frozen_encoder/{name}"))
          for name, d in payload["frozen_encoder"].items()}
-    packed_bank = payload["bank"]
-    bank = MemoryBank(capacity=packed_bank["capacity"])
-    bank.refresh_epoch = packed_bank["refresh_epoch"]
+    bank = MemoryBank(capacity=capacity, refresh_epoch=refresh_epoch)
     _load_bank(bank, packed_bank, f"{path}: bank")
     _load_adam(state, payload["adam"], path)
     state.bank = bank
-    state.session = payload["session"]
+    state.session = session
     for name, s in payload["rng"].items():
         state.rngs[name].bit_generator.state = json.loads(s)
     scaler = ScoreScaler(lo=payload["scaler"]["lo"], hi=payload["scaler"]["hi"])
     return state, scaler, config
+
+
+def _count(path, name: str, value, least: int) -> int:
+    """``value``, the payload's field ``name``, if it is an int >= ``least``."""
+    try:
+        check_field("checkpoint", name, "int", value, least)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    return value
 
 
 def _load_bank(bank: MemoryBank, packed: dict, where: str) -> None:

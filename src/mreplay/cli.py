@@ -28,14 +28,14 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (DATA_BOUNDS, DataConfig, Dataset, SessionPlan, SessionSplit,
-                   apply_scaler, atomic_write, check_field, config_from_dict,
-                   grade_split, generate_synthetic, inject_label_noise, load_csv,
-                   normalize_scores, parse_csv, save_csv)
-from .metrics import spearman
+                   atomic_write, check_field, config_from_dict, grade_split,
+                   generate_synthetic, inject_label_noise, load_csv, normalize_scores,
+                   parse_csv, save_csv)
+from .metrics import spearman  # noqa: F401 - unused; bench/test_checks.py traces cli.spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
-                      bundle_spec_for, check_test_sets, evaluate_on, run_continual,
-                      run_many)
+                      bundle_spec_for, check_test_sets, run_continual, run_many,
+                      score_sets)
 
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
@@ -331,35 +331,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_predictions(checkpoint, dataset_path, split_path,
-                            upto: int | None = None):
+def _checkpoint_scores(checkpoint, dataset_path, split_path, upto: int | None = None):
     """Score a checkpoint on the test sets of sessions 1..``upto`` of a
-    dataset + split, in original score units. ``upto`` defaults to the
-    sessions the checkpoint was trained on (all of them for ``joint``).
-    Returns that default and one (truth, pred) pair per session."""
+    dataset + split, their scores normalized by the checkpoint's scaler.
+    ``upto`` defaults to the sessions the checkpoint was trained on (all of
+    them for ``joint``). Returns that default and ``score_sets``' scores."""
     if upto is not None and upto < 1:
         raise ValueError(f"--session must be >= 1, got {upto}")
     state, scaler, train_cfg = load_checkpoint(checkpoint)
     dataset = load_csv(dataset_path)
     with open(split_path) as fh:
-        plan = apply_scaler(plan_from_manifest(dataset, json.load(fh)), scaler)
+        plan = plan_from_manifest(dataset, json.load(fh))
     t = state.session if train_cfg.method != "joint" else plan.n_sessions
     upto = t if upto is None else upto
     if upto > plan.n_sessions:
         raise ValueError(f"session {upto} exceeds plan with {plan.n_sessions}")
-    return t, [evaluate_on(state.bundle,
-                           *plan.test_arrays(j, train_cfg.held_out_only), scaler)
-               for j in range(1, upto + 1)]
+    sets = [plan.test_arrays(j, train_cfg.held_out_only) for j in range(1, upto + 1)]
+    return t, score_sets(state.bundle, [(x, scaler.normalize(y)) for x, y in sets], scaler)
 
 
 def cmd_eval(args) -> int:
-    t, scored = _checkpoint_predictions(args.checkpoint, args.dataset, args.split,
-                                        args.session)
-    truths, preds = zip(*scored)
+    t, scores = _checkpoint_scores(args.checkpoint, args.dataset, args.split, args.session)
     payload = {"checkpoint": str(args.checkpoint), "session": t,
-               "rho_per_session": {str(j): spearman(truth, pred) for j, (truth, pred)
-                                   in enumerate(scored, start=1)},
-               "rho_avg": spearman(np.concatenate(truths), np.concatenate(preds))}
+               "rho_per_session": {str(j): rho for j, rho in enumerate(scores.rhos, start=1)},
+               "rho_avg": scores.pooled}
     _emit(args.out, _json_text(payload))
     return 0
 
@@ -465,11 +460,11 @@ def cmd_plot(args) -> int:
         if not ckpts:
             raise FileNotFoundError(f"no checkpoints under {run_dir}")
         if kind == "scatter":
-            _, scored = _checkpoint_predictions(ckpts[-1], run_dir / "dataset.csv",
-                                                run_dir / "split.json")
-            truths, preds = zip(*scored)
-            tags = [j for j, truth in enumerate(truths, start=1) for _ in truth]
-            svg = scatter_plot(np.concatenate(truths), np.concatenate(preds), tags)
+            _, scores = _checkpoint_scores(ckpts[-1], run_dir / "dataset.csv",
+                                           run_dir / "split.json")
+            tags = [j for j, truth in enumerate(scores.truths, start=1) for _ in truth]
+            svg = scatter_plot(np.concatenate(scores.truths), np.concatenate(scores.preds),
+                               tags)
         else:
             state, _, _ = load_checkpoint(ckpts[-1])
             if state.bank.size == 0:

@@ -109,6 +109,8 @@ def config_from_dict(cls, d: dict, what: str):
     """``cls(**d)`` for a config dataclass, whose ``__post_init__`` checks
     every field, after rejecting the fields it lacks; a JSON list becomes a
     tuple wherever the field's default is one."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} config section is {type(d).__name__!r}, not an object")
     known = {f.name: f.default for f in fields(cls)}
     unknown = set(d) - set(known)
     if unknown:
@@ -174,11 +176,6 @@ class SessionPlan:
         and the ranks of the test truths here. A ``replace``d plan starts
         with an empty one."""
         return {}
-
-    @property
-    def fine_tune_pool(self) -> tuple[Sample, ...]:
-        """Base-session fine-tuning data: the first session's held-out pool."""
-        return self.sessions[0].held_out
 
     def test_arrays(self, t: int, held_out_only: bool = False) -> tuple:
         """Inputs and scores of session t's test set, ``train + held_out``
@@ -253,26 +250,19 @@ def _map_plan_scores(plan: SessionPlan, fn) -> SessionPlan:
 def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
     """Map every score to [0, 1] with a scaler fitted on base-session data.
 
-    The fit covers the first session's training and fine-tune scores,
-    extended by the dataset's declared score range so later (higher) grades
-    stay inside [0, 1].
+    The fit covers the first session's training and fine-tune scores (its
+    held-out pool), extended by the dataset's declared score range so later
+    (higher) grades stay inside [0, 1].
     """
-    basis = [s.score for s in plan.sessions[0].train]
-    basis += [s.score for s in plan.fine_tune_pool]
-    basis += [plan.score_range[0], plan.score_range[1]]
+    first = plan.sessions[0]
+    basis = [s.score for s in first.train + first.held_out] + list(plan.score_range)
     lo, hi = min(basis), max(basis)
     if hi - lo < 1e-12:
         raise ValueError(f"degenerate score range [{lo}, {hi}] in base session")
     scaler = ScoreScaler(lo=lo, hi=hi)
-    return apply_scaler(plan, scaler), scaler
-
-
-def apply_scaler(plan: SessionPlan, scaler: ScoreScaler) -> SessionPlan:
-    """Normalize a plan's scores with an existing scaler (no refit)."""
-    out = _map_plan_scores(plan, lambda y, _: scaler.normalize(y))
-    lo, hi = plan.score_range
-    return replace(out, score_range=(float(scaler.normalize(lo)),
-                                     float(scaler.normalize(hi))))
+    normed = _map_plan_scores(plan, lambda y, _: scaler.normalize(y))
+    score_range = tuple(scaler.normalize(plan.score_range).tolist())
+    return replace(normed, score_range=score_range), scaler
 
 
 def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> SessionPlan:

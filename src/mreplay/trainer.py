@@ -31,9 +31,10 @@ Until session 1 ends the bank is empty, so its epochs never read the
 ``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key and
 plan, the config as ``sequential-ft`` with those fields at their defaults,
 and keeps it in the plan's ``memo``, so later calls on the same plan reuse
-it; each config goes on from a copy of that state. The memo also keeps the
-ranks of the test truths per scaler and ``held_out_only``, so every
-evaluation cell and pooled prefix ranks only its predictions.
+it; each config goes on from a deep copy of that state. The memo also
+keeps the ranks of the test truths per scaler and ``held_out_only``, so
+``score_sets``, the one scorer of a bundle (``mreplay eval`` and the
+scatter plot call it too), ranks only the predictions of a run's rows.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
 ``run_many`` call trains all its keys' first sessions, then runs its
@@ -46,6 +47,7 @@ option sets the worker count; ``taskset`` limits it.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 import time
@@ -407,6 +409,35 @@ def evaluate_on(bundle: ModelBundle, x: np.ndarray, y: np.ndarray,
     return scaler.denormalize(y), scaler.denormalize(predict(bundle, x))
 
 
+@dataclass(frozen=True)
+class Scores:
+    """Per test set, truths and predictions in score units and their ρ; and
+    the ρ of all the sets pooled."""
+
+    truths: list[np.ndarray]
+    preds: list[np.ndarray]
+    rhos: list[float]
+    pooled: float
+
+
+def score_sets(bundle: ModelBundle, sets, scaler: ScoreScaler, ranks=None,
+               pooled_ranks=None) -> Scores:
+    """Score ``bundle`` on ``sets``, a list of (inputs, normalized scores).
+    A caller that keeps the centred ranks of the truths in score units
+    passes them, ``ranks`` one per set and ``pooled_ranks`` for their
+    union; otherwise ``spearman`` ranks them. One set's pooled ρ is its
+    own."""
+    truths, preds, rhos = [], [], []
+    for (x, y), truth_ranks in zip(sets, ranks or [None] * len(sets)):
+        truth, pred = evaluate_on(bundle, x, y, scaler)
+        truths.append(truth)
+        preds.append(pred)
+        rhos.append(spearman(truth, pred, truth_ranks))
+    pooled = rhos[0] if len(sets) == 1 else spearman(
+        np.concatenate(truths), np.concatenate(preds), pooled_ranks)
+    return Scores(truths, preds, rhos, pooled)
+
+
 def run_continual(plan: SessionPlan, scaler: ScoreScaler,
                   config: TrainConfig, on_session=None) -> RunResult:
     """Drive a full run: T sessions (or one pooled session for ``joint``),
@@ -468,35 +499,21 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
     if not joint:  # ranked after training, so a failed session memoises nothing
         ref = init_bundle(state.bundle.spec, _reference_seed(key.seed))
         ranks = _truth_ranks(plan, scaler, key.held_out_only)[0]
-        reference = {t: spearman(*evaluate_on(
-            ref, *plan.test_arrays(t, key.held_out_only), scaler), ranks[t - 1])
-            for t in range(2, T + 1)}
+        reference = {t: score_sets(ref, [plan.test_arrays(t, key.held_out_only)], scaler,
+                                   ranks[t - 1:t]).rhos[0]
+                     for t in range(2, T + 1)}
     plan.memo[scaler, key] = state, reference, report, data
     return plan.memo[scaler, key]
 
 
 def _fork(state: TrainState, config: TrainConfig) -> TrainState:
-    """A copy of ``state``'s weights, Adam state, RNGs and session for
-    ``config``, sharing no array with it, with an empty bank of its own."""
-    adam = {name: replace(a, buffer=a.buffer.copy(), m=a.m.copy(), v=a.v.copy(),
-                          grad=a.grad.copy(), lr=config.lr,
-                          weight_decay=config.weight_decay)
-            for name, a in state.adam.items()}
-    comps = {name: {key: ad.Param(p.value, key) for key, p in params.items()}
-             for name, params in components(state.bundle).items()}
-    for name, params in comps.items():
-        ad.adam_bind(params, adam[name])
-    frozen = state.bundle.frozen_encoder
-    if frozen is not None:
-        frozen = {key: ad.Param(p.value.copy()) for key, p in frozen.items()}
-    bundle = replace(state.bundle, encoder=comps.get("encoder"), projector=comps["projector"],
-                     regressor=comps["regressor"], frozen_encoder=frozen)
-    rngs = {}
-    for name, rng in state.rngs.items():
-        rngs[name] = np.random.Generator(type(rng.bit_generator)(0))
-        rngs[name].bit_generator.state = rng.bit_generator.state
-    return TrainState(bundle=bundle, bank=mem.MemoryBank(capacity=config.m), adam=adam,
-                      rngs=rngs, session=state.session)
+    """A deep copy of ``state``, sharing no array with it, with an empty
+    bank of ``config.m`` entries: ``m`` is free in session 1, so the
+    copied bank's capacity may not be the config's. The Adam settings are
+    part of the key, so the copy's are the config's."""
+    fork = copy.deepcopy(state)
+    fork.bank = mem.MemoryBank(capacity=config.m)
+    return fork
 
 
 def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
@@ -584,30 +601,22 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     joint = config.method == "joint"
     state = _fork(first, config)
     _update_bank(state, *data, _preset(config), 1)
-    reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
-                       epoch_losses=list(report.epoch_losses))]
+    reports = [copy.deepcopy(report)]
     matrix = EvalMatrix(n_sessions=T)
     matrix.reference.update(reference)
     ho = config.held_out_only
     cell_ranks, pooled_ranks = _truth_ranks(plan, scaler, ho)
-
-    def eval_cell(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        truth, pred = evaluate_on(state.bundle, *plan.test_arrays(j, ho), scaler)
-        matrix.set_cell(i, j, spearman(truth, pred, cell_ranks[j - 1]))
-        return truth, pred
-
-    def eval_row(i: int) -> None:
-        """Cells (i, 1..i) and their pooled correlation."""
-        truths, preds = zip(*(eval_cell(i, j) for j in range(1, i + 1)))
-        matrix.pooled[i] = spearman(np.concatenate(truths), np.concatenate(preds),
-                                    pooled_ranks[i - 1])
-
     for t in [T] if joint else range(1, T + 1):
         if t > 1 and not joint:
             reports.append(train_session(state, *plan.training_arrays(t), config))
-        eval_row(t)
+        row = score_sets(state.bundle, [plan.test_arrays(j, ho) for j in range(1, t + 1)],
+                         scaler, cell_ranks[:t], pooled_ranks[t - 1])
+        for j, rho in enumerate(row.rhos, start=1):
+            matrix.set_cell(t, j, rho)
+        matrix.pooled[t] = row.pooled
         if t < T:
-            eval_cell(t, t + 1)
+            matrix.set_cell(t, t + 1, score_sets(state.bundle, [plan.test_arrays(t + 1, ho)],
+                                                 scaler, cell_ranks[t:t + 1]).rhos[0])
         if on_session is not None:
             on_session(state, state.session)
     aft = None if joint else rho_aft(matrix, classic=config.classic_forgetting)

@@ -265,7 +265,8 @@ _any_float = st.floats(allow_nan=False, allow_infinity=False)
 def _saved_states(draw):
     """A config and a state of it with drawn parameter values, RNG
     positions and session, a frozen encoder or none, and a non-empty bank
-    of arbitrary finite features and scores."""
+    of arbitrary finite features and scores, last refreshed in a session
+    no later than the state's."""
     cfg = _cfg(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(1, 6)))
     state = trainer.new_state(cfg, 8)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -278,7 +279,7 @@ def _saved_states(draw):
     for g in state.rngs.values():
         g.standard_normal(draw(st.integers(0, 5)))
     state.session = draw(st.integers(1, 9))
-    state.bank.refresh_epoch = draw(st.integers(0, 9))
+    state.bank.refresh_epoch = draw(st.integers(0, state.session))  # a refresh is no later
     for t in range(draw(st.integers(1, 4))):
         state.bank.entries.append(FeatureRecord(
             feature=np.array(draw(st.lists(_any_float, min_size=12, max_size=12))),

@@ -255,6 +255,19 @@ def test_a_wrong_config_value_fails_naming_its_field_before_the_run_directory(ca
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("section, value, kind", [
+    ("train", 5, "int"), ("train", "abc", "str"), ("data", [1, 2], "list")])
+def test_a_config_section_that_is_no_object_fails_naming_it(tmp_path, capsys, command,
+                                                            section, value, kind):
+    config, out = tmp_path / "config.json", tmp_path / "run"
+    config.write_text(json.dumps({**MINI, section: value}))
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {section} config section is {kind!r}, not an object\n"
+    assert not out.exists()
+
+
 def test_reused_parser_gives_each_call_only_its_own_arguments(monkeypatch):
     seen = []
 
@@ -427,22 +440,29 @@ def test_env_var_output_root(tmp_path, mini_config, monkeypatch):
 
 
 def test_eval_reproduces_training_cells(tmp_path, mini_config):
-    run_dir = _train(tmp_path, mini_config)
-    ckpt = run_dir / "checkpoints" / "session_03.json"
-    out = tmp_path / "metrics.json"
-    rc = cli.main(["eval", "--checkpoint", str(ckpt),
-                   "--dataset", str(run_dir / "dataset.csv"),
-                   "--split", str(run_dir / "split.json"),
-                   "--out", str(out)])
-    assert rc == 0
-    payload = json.loads(out.read_text())
-    rows = {}
-    for line in (run_dir / "results.csv").read_text().splitlines()[1:]:
-        session, metric, value = line.split(",")
-        rows[(int(session), metric)] = float(value)
-    for j in ("1", "2", "3"):
-        assert payload["rho_per_session"][j] == rows[(3, f"rho_on_{j}")]
-    assert payload["rho_avg"] == rows[(3, "rho_avg")]
+    # every checkpoint of a run, scored on every test set or on the held-out
+    # parts alone, reads the cells and pooled rho that training wrote
+    held_out_only = tmp_path / "held_out_only.json"
+    held_out_only.write_text(json.dumps({**MINI, "train": {**MINI["train"],
+                                                           "held_out_only": True}}))
+    for config in (mini_config, str(held_out_only)):
+        run_dir = _train(tmp_path, config, out=Path(config).stem)
+        rows = {}
+        for line in (run_dir / "results.csv").read_text().splitlines()[1:]:
+            session, metric, value = line.split(",")
+            rows[(int(session), metric)] = float(value)
+        for t in (1, 2, 3):
+            out = tmp_path / f"metrics_{t}.json"
+            rc = cli.main(["eval", "--checkpoint",
+                           str(run_dir / "checkpoints" / f"session_0{t}.json"),
+                           "--dataset", str(run_dir / "dataset.csv"),
+                           "--split", str(run_dir / "split.json"),
+                           "--out", str(out)])
+            assert rc == 0
+            payload = json.loads(out.read_text())
+            assert payload["rho_per_session"] == {
+                str(j): rows[(t, f"rho_on_{j}")] for j in range(1, t + 1)}
+            assert payload["rho_avg"] == rows[(t, "rho_avg")]
 
 
 def test_eval_early_checkpoint_and_session_cap(tmp_path, mini_config, capsys):
@@ -830,3 +850,36 @@ def test_bad_checkpoint_version_fails_eval(tmp_path, mini_config, capsys):
                    "--split", str(run_dir / "split.json")])
     assert rc == 1
     assert "format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("session", 2.5, "checkpoint field 'session' is 2.5, not an int >= 0"),
+    ("session", "2", "checkpoint field 'session' is '2', not an int >= 0"),
+    ("session", -3, "checkpoint field 'session' is -3, not an int >= 0"),
+    ("bank.refresh_epoch", 2.5, "checkpoint field 'bank.refresh_epoch' is 2.5, "
+                                "not an int >= 0"),
+    ("bank.refresh_epoch", -1, "checkpoint field 'bank.refresh_epoch' is -1, "
+                               "not an int >= 0"),
+    ("bank.refresh_epoch", 3, "checkpoint field 'bank.refresh_epoch' is 3, "
+                              "above its session 2"),
+    ("bank.capacity", 0, "checkpoint field 'bank.capacity' is 0, not an int >= 1"),
+    ("bank.capacity", True, "checkpoint field 'bank.capacity' is True, not an int >= 1"),
+])
+def test_a_bad_checkpoint_scalar_fails_eval_naming_it(tmp_path, capsys, field, value,
+                                                      message):
+    smoke = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+    assert cli.main(["train", "--config", str(smoke), "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "magr-seed0"
+    payload = json.loads((run_dir / "checkpoints" / "session_02.json").read_text())
+    *parents, key = field.split(".")
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    hacked = tmp_path / "hacked.json"
+    hacked.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["eval", "--checkpoint", str(hacked),
+                     "--dataset", str(run_dir / "dataset.csv"),
+                     "--split", str(run_dir / "split.json")]) == 1
+    assert capsys.readouterr().err == f"error: {hacked}: {message}\n"

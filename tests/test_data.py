@@ -177,7 +177,8 @@ _finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 @given(lo=_finite, width=st.floats(min_value=1e-6, max_value=1e9),
        fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
        others=st.lists(_finite, max_size=6), cut=st.integers(0, 20))
-def test_apply_scaler_matches_per_sample_normalize_bitwise(lo, width, fracs, others, cut):
+def test_normalize_scores_matches_per_sample_normalize_bitwise(lo, width, fracs, others,
+                                                              cut):
     hi = lo + width
     scores = [lo, hi, *(lo + f * (hi - lo) for f in fracs), *others]
     samples = [data.Sample(f"s{i}", np.zeros(1), v) for i, v in enumerate(scores)]
@@ -185,14 +186,11 @@ def test_apply_scaler_matches_per_sample_normalize_bitwise(lo, width, fracs, oth
     plan = data.SessionPlan(sessions=(data.SessionSplit(1, tuple(samples[:cut]),
                                                         tuple(samples[cut:])),),
                             shots=cut, input_width=1, score_range=(lo, hi))
-    scaler = data.ScoreScaler(lo=lo, hi=hi)
-    for scaled, fitted in ((data.apply_scaler(plan, scaler), scaler),
-                           data.normalize_scores(plan)):
-        got = [x.score for s in scaled.sessions for x in s.train + s.held_out]
-        assert all(type(v) is float for v in got)
-        assert (np.array(got).tobytes()
-                == np.array(_per_sample_scaled(plan, fitted)).tobytes())
-        assert scaled.sessions[0].train[0].x is samples[0].x
+    scaled, fitted = data.normalize_scores(plan)
+    got = [x.score for s in scaled.sessions for x in s.train + s.held_out]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(_per_sample_scaled(plan, fitted)).tobytes()
+    assert scaled.sessions[0].train[0].x is samples[0].x
 
 
 def test_scaler_round_trip():
@@ -222,18 +220,21 @@ def test_normalize_scores_maps_into_unit_interval():
     assert np.abs(scaler.denormalize(np.array(now)) - np.array(raw)).max() < 1e-9
 
 
-def test_apply_scaler_uses_existing_fit():
+def test_a_test_array_scaled_as_one_vector_matches_the_normalized_plan():
+    # mreplay eval scales the raw plan's test arrays with a checkpoint's
+    # scaler; they must be the bits training scored
     ds = data.generate_synthetic(_cfg())
     plan = data.grade_split(ds, T=5, shots=10, seed=0)
-    _, scaler = data.normalize_scores(plan)
-    applied = data.apply_scaler(plan, scaler)
-    reference, _ = data.normalize_scores(plan)
-    for sa, sb in zip(applied.sessions, reference.sessions):
-        for xa, xb in zip(sa.train + sa.held_out, sb.train + sb.held_out):
-            assert xa.score == xb.score
+    normed, scaler = data.normalize_scores(plan)
+    for t in range(1, plan.n_sessions + 1):
+        for held_out_only in (False, True):
+            x, y = plan.test_arrays(t, held_out_only)
+            want_x, want_y = normed.test_arrays(t, held_out_only)
+            assert scaler.normalize(y).tobytes() == want_y.tobytes()
+            assert x.tobytes() == want_x.tobytes()
     other = data.ScoreScaler(lo=-100.0, hi=300.0)
-    shifted = data.apply_scaler(plan, other)
-    assert shifted.sessions[0].train[0].score != applied.sessions[0].train[0].score
+    assert other.normalize(plan.test_arrays(1)[1]).tobytes() != \
+        normed.test_arrays(1)[1].tobytes()
 
 
 def test_label_noise_touches_train_only_and_clamps():
