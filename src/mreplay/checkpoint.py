@@ -130,10 +130,15 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: checkpoint format {version!r} is not the "
                               f"supported version {FORMAT_VERSION}")
-    session = _count(path, "session", payload["session"], 0)
     packed_bank = payload["bank"]
-    capacity = _count(path, "bank.capacity", packed_bank["capacity"], 1)
-    refresh_epoch = _count(path, "bank.refresh_epoch", packed_bank["refresh_epoch"], 0)
+    session, capacity, refresh_epoch = (payload["session"], packed_bank["capacity"],
+                                        packed_bank["refresh_epoch"])
+    for name, value, least in (("session", session, 0), ("bank.capacity", capacity, 1),
+                               ("bank.refresh_epoch", refresh_epoch, 0)):
+        try:
+            check_field("checkpoint", name, "int", value, least)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: {e}") from None
     if refresh_epoch > session:
         raise CheckpointError(f"{path}: checkpoint field 'bank.refresh_epoch' is "
                               f"{refresh_epoch}, above its session {session}")
@@ -172,15 +177,6 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
         state.rngs[name].bit_generator.state = json.loads(s)
     scaler = ScoreScaler(lo=payload["scaler"]["lo"], hi=payload["scaler"]["hi"])
     return state, scaler, config
-
-
-def _count(path, name: str, value, least: int) -> int:
-    """``value``, the payload's field ``name``, if it is an int >= ``least``."""
-    try:
-        check_field("checkpoint", name, "int", value, least)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from None
-    return value
 
 
 def _load_bank(bank: MemoryBank, packed: dict, where: str) -> None:

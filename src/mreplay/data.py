@@ -177,6 +177,11 @@ class SessionPlan:
         with an empty one."""
         return {}
 
+    @property
+    def fine_tune_pool(self) -> tuple[Sample, ...]:
+        """Base-session fine-tuning data: the first session's held-out pool."""
+        return self.sessions[0].held_out
+
     def test_arrays(self, t: int, held_out_only: bool = False) -> tuple:
         """Inputs and scores of session t's test set, ``train + held_out``
         or, with ``held_out_only``, ``held_out`` alone, as views."""
@@ -250,12 +255,13 @@ def _map_plan_scores(plan: SessionPlan, fn) -> SessionPlan:
 def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
     """Map every score to [0, 1] with a scaler fitted on base-session data.
 
-    The fit covers the first session's training and fine-tune scores (its
-    held-out pool), extended by the dataset's declared score range so later
-    (higher) grades stay inside [0, 1].
+    The fit covers the first session's training and fine-tune scores,
+    extended by the dataset's declared score range so later (higher) grades
+    stay inside [0, 1].
     """
-    first = plan.sessions[0]
-    basis = [s.score for s in first.train + first.held_out] + list(plan.score_range)
+    basis = [s.score for s in plan.sessions[0].train]
+    basis += [s.score for s in plan.fine_tune_pool]
+    basis += [plan.score_range[0], plan.score_range[1]]
     lo, hi = min(basis), max(basis)
     if hi - lo < 1e-12:
         raise ValueError(f"degenerate score range [{lo}, {hi}] in base session")

@@ -414,9 +414,9 @@ class Scores:
     """Per test set, truths and predictions in score units and their ρ; and
     the ρ of all the sets pooled."""
 
-    truths: list[np.ndarray]
-    preds: list[np.ndarray]
-    rhos: list[float]
+    truths: tuple[np.ndarray, ...]
+    preds: tuple[np.ndarray, ...]
+    rhos: tuple[float, ...]
     pooled: float
 
 
@@ -427,12 +427,8 @@ def score_sets(bundle: ModelBundle, sets, scaler: ScoreScaler, ranks=None,
     passes them, ``ranks`` one per set and ``pooled_ranks`` for their
     union; otherwise ``spearman`` ranks them. One set's pooled ρ is its
     own."""
-    truths, preds, rhos = [], [], []
-    for (x, y), truth_ranks in zip(sets, ranks or [None] * len(sets)):
-        truth, pred = evaluate_on(bundle, x, y, scaler)
-        truths.append(truth)
-        preds.append(pred)
-        rhos.append(spearman(truth, pred, truth_ranks))
+    truths, preds = zip(*(evaluate_on(bundle, x, y, scaler) for x, y in sets))
+    rhos = tuple(map(spearman, truths, preds, ranks or [None] * len(sets)))
     pooled = rhos[0] if len(sets) == 1 else spearman(
         np.concatenate(truths), np.concatenate(preds), pooled_ranks)
     return Scores(truths, preds, rhos, pooled)
@@ -601,7 +597,8 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     joint = config.method == "joint"
     state = _fork(first, config)
     _update_bank(state, *data, _preset(config), 1)
-    reports = [copy.deepcopy(report)]
+    reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
+                       epoch_losses=list(report.epoch_losses))]
     matrix = EvalMatrix(n_sessions=T)
     matrix.reference.update(reference)
     ho = config.held_out_only
