@@ -1,11 +1,16 @@
 """Array-level forward and backward halves of the training step's
 operations, their checks, and an Adam optimizer over flat buffers.
 
-All values are strictly 2-D float64 arrays and nothing broadcasts:
-elementwise operations take equal shapes. ``checked`` admits an array
-from outside (an input batch, stored features, a parameter value): it
-must be 2-D, non-empty and finite. Every half checks its shapes and
-rejects a non-finite value it computes.
+Every value is a 2-D float64 array, or a stack of them along a leading
+lane axis: one lane per run of a group that trains in lockstep
+(``trainer``). A stacked half does each lane's arithmetic of its 2-D call,
+bit for bit: products and sums run along the last two axes, a loss is one
+value per lane (a lane x 1 x 1 array), and a scale factor is a float or
+one per lane. Nothing else broadcasts: elementwise operations take equal
+shapes. ``checked`` admits an array from outside (an input batch, stored
+features, a parameter value): it must be 2-D, or a stack of 2-D arrays,
+non-empty and finite. Every half checks its shapes and rejects a
+non-finite value it computes, in any lane.
 
 Each operation is two halves, ``<op>_fwd`` and ``<op>_bwd``: ``mlp`` (a
 chain of ``x @ w + b`` layers with ReLUs between), ``score`` (a ReLU
@@ -13,8 +18,8 @@ trunk, a mean head and a ``softplus`` std head, and ``mean + eps * std``),
 ``sq_error`` (a scaled squared-error loss), ``weighted_sum`` (the total
 loss) and ``graph`` (the whole graph regularizer); ``add_fwd`` is a
 residual sum, whose backward hands its gradient to both sides. The
-training step calls them directly; ``models`` runs the forward halves to
-evaluate, refresh and store. Each pair repeats, in order, the arithmetic of
+training step calls them directly; ``models`` runs the forward halves, on
+2-D arrays, to evaluate, refresh and store. Each pair repeats, in order, the arithmetic of
 a chain of reverse-mode tape primitives, so its value and gradients equal
 that chain's bit for bit; the tests keep the tape and each chain as the
 reference.
@@ -27,7 +32,11 @@ The training step takes the views from ``adam_views``, adds its gradients
 into them and calls ``adam_update``, which checks every component's
 gradient, then updates each buffer and both moments in place, one numpy
 operation at a time and elementwise as a per-parameter loop would.
-Parameters must be changed (or loaded) by writing into their values, never
+``adam_stack`` makes one state of several lanes' states, a row each, with
+the lanes' states and parameters as views of their rows, and
+``adam_unstack`` gives each lane its own buffers again; an update of the
+stack is each lane's update, with its own step count. Parameters must be
+changed (or loaded) by writing into their values, never
 by rebinding them; an update refuses one that is no longer a view.
 A deep copy or a pickle round trip of the arrays does not keep the views;
 ``adam_bind`` restores them over a buffer of the copy's own, as
@@ -36,7 +45,7 @@ A deep copy or a pickle round trip of the arrays does not keep the views;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,11 +65,12 @@ def _at(name):
     return f" {name!r}" if name else ""
 
 
-def checked(value, name=None) -> np.ndarray:
-    """``value`` as a non-empty, finite, 2-D float64 array."""
+def checked(value, name=None, lanes: bool = False) -> np.ndarray:
+    """``value`` as a non-empty, finite, 2-D float64 array, or with
+    ``lanes`` a stack of them."""
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"tensor must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 + lanes:
+        raise ShapeError(f"tensor must be {'a stack of ' * lanes}2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ShapeError(f"tensor must be non-empty, got shape {arr.shape}")
     if not _all_finite(arr):
@@ -84,11 +94,21 @@ def _finite(arr):
     return arr
 
 
-def _factor(c) -> float:
+def _factor(c):
+    """A scale factor as a float, or one per lane as an array, checked."""
+    if isinstance(c, np.ndarray):
+        if not np.isfinite(c).all():
+            raise NonFiniteError(f"scale factor must be finite, got {c.ravel()}")
+        return c
     c = float(c)
     if not math.isfinite(c):
         raise NonFiniteError(f"scale factor must be finite, got {c}")
     return c
+
+
+def _block_sum(a: np.ndarray):
+    """The sum of a 2-D array's entries, or of each lane's in a stack."""
+    return a.sum() if a.ndim == 2 else a.sum(axis=(-2, -1), keepdims=True)
 
 
 class Param:
@@ -103,10 +123,10 @@ class Param:
 
 
 def _check_linear(shape: tuple, w: np.ndarray, b: np.ndarray) -> None:
-    if shape[1] != w.shape[0]:
+    if shape[-1] != w.shape[-2]:
         raise ShapeError(f"linear mismatch: {shape} @ {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.shape[1]} row")
+    if b.shape[-2:] != (1, w.shape[-1]):
+        raise ShapeError(f"linear bias {b.shape} is not a 1 x {w.shape[-1]} row")
 
 
 def add_fwd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,12 +199,12 @@ def mlp_bwd(g, params, acts, output_relu: bool, sinks, x_sink=None) -> None:
         if i < n - 1 or output_relu:
             g = g * (acts[i + 1] > 0.0)
         if gb is not None:
-            gb += g.sum(axis=0, keepdims=True)
-        gx = g @ params[2 * i].T if live[i] else None
+            gb += g.sum(axis=-2, keepdims=True)
+        gx = g @ params[2 * i].mT if live[i] else None
         if i == 0 and live[0]:
             x_sink += gx
         if gw is not None:
-            gw += acts[i].T @ g
+            gw += acts[i].mT @ g
         if gx is None:
             return
         g = gx
@@ -226,19 +246,19 @@ def score_bwd(g, params, eps, ctx, sinks, x_sink=None) -> None:
     trunk_live = x_sink is not None or any(s is not None for s in sinks[:-4])
     gt = None
     if gbm is not None:
-        gbm += g.sum(axis=0, keepdims=True)
+        gbm += g.sum(axis=-2, keepdims=True)
     if trunk_live:
-        gt = g @ wm.T
+        gt = g @ wm.mT
     if gwm is not None:
-        gwm += trunk.T @ g
+        gwm += trunk.mT @ g
     if eps is not None:
         gs = (g * eps) * _sigmoid(pre)
         if gbs is not None:
-            gbs += gs.sum(axis=0, keepdims=True)
+            gbs += gs.sum(axis=-2, keepdims=True)
         if trunk_live:
-            gt = gt + gs @ ws.T
+            gt = gt + gs @ ws.mT
         if gws is not None:
-            gws += trunk.T @ gs
+            gws += trunk.mT @ gs
     if trunk_live:
         mlp_bwd(gt, params[:-4], acts, True, sinks[:-4], x_sink)
 
@@ -250,7 +270,7 @@ def sq_error_fwd(a: np.ndarray, b: np.ndarray, c) -> tuple:
         raise ShapeError(f"sq_error mismatch: {a.shape} vs {b.shape}")
     c = _factor(c)
     diff = a - b
-    return _finite(c * _finite((diff * diff).sum())), diff
+    return _finite(c * _finite(_block_sum(diff * diff))), diff
 
 
 def sq_error_bwd(g, c: float, diff: np.ndarray) -> np.ndarray:
@@ -261,7 +281,7 @@ def sq_error_bwd(g, c: float, diff: np.ndarray) -> np.ndarray:
 
 def weighted_sum_fwd(values, weights) -> tuple:
     """The sum of ``values``, left to right, each first scaled by its weight
-    unless that is None; and the weights as floats."""
+    unless that is None; and the weights as floats, or per lane as arrays."""
     weights = [None if c is None else _factor(c) for c in weights]
     first, c = values[0], weights[0]
     total = first if c is None else _finite(c * first)
@@ -279,16 +299,16 @@ def weighted_sum_bwd(g, weights) -> list:
 
 def _softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row softmax and row log-softmax of ``a``, both from one shift."""
-    shift = a - a.max(axis=1, keepdims=True)
+    shift = a - a.max(axis=-1, keepdims=True)
     e = np.exp(shift)
-    z = e.sum(axis=1, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
     return e / z, shift - np.log(z)
 
 
 def _log_softmax(a: np.ndarray) -> np.ndarray:
     """``_softmax``'s row log-softmax alone, computed the same way."""
-    shift = a - a.max(axis=1, keepdims=True)
-    return shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
+    shift = a - a.max(axis=-1, keepdims=True)
+    return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
 
 
 def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
@@ -304,35 +324,35 @@ def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
     if use_mse:
         diff = p - q
         terms = diff * diff
-        scales = [1.0 / ((r.stop - r.start) * p.shape[1]) for r in blocks]
+        scales = [1.0 / ((r.stop - r.start) * p.shape[-1]) for r in blocks]
     else:
         probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
         lq = _log_softmax(p if reverse_kl else q)
         diff = lp - lq
         terms = probs * diff
         scales = [1.0 / (r.stop - r.start) for r in blocks]
-    values = [c * terms[r].sum() for c, r in zip(scales, blocks)]
+    values = [c * _block_sum(terms[..., r, :]) for c, r in zip(scales, blocks)]
     return values, (blocks, scales, reverse_kl, diff, probs, lp, lq)
 
 
 def _row_bwd(g, ctx) -> np.ndarray:
     blocks, scales, reverse_kl, diff, probs, lp, lq = ctx
-    k = np.empty((diff.shape[0], 1))  # each row's block scale times g
+    k = np.empty((*diff.shape[:-1], 1))  # each row's block scale times g
     for c, r in zip(scales, blocks):
-        k[r] = c * g
+        k[..., r, :] = c * g
     if probs is None:
         return 2.0 * k * diff
     if reverse_kl:  # only the second log-softmax depends on p
         gq = -(k * probs)
-        return gq - np.exp(lq) * gq.sum(axis=1, keepdims=True)
+        return gq - np.exp(lq) * gq.sum(axis=-1, keepdims=True)
     gs = k * diff
-    gs = probs * (gs - (gs * probs).sum(axis=1, keepdims=True))
+    gs = probs * (gs - (gs * probs).sum(axis=-1, keepdims=True))
     gl = k * probs
-    return gs + (gl - np.exp(lp) * gl.sum(axis=1, keepdims=True))
+    return gs + (gl - np.exp(lp) * gl.sum(axis=-1, keepdims=True))
 
 
-def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint: bool,
-              intra_inter: bool, use_mse: bool, reverse_kl: bool) -> tuple:
+def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint,
+              intra_inter, use_mse, reverse_kl) -> tuple:
     """The graph regularizer over ``old`` stacked on ``new``, and the context
     of ``graph_bwd``.
 
@@ -344,54 +364,86 @@ def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint: bool
     ``intra_inter``; at least one must be on. The four blocks are computed
     as two column groups, old columns and new columns, each split into old
     rows and new rows. Every sum runs in the composed tape's order.
+
+    For a stack of lanes each flag is one bool for all of them or a
+    sequence of one per lane: the angles are computed once for the stack,
+    and the row terms once per set of lanes with equal flags.
     """
-    if not joint and not intra_inter:
+    stacked = old.ndim > 2
+    flags = (joint, intra_inter, use_mse, reverse_kl)
+    sets: dict[tuple, list | None] = {flags: None}
+    if stacked:
+        per_lane = zip(*(f if isinstance(f, (tuple, list)) else [f] * old.shape[0]
+                         for f in flags))
+        sets = {}
+        for i, f in enumerate(per_lane):
+            sets.setdefault(f, []).append(i)
+        if len(sets) == 1:
+            sets = dict.fromkeys(sets)
+    if any(not j and not ii for j, ii, _, _ in sets):
         raise ValueError("graph regularizer with no joint and no block terms")
-    if old.shape[1] != new.shape[1]:
+    if old.shape[-1] != new.shape[-1]:
         raise ShapeError(f"graph mismatch: {old.shape} over {new.shape}")
-    b1, n = old.shape[0], old.shape[0] + new.shape[0]
-    if gaps.shape != (n, n):
+    b1, n = old.shape[-2], old.shape[-2] + new.shape[-2]
+    if gaps.shape[-2:] != (n, n):
         raise ShapeError(f"graph gaps {gaps.shape} for {n} rows")
-    h = np.concatenate([old, new], axis=0)
-    norms = np.sqrt((h * h).sum(axis=1, keepdims=True))
+    h = np.concatenate([old, new], axis=-2)
+    norms = np.sqrt((h * h).sum(axis=-1, keepdims=True))
     denom = np.maximum(norms, NORM_FLOOR)
     hn = h / denom
     active = norms > NORM_FLOOR
-    hnt = hn.T.copy()  # hn @ hn.T, without the copy, rounds differently
+    hnt = hn.mT.copy()  # hn @ hn.T, without the copy, rounds differently
     cos = hn @ hnt
     lo, hi = -1.0 + ARCCOS_CLAMP, 1.0 - ARCCOS_CLAMP
     x = np.clip(cos, lo, hi)
     inside = (cos >= lo) & (cos <= hi)
     angles = np.arccos(x)
-    values, whole, halves = [], None, None
-    if joint:
-        values, whole = _row_terms(angles, gaps, (0, n), use_mse, reverse_kl)
-    if intra_inter:
-        (oo, no), old_cols = _row_terms(angles[:, :b1].copy(), gaps[:, :b1],
-                                        (0, b1, n), use_mse, reverse_kl)
-        (on, nn), new_cols = _row_terms(angles[:, b1:].copy(), gaps[:, b1:],
-                                        (0, b1, n), use_mse, reverse_kl)
-        values += [oo, on, no, nn]
-        halves = old_cols, new_cols
-    value = _finite(sum(values[1:], values[0]))
-    return value, (b1, whole, halves, hn, hnt, denom, active, x, inside)
+    value, parts = None, []
+    for (j, ii, mse, rkl), sub in sets.items():
+        a, q = (angles, gaps) if sub is None else (angles[sub], gaps[sub])
+        values, whole, halves = [], None, None
+        if j:
+            values, whole = _row_terms(a, q, (0, n), mse, rkl)
+        if ii:
+            (oo, no), old_cols = _row_terms(a[..., :b1].copy(), q[..., :b1],
+                                            (0, b1, n), mse, rkl)
+            (on, nn), new_cols = _row_terms(a[..., b1:].copy(), q[..., b1:],
+                                            (0, b1, n), mse, rkl)
+            values += [oo, on, no, nn]
+            halves = old_cols, new_cols
+        total = sum(values[1:], values[0])
+        if sub is None:
+            value = total
+        else:
+            value = np.empty((old.shape[0], 1, 1)) if value is None else value
+            value[sub] = total
+        parts.append((sub, whole, halves))
+    return _finite(value), (b1, parts, hn, hnt, denom, active, x, inside)
 
 
 def graph_bwd(g, ctx) -> np.ndarray:
     """The gradient of the stacked rows, old first, from the value's
-    gradient ``g``."""
-    b1, whole, halves, hn, hnt, denom, active, x, inside = ctx
-    # the composed tape summed one zero-padded n x n gradient per term;
-    # adding 0.0 after the quadrants repeats its signed zeros
-    ga = None if whole is None else _row_bwd(g, whole)
-    if halves is not None:
-        quad = np.empty(x.shape)
-        quad[:, :b1] = _row_bwd(g, halves[0])
-        quad[:, b1:] = _row_bwd(g, halves[1])
-        ga = (quad if ga is None else ga + quad) + 0.0
+    gradient ``g``, a float or one per lane."""
+    b1, parts, hn, hnt, denom, active, x, inside = ctx
+    ga = None
+    for sub, whole, halves in parts:
+        gs = g if sub is None else g[sub]
+        # the composed tape summed one zero-padded n x n gradient per term;
+        # adding 0.0 after the quadrants repeats its signed zeros
+        part = None if whole is None else _row_bwd(gs, whole)
+        if halves is not None:
+            quad = np.empty(x.shape if sub is None else (len(sub), *x.shape[1:]))
+            quad[..., :b1] = _row_bwd(gs, halves[0])
+            quad[..., b1:] = _row_bwd(gs, halves[1])
+            part = (quad if part is None else part + quad) + 0.0
+        if sub is None:
+            ga = part
+        else:
+            ga = np.empty(x.shape) if ga is None else ga
+            ga[sub] = part
     ga = ga * np.where(inside, -1.0 / np.sqrt(1.0 - x * x), 0.0)
-    ga = ga @ hnt.T + (hn.T @ ga).T
-    return (ga - np.where(active, hn * (hn * ga).sum(axis=1, keepdims=True), 0.0)) / denom
+    ga = ga @ hnt.mT + (hn.mT @ ga).mT
+    return (ga - np.where(active, hn * (hn * ga).sum(axis=-1, keepdims=True), 0.0)) / denom
 
 
 # ---------------------------------------------------------------------- adam
@@ -401,7 +453,9 @@ def graph_bwd(g, ctx) -> np.ndarray:
 class AdamState:
     """Adam moments over one flat parameter buffer, with coupled L2 weight
     decay. ``spans`` gives each parameter's [start, end) in the buffer and
-    in ``grad``, the flat gradient an update reads."""
+    in ``grad``, the flat gradient an update reads. A stack of lanes'
+    states (``adam_stack``) holds one row per lane in each buffer and its
+    step counts as a lanes x 1 integer array."""
 
     buffer: np.ndarray
     spans: dict[str, tuple[int, int]]
@@ -413,7 +467,7 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    step_count: int = 0
+    step_count: int | np.ndarray = 0
 
 
 def adam_init(params: dict[str, Param], lr: float = 1e-4,
@@ -461,6 +515,43 @@ def adam_views(params: dict[str, Param], state: AdamState) -> tuple[list, list]:
     return [p.value for p in params.values()], [p.grad for p in params.values()]
 
 
+def adam_stack(states: list[AdamState], params: list[dict[str, Param]]) -> AdamState:
+    """One state of several lanes' states of one component, each lane's
+    buffers a row of its buffers. Each lane's state, and its ``params``,
+    then view its row, so the lane reads what an update of the stack
+    writes; a stack's step counts are its own."""
+    first = states[0]
+    rows = {name: np.stack([getattr(a, name) for a in states])
+            for name in ("buffer", "m", "v", "grad")}
+    stack = replace(first, **rows, step_count=np.array([[a.step_count] for a in states]))
+    for i, (a, p) in enumerate(zip(states, params)):
+        a.buffer, a.m, a.v, a.grad = (rows[name][i] for name in ("buffer", "m", "v", "grad"))
+        adam_bind(p, a)
+    return stack
+
+
+def adam_unstack(stack: AdamState, states: list[AdamState],
+                 params: list[dict[str, Param]]) -> None:
+    """Give each lane of ``adam_stack``'s ``stack`` buffers of its own again,
+    copies of its rows, with its step count, and rebind its parameters."""
+    for i, (a, p) in enumerate(zip(states, params)):
+        a.buffer, a.m, a.v, a.grad = (getattr(stack, name)[i].copy()
+                                      for name in ("buffer", "m", "v", "grad"))
+        a.step_count = int(stack.step_count[i, 0])
+        adam_bind(p, a)
+
+
+def stacked_views(stack: AdamState, shapes: list[tuple]) -> tuple[list, list]:
+    """A stack's parameter values and gradients, one lanes x rows x cols view
+    per parameter of ``shapes``, in span order."""
+    lanes = stack.buffer.shape[0]
+    views = [], []
+    for (lo, hi), shape in zip(stack.spans.values(), shapes):
+        views[0].append(stack.buffer[:, lo:hi].reshape(lanes, *shape))
+        views[1].append(stack.grad[:, lo:hi].reshape(lanes, *shape))
+    return views
+
+
 def adam_update(states) -> None:
     """One Adam update of every parameter of each state from its ``grad``,
     in place. All gradients are checked first: a non-finite one, which is
@@ -468,7 +559,7 @@ def adam_update(states) -> None:
     for state in states:
         if not _all_finite(state.grad):
             bad = next(name for name, (lo, hi) in state.spans.items()
-                       if not np.isfinite(state.grad[lo:hi]).all())
+                       if not np.isfinite(state.grad[..., lo:hi]).all())
             raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
     for state in states:
         _adam(state, state.grad, state.buffer, state.m, state.v)
@@ -479,11 +570,16 @@ def _adam(state: AdamState, g: np.ndarray, buf: np.ndarray, m: np.ndarray,
     """Update ``buf``, ``m`` and ``v`` in place from ``g``, which it leaves
     as it is, one numpy operation at a time, elementwise as a per-parameter
     loop would, with the decayed gradient and every intermediate in one
-    scratch array of two rows."""
-    d, tmp = np.empty((2, g.size))
+    scratch array of two rows. A stack's bias corrections are per lane, each
+    the float power a single state takes (numpy's power of an array rounds
+    some differently)."""
+    d, tmp = np.empty((2, *g.shape))
     t = state.step_count + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    if isinstance(t, np.ndarray):
+        c1, c2 = (np.array([[1.0 - beta ** int(s)] for s in t[:, 0]])
+                  for beta in (state.beta1, state.beta2))
+    else:
+        c1, c2 = 1.0 - state.beta1 ** t, 1.0 - state.beta2 ** t
     # each line repeats one operation of, in order:
     # d = g + wd * buf; m = b1 * m + (1 - b1) * d; v = b2 * v + (1 - b2) * d * d
     # buf -= lr * (m / c1) / (sqrt(v / c2) + eps)

@@ -142,19 +142,35 @@ def generate_synthetic(cfg: DataConfig) -> Dataset:
 
 @dataclass(frozen=True)
 class SessionSplit:
+    """A session's few-shot training samples and its held-out pool. After
+    ``inject_label_noise`` the training samples carry their noisy labels and
+    ``clean`` their true scores, which the test set is scored on."""
+
     session: int
     train: tuple[Sample, ...]
     held_out: tuple[Sample, ...]
+    clean: tuple[float, ...] | None = None
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-        """Inputs, scores and ids of ``train + held_out``, stacked on first
-        use and kept, read-only, for the split's lifetime."""
+        """Inputs, scores (the labels training reads) and ids of ``train +
+        held_out``, stacked on first use and kept, read-only, for the
+        split's lifetime."""
         samples = self.train + self.held_out
         x = np.stack([s.x for s in samples])
         y = np.array([s.score for s in samples], dtype=np.float64)
         x.flags.writeable = y.flags.writeable = False
         return x, y, tuple(s.sample_id for s in samples)
+
+    @cached_property
+    def truths(self) -> np.ndarray:
+        """The true scores of ``train + held_out``: ``arrays``' scores, or
+        with ``clean`` those in place of the training samples' labels."""
+        if self.clean is None:
+            return self.arrays[1]
+        y = np.array([*self.clean, *(s.score for s in self.held_out)], dtype=np.float64)
+        y.flags.writeable = False
+        return y
 
 
 @dataclass(frozen=True)
@@ -183,11 +199,11 @@ class SessionPlan:
         return self.sessions[0].held_out
 
     def test_arrays(self, t: int, held_out_only: bool = False) -> tuple:
-        """Inputs and scores of session t's test set, ``train + held_out``
-        or, with ``held_out_only``, ``held_out`` alone, as views."""
+        """Inputs and true scores of session t's test set, ``train +
+        held_out`` or, with ``held_out_only``, ``held_out`` alone, as views."""
         s = self.sessions[t - 1]
         cut = len(s.train) if held_out_only else 0
-        return s.arrays[0][cut:], s.arrays[1][cut:]
+        return s.arrays[0][cut:], s.truths[cut:]
 
     def training_arrays(self, t: int) -> tuple:
         """Session t's training inputs, scores and ids, as views. Session 1
@@ -240,16 +256,27 @@ class ScoreScaler:
         return np.asarray(y, dtype=np.float64) * (self.hi - self.lo) + self.lo
 
 
-def _map_plan_scores(plan: SessionPlan, fn) -> SessionPlan:
-    """The plan with each split part's scores replaced by ``fn(scores, is_train)``."""
+def _map_plan_scores(plan: SessionPlan, fn, noise: bool = False) -> SessionPlan:
+    """The plan with each split part's scores replaced by ``fn(scores,
+    is_train)``. The true scores of the training samples
+    (``SessionSplit.clean``) are mapped by ``fn(scores, False)``, or with
+    ``noise`` kept as they were, so the samples carry labels apart from
+    them."""
     def mapped(samples, is_train):
         scores = fn(np.array([s.score for s in samples], dtype=np.float64), is_train)
         return tuple(Sample(s.sample_id, s.x, v)
                      for s, v in zip(samples, scores.tolist()))
 
-    return replace(plan, sessions=tuple(
-        SessionSplit(s.session, mapped(s.train, True), mapped(s.held_out, False))
-        for s in plan.sessions))
+    def split(s: SessionSplit) -> SessionSplit:
+        clean = s.clean
+        if noise and clean is None:
+            clean = tuple(r.score for r in s.train)
+        elif not noise and clean is not None:
+            clean = tuple(fn(np.array(clean, dtype=np.float64), False).tolist())
+        return SessionSplit(s.session, mapped(s.train, True), mapped(s.held_out, False),
+                            clean)
+
+    return replace(plan, sessions=tuple(map(split, plan.sessions)))
 
 
 def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
@@ -273,7 +300,8 @@ def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
 
 def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> SessionPlan:
     """Add gaussian noise to training-split scores only, in original units,
-    clamped to the declared score range. Held-out scores are untouched."""
+    clamped to the declared score range. Held-out scores are untouched, and
+    the test sets keep the true scores (``SessionSplit.clean``)."""
     rng = make_rng(seed, STREAM_NOISE)
     lo, hi = plan.score_range
 
@@ -282,7 +310,7 @@ def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> Sessio
             return y
         return np.clip(y + intensity * rng.normal(size=y.size), lo, hi)
 
-    return _map_plan_scores(plan, noisy)
+    return _map_plan_scores(plan, noisy, noise=True)
 
 
 # ------------------------------------------------------------------- csv io

@@ -21,12 +21,19 @@ import numpy as np
 from . import autodiff as ad
 
 
-def score_distance_matrix(scores, signed: bool = True) -> np.ndarray:
-    """Pairwise score gaps: entry (i, j) is y_i - y_j, or |y_i - y_j|."""
-    y = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if y.size < 1:
+def score_distance_matrix(scores, signed=True) -> np.ndarray:
+    """Pairwise score gaps: entry (i, j) is y_i - y_j, or |y_i - y_j|. A
+    2-D array is a stack of lanes' score rows, one matrix each, and
+    ``signed`` one bool for all of them or a sequence of one per lane."""
+    y = np.asarray(scores, dtype=np.float64)
+    y = y if y.ndim == 2 else y.reshape(-1)
+    if y.shape[-1] < 1:
         raise ValueError("scores must be non-empty")
     if not np.isfinite(y).all():
         raise ad.NonFiniteError("non-finite score")
-    s = y[:, None] - y[None, :]
-    return np.abs(s) if not signed else s
+    s = y[..., :, None] - y[..., None, :]
+    if y.ndim == 1 or isinstance(signed, bool):
+        return s if signed else np.abs(s)
+    unsigned = [i for i, keep in enumerate(signed) if not keep]
+    s[unsigned] = np.abs(s[unsigned])
+    return s

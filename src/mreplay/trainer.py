@@ -36,14 +36,28 @@ keeps the ranks of the test truths per scaler and ``held_out_only``, so
 ``score_sets``, the one scorer of a bundle (``mreplay eval`` and the
 scatter plot call it too), ranks only the predictions of a run's rows.
 
+The configs of one ``run_many`` call that share a first session and the
+shapes and sub-steps of a step (``_lane_key``: the kind of replay, ``b1``
+and ``m``), such as ``mreplay ablate``'s variants, are lanes of one group
+and train their later sessions in lockstep: one ``_train_step`` runs each
+sub-step once over the lanes that need it, on stacks of their arrays,
+which ``autodiff``'s halves take beside 2-D arrays. Each lane keeps its
+own generators, draws, bank, early stopping and evaluation, and its
+results are bit-identical to its own ``run_continual``. A single run is a
+group of one, on 2-D arrays. The session loop (``_session``) and each run
+(``_run_from``) are generators that yield their steps and sessions, so
+one driver (``_drive``) runs one lane or many. Lanes form only without an
+``on_session`` hook; if a group raises, its configs run again one by one.
+
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
 ``run_many`` call trains all its keys' first sessions, then runs its
 configs in one pool of forked worker processes, one per CPU of the
 affinity mask and at most one per config. Each worker pickles its results
 onto a pipe, and they come back in config order, bit-identical to a serial
-run. Elsewhere, with one CPU or one config, or when an ``on_session`` hook
-is given, which must run in the calling process, they run in-process. No
-option sets the worker count; ``taskset`` limits it.
+run; each worker runs the lane groups of its configs. Elsewhere, with one
+CPU or one config, or when an ``on_session`` hook is given, which must run
+in the calling process, they run in-process. No option sets the worker
+count or the lanes; ``taskset`` limits the workers.
 """
 from __future__ import annotations
 
@@ -163,6 +177,12 @@ class TrainState:
 
 @dataclass
 class SessionReport:
+    """One session of a run: its epochs and steps, each step's loss terms,
+    each epoch's mean total, and ``wall_seconds`` from the start of the
+    session to its bank update. A laned session's is its group's: it runs
+    from the start of the group's session to this lane's end, and covers
+    the other lanes' steps until then."""
+
     session: int
     epochs_run: int
     steps: int
@@ -235,113 +255,280 @@ def fresh_state(bundle: ModelBundle, config: TrainConfig) -> TrainState:
                       adam=adam, rngs=rngs)
 
 
-def _train_step(state: TrainState, xb: np.ndarray, yb: np.ndarray,
-                config: TrainConfig) -> dict:
-    """One step through ``autodiff``'s array-level halves.
+class _Lanes:
+    """The lanes ``_train_step`` steps together, one group's at one session:
+    which lanes run each sub-step, their live components, and the frozen
+    encoders of the projected lanes. All of it holds while the same lanes
+    step. One lane uses its own Adam states, viewed anew each step, and
+    2-D arrays. Several lanes have each component's states stacked by
+    ``autodiff.adam_stack``, the projector's over the projected lanes
+    only, until ``unstack`` gives every lane its own state back."""
 
-    The forward pass makes every check the reference tape step makes, once.
-    Each gradient is then added into its parameter's view of its component's
-    flat gradient, in the order that step's ``backward`` sums it: ``h_new``
-    gets its score's, then the projector loss's, then the graph term's.
-    Every other sum has at most two terms (``h_old``, the regressor and
-    projector weights, the encoder under ``replay-raw``), and a + b equals
-    b + a exactly, so their order cannot change a bit. A component gets a
-    gradient for all of its parameters or for none; the projector's are
-    none until the bank has entries. One Adam update of the live
-    components follows, after every gradient is checked."""
-    bundle, rngs = state.bundle, state.rngs
-    memory = config.method not in MEMORYLESS and state.bank.size > 0
-    projected = memory and not config.no_mp
-    comps = components(bundle)
-    live = [name for name in comps if name != "projector" or projected]
-    views = {name: ad.adam_views(comps[name], state.adam[name]) for name in live}
+    def __init__(self, states: list, configs: list):
+        config = configs[0]
+        self.states, self.stacked = states, len(states) > 1
+        self.every = every = tuple(range(len(states)))
+        self.memory = config.method not in MEMORYLESS and states[0].bank.size > 0
+        self.raw = config.method == "replay-raw"
+
+        def lanes(keep, among=every) -> tuple:
+            return tuple(i for i in among if self.memory and keep(configs[i]))
+
+        self.projected = lanes(lambda c: not c.no_mp)
+        self.residual = lanes(lambda c: not c.no_residual, self.projected)
+        self.graphed = lanes(lambda c: not (c.no_j_gr and c.no_ii_gr))
+        # h_old comes through trainable weights (the encoder under
+        # replay-raw, the projector otherwise), and needs a gradient where a
+        # term other than a stopped score reads it
+        encoder = states[0].bundle.encoder is not None
+        self.old = every if self.raw and encoder else () if self.raw else self.projected
+        unstopped = lanes(lambda c: not c.lm_stop_grad)
+        self.needs = tuple(i for i in self.old if i in self.graphed or i in unstopped)
+        self.through = tuple(i for i in self.needs if i in unstopped)
+        self.both = tuple(i for i in self.graphed if i in self.needs)
+
+        def per_lane(values: list):
+            if self.stacked:
+                return np.array(values).reshape(-1, 1, 1)
+            return values[0] if values else None
+
+        self.weights = {"l_p": per_lane([configs[i].lambda_p for i in self.projected]),
+                        "l_r": per_lane([configs[i].lambda_r for i in self.graphed])}
+        graph_flags = [(not c.abs_score_distance, not c.no_j_gr, not c.no_ii_gr, c.mse_gr,
+                        c.reverse_kl) for c in (configs[i] for i in self.graphed)]
+        self.graph_flags = tuple(tuple(f) if self.stacked else f[0]
+                                 for f in zip(*graph_flags)) or None
+        # the order the components are updated in: projector, regressor, encoder
+        self.live = {name: self.projected if name == "projector" else every
+                     for name in components(states[0].bundle)
+                     if name != "projector" or self.projected}
+        frozen = [encoder_params(states[i].bundle, frozen=True) for i in self.projected]
+        self.frozen = None if not frozen or frozen[0] is None else [
+            _stack([f[name].value for f in frozen]) for name in frozen[0]]
+        self.stacks = {}
+        if self.stacked:
+            for name, among in self.live.items():
+                params = [components(states[i].bundle)[name] for i in among]
+                shapes = [p.value.shape for p in params[0].values()]
+                stack = ad.adam_stack([states[i].adam[name] for i in among], params)
+                self.stacks[name] = stack, params, ad.stacked_views(stack, shapes)
+
+    def holds(self, states: list) -> bool:
+        return len(states) == len(self.states) and all(
+            a is b for a, b in zip(states, self.states))
+
+    def views(self) -> dict:
+        """Each live component's parameter values and gradients, the
+        gradients set to -0.0 (``autodiff.adam_views``)."""
+        if not self.stacks:
+            comps = components(self.states[0].bundle)
+            return {name: ad.adam_views(comps[name], self.states[0].adam[name])
+                    for name in self.live}
+        for stack, _, _ in self.stacks.values():
+            stack.grad.fill(-0.0)
+        return {name: views for name, (_, _, views) in self.stacks.items()}
+
+    def update(self) -> None:
+        ad.adam_update([stack for stack, _, _ in self.stacks.values()] if self.stacks
+                       else [self.states[0].adam[name] for name in self.live])
+
+    def unstack(self) -> None:
+        for name, (stack, params, _) in self.stacks.items():
+            ad.adam_unstack(stack, [self.states[i].adam[name] for i in self.live[name]],
+                            params)
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """One lane's array as it is; several lanes' stacked on a leading axis."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _rows(arr: np.ndarray, lanes: tuple, of: tuple) -> np.ndarray:
+    """The rows of ``lanes`` in ``arr``, whose rows are the lanes ``of``."""
+    return arr if len(lanes) == len(of) else arr[[of.index(i) for i in lanes]]
+
+
+def _put(arr: np.ndarray, lanes: tuple, of: tuple, rows: np.ndarray) -> np.ndarray:
+    """``arr``, whose rows are the lanes ``of``, with the rows of ``lanes``
+    replaced by ``rows``, as a new array."""
+    if len(lanes) == len(of):
+        return rows
+    out = arr.copy()
+    out[[of.index(i) for i in lanes]] = rows
+    return out
+
+
+def _add(arr: np.ndarray, lanes: tuple, of: tuple, rows: np.ndarray) -> None:
+    """Add ``rows`` into the rows of ``lanes`` of ``arr``, in place."""
+    if len(lanes) == len(of):
+        arr += rows
+    elif lanes:
+        arr[[of.index(i) for i in lanes]] += rows
+
+
+def _residual(base: np.ndarray, out: np.ndarray, lanes: tuple, of: tuple) -> np.ndarray:
+    """``out`` with ``base`` added in the rows of ``lanes``."""
+    if len(lanes) == len(of):
+        return ad.add_fwd(base, out)
+    if not lanes:
+        return out
+    return _put(out, lanes, of, ad.add_fwd(_rows(base, lanes, of), _rows(out, lanes, of)))
+
+
+def _mlp_bwd_rows(g, params: list, acts: list, sinks: list, lanes: tuple, of: tuple) -> None:
+    """``autodiff.mlp_bwd`` of the rows of ``lanes``, without an output ReLU,
+    into the rows of ``sinks``: through sinks of their own that start at
+    -0.0, so each row gets the bits the whole stack's backward would add."""
+    if len(lanes) == len(of):
+        ad.mlp_bwd(g, params, acts, False, sinks)
+        return
+    pick = [of.index(i) for i in lanes]
+    parts = [np.full((len(pick), *s.shape[1:]), -0.0) for s in sinks]
+    ad.mlp_bwd(g, [p[pick] for p in params], [a[pick] for a in acts], False, parts)
+    for s, part in zip(sinks, parts):
+        s[pick] += part
+
+
+def _train_step(lanes: list, group: _Lanes | None = None) -> list[dict]:
+    """One step of each lane of ``lanes``, a list of (state, preset config,
+    inputs, scores) of one lane group (``_lane_key``) at one session,
+    through ``autodiff``'s halves, on 2-D arrays for one lane and on
+    stacks for several; ``group`` is their ``_Lanes``, made here for this
+    step if not given. Returns each lane's loss terms.
+
+    Each lane draws its noise and its replay from its own generators.
+    Every sub-step runs once, over the lanes that need it: the encoder and
+    the scores over all; the frozen encoder and the projector over the
+    projected lanes, the residual add over those without ``no_residual``;
+    the graph term over the lanes with one, its row terms once per set of
+    graph flags. The forward pass makes every check the reference tape step
+    makes, once. Each gradient is then added into its parameter's view of
+    its component's flat gradient, in the order that step's ``backward``
+    sums it: ``h_new`` gets its score's, then the projector loss's, then the
+    graph term's. Every other sum has at most two terms (``h_old``, the
+    regressor and projector weights, the encoder under ``replay-raw``), and
+    a + b equals b + a exactly, so their order cannot change a bit. A
+    component gets a gradient for all of its parameters or for none; the
+    projector's are none until the bank has entries. One Adam update of the
+    live components follows, after every gradient is checked."""
+    states, configs, xbs, ybs = zip(*lanes)
+    group = group or _Lanes(states, configs)
+    every, stacked, projected, graphed = group.every, group.stacked, group.projected, group.graphed
+    bundle = states[0].bundle
+    views = group.views()
     reg, reg_g = views["regressor"]
     enc, enc_g = views.get("encoder", (None, None))
-    x = ad.checked(xb)
-    check_width(bundle, x.shape[1])
-    n = x.shape[0]
+    x = ad.checked(_stack(xbs), lanes=stacked)
+    check_width(bundle, x.shape[-1])
+    n = x.shape[-2]
     acts_new = [x] if enc is None else ad.mlp_fwd(x, enc)
     h_new = acts_new[-1]
-    eps_new = rngs["eps"].standard_normal((n, 1))
+    eps_new = _stack([s.rngs["eps"].standard_normal((n, 1)) for s in states])
     y_hat, _, _, score_new = ad.score_fwd(h_new, reg, eps_new)
-    terms = {"l_d": ad.sq_error_fwd(y_hat, ad.checked(yb.reshape(-1, 1)), 1.0 / n)}
-    if memory:
-        residual = not config.no_residual
+    yb = _stack(ybs)
+    terms = {"l_d": (*ad.sq_error_fwd(y_hat, ad.checked(yb[..., None], lanes=stacked),
+                                      1.0 / n), every)}
+    if group.memory:
         if projected:
             proj, proj_g = views["projector"]
-            frozen = encoder_params(bundle, frozen=True)
-            h_frozen = x if frozen is None else ad.mlp_fwd(
-                x, [p.value for p in frozen.values()])[-1]
+            xp = _rows(x, projected, every)
+            h_frozen = xp if group.frozen is None else ad.mlp_fwd(xp, group.frozen)[-1]
             acts_frozen = ad.mlp_fwd(h_frozen, proj)
-            h_projected = acts_frozen[-1]
-            if residual:
-                h_projected = ad.add_fwd(h_frozen, h_projected)
-            terms["l_p"] = ad.sq_error_fwd(h_new, h_projected, 1.0 / n)
-        feats, y_old, _ = mem.sample_replay(state.bank, config.b1, rngs["replay"],
-                                            stratified=config.stratified_replay)
-        stored = ad.checked(feats)
-        k = stored.shape[0]
+            h_projected = _residual(h_frozen, acts_frozen[-1], group.residual, projected)
+            terms["l_p"] = (*ad.sq_error_fwd(_rows(h_new, projected, every), h_projected,
+                                             1.0 / n), projected)
+        draws = [mem.sample_replay(s.bank, c.b1, s.rngs["replay"],
+                                   stratified=c.stratified_replay)
+                 for s, c in zip(states, configs)]
+        stored = ad.checked(_stack([d[0] for d in draws]), lanes=stacked)
+        k = stored.shape[-2]
         acts_old, old, old_g = [stored], None, None  # h_old's chain, if trainable
-        if config.method == "replay-raw":
-            check_width(bundle, stored.shape[1])
+        if group.raw:
+            check_width(bundle, stored.shape[-1])
             if enc is not None:
                 acts_old, old, old_g = ad.mlp_fwd(stored, enc), enc, enc_g
             h_old = acts_old[-1]
         elif projected:
-            check_width(bundle, stored.shape[1], features=True)
-            acts_old, old, old_g = ad.mlp_fwd(stored, proj), proj, proj_g
-            h_old = ad.add_fwd(stored, acts_old[-1]) if residual else acts_old[-1]
+            check_width(bundle, stored.shape[-1], features=True)
+            sp = _rows(stored, projected, every)
+            acts_old, old, old_g = ad.mlp_fwd(sp, proj), proj, proj_g
+            h_old = _put(stored, projected, every,
+                         _residual(sp, acts_old[-1], group.residual, projected))
         else:
             h_old = stored
-        eps_old = rngs["eps"].standard_normal((k, 1))
+        eps_old = _stack([s.rngs["eps"].standard_normal((k, 1)) for s in states])
         y_hat_old, _, _, score_old = ad.score_fwd(h_old, reg, eps_old)
-        terms["l_m"] = ad.sq_error_fwd(y_hat_old, ad.checked(y_old.reshape(-1, 1)), 1.0 / k)
-        if not (config.no_j_gr and config.no_ii_gr):
-            gaps = ls.score_distance_matrix(np.concatenate([y_old, yb]),
-                                            signed=not config.abs_score_distance)
-            terms["l_r"] = ad.graph_fwd(h_old, h_new, gaps, joint=not config.no_j_gr,
-                                        intra_inter=not config.no_ii_gr,
-                                        use_mse=config.mse_gr, reverse_kl=config.reverse_kl)
-    keys = [key for key in TERMS if key in terms]  # the total sums them in this order
-    weights = {"l_p": config.lambda_p, "l_r": config.lambda_r}
-    total, factors = ad.weighted_sum_fwd([terms[key][0] for key in keys],
-                                         [weights.get(key) for key in keys])
-    g = dict(zip(keys, ad.weighted_sum_bwd(1.0, factors)))
+        y_old = _stack([d[1] for d in draws])
+        terms["l_m"] = (*ad.sq_error_fwd(y_hat_old, ad.checked(y_old[..., None], lanes=stacked),
+                                         1.0 / k), every)
+        if graphed:
+            signed, joint, blocks, use_mse, reverse_kl = group.graph_flags
+            gaps = ls.score_distance_matrix(
+                _rows(np.concatenate([y_old, yb], axis=-1), graphed, every), signed=signed)
+            terms["l_r"] = (*ad.graph_fwd(
+                _rows(h_old, graphed, every), _rows(h_new, graphed, every), gaps,
+                joint=joint, intra_inter=blocks, use_mse=use_mse, reverse_kl=reverse_kl),
+                graphed)
+    # the total sums the terms in TERMS order, the weighted ones in their lanes
+    first = [terms[key][0] for key in ("l_d", "l_m") if key in terms]
+    total, _ = ad.weighted_sum_fwd(first, [None] * len(first))
+    g = {"l_d": 1.0, "l_m": 1.0}
+    for key in ("l_p", "l_r"):
+        if key in terms:
+            value, _, sub = terms[key]
+            part, factors = ad.weighted_sum_fwd([_rows(total, sub, every), value],
+                                                [None, group.weights[key]])
+            total = _put(total, sub, every, part)
+            g[key] = ad.weighted_sum_bwd(1.0, factors)[1]
 
     gh_new = None if enc is None else np.full(h_new.shape, -0.0)
     ad.score_bwd(ad.sq_error_bwd(g["l_d"], 1.0 / n, terms["l_d"][1]), reg, eps_new,
                  score_new, reg_g, gh_new)
-    if memory:
-        # h_old needs a gradient if it came through trainable weights and a
-        # term other than a stopped score reads it
-        gh_old = None
-        if old is not None and ("l_r" in terms or not config.lm_stop_grad):
-            gh_old = np.full(h_old.shape, -0.0)
+    if group.memory:
+        needs, through = group.needs, group.through
+        gh_old = np.full(h_old.shape, -0.0) if needs else None
+        sink = gh_old if len(through) == len(every) else (
+            np.full(h_old.shape, -0.0) if through else None)
         ad.score_bwd(ad.sq_error_bwd(g["l_m"], 1.0 / k, terms["l_m"][1]), reg, eps_old,
-                     score_old, reg_g, None if config.lm_stop_grad else gh_old)
+                     score_old, reg_g, sink)
+        if through and sink is not gh_old:
+            _add(gh_old, through, every, _rows(sink, through, every))
         if projected:
             d = ad.sq_error_bwd(g["l_p"], 1.0 / n, terms["l_p"][1])
             if gh_new is not None:
-                gh_new += d
+                _add(gh_new, projected, every, d)
             ad.mlp_bwd(-d, proj, acts_frozen, False, proj_g)
-        if "l_r" in terms:
+        if graphed:
             ga = ad.graph_bwd(g["l_r"], terms["l_r"][1])
             if gh_old is not None:
-                gh_old += ga[:k]
+                _add(gh_old, group.both, every, _rows(ga[..., :k, :], group.both, graphed))
             if gh_new is not None:
-                gh_new += ga[k:]
-        if gh_old is not None:
-            ad.mlp_bwd(gh_old, old, acts_old, False, old_g)
+                _add(gh_new, graphed, every, ga[..., k:, :])
+        if needs:
+            _mlp_bwd_rows(_rows(gh_old, needs, every), old, acts_old, old_g, needs, group.old)
     if gh_new is not None:
         ad.mlp_bwd(gh_new, enc, acts_new, False, enc_g)
-    ad.adam_update([state.adam[name] for name in live])
-    out = {key: float(terms[key][0]) if key in terms else None for key in TERMS}
-    return {**out, "total": float(total)}
+    group.update()
+    if not stacked:
+        out = {key: float(terms[key][0]) if key in terms else None for key in TERMS}
+        return [{**out, "total": float(total)}]
+    return [{**{key: float(terms[key][0][terms[key][2].index(i), 0, 0])
+                if key in terms and i in terms[key][2] else None for key in TERMS},
+             "total": float(total[i, 0, 0])} for i in every]
 
 
 def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
                   ids: list[str], config: TrainConfig) -> SessionReport:
     """Train one session on normalized data and update the memory bank."""
+    return _lockstep([_session(state, x, y, ids, config)])[0]
+
+
+def _session(state: TrainState, x: np.ndarray, y: np.ndarray, ids: list[str],
+             config: TrainConfig):
+    """One lane's session: a generator that yields each step's (state,
+    preset config, inputs, scores), is sent the step's terms, and, after
+    its last epoch or an early stop, updates the bank and returns the
+    session's report."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.size or len(ids) != y.size:
@@ -364,7 +551,7 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
         batch_losses = []
         for lo in range(0, y.size, config.b2):
             idx = perm[lo:lo + config.b2]
-            terms = _train_step(state, x[idx], y[idx], config)
+            terms = yield state, config, x[idx], y[idx]
             step_terms.append(terms)
             batch_losses.append(terms["total"])
         epochs_run += 1
@@ -380,6 +567,53 @@ def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
                          steps=len(step_terms), step_terms=step_terms,
                          epoch_losses=epoch_losses,
                          wall_seconds=time.perf_counter() - started)
+
+
+def _drive(runs: list, answer) -> list:
+    """Run generators side by side: each yields a request and is sent its
+    answer, ``answer(requests)`` answering the requests of all that are
+    still running at once, in order. Returns what each returned."""
+    results, waiting = [None] * len(runs), {}
+
+    def advance(i, reply):
+        try:
+            waiting[i] = runs[i].send(reply)
+        except StopIteration as end:
+            waiting.pop(i, None)
+            results[i] = end.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while waiting:
+        lanes = sorted(waiting)
+        for i, reply in zip(lanes, answer([waiting[i] for i in lanes])):
+            advance(i, reply)
+    return results
+
+
+def _lockstep(sessions: list) -> list[SessionReport]:
+    """Run the ``_session`` generators of one lane group at one session,
+    one ``_train_step`` of all the lanes still training at a time, and
+    return their reports. A lane that stops leaves the step; the others'
+    components are stacked again without it. Every lane has Adam states of
+    its own again when this returns or raises."""
+    group = None
+
+    def step(lanes: list) -> list[dict]:
+        nonlocal group
+        states = [lane[0] for lane in lanes]
+        if group is not None and not group.holds(states):
+            group.unstack()
+            group = None
+        if group is None:
+            group = _Lanes(states, [lane[1] for lane in lanes])
+        return _train_step(lanes, group)
+
+    try:
+        return _drive(sessions, step)
+    finally:
+        if group is not None:
+            group.unstack()
 
 
 def _update_bank(state: TrainState, x: np.ndarray, y: np.ndarray,
@@ -448,35 +682,96 @@ def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
     """Yield ``run_continual``'s result for each of a list of configs, in
     order. A key's first session is trained once per plan, on the first call
     that needs it, and kept in ``plan.memo`` for every later call; a ``joint``
-    config is its own key. Each config goes on from a copy of it.
+    config is its own key. Each config goes on from a copy of it. Without
+    ``on_session``, the configs of a lane group (``_lane_key``) train their
+    later sessions in lockstep (``_in_order``).
 
     Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), the call
     trains every key's first session here, then runs its configs in
     ``min(CPUs in the affinity mask, configs)`` forked worker processes,
     whose results come back in order, bit-identical to a serial run. With
     one CPU or one config, or when ``on_session`` is given (the hook runs in
-    the calling process), the configs run here, one after another, each
-    training its key's first session when it is first needed."""
+    the calling process), the configs run here, each group when its first
+    config is due, training its key's first session when it is first
+    needed."""
     T = plan.n_sessions
     if T < 2:
         raise ValueError(f"need at least 2 sessions, got {T}")
     for config in configs:
         check_test_sets(plan, config.held_out_only)
-    free = {f.name: f.default for f in fields(TrainConfig) if f.name in SESSION_1_FREE}
-    keys = [c if c.method == "joint" else replace(c, method="sequential-ft", **free)
-            for c in configs]
+    keys = [_first_key(c) for c in configs]
     n = 1
     if on_session is None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         n = min(len(os.sched_getaffinity(0)), len(configs))
 
     def runs():
         if n < 2:
-            for config, key in zip(configs, keys):
-                yield _run_from(plan, scaler, config, on_session, _prefix(plan, scaler, key))
+            yield from _in_order(plan, scaler, configs,
+                                 lambda i: _prefix(plan, scaler, keys[i]), on_session)
         else:
             prefixes = [_prefix(plan, scaler, key) for key in keys]
             yield from _forked(plan, scaler, configs, prefixes, n)
     return runs()
+
+
+def _first_key(config: TrainConfig) -> TrainConfig:
+    """The key of a config's first session: the config as ``sequential-ft``
+    with the ``SESSION_1_FREE`` fields at their defaults, or a ``joint``
+    config itself."""
+    if config.method == "joint":
+        return config
+    free = {f.name: f.default for f in fields(TrainConfig) if f.name in SESSION_1_FREE}
+    return replace(config, method="sequential-ft", **free)
+
+
+def _lane_key(config: TrainConfig) -> tuple:
+    """What the configs that train in lockstep share: the first-session key
+    and what sets the shapes of a step and its set of sub-steps, the kind
+    of replay (``replay-feature-naive`` is ``magr`` with flags set), ``b1``
+    and ``m``. Their ablation flags, lambdas, ``lm_stop_grad``,
+    ``stratified_replay`` and ``classic_forgetting`` may differ."""
+    kind = config.method if config.method in (*MEMORYLESS, "replay-raw") else "magr"
+    return _first_key(config), kind, config.b1, config.m
+
+
+def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix,
+              on_session=None):
+    """Yield each config's result, in order; ``prefix(i)`` is config i's
+    trained first session. Without ``on_session``, the configs of a lane
+    group run together (``_run_group``) when the first of them is due, and
+    the others' results wait for their turn. If a group's run raises, each
+    of its configs runs alone at its place instead, from a fork of its own,
+    so it yields or raises what ``run_continual`` would."""
+    keys = [_lane_key(c) if on_session is None else i for i, c in enumerate(configs)]
+    done, alone = {}, set()
+    for i, config in enumerate(configs):
+        members = [j for j in range(i, len(configs)) if keys[j] == keys[i]]
+        if i not in done and i not in alone and len(members) > 1:
+            try:
+                done.update(zip(members, _run_group(
+                    plan, scaler, [configs[j] for j in members], [prefix(j) for j in members])))
+            except Exception:  # noqa: BLE001 - each config re-runs alone
+                alone.update(members)
+        if i in done:
+            yield done.pop(i)
+        else:
+            yield _run_group(plan, scaler, [config], [prefix(i)], on_session)[0]
+
+
+def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
+               on_session=None) -> list[RunResult]:
+    """Run configs of one lane group from their first sessions ``prefixes``
+    and return their results: each later session of all of them at once,
+    through ``train_session`` for one config and ``_lockstep`` for several,
+    and everything between sessions (bank, evaluation, ``on_session``)
+    config by config."""
+    def train(requests: list) -> list[SessionReport]:
+        if len(requests) == 1:
+            return [train_session(*requests[0])]
+        return _lockstep([_session(*r) for r in requests])
+
+    return _drive([_run_from(plan, scaler, c, on_session, p)
+                   for c, p in zip(configs, prefixes)], train)
 
 
 def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
@@ -514,11 +809,11 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
 
 def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
             n: int):
-    """Yield ``_run_from``'s result for each config, in order, from ``n``
+    """Yield ``_in_order``'s result for each config, in order, from ``n``
     forked workers. Worker w runs configs w, w + n, ... on its own copies of
     their inherited ``prefixes`` and pickles each result onto its pipe as it
-    finishes, so the results are read round-robin, one at a time, and a
-    worker that dies loses only the configs it had not done. However this
+    is yielded, so the results are read round-robin, one at a time, and a
+    worker that dies loses only the configs it had not sent. However this
     generator ends, every worker is killed if still running and reaped."""
     import pickle
     import signal
@@ -555,8 +850,9 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: lis
 def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
           configs: list, prefixes: list) -> None:
     """A worker's whole life: run ``configs`` and write each pickled result
-    to ``fd`` as soon as it is done, or the first exception, which ends the
-    run. It leaves through ``os._exit``, never returning into the caller."""
+    to ``fd`` as soon as it is yielded, or the first exception, which ends
+    the run. It leaves through ``os._exit``, never returning into the
+    caller."""
     import pickle
     import traceback
 
@@ -564,10 +860,11 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
     try:
         for other in inherited:
             other.close()
+        runs = _in_order(plan, scaler, configs, prefixes.__getitem__)
         with open(fd, "wb") as fh:
-            for config, prefix in zip(configs, prefixes):
+            for _ in configs:
                 try:
-                    result = _run_from(plan, scaler, config, None, prefix)
+                    result = next(runs)
                     ok, blob = True, pickle.dumps((True, result), pickle.HIGHEST_PROTOCOL)
                 except Exception as e:  # noqa: BLE001 - re-raised by the parent
                     ok = False
@@ -587,11 +884,13 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
 
 
 def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
-              prefix: tuple) -> RunResult:
-    """Run a config from its key's trained first session ``prefix``, which
-    it only reads: a copy of its state with the config's own bank and
-    session-1 bank update, its own copy of the session-1 report, its
-    evaluations, and the rest of its sessions."""
+              prefix: tuple):
+    """A config's run from its key's trained first session ``prefix``, which
+    it only reads, as a generator that yields each later session to train,
+    (state, inputs, scores, ids, config), is sent its report, and returns
+    the ``RunResult``: a copy of the prefix's state with the config's own
+    bank and session-1 bank update, its own copy of the session-1 report,
+    and its evaluations after every session."""
     first, reference, report, data = prefix
     T = plan.n_sessions
     joint = config.method == "joint"
@@ -605,7 +904,7 @@ def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_se
     cell_ranks, pooled_ranks = _truth_ranks(plan, scaler, ho)
     for t in [T] if joint else range(1, T + 1):
         if t > 1 and not joint:
-            reports.append(train_session(state, *plan.training_arrays(t), config))
+            reports.append((yield (state, *plan.training_arrays(t), config)))
         row = score_sets(state.bundle, [plan.test_arrays(j, ho) for j in range(1, t + 1)],
                          scaler, cell_ranks[:t], pooled_ranks[t - 1])
         for j, rho in enumerate(row.rhos, start=1):

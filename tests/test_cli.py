@@ -441,11 +441,17 @@ def test_env_var_output_root(tmp_path, mini_config, monkeypatch):
 
 def test_eval_reproduces_training_cells(tmp_path, mini_config):
     # every checkpoint of a run, scored on every test set or on the held-out
-    # parts alone, reads the cells and pooled rho that training wrote
+    # parts alone, reads the cells and pooled rho that training wrote; with
+    # label noise, both score the true scores of the split, not the noisy
+    # labels training read
     held_out_only = tmp_path / "held_out_only.json"
     held_out_only.write_text(json.dumps({**MINI, "train": {**MINI["train"],
                                                            "held_out_only": True}}))
-    for config in (mini_config, str(held_out_only)):
+    smoke = json.loads((Path(__file__).resolve().parents[1] / "configs" /
+                        "smoke.json").read_text())
+    noisy = tmp_path / "noisy.json"
+    noisy.write_text(json.dumps({**smoke, "data": {**smoke["data"], "label_noise": 6.0}}))
+    for config in (mini_config, str(held_out_only), str(noisy)):
         run_dir = _train(tmp_path, config, out=Path(config).stem)
         rows = {}
         for line in (run_dir / "results.csv").read_text().splitlines()[1:]:

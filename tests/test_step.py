@@ -82,13 +82,48 @@ def test_fused_step_equals_the_tape_step_as_bytes(case):
     taped = copy.deepcopy(fused)
     for _ in range(2):
         xb, yb = rng.normal(size=(rows, width)), rng.normal(size=rows)
-        got = trainer._train_step(fused, xb, yb, config)
+        got, = trainer._train_step([(fused, config, xb, yb)])
         want, grads = tape_reference.train_step(taped, xb, yb, config)
         assert repr(got) == repr(want)
         # the tape gives a component a gradient for all its parameters or none
         comps = components(taped.bundle)
         assert all(set(g) == set(comps[name]) for name, g in grads.items())
         assert _state_bytes(fused) == _state_bytes(taped)
+
+
+@st.composite
+def _lane_cases(draw):
+    """(configs, feature mode, bank fill, batch rows, seed) for 2-4 lanes of
+    one group: one method kind, each lane with its own flags and lambdas."""
+    kind = draw(st.sampled_from(["magr", "replay-raw", "sequential-ft"]))
+    configs = []
+    for _ in range(draw(st.integers(2, 4))):
+        config, *rest = draw(_cases())
+        method = kind if kind != "magr" else draw(st.sampled_from(
+            ["magr", "replay-feature-naive"]))
+        configs.append(trainer._preset(replace(config, method=method, lr=1e-2, online=False)))
+    return configs, *rest
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(_lane_cases())
+def test_laned_steps_equal_their_lanes_as_bytes(case):
+    configs, feature_mode, fill, rows, seed = case
+    rng = np.random.default_rng(seed)
+    states = [_state(config, feature_mode, fill, rng)[0] for config in configs]
+    width = 4 if feature_mode else 7
+    alone = copy.deepcopy(states)
+    group = trainer._Lanes(states, configs)
+    for _ in range(2):
+        batches = [(rng.normal(size=(rows, width)), rng.normal(size=rows)) for _ in configs]
+        got = trainer._train_step([(s, c, *b) for s, c, b in zip(states, configs, batches)],
+                                  group)
+        want = [trainer._train_step([(s, c, *b)])[0]
+                for s, c, b in zip(alone, configs, batches)]
+        assert repr(got) == repr(want)
+    group.unstack()
+    for s, a in zip(states, alone):
+        assert _state_bytes(s) == _state_bytes(a)
 
 
 def test_non_finite_gradient_aborts_the_step_before_any_update(monkeypatch):
@@ -118,7 +153,7 @@ def test_non_finite_gradient_aborts_the_step_before_any_update(monkeypatch):
     monkeypatch.setattr(ad, "adam_update", poison)
     x, y, _ = plan.training_arrays(2)
     with pytest.raises(ad.NonFiniteError, match="'encoder.b1'"):
-        trainer._train_step(state, x[:3], y[:3], config)
+        trainer._train_step([(state, config, x[:3], y[:3])])
     assert snapshot() == before
 
 

@@ -393,11 +393,94 @@ def test_run_many_equals_independent_runs(seed):
         assert next(shared, None) is None
 
 
+# fields a lane of a group may set apart from the others, and values for them
+LANE_FIELDS = {**{flag: [False, True] for flag in trainer.ABLATION_FLAGS},
+               "lm_stop_grad": [False, True], "stratified_replay": [False, True],
+               "classic_forgetting": [False, True], "lambda_p": [0.0, 0.3, 1.0, 2.5],
+               "lambda_r": [0.0, 0.5, 1.0, 3.0]}
+
+
+@st.composite
+def _lane_configs(draw):
+    """Configs for one run_many call on a small plan: mostly magr with random
+    lane fields, and some other methods. At random places after the first
+    there may be a magr lane with a lambda_p of 1e308, whose gradient
+    overflows in session 2, and two configs with an lr of 1e22, a group of
+    their own, whose weights overflow in session 3. Tiny widths make some
+    runs predict a constant, which spearman refuses. Patience 1 with a
+    min_delta stops lanes in different epochs and sessions."""
+    base = _cfg(epochs=4, patience=1, min_delta=draw(st.sampled_from([0.0, 1e-3, 1e-2])),
+                lr=1e-2, encoder_widths=(8, 6, 4), projector_widths=(4, 5, 4),
+                trunk_widths=(4, 3))
+    configs = []
+    for _ in range(draw(st.integers(2, 6))):
+        fields = {k: draw(st.sampled_from(v)) for k, v in LANE_FIELDS.items()
+                  if draw(st.integers(0, 2)) == 0}
+        if fields.get("no_mp"):
+            fields["no_residual"] = False
+        method = draw(st.sampled_from(["magr"] * 4 + list(trainer.METHODS)))
+        configs.append(replace(base, method=method, **fields))
+    for failing in ([replace(base, lambda_p=1e308)],
+                    [replace(base, lr=1e22), replace(base, lr=1e22, no_j_gr=True)]):
+        if draw(st.booleans()):
+            at = draw(st.integers(1, len(configs)))
+            configs[at:at] = failing
+    return configs
+
+
+def _lane_bytes(result) -> list:
+    """``_run_bytes`` and each component's last gradient, as bytes."""
+    return _run_bytes(result) + [a.grad.tobytes() for a in result.state.adam.values()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the failing configs overflow
+@pytest.mark.parametrize("n", [1, 2])
+def test_lanes_equal_their_own_runs_as_bytes(workers, monkeypatch, n):
+    # each config of a run_many call, laned with the others of its group,
+    # yields the bytes of its own run_continual, or raises its error at its
+    # place, after every config before it was yielded
+    workers(n)
+    widest = []
+    real = trainer._lockstep
+
+    def lockstep(sessions):
+        widest.append(len(sessions))
+        return real(sessions)
+
+    monkeypatch.setattr(trainer, "_lockstep", lockstep)
+
+    @settings(database=None, derandomize=True, max_examples=12, deadline=None)
+    @given(_lane_configs())
+    def check(configs):
+        plan, scaler = _plan(n=40, shots=4)
+        alone_plan = _plan(n=40, shots=4)
+        runs = trainer.run_many(plan, scaler, configs)
+        laned = False
+        for config in configs:
+            try:
+                want = _lane_bytes(trainer.run_continual(*alone_plan, config))
+            except Exception as e:  # noqa: BLE001 - the laned run must raise it too
+                with pytest.raises(type(e)) as raised:
+                    next(runs)
+                assert str(raised.value) == str(e)
+                assert next(runs, None) is None
+                return
+            assert _lane_bytes(next(runs)) == want, config
+            laned |= config.method != "joint" and sum(
+                trainer._lane_key(c) == trainer._lane_key(config) for c in configs) > 1
+        assert next(runs, None) is None
+        # where every config ran and some shared a group, lanes formed here
+        assert n == 2 or not laned or max(widest) > 1
+
+    check()
+
+
 def _count_sessions(monkeypatch) -> list:
-    """(session, method) of every ``train_session`` call from now on, and
-    ("fork", method) of every copy of a first session."""
+    """(session, method) of every session trained from now on, alone or in
+    lockstep with others, and ("fork", method) of every copy of a first
+    session."""
     calls = []
-    real_train, real_fork = trainer.train_session, trainer._fork
+    real_train, real_fork = trainer._session, trainer._fork
 
     def train(state, x, y, ids, config):
         calls.append((state.session + 1, config.method))
@@ -407,7 +490,7 @@ def _count_sessions(monkeypatch) -> list:
         calls.append(("fork", config.method))
         return real_fork(state, config)
 
-    monkeypatch.setattr(trainer, "train_session", train)
+    monkeypatch.setattr(trainer, "_session", train)
     monkeypatch.setattr(trainer, "_fork", fork)
     return calls
 
@@ -423,8 +506,10 @@ def test_run_many_trains_first_session_once_per_key(monkeypatch, workers):
     assert [r.method for r in results] == [c.method for c in configs]
     assert [c for c in calls if c[0] == 1] == [(1, "sequential-ft"), (1, "joint"),
                                                (1, "sequential-ft")]
-    # every config goes on from a copy; the memoised first session stays
-    assert [c for c in calls if c[0] == "fork"] == [("fork", c.method) for c in configs]
+    # every config goes on from a copy; the memoised first session stays.
+    # Configs 0 and 2 share a lane group, so they fork together, when 0 is due
+    assert [c for c in calls if c[0] == "fork"] == [("fork", configs[i].method)
+                                                    for i in (0, 2, 1, 3, 4)]
     assert len(calls) == 5 + 3 + 4 * (plan.n_sessions - 1)
 
 
@@ -472,6 +557,12 @@ def test_one_pool_per_call(workers):
 def _three_configs():
     return [_cfg(epochs=2, lr=1e-3), _cfg(epochs=2, lr=1e-3, method="replay-raw", m=2),
             _cfg(epochs=2, lr=1e-3, no_ii_gr=True, lambda_p=0.5)]
+
+
+def _alone_third():
+    """``_three_configs`` with the third in a lane group of its own (m=5)."""
+    *two, third = _three_configs()
+    return [*two, replace(third, m=5)]
 
 
 def test_workers_match_in_process_runs_as_bytes(workers):
@@ -580,7 +671,8 @@ def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers
 
 
 def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, workers):
-    # worker 0 sends config 0's result, then dies in config 2
+    # worker 0 sends config 0's result, then dies in config 2, which has an
+    # m of its own, so it does not train in lockstep with config 0
     workers(2)
     plan, scaler = _plan()
     parent = os.getpid()
@@ -590,7 +682,7 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
             os._exit(3)
 
     _before_run_from(monkeypatch, die)
-    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
+    configs = _alone_third() + [_cfg(epochs=2, lr=1e-3, m=3)]
     runs = trainer.run_many(plan, scaler, configs)
     for config in configs[:2]:
         assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(plan, scaler,
@@ -604,7 +696,8 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
 def test_worker_stream_ending_inside_a_result_raises_runtime_error(monkeypatch, workers,
                                                                    kept):
     # worker 0 writes only part of config 2's pickled result, then dies at
-    # config 4 before writing anything more
+    # config 4 before writing anything more; configs 0, 2 and 4 have an m
+    # each, so worker 0 runs them one after another, not in lockstep
     workers(2)
     plan, scaler = _plan()
     parent, seen, real = os.getpid(), [], pickle.dumps
@@ -622,7 +715,7 @@ def test_worker_stream_ending_inside_a_result_raises_runtime_error(monkeypatch, 
 
     _before_run_from(monkeypatch, die_after_cut)
     monkeypatch.setattr(pickle, "dumps", cut)
-    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3), _cfg(epochs=2, lr=1e-3, m=2)]
+    configs = _alone_third() + [_cfg(epochs=2, lr=1e-3, m=3), _cfg(epochs=2, lr=1e-3, m=2)]
     runs = trainer.run_many(plan, scaler, configs)
     for config in configs[:2]:
         assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(plan, scaler,
