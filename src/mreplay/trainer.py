@@ -313,10 +313,6 @@ class _Lanes:
                 stack = ad.adam_stack([states[i].adam[name] for i in among], params)
                 self.stacks[name] = stack, params, ad.stacked_views(stack, shapes)
 
-    def holds(self, states: list) -> bool:
-        return len(states) == len(self.states) and all(
-            a is b for a, b in zip(states, self.states))
-
     def views(self) -> dict:
         """Each live component's parameter values and gradients, the
         gradients set to -0.0 (``autodiff.adam_views``)."""
@@ -571,23 +567,23 @@ def _session(state: TrainState, x: np.ndarray, y: np.ndarray, ids: list[str],
 
 def _drive(runs: list, answer) -> list:
     """Run generators side by side: each yields a request and is sent its
-    answer, ``answer(requests)`` answering the requests of all that are
-    still running at once, in order. Returns what each returned."""
+    answer, ``answer(lanes, requests)`` answering the requests of all that
+    are still running at once, ``lanes`` their indices, in order. Returns
+    what each returned."""
     results, waiting = [None] * len(runs), {}
-
-    def advance(i, reply):
+    for i, run in enumerate(runs):
         try:
-            waiting[i] = runs[i].send(reply)
+            waiting[i] = next(run)
         except StopIteration as end:
-            waiting.pop(i, None)
             results[i] = end.value
-
-    for i in range(len(runs)):
-        advance(i, None)
     while waiting:
-        lanes = sorted(waiting)
-        for i, reply in zip(lanes, answer([waiting[i] for i in lanes])):
-            advance(i, reply)
+        lanes = tuple(waiting)  # in index order: a key keeps its place when set again
+        for i, reply in zip(lanes, answer(lanes, list(waiting.values()))):
+            try:
+                waiting[i] = runs[i].send(reply)
+            except StopIteration as end:
+                del waiting[i]
+                results[i] = end.value
     return results
 
 
@@ -597,17 +593,16 @@ def _lockstep(sessions: list) -> list[SessionReport]:
     return their reports. A lane that stops leaves the step; the others'
     components are stacked again without it. Every lane has Adam states of
     its own again when this returns or raises."""
-    group = None
+    group, stepping = None, None
 
-    def step(lanes: list) -> list[dict]:
-        nonlocal group
-        states = [lane[0] for lane in lanes]
-        if group is not None and not group.holds(states):
-            group.unstack()
-            group = None
-        if group is None:
-            group = _Lanes(states, [lane[1] for lane in lanes])
-        return _train_step(lanes, group)
+    def step(lanes: tuple, requests: list) -> list[dict]:
+        nonlocal group, stepping
+        if lanes != stepping:
+            if group is not None:
+                group.unstack()
+            group = _Lanes([r[0] for r in requests], [r[1] for r in requests])
+            stepping = lanes
+        return _train_step(requests, group)
 
     try:
         return _drive(sessions, step)
@@ -765,7 +760,7 @@ def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: 
     through ``train_session`` for one config and ``_lockstep`` for several,
     and everything between sessions (bank, evaluation, ``on_session``)
     config by config."""
-    def train(requests: list) -> list[SessionReport]:
+    def train(lanes: tuple, requests: list) -> list[SessionReport]:
         if len(requests) == 1:
             return [train_session(*requests[0])]
         return _lockstep([_session(*r) for r in requests])
