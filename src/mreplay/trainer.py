@@ -761,6 +761,8 @@ def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: 
     and everything between sessions (bank, evaluation, ``on_session``)
     config by config."""
     def train(lanes: tuple, requests: list) -> list[SessionReport]:
+        # one config's sessions go through train_session, the public entry
+        # that bench/tracing.py times and counts steps at
         if len(requests) == 1:
             return [train_session(*requests[0])]
         return _lockstep([_session(*r) for r in requests])
