@@ -304,7 +304,8 @@ class _Lanes:
                      if name != "projector" or self.projected}
         frozen = [encoder_params(states[i].bundle, frozen=True) for i in self.projected]
         self.frozen = None if not frozen or frozen[0] is None else [
-            _stack([f[name].value for f in frozen]) for name in frozen[0]]
+            np.stack([f[name].value for f in frozen]) if self.stacked else frozen[0][name].value
+            for name in frozen[0]]
         self.stacks = {}
         if self.stacked:
             for name, among in self.live.items():
