@@ -46,7 +46,7 @@ own generators, draws, bank, early stopping and evaluation, and its
 results are bit-identical to its own ``run_continual``. A single run is a
 group of one, on 2-D arrays. The session loop (``_session``) and each run
 (``_run_from``) are generators that yield their steps and sessions, so
-one driver (``_drive``) runs one lane or many. Lanes form only without an
+one loop (``_drive``) runs one lane or many. Lanes form only without an
 ``on_session`` hook; if a group raises, its configs run again one by one.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
