@@ -256,27 +256,23 @@ class ScoreScaler:
         return np.asarray(y, dtype=np.float64) * (self.hi - self.lo) + self.lo
 
 
-def _map_plan_scores(plan: SessionPlan, fn, noise: bool = False) -> SessionPlan:
+def _map_plan_scores(plan: SessionPlan, fn) -> SessionPlan:
     """The plan with each split part's scores replaced by ``fn(scores,
-    is_train)``. The true scores of the training samples
-    (``SessionSplit.clean``) are mapped by ``fn(scores, False)``, or with
-    ``noise`` kept as they were, so the samples carry labels apart from
-    them."""
+    is_train)``, and the true scores of the training samples
+    (``SessionSplit.clean``), if kept, by ``fn(scores, False)``."""
     def mapped(samples, is_train):
         scores = fn(np.array([s.score for s in samples], dtype=np.float64), is_train)
         return tuple(Sample(s.sample_id, s.x, v)
                      for s, v in zip(samples, scores.tolist()))
 
-    def split(s: SessionSplit) -> SessionSplit:
-        clean = s.clean
-        if noise and clean is None:
-            clean = tuple(r.score for r in s.train)
-        elif not noise and clean is not None:
-            clean = tuple(fn(np.array(clean, dtype=np.float64), False).tolist())
-        return SessionSplit(s.session, mapped(s.train, True), mapped(s.held_out, False),
-                            clean)
+    def truths(clean):
+        return None if clean is None else tuple(
+            fn(np.array(clean, dtype=np.float64), False).tolist())
 
-    return replace(plan, sessions=tuple(map(split, plan.sessions)))
+    return replace(plan, sessions=tuple(
+        SessionSplit(s.session, mapped(s.train, True), mapped(s.held_out, False),
+                     truths(s.clean))
+        for s in plan.sessions))
 
 
 def normalize_scores(plan: SessionPlan) -> tuple[SessionPlan, ScoreScaler]:
@@ -310,7 +306,9 @@ def inject_label_noise(plan: SessionPlan, intensity: float, seed: int) -> Sessio
             return y
         return np.clip(y + intensity * rng.normal(size=y.size), lo, hi)
 
-    return _map_plan_scores(plan, noisy, noise=True)
+    kept = tuple(s if s.clean is not None else replace(s, clean=tuple(r.score for r in s.train))
+                 for s in plan.sessions)
+    return _map_plan_scores(replace(plan, sessions=kept), noisy)
 
 
 # ------------------------------------------------------------------- csv io

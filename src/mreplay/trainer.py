@@ -47,14 +47,17 @@ results are bit-identical to its own ``run_continual``. A single run is a
 group of one, on 2-D arrays. The session loop (``_session``) and each run
 (``_run_from``) are generators that yield their steps and sessions, so
 one loop (``_drive``) runs one lane or many. Lanes form only without an
-``on_session`` hook; if a group raises, its configs run again one by one.
+``on_session`` hook; if a group raises, its configs run again one by one,
+and if none of them raises alone, a RuntimeError says the lanes failed.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
 ``run_many`` call trains all its keys' first sessions, then runs its
 configs in one pool of forked worker processes, one per CPU of the
 affinity mask and at most one per config. Each worker pickles its results
 onto a pipe, and they come back in config order, bit-identical to a serial
-run; each worker runs the lane groups of its configs. Elsewhere, with one
+run; each worker runs the lane groups of its configs and sends a group's
+results when the whole group is done, so a worker that dies while a group
+trains loses the results of all its lanes. Elsewhere, with one
 CPU or one config, or when an ``on_session`` hook is given, which must run
 in the calling process, they run in-process. No option sets the worker
 count or the lanes; ``taskset`` limits the workers.
@@ -734,24 +737,44 @@ def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix,
               on_session=None):
     """Yield each config's result, in order; ``prefix(i)`` is config i's
     trained first session. Without ``on_session``, the configs of a lane
-    group run together (``_run_group``) when the first of them is due, and
-    the others' results wait for their turn. If a group's run raises, each
-    of its configs runs alone at its place instead, from a fork of its own,
-    so it yields or raises what ``run_continual`` would."""
+    group run together (``_lanes_or_alone``) when the first of them is due,
+    and the others' outcomes wait for their turn."""
     keys = [_lane_key(c) if on_session is None else i for i, c in enumerate(configs)]
-    done, alone = {}, set()
+    done = {}
     for i, config in enumerate(configs):
         members = [j for j in range(i, len(configs)) if keys[j] == keys[i]]
-        if i not in done and i not in alone and len(members) > 1:
-            try:
-                done.update(zip(members, _run_group(
-                    plan, scaler, [configs[j] for j in members], [prefix(j) for j in members])))
-            except Exception:  # noqa: BLE001 - each config re-runs alone
-                alone.update(members)
-        if i in done:
-            yield done.pop(i)
-        else:
+        if i not in done and len(members) > 1:
+            done.update(_lanes_or_alone(plan, scaler, configs, members, prefix))
+        if i not in done:
             yield _run_group(plan, scaler, [config], [prefix(i)], on_session)[0]
+        elif isinstance(done[i], Exception):
+            raise done.pop(i)
+        else:
+            yield done.pop(i)
+
+
+def _lanes_or_alone(plan: SessionPlan, scaler: ScoreScaler, configs: list, members: list,
+                    prefix) -> dict:
+    """Each of ``members``' results, from one ``_run_group`` of them all. If
+    that raises, each runs alone instead, from a fork of its own, up to the
+    first that raises, whose outcome is its exception, so each yields or
+    raises what ``run_continual`` would. If every member runs alone, the
+    lanes failed where no config does: a RuntimeError chained from their
+    exception reports it."""
+    try:
+        return dict(zip(members, _run_group(plan, scaler, [configs[j] for j in members],
+                                            [prefix(j) for j in members])))
+    except Exception as failure:  # noqa: BLE001 - each config re-runs alone
+        outcomes = {}
+        for j in members:
+            try:
+                outcomes[j] = _run_group(plan, scaler, [configs[j]], [prefix(j)])[0]
+            except Exception as e:  # noqa: BLE001 - raised at the config's place
+                outcomes[j] = e
+                return outcomes
+        raise RuntimeError(f"a lane group of {len(members)} configs raised "
+                           f"{type(failure).__name__} in lockstep, but each of them "
+                           f"ran alone without error") from failure
 
 
 def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
@@ -763,7 +786,8 @@ def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: 
     config by config."""
     def train(lanes: tuple, requests: list) -> list[SessionReport]:
         # one config's sessions go through train_session, the public entry
-        # that bench/tracing.py times and counts steps at
+        # that bench/tracing.py times and counts steps at (bench/test_checks.py
+        # expects one call per session of a run_continual)
         if len(requests) == 1:
             return [train_session(*requests[0])]
         return _lockstep([_session(*r) for r in requests])
@@ -811,8 +835,10 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: lis
     forked workers. Worker w runs configs w, w + n, ... on its own copies of
     their inherited ``prefixes`` and pickles each result onto its pipe as it
     is yielded, so the results are read round-robin, one at a time, and a
-    worker that dies loses only the configs it had not sent. However this
-    generator ends, every worker is killed if still running and reaped."""
+    worker that dies loses only the configs it had not sent. A lane group's
+    results are yielded when the whole group is done, so one that dies in
+    any lane of a group loses every lane's. However this generator ends,
+    every worker is killed if still running and reaped."""
     import pickle
     import signal
 

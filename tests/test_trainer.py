@@ -691,6 +691,50 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
         next(runs)
 
 
+def test_worker_dying_in_a_lane_group_loses_the_whole_group(monkeypatch, workers):
+    # configs 0 and 2 are one lane group on worker 0, which sends a group's
+    # results when the whole group is done; it dies in config 2, before
+    # config 0's result is sent
+    workers(2)
+    plan, scaler = _plan()
+    parent = os.getpid()
+
+    def die(config):
+        if config.lambda_p == 0.5 and os.getpid() != parent:
+            os._exit(3)
+
+    _before_run_from(monkeypatch, die)
+    configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
+    assert trainer._lane_key(configs[0]) == trainer._lane_key(configs[2])
+    runs = trainer.run_many(plan, scaler, configs)
+    with pytest.raises(RuntimeError, match="worker 0 exited without the result of config 0"):
+        next(runs)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lanes_failing_where_no_config_does_raise_runtime_error(monkeypatch, workers, n):
+    # a group that raises only in lockstep, with every config running alone
+    # without error, is a defect of the lanes, not a result to recover from
+    workers(n)
+    plan, scaler = _plan()
+    real = trainer._lockstep
+
+    def lockstep(sessions):
+        if len(sessions) > 1:
+            raise ValueError("stacked shapes disagree")
+        return real(sessions)
+
+    monkeypatch.setattr(trainer, "_lockstep", lockstep)
+    runs = trainer.run_many(plan, scaler, _three_configs())
+    with pytest.raises(RuntimeError, match="lane group of 2 configs raised ValueError") as raised:
+        next(runs)
+    if n == 1:
+        assert str(raised.value.__cause__) == "stacked shapes disagree"
+    else:  # the cause does not travel; the worker's traceback note names it
+        assert "ValueError: stacked shapes disagree" in "".join(raised.value.__notes__)
+    assert next(runs, None) is None
+
+
 @pytest.mark.parametrize("kept", [lambda n: 1, lambda n: n // 2, lambda n: n - 1],
                          ids=["first-byte", "half", "all-but-last-byte"])
 def test_worker_stream_ending_inside_a_result_raises_runtime_error(monkeypatch, workers,
