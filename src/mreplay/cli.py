@@ -414,8 +414,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",")] if args.values else \
-        DEFAULT_SWEEP_VALUES[args.axis]
+    try:
+        values = DEFAULT_SWEEP_VALUES[args.axis] if args.values is None else \
+            [float(v) for v in args.values.split(",")]
+    except ValueError:
+        raise ValueError(f"--values takes comma-separated numbers, got {args.values!r}") \
+            from None
     for value in values:
         if args.axis != "noise" and not float(value).is_integer():
             raise ValueError(f"--axis {args.axis} takes whole numbers, got {value!r}")

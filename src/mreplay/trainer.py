@@ -44,11 +44,10 @@ sub-step once over the lanes that need it, on stacks of their arrays,
 which ``autodiff``'s halves take beside 2-D arrays. Each lane keeps its
 own generators, draws, bank, early stopping and evaluation, and its
 results are bit-identical to its own ``run_continual``. A single run is a
-group of one, on 2-D arrays. The session loop (``_session``) and each run
-(``_run_from``) are generators that yield their steps and sessions, so
-one loop (``_drive``) runs one lane or many. Lanes form only without an
-``on_session`` hook; if a group raises, its configs run again one by one,
-and if none of them raises alone, a RuntimeError says the lanes failed.
+group of one, on 2-D arrays. One session loop (``_train_lanes``) trains a
+group's lanes, and one run loop (``_run_group``) runs a group's configs.
+If a group raises, its configs run again one by one, and if none of them
+raises alone, a RuntimeError says the lanes failed.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
 ``run_many`` call trains all its keys' first sessions, then runs its
@@ -57,9 +56,9 @@ affinity mask and at most one per config. Each worker pickles its results
 onto a pipe, and they come back in config order, bit-identical to a serial
 run; each worker runs the lane groups of its configs and sends a group's
 results when the whole group is done, so a worker that dies while a group
-trains loses the results of all its lanes. Elsewhere, with one
-CPU or one config, or when an ``on_session`` hook is given, which must run
-in the calling process, they run in-process. No option sets the worker
+trains loses the results of all its lanes. Elsewhere, or with one CPU or
+one config, they run in-process; ``run_continual``, whose ``on_session``
+hook runs in the calling process, always does. No option sets the worker
 count or the lanes; ``taskset`` limits the workers.
 """
 from __future__ import annotations
@@ -520,15 +519,19 @@ def _train_step(lanes: list, group: _Lanes | None = None) -> list[dict]:
 def train_session(state: TrainState, x: np.ndarray, y: np.ndarray,
                   ids: list[str], config: TrainConfig) -> SessionReport:
     """Train one session on normalized data and update the memory bank."""
-    return _lockstep([_session(state, x, y, ids, config)])[0]
+    return _train_lanes([state], [config], x, y, ids)[0]
 
 
-def _session(state: TrainState, x: np.ndarray, y: np.ndarray, ids: list[str],
-             config: TrainConfig):
-    """One lane's session: a generator that yields each step's (state,
-    preset config, inputs, scores), is sent the step's terms, and, after
-    its last epoch or an early stop, updates the bank and returns the
-    session's report."""
+def _train_lanes(states: list, configs: list, x: np.ndarray, y: np.ndarray,
+                 ids: list[str]) -> list[SessionReport]:
+    """Train one session of the lanes of one group (``_lane_key``) on their
+    shared data and return their reports. The lanes share the step and
+    epoch counts (``b2``, ``epochs`` and ``online`` are part of the key);
+    each epoch, each lane draws its own order, then one ``_train_step`` runs
+    each batch over the lanes still training. A lane stops early on its own
+    ``patience`` and ``min_delta``: it updates its bank, gets its report,
+    and the others' components are stacked again without it. Every lane has
+    Adam states of its own again when this returns or raises."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.ndim != 2 or x.shape[0] != y.size or len(ids) != y.size:
@@ -536,83 +539,49 @@ def _session(state: TrainState, x: np.ndarray, y: np.ndarray, ids: list[str],
                          f"{y.size} scores, {len(ids)} ids")
     if y.size == 0:
         raise ValueError("empty training session")
-    config = _preset(config)
-    t = state.session + 1
+    configs = [_preset(c) for c in configs]
+    b2, t, epochs = configs[0].b2, states[0].session + 1, configs[0].effective_epochs
+    batches = range(0, y.size, b2)
     started = time.perf_counter()
     if t >= 2:
-        freeze_copy(state.bundle)
-    step_terms: list[dict] = []
-    epoch_losses: list[float] = []
-    best = np.inf
-    streak = 0
-    epochs_run = 0
-    for _ in range(config.effective_epochs):
-        perm = state.rngs["order"].permutation(y.size)
-        batch_losses = []
-        for lo in range(0, y.size, config.b2):
-            idx = perm[lo:lo + config.b2]
-            terms = yield state, config, x[idx], y[idx]
-            step_terms.append(terms)
-            batch_losses.append(terms["total"])
-        epochs_run += 1
-        epoch_loss = float(np.mean(batch_losses))
-        epoch_losses.append(epoch_loss)
-        streak = streak + 1 if best - epoch_loss < config.min_delta else 0
-        best = min(best, epoch_loss)
-        if streak >= config.patience:
-            break
-    _update_bank(state, x, y, ids, config, t)
-    state.session = t
-    return SessionReport(session=t, epochs_run=epochs_run,
-                         steps=len(step_terms), step_terms=step_terms,
-                         epoch_losses=epoch_losses,
-                         wall_seconds=time.perf_counter() - started)
-
-
-def _drive(runs: list, answer) -> list:
-    """Run generators side by side: each yields a request and is sent its
-    answer, ``answer(lanes, requests)`` answering the requests of all that
-    are still running at once, ``lanes`` their indices, in order. Returns
-    what each returned."""
-    results, waiting = [None] * len(runs), {}
-    for i, run in enumerate(runs):
-        try:
-            waiting[i] = next(run)
-        except StopIteration as end:
-            results[i] = end.value
-    while waiting:
-        lanes = tuple(waiting)  # in index order: a key keeps its place when set again
-        for i, reply in zip(lanes, answer(lanes, list(waiting.values()))):
-            try:
-                waiting[i] = runs[i].send(reply)
-            except StopIteration as end:
-                del waiting[i]
-                results[i] = end.value
-    return results
-
-
-def _lockstep(sessions: list) -> list[SessionReport]:
-    """Run the ``_session`` generators of one lane group at one session,
-    one ``_train_step`` of all the lanes still training at a time, and
-    return their reports. A lane that stops leaves the step; the others'
-    components are stacked again without it. Every lane has Adam states of
-    its own again when this returns or raises."""
-    group, stepping = None, None
-
-    def step(lanes: tuple, requests: list) -> list[dict]:
-        nonlocal group, stepping
-        if lanes != stepping:
-            if group is not None:
-                group.unstack()
-            group = _Lanes([r[0] for r in requests], [r[1] for r in requests])
-            stepping = lanes
-        return _train_step(requests, group)
-
+        for state in states:
+            freeze_copy(state.bundle)
+    step_terms = [[] for _ in states]
+    epoch_losses = [[] for _ in states]
+    best, streak = [np.inf] * len(states), [0] * len(states)
+    reports = [None] * len(states)
+    live, group = list(range(len(states))), None
     try:
-        return _drive(sessions, step)
+        for epoch in range(1, epochs + 1):
+            group = group or _Lanes([states[i] for i in live], [configs[i] for i in live])
+            perms = [states[i].rngs["order"].permutation(y.size) for i in live]
+            for lo in batches:
+                batch = [(states[i], configs[i], x[p[lo:lo + b2]], y[p[lo:lo + b2]])
+                         for i, p in zip(live, perms)]
+                for i, terms in zip(live, _train_step(batch, group)):
+                    step_terms[i].append(terms)
+            for i in live:
+                epoch_loss = float(np.mean([s["total"] for s in step_terms[i][-len(batches):]]))
+                epoch_losses[i].append(epoch_loss)
+                streak[i] = streak[i] + 1 if best[i] - epoch_loss < configs[i].min_delta else 0
+                best[i] = min(best[i], epoch_loss)
+                if streak[i] >= configs[i].patience or epoch == epochs:
+                    _update_bank(states[i], x, y, ids, configs[i], t)
+                    states[i].session = t
+                    reports[i] = SessionReport(
+                        session=t, epochs_run=epoch, steps=len(step_terms[i]),
+                        step_terms=step_terms[i], epoch_losses=epoch_losses[i],
+                        wall_seconds=time.perf_counter() - started)
+            if any(reports[i] is not None for i in live):  # stacked again without them
+                live = [i for i in live if reports[i] is None]
+                group.unstack()
+                group = None
+            if not live:
+                break
     finally:
         if group is not None:
             group.unstack()
+    return reports
 
 
 def _update_bank(state: TrainState, x: np.ndarray, y: np.ndarray,
@@ -674,43 +643,56 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
 
     ``on_session(state, t)`` is called after each session's evaluations,
     e.g. to persist checkpoints."""
-    return next(run_many(plan, scaler, [config], on_session))
+    _check_plan(plan, [config])
+    prefix = _prefix(plan, scaler, _first_key(config))
+    return _run_group(plan, scaler, [config], [prefix], on_session)[0]
 
 
-def run_many(plan: SessionPlan, scaler: ScoreScaler, configs, on_session=None):
+def run_many(plan: SessionPlan, scaler: ScoreScaler, configs):
     """Yield ``run_continual``'s result for each of a list of configs, in
-    order. A key's first session is trained once per plan, on the first call
-    that needs it, and kept in ``plan.memo`` for every later call; a ``joint``
-    config is its own key. Each config goes on from a copy of it. Without
-    ``on_session``, the configs of a lane group (``_lane_key``) train their
-    later sessions in lockstep (``_in_order``).
+    order, or raise a config's error at its place. A key's first session is
+    trained once per plan, on the first call that needs it, and kept in
+    ``plan.memo`` for every later call; a ``joint`` config is its own key.
+    Each config goes on from a copy of it. The configs of a lane group
+    (``_lane_key``) train their later sessions in lockstep (``_in_order``).
 
     Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), the call
     trains every key's first session here, then runs its configs in
     ``min(CPUs in the affinity mask, configs)`` forked worker processes,
-    whose results come back in order, bit-identical to a serial run. With
-    one CPU or one config, or when ``on_session`` is given (the hook runs in
-    the calling process), the configs run here, each group when its first
-    config is due, training its key's first session when it is first
-    needed."""
-    T = plan.n_sessions
-    if T < 2:
-        raise ValueError(f"need at least 2 sessions, got {T}")
-    for config in configs:
-        check_test_sets(plan, config.held_out_only)
+    whose results come back in order, bit-identical to a serial run; a
+    first session that fails here is raised after the results of the
+    configs before the first config of its key. With one CPU or one config,
+    the configs run here, each group when its first config is due, training
+    its key's first session when it is first needed."""
+    _check_plan(plan, configs)
     keys = [_first_key(c) for c in configs]
     n = 1
-    if on_session is None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         n = min(len(os.sched_getaffinity(0)), len(configs))
 
     def runs():
         if n < 2:
             yield from _in_order(plan, scaler, configs,
-                                 lambda i: _prefix(plan, scaler, keys[i]), on_session)
-        else:
-            prefixes = [_prefix(plan, scaler, key) for key in keys]
-            yield from _forked(plan, scaler, configs, prefixes, n)
+                                 lambda i: _prefix(plan, scaler, keys[i]))
+            return
+        prefixes, failure = [], None
+        for key in keys:
+            try:
+                prefixes.append(_prefix(plan, scaler, key))
+            except Exception as e:  # noqa: BLE001 - raised after the configs before it
+                failure = e
+                break
+        yield from _forked(plan, scaler, configs[:len(prefixes)], prefixes, min(n, len(prefixes)))
+        if failure is not None:
+            raise failure
     return runs()
+
+
+def _check_plan(plan: SessionPlan, configs: list) -> None:
+    if plan.n_sessions < 2:
+        raise ValueError(f"need at least 2 sessions, got {plan.n_sessions}")
+    for config in configs:
+        check_test_sets(plan, config.held_out_only)
 
 
 def _first_key(config: TrainConfig) -> TrainConfig:
@@ -733,20 +715,19 @@ def _lane_key(config: TrainConfig) -> tuple:
     return _first_key(config), kind, config.b1, config.m
 
 
-def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix,
-              on_session=None):
+def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix):
     """Yield each config's result, in order; ``prefix(i)`` is config i's
-    trained first session. Without ``on_session``, the configs of a lane
-    group run together (``_lanes_or_alone``) when the first of them is due,
-    and the others' outcomes wait for their turn."""
-    keys = [_lane_key(c) if on_session is None else i for i, c in enumerate(configs)]
+    trained first session. The configs of a lane group run together
+    (``_lanes_or_alone``) when the first of them is due, and the others'
+    outcomes wait for their turn."""
+    keys = [_lane_key(c) for c in configs]
     done = {}
     for i, config in enumerate(configs):
         members = [j for j in range(i, len(configs)) if keys[j] == keys[i]]
         if i not in done and len(members) > 1:
             done.update(_lanes_or_alone(plan, scaler, configs, members, prefix))
         if i not in done:
-            yield _run_group(plan, scaler, [config], [prefix(i)], on_session)[0]
+            yield _run_group(plan, scaler, [config], [prefix(i)])[0]
         elif isinstance(done[i], Exception):
             raise done.pop(i)
         else:
@@ -779,21 +760,52 @@ def _lanes_or_alone(plan: SessionPlan, scaler: ScoreScaler, configs: list, membe
 
 def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
                on_session=None) -> list[RunResult]:
-    """Run configs of one lane group from their first sessions ``prefixes``
-    and return their results: each later session of all of them at once,
-    through ``train_session`` for one config and ``_lockstep`` for several,
-    and everything between sessions (bank, evaluation, ``on_session``)
-    config by config."""
-    def train(lanes: tuple, requests: list) -> list[SessionReport]:
-        # one config's sessions go through train_session, the public entry
-        # that bench/tracing.py times and counts steps at (bench/test_checks.py
-        # expects one call per session of a run_continual)
-        if len(requests) == 1:
-            return [train_session(*requests[0])]
-        return _lockstep([_session(*r) for r in requests])
-
-    return _drive([_run_from(plan, scaler, c, on_session, p)
-                   for c, p in zip(configs, prefixes)], train)
+    """Run configs of one lane group from their keys' trained first sessions
+    ``prefixes``, which they only read, and return their results. Each
+    config goes on from a copy of its prefix's state with its own bank and
+    session-1 bank update, and its own copy of the session-1 report. Each
+    later session trains all of them at once; after it, each config is
+    evaluated and passed to ``on_session``."""
+    T, joint, ho = plan.n_sessions, configs[0].method == "joint", configs[0].held_out_only
+    runs = []
+    for config, (first, reference, report, data) in zip(configs, prefixes):
+        state = _fork(first, config)
+        _update_bank(state, *data, _preset(config), 1)
+        matrix = EvalMatrix(n_sessions=T)
+        matrix.reference.update(reference)
+        reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
+                           epoch_losses=list(report.epoch_losses))]
+        runs.append(RunResult(method=config.method, seed=config.seed, n_sessions=T,
+                              matrix=matrix, reports=reports, summary={}, state=state))
+    cell_ranks, pooled_ranks = _truth_ranks(plan, scaler, ho)  # ho is part of the key
+    for t in [T] if joint else range(1, T + 1):
+        if t > 1 and not joint:
+            # one config's sessions go through train_session, where bench/tracing.py
+            # times them and counts steps (one call per session of a run_continual)
+            data = plan.training_arrays(t)
+            states = [run.state for run in runs]
+            reports = ([train_session(states[0], *data, configs[0])] if len(runs) == 1
+                       else _train_lanes(states, configs, *data))
+            for run, report in zip(runs, reports):
+                run.reports.append(report)
+        for run in runs:
+            row = score_sets(run.state.bundle, [plan.test_arrays(j, ho) for j in range(1, t + 1)],
+                             scaler, cell_ranks[:t], pooled_ranks[t - 1])
+            for j, rho in enumerate(row.rhos, start=1):
+                run.matrix.set_cell(t, j, rho)
+            run.matrix.pooled[t] = row.pooled
+            if t < T:
+                run.matrix.set_cell(t, t + 1, score_sets(
+                    run.state.bundle, [plan.test_arrays(t + 1, ho)], scaler,
+                    cell_ranks[t:t + 1]).rhos[0])
+            if on_session is not None:
+                on_session(run.state, run.state.session)
+    for config, run in zip(configs, runs):
+        aft = None if joint else rho_aft(run.matrix, classic=config.classic_forgetting)
+        fwt = None if joint else rho_fwt(run.matrix)
+        run.summary = {"method": config.method, "seed": config.seed,
+                       "rho_avg": run.matrix.pooled[T], "rho_aft": aft, "rho_fwt": fwt}
+    return runs
 
 
 def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
@@ -905,47 +917,6 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
         status = 0
     finally:
         os._exit(status)
-
-
-def _run_from(plan: SessionPlan, scaler: ScoreScaler, config: TrainConfig, on_session,
-              prefix: tuple):
-    """A config's run from its key's trained first session ``prefix``, which
-    it only reads, as a generator that yields each later session to train,
-    (state, inputs, scores, ids, config), is sent its report, and returns
-    the ``RunResult``: a copy of the prefix's state with the config's own
-    bank and session-1 bank update, its own copy of the session-1 report,
-    and its evaluations after every session."""
-    first, reference, report, data = prefix
-    T = plan.n_sessions
-    joint = config.method == "joint"
-    state = _fork(first, config)
-    _update_bank(state, *data, _preset(config), 1)
-    reports = [replace(report, step_terms=[dict(s) for s in report.step_terms],
-                       epoch_losses=list(report.epoch_losses))]
-    matrix = EvalMatrix(n_sessions=T)
-    matrix.reference.update(reference)
-    ho = config.held_out_only
-    cell_ranks, pooled_ranks = _truth_ranks(plan, scaler, ho)
-    for t in [T] if joint else range(1, T + 1):
-        if t > 1 and not joint:
-            reports.append((yield (state, *plan.training_arrays(t), config)))
-        row = score_sets(state.bundle, [plan.test_arrays(j, ho) for j in range(1, t + 1)],
-                         scaler, cell_ranks[:t], pooled_ranks[t - 1])
-        for j, rho in enumerate(row.rhos, start=1):
-            matrix.set_cell(t, j, rho)
-        matrix.pooled[t] = row.pooled
-        if t < T:
-            matrix.set_cell(t, t + 1, score_sets(state.bundle, [plan.test_arrays(t + 1, ho)],
-                                                 scaler, cell_ranks[t:t + 1]).rhos[0])
-        if on_session is not None:
-            on_session(state, state.session)
-    aft = None if joint else rho_aft(matrix, classic=config.classic_forgetting)
-    fwt = None if joint else rho_fwt(matrix)
-    summary = {"method": config.method, "seed": config.seed,
-               "rho_avg": matrix.pooled[T], "rho_aft": aft, "rho_fwt": fwt}
-    return RunResult(method=config.method, seed=config.seed, n_sessions=T,
-                     matrix=matrix, reports=reports, summary=summary,
-                     state=state)
 
 
 def _truth_ranks(plan: SessionPlan, scaler: ScoreScaler, held_out_only: bool) -> tuple:

@@ -535,6 +535,16 @@ def test_sweep_rejects_fractional_counts(tmp_path, mini_config, capsys):
         err = capsys.readouterr().err
         assert f"--axis {axis}" in err and "3.5" in err
         assert not (out / "sweep.csv").exists()
+    # values that are no numbers at all name the flag too; an empty list is
+    # one of them, not a request for the default values
+    for values in ("abc", "2,,3", ""):
+        out = tmp_path / "bad"
+        rc = cli.main(["sweep", "--config", mini_config, "--out", str(out),
+                       "--axis", "shots", "--values", values])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --values ") and repr(values) in err
+        assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_non_finite_noise_before_training(tmp_path, mini_config, capsys,
@@ -709,14 +719,14 @@ def test_grid_artifacts_do_not_depend_on_worker_count(tmp_path, workers):
 
 def test_worker_error_fails_ablate(tmp_path, monkeypatch, workers, capsys):
     workers(2)
-    real = trainer._run_from
+    real = trainer._fork
 
-    def run_from(plan, scaler, config, *rest):
+    def fork(state, config):
         if config.no_residual:
             raise metrics.DegenerateInputError("constant predictions")
-        return real(plan, scaler, config, *rest)
+        return real(state, config)
 
-    monkeypatch.setattr(trainer, "_run_from", run_from)
+    monkeypatch.setattr(trainer, "_fork", fork)
     out = tmp_path / "abl"
     assert cli.main(["ablate", "--config", _grid_config(tmp_path, seeds=[0]),
                      "--out", str(out)]) == 1

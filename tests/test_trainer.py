@@ -393,6 +393,20 @@ def test_run_many_equals_independent_runs(seed):
         assert next(shared, None) is None
 
 
+def test_lanes_share_their_step_and_epoch_counts():
+    # _train_lanes steps a group's lanes on one batch size and one epoch
+    # count, so the fields that set them must stay part of the lane key
+    assert not {"b2", "epochs", "online"} & set(trainer.SESSION_1_FREE)
+    base = _cfg()
+    lanes = [replace(base, **{k: v}) for k, v in SESSION_1_VARIED.items()]
+    others = [replace(base, b2=4), replace(base, epochs=7), replace(base, online=True)]
+    for a in [base, *lanes, *others]:
+        for b in [base, *lanes, *others]:
+            if trainer._lane_key(a) == trainer._lane_key(b):
+                assert (a.b2, a.effective_epochs) == (b.b2, b.effective_epochs)
+    assert len({trainer._lane_key(c) for c in [base, *others]}) == 4
+
+
 # fields a lane of a group may set apart from the others, and values for them
 LANE_FIELDS = {**{flag: [False, True] for flag in trainer.ABLATION_FLAGS},
                "lm_stop_grad": [False, True], "stratified_replay": [False, True],
@@ -441,13 +455,13 @@ def test_lanes_equal_their_own_runs_as_bytes(workers, monkeypatch, n):
     # place, after every config before it was yielded
     workers(n)
     widest = []
-    real = trainer._lockstep
+    real = trainer._train_lanes
 
-    def lockstep(sessions):
-        widest.append(len(sessions))
-        return real(sessions)
+    def train_lanes(states, *rest):
+        widest.append(len(states))
+        return real(states, *rest)
 
-    monkeypatch.setattr(trainer, "_lockstep", lockstep)
+    monkeypatch.setattr(trainer, "_train_lanes", train_lanes)
 
     @settings(database=None, derandomize=True, max_examples=12, deadline=None)
     @given(_lane_configs())
@@ -480,17 +494,18 @@ def _count_sessions(monkeypatch) -> list:
     lockstep with others, and ("fork", method) of every copy of a first
     session."""
     calls = []
-    real_train, real_fork = trainer._session, trainer._fork
+    real_train, real_fork = trainer._train_lanes, trainer._fork
 
-    def train(state, x, y, ids, config):
-        calls.append((state.session + 1, config.method))
-        return real_train(state, x, y, ids, config)
+    def train(states, configs, *data):
+        calls.extend((state.session + 1, config.method)
+                     for state, config in zip(states, configs))
+        return real_train(states, configs, *data)
 
     def fork(state, config):
         calls.append(("fork", config.method))
         return real_fork(state, config)
 
-    monkeypatch.setattr(trainer, "_session", train)
+    monkeypatch.setattr(trainer, "_train_lanes", train)
     monkeypatch.setattr(trainer, "_fork", fork)
     return calls
 
@@ -600,15 +615,16 @@ def test_copied_and_unpickled_states_train_on():
     assert _state_bytes(copies[1]) == _state_bytes(state)
 
 
-def _before_run_from(monkeypatch, hook):
-    """Make ``_run_from`` call ``hook(config)`` before each run."""
-    real = trainer._run_from
+def _before_run(monkeypatch, hook):
+    """Make ``_fork``, which runs once per config at the start of its run,
+    call ``hook(config)`` first."""
+    real = trainer._fork
 
-    def run_from(plan, scaler, config, *rest):
+    def fork(state, config):
         hook(config)
-        return real(plan, scaler, config, *rest)
+        return real(state, config)
 
-    monkeypatch.setattr(trainer, "_run_from", run_from)
+    monkeypatch.setattr(trainer, "_fork", fork)
 
 
 def test_closing_the_pool_leaves_no_child(monkeypatch, workers):
@@ -621,7 +637,7 @@ def test_closing_the_pool_leaves_no_child(monkeypatch, workers):
         if config.method == "replay-raw" and os.getpid() != parent:
             time.sleep(600)
 
-    _before_run_from(monkeypatch, stall)
+    _before_run(monkeypatch, stall)
     runs = trainer.run_many(plan, scaler, _three_configs())
     assert next(runs).method == "magr"
     started = time.perf_counter()
@@ -642,7 +658,7 @@ def test_worker_error_is_raised_at_its_config(monkeypatch, workers, n):
         if config.lambda_p == 0.5:
             raise metrics.DegenerateInputError("constant predictions")
 
-    _before_run_from(monkeypatch, fail)
+    _before_run(monkeypatch, fail)
     configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
     runs = trainer.run_many(plan, scaler, configs)
     assert [next(runs).method for _ in range(2)] == ["magr", "replay-raw"]
@@ -651,6 +667,23 @@ def test_worker_error_is_raised_at_its_config(monkeypatch, workers, n):
     assert str(raised.value) == "constant predictions"
     assert next(runs, None) is None
     assert len(forked) == (n if n > 1 else 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the lr of 1e300 overflows
+@pytest.mark.parametrize("n", [1, 2])
+def test_failing_first_session_is_raised_at_its_first_config(workers, n):
+    # the second config's key fails in its first session; the first config's
+    # result still comes first: from this process, or from a pool of one
+    # worker, the configs before the failing key's first
+    forked = workers(n)
+    plan, scaler = _plan()
+    base = _cfg(epochs=2, lr=1e-3)
+    runs = trainer.run_many(plan, scaler, [base, replace(base, lr=1e300)])
+    assert _run_bytes(next(runs)) == _run_bytes(trainer.run_continual(*_plan(), base))
+    with pytest.raises(ad.NonFiniteError):
+        next(runs)
+    assert next(runs, None) is None
+    assert len(forked) == (1 if n > 1 else 0)
 
 
 def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers):
@@ -663,7 +696,7 @@ def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers
         if config.method == "replay-raw" and os.getpid() != parent:
             os._exit(3)
 
-    _before_run_from(monkeypatch, die)
+    _before_run(monkeypatch, die)
     runs = trainer.run_many(plan, scaler, _three_configs())
     assert next(runs).method == "magr"
     with pytest.raises(RuntimeError, match="worker 1 exited without the result of config 1"):
@@ -681,7 +714,7 @@ def test_worker_dying_in_a_later_config_keeps_its_earlier_results(monkeypatch, w
         if config.lambda_p == 0.5 and os.getpid() != parent:
             os._exit(3)
 
-    _before_run_from(monkeypatch, die)
+    _before_run(monkeypatch, die)
     configs = _alone_third() + [_cfg(epochs=2, lr=1e-3, m=3)]
     runs = trainer.run_many(plan, scaler, configs)
     for config in configs[:2]:
@@ -703,7 +736,7 @@ def test_worker_dying_in_a_lane_group_loses_the_whole_group(monkeypatch, workers
         if config.lambda_p == 0.5 and os.getpid() != parent:
             os._exit(3)
 
-    _before_run_from(monkeypatch, die)
+    _before_run(monkeypatch, die)
     configs = _three_configs() + [_cfg(epochs=2, lr=1e-3, m=3)]
     assert trainer._lane_key(configs[0]) == trainer._lane_key(configs[2])
     runs = trainer.run_many(plan, scaler, configs)
@@ -717,14 +750,14 @@ def test_lanes_failing_where_no_config_does_raise_runtime_error(monkeypatch, wor
     # without error, is a defect of the lanes, not a result to recover from
     workers(n)
     plan, scaler = _plan()
-    real = trainer._lockstep
+    real = trainer._train_lanes
 
-    def lockstep(sessions):
-        if len(sessions) > 1:
+    def train_lanes(states, *rest):
+        if len(states) > 1:
             raise ValueError("stacked shapes disagree")
-        return real(sessions)
+        return real(states, *rest)
 
-    monkeypatch.setattr(trainer, "_lockstep", lockstep)
+    monkeypatch.setattr(trainer, "_train_lanes", train_lanes)
     runs = trainer.run_many(plan, scaler, _three_configs())
     with pytest.raises(RuntimeError, match="lane group of 2 configs raised ValueError") as raised:
         next(runs)
@@ -757,7 +790,7 @@ def test_worker_stream_ending_inside_a_result_raises_runtime_error(monkeypatch, 
             os._exit(3)
         seen.append(config)
 
-    _before_run_from(monkeypatch, die_after_cut)
+    _before_run(monkeypatch, die_after_cut)
     monkeypatch.setattr(pickle, "dumps", cut)
     configs = _alone_third() + [_cfg(epochs=2, lr=1e-3, m=3), _cfg(epochs=2, lr=1e-3, m=2)]
     runs = trainer.run_many(plan, scaler, configs)
