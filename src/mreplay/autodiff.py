@@ -311,8 +311,7 @@ def _log_softmax(a: np.ndarray) -> np.ndarray:
     return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
 
 
-def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
-               reverse_kl: bool):
+def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool):
     """Row losses between the angle columns ``p`` and the gap columns ``q``,
     one per block of rows ``cuts[i]:cuts[i + 1]``: each block's value, and
     the context of ``_row_bwd``, which maps the loss's gradient to ``p``'s.
@@ -320,31 +319,28 @@ def _row_terms(p: np.ndarray, q: np.ndarray, cuts: tuple, use_mse: bool,
     along rows, so each equals the loss of its block on its own, bit for
     bit."""
     blocks = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    probs = lp = lq = None
+    probs = lp = None
     if use_mse:
         diff = p - q
         terms = diff * diff
         scales = [1.0 / ((r.stop - r.start) * p.shape[-1]) for r in blocks]
     else:
-        probs, lp = _softmax(q if reverse_kl else p)  # KL(probs || the other side)
-        lq = _log_softmax(p if reverse_kl else q)
+        probs, lp = _softmax(p)  # KL(softmax(p) || softmax(q))
+        lq = _log_softmax(q)
         diff = lp - lq
         terms = probs * diff
         scales = [1.0 / (r.stop - r.start) for r in blocks]
     values = [c * _block_sum(terms[..., r, :]) for c, r in zip(scales, blocks)]
-    return values, (blocks, scales, reverse_kl, diff, probs, lp, lq)
+    return values, (blocks, scales, diff, probs, lp)
 
 
 def _row_bwd(g, ctx) -> np.ndarray:
-    blocks, scales, reverse_kl, diff, probs, lp, lq = ctx
+    blocks, scales, diff, probs, lp = ctx
     k = np.empty((*diff.shape[:-1], 1))  # each row's block scale times g
     for c, r in zip(scales, blocks):
         k[..., r, :] = c * g
     if probs is None:
         return 2.0 * k * diff
-    if reverse_kl:  # only the second log-softmax depends on p
-        gq = -(k * probs)
-        return gq - np.exp(lq) * gq.sum(axis=-1, keepdims=True)
     gs = k * diff
     gs = probs * (gs - (gs * probs).sum(axis=-1, keepdims=True))
     gl = k * probs
@@ -352,25 +348,25 @@ def _row_bwd(g, ctx) -> np.ndarray:
 
 
 def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint,
-              intra_inter, use_mse, reverse_kl) -> tuple:
+              intra_inter, use_mse) -> tuple:
     """The graph regularizer over ``old`` stacked on ``new``, and the context
     of ``graph_bwd``.
 
     The angles are the clamped arccos of the cosines between the stacked
     rows. Each term is the mean over rows of KL(softmax(angles) ||
-    softmax(gaps)) on one block, reversed by ``reverse_kl``, or with
-    ``use_mse`` the mean squared difference: the whole n x n matrix if
-    ``joint``, then the old/old, old/new, new/old and new/new blocks if
-    ``intra_inter``; at least one must be on. The four blocks are computed
-    as two column groups, old columns and new columns, each split into old
-    rows and new rows. Every sum runs in the composed tape's order.
+    softmax(gaps)) on one block, or with ``use_mse`` the mean squared
+    difference: the whole n x n matrix if ``joint``, then the old/old,
+    old/new, new/old and new/new blocks if ``intra_inter``; at least one
+    must be on. The four blocks are computed as two column groups, old
+    columns and new columns, each split into old rows and new rows. Every
+    sum runs in the composed tape's order.
 
     For a stack of lanes each flag is one bool for all of them or a
     sequence of one per lane: the angles are computed once for the stack,
     and the row terms once per set of lanes with equal flags.
     """
     stacked = old.ndim > 2
-    flags = (joint, intra_inter, use_mse, reverse_kl)
+    flags = (joint, intra_inter, use_mse)
     sets: dict[tuple, list | None] = {flags: None}
     if stacked:
         per_lane = zip(*(f if isinstance(f, (tuple, list)) else [f] * old.shape[0]
@@ -380,7 +376,7 @@ def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint,
             sets.setdefault(f, []).append(i)
         if len(sets) == 1:
             sets = dict.fromkeys(sets)
-    if any(not j and not ii for j, ii, _, _ in sets):
+    if any(not j and not ii for j, ii, _ in sets):
         raise ValueError("graph regularizer with no joint and no block terms")
     if old.shape[-1] != new.shape[-1]:
         raise ShapeError(f"graph mismatch: {old.shape} over {new.shape}")
@@ -399,16 +395,16 @@ def graph_fwd(old: np.ndarray, new: np.ndarray, gaps: np.ndarray, *, joint,
     inside = (cos >= lo) & (cos <= hi)
     angles = np.arccos(x)
     value, parts = None, []
-    for (j, ii, mse, rkl), sub in sets.items():
+    for (j, ii, mse), sub in sets.items():
         a, q = (angles, gaps) if sub is None else (angles[sub], gaps[sub])
         values, whole, halves = [], None, None
         if j:
-            values, whole = _row_terms(a, q, (0, n), mse, rkl)
+            values, whole = _row_terms(a, q, (0, n), mse)
         if ii:
             (oo, no), old_cols = _row_terms(a[..., :b1].copy(), q[..., :b1],
-                                            (0, b1, n), mse, rkl)
+                                            (0, b1, n), mse)
             (on, nn), new_cols = _row_terms(a[..., b1:].copy(), q[..., b1:],
-                                            (0, b1, n), mse, rkl)
+                                            (0, b1, n), mse)
             values += [oo, on, no, nn]
             halves = old_cols, new_cols
         total = sum(values[1:], values[0])

@@ -18,9 +18,7 @@ payload that is not base64, does not fill its shape or holds a non-finite
 value raises ``CheckpointError`` naming the array; so does a file of another
 format version, such as format 1's float lists. The stored train config is
 checked field by field, as a config file is, and so are the session and the
-bank's capacity and refresh epoch, which is no later than the session. The
-loader reads only the keys it needs, so the ``has_frozen`` flag of older
-files is ignored.
+bank's capacity and refresh epoch, which is no later than the session.
 """
 from __future__ import annotations
 

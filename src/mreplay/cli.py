@@ -9,8 +9,9 @@ write never leaves a truncated file.
 
 ``ablate`` and ``sweep`` share one grid runner: each grid cell is a data
 config plus a train config, run for ``--seed`` or each of the "seeds".
-An ablation variant is a set of TrainConfig flags over ``magr``; a sweep
-axis changes one field of the data or train config.
+An ablation variant is ``magr`` with exactly its own ablation flags set,
+whatever the base config's method and flags; a sweep axis changes one
+field of the data or train config.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
 SPLIT_FORMAT_VERSION = 1
 DEFAULT_SWEEP_VALUES = {"shots": [5, 10, 15, 20], "noise": [0.0, 3.0, 6.0, 9.0],
                         "memory": [3, 5, 7, 9, 11]}
-# ablation variant -> the TrainConfig flags it sets on ``magr``
+# ablation variant -> the ablation flags it sets on ``magr``; the others are False
 ABLATION_VARIANTS = {
     "full": {},
     "no_mp": {"no_mp": True},
@@ -392,7 +393,8 @@ def _run_grid(args, cells):
 def cmd_ablate(args) -> int:
     def cells(data_cfg, train_cfg):
         for variant, flags in ABLATION_VARIANTS.items():
-            yield variant, data_cfg, replace(train_cfg, method="magr", **flags)
+            yield variant, data_cfg, replace(train_cfg, method="magr", **{
+                **dict.fromkeys(ABLATION_FLAGS, False), **flags})
 
     rows = []
     full_scores: dict[int, float] = {}
@@ -509,23 +511,24 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="continual score-regression lab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, method_flag=True):
+    def common(sp, online=True, method_flags=True):
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int, help="override the seed")
         sp.add_argument("--out", help="output directory")
-        if method_flag:
-            sp.add_argument("--method", choices=METHODS)
+        if online:
             sp.add_argument("--online", action="store_true",
                             help="single-epoch online regime")
+        if method_flags:
+            sp.add_argument("--method", choices=METHODS)
             for flag in ABLATION_FLAGS:
                 sp.add_argument(f"--{flag.replace('_', '-')}", dest=flag,
                                 action="store_true")
 
     sp = sub.add_parser("gen", help="generate a synthetic dataset + split")
-    common(sp, method_flag=False)
+    common(sp, online=False, method_flags=False)
 
     sp = sub.add_parser("split", help="split an existing dataset CSV")
-    common(sp, method_flag=False)
+    common(sp, online=False, method_flags=False)
     sp.add_argument("--dataset", required=True, help="dataset CSV")
 
     sp = sub.add_parser("train", help="run one continual training")
@@ -541,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write metrics JSON here")
 
     sp = sub.add_parser("ablate", help="run the ablation grid")
-    common(sp)
+    common(sp, method_flags=False)
     sp.add_argument("--dataset", help="dataset CSV (default: synthesize)")
 
     sp = sub.add_parser("sweep", help="sweep one robustness axis")

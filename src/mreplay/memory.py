@@ -118,29 +118,12 @@ def store_session(bank: MemoryBank, features, scores, ids, session: int, *,
     return chosen
 
 
-def sample_replay(bank: MemoryBank, b1: int, rng: np.random.Generator,
-                  stratified: bool = False) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Draw min(b1, size) records uniformly without replacement.
-
-    ``stratified`` spreads the draw across stored sessions round-robin
-    before filling uniformly.
-    """
+def sample_replay(bank: MemoryBank, b1: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Draw min(b1, size) records uniformly without replacement."""
     if bank.size == 0:
         raise EmptyBankError("replay draw from an empty bank")
-    k = min(b1, bank.size)
-    if stratified:
-        by_session: dict[int, list[int]] = {}
-        for i, r in enumerate(bank.entries):
-            by_session.setdefault(r.session, []).append(i)
-        pools = [list(rng.permutation(v)) for _, v in sorted(by_session.items())]
-        picked: list[int] = []
-        while len(picked) < k:
-            for pool in pools:
-                if pool and len(picked) < k:
-                    picked.append(int(pool.pop()))
-        idx = np.array(picked[:k])
-    else:
-        idx = rng.choice(bank.size, size=k, replace=False)
+    idx = rng.choice(bank.size, size=min(b1, bank.size), replace=False)
     feats = np.stack([bank.entries[i].feature for i in idx])
     scores = np.array([bank.entries[i].score for i in idx], dtype=np.float64)
     sample_ids = [bank.entries[i].sample_id for i in idx]

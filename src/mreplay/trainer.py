@@ -27,6 +27,9 @@ express:
   refreshed and the graph term is off; ``replay-raw`` stores raw inputs and
   re-encodes them at every replay step.
 
+The graph term and the replay draw have one form each; the ``RETIRED``
+fields that once chose others stay, False, so that saved configs load.
+
 Until session 1 ends the bank is empty, so its epochs never read the
 ``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key and
 plan, the config as ``sequential-ft`` with those fields at their defaults,
@@ -91,10 +94,11 @@ STREAM_REPLAY = 6
 STREAM_EPS = 7
 STREAM_STORE = 9
 
-ABLATION_FLAGS = ("no_mp", "no_residual", "no_ii_gr", "no_j_gr", "mse_gr",
-                  "random_sampling", "reverse_kl", "abs_score_distance")
+ABLATION_FLAGS = ("no_mp", "no_residual", "no_ii_gr", "no_j_gr", "mse_gr", "random_sampling")
 SESSION_1_FREE = ("m", *ABLATION_FLAGS, "lambda_p", "lambda_r", "b1", "lm_stop_grad",
-                  "stratified_replay", "classic_forgetting")
+                  "classic_forgetting")
+# fields of removed variants; a saved config echoes them, always False
+RETIRED = ("reverse_kl", "abs_score_distance", "stratified_replay")
 # the choices of method and the least value of each numeric TrainConfig
 # field; lr's is the least float above 0
 TRAIN_BOUNDS = {"method": METHODS, "lambda_p": 0, "lambda_r": 0, "b1": 1, "b2": 1,
@@ -135,6 +139,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_config(self, "train", TRAIN_BOUNDS)
+        for name in RETIRED:
+            if getattr(self, name):
+                raise ValueError(f"train field {name!r} is True, but that variant was removed")
         if self.no_mp and self.no_residual:
             raise ValueError("train field 'no_residual' is True, but no_mp removes "
                              "the projector it would change")
@@ -296,8 +303,8 @@ class _Lanes:
 
         self.weights = {"l_p": per_lane([configs[i].lambda_p for i in self.projected]),
                         "l_r": per_lane([configs[i].lambda_r for i in self.graphed])}
-        graph_flags = [(not c.abs_score_distance, not c.no_j_gr, not c.no_ii_gr, c.mse_gr,
-                        c.reverse_kl) for c in (configs[i] for i in self.graphed)]
+        graph_flags = [(not c.no_j_gr, not c.no_ii_gr, c.mse_gr)
+                       for c in (configs[i] for i in self.graphed)]
         self.graph_flags = tuple(tuple(f) if self.stacked else f[0]
                                  for f in zip(*graph_flags)) or None
         # the order the components are updated in: projector, regressor, encoder
@@ -436,8 +443,7 @@ def _train_step(lanes: list, group: _Lanes | None = None) -> list[dict]:
             h_projected = _residual(h_frozen, acts_frozen[-1], group.residual, projected)
             terms["l_p"] = (*ad.sq_error_fwd(_rows(h_new, projected, every), h_projected,
                                              1.0 / n), projected)
-        draws = [mem.sample_replay(s.bank, c.b1, s.rngs["replay"],
-                                   stratified=c.stratified_replay)
+        draws = [mem.sample_replay(s.bank, c.b1, s.rngs["replay"])
                  for s, c in zip(states, configs)]
         stored = ad.checked(_stack([d[0] for d in draws]), lanes=stacked)
         k = stored.shape[-2]
@@ -461,13 +467,12 @@ def _train_step(lanes: list, group: _Lanes | None = None) -> list[dict]:
         terms["l_m"] = (*ad.sq_error_fwd(y_hat_old, ad.checked(y_old[..., None], lanes=stacked),
                                          1.0 / k), every)
         if graphed:
-            signed, joint, blocks, use_mse, reverse_kl = group.graph_flags
+            joint, blocks, use_mse = group.graph_flags
             gaps = ls.score_distance_matrix(
-                _rows(np.concatenate([y_old, yb], axis=-1), graphed, every), signed=signed)
+                _rows(np.concatenate([y_old, yb], axis=-1), graphed, every))
             terms["l_r"] = (*ad.graph_fwd(
                 _rows(h_old, graphed, every), _rows(h_new, graphed, every), gaps,
-                joint=joint, intra_inter=blocks, use_mse=use_mse, reverse_kl=reverse_kl),
-                graphed)
+                joint=joint, intra_inter=blocks, use_mse=use_mse), graphed)
     # the total sums the terms in TERMS order, the weighted ones in their lanes
     first = [terms[key][0] for key in ("l_d", "l_m") if key in terms]
     total, _ = ad.weighted_sum_fwd(first, [None] * len(first))
@@ -709,8 +714,8 @@ def _lane_key(config: TrainConfig) -> tuple:
     """What the configs that train in lockstep share: the first-session key
     and what sets the shapes of a step and its set of sub-steps, the kind
     of replay (``replay-feature-naive`` is ``magr`` with flags set), ``b1``
-    and ``m``. Their ablation flags, lambdas, ``lm_stop_grad``,
-    ``stratified_replay`` and ``classic_forgetting`` may differ."""
+    and ``m``. Their ablation flags, lambdas, ``lm_stop_grad`` and
+    ``classic_forgetting`` may differ."""
     kind = config.method if config.method in (*MEMORYLESS, "replay-raw") else "magr"
     return _first_key(config), kind, config.b1, config.m
 

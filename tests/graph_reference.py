@@ -151,25 +151,23 @@ def kl_row_divergence(p: Tensor, q: Tensor) -> Tensor:
     return tp.scale(sum_all(tp.mul(probs, diff)), 1.0 / p.rows)
 
 
-def _row_loss(p: Tensor, q: Tensor, use_mse: bool, reverse: bool) -> Tensor:
+def _row_loss(p: Tensor, q: Tensor, use_mse: bool) -> Tensor:
     if use_mse:
         return tp.scale(tp.sq_error(p, q), 1.0 / p.value.size)
-    if reverse:
-        return kl_row_divergence(q, p)
     return kl_row_divergence(p, q)
 
 
 def graph_loss(old: Tensor, new: Tensor, s: np.ndarray, *, joint: bool,
-               intra_inter: bool, use_mse: bool, reverse_kl: bool) -> Tensor:
+               intra_inter: bool, use_mse: bool) -> Tensor:
     """The graph regularizer composed: the terms over the n x n gap matrix
     ``s``, summed in order."""
     b1, n = old.rows, old.rows + new.rows
     a = angular_distance_matrix(concat_rows(old, new))
-    terms = [_row_loss(a, tp.const(s), use_mse, reverse_kl)] if joint else []
+    terms = [_row_loss(a, tp.const(s), use_mse)] if joint else []
     if intra_inter:
         for (r0, r1), (c0, c1) in product(((0, b1), (b1, n)), repeat=2):
             terms.append(_row_loss(slice_block(a, r0, r1, c0, c1),
-                                   tp.const(s[r0:r1, c0:c1]), use_mse, reverse_kl))
+                                   tp.const(s[r0:r1, c0:c1]), use_mse))
     total = terms[0]
     for term in terms[1:]:
         total = tp.add(total, term)
@@ -177,8 +175,7 @@ def graph_loss(old: Tensor, new: Tensor, s: np.ndarray, *, joint: bool,
 
 
 def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
-                   intra_inter: bool = True, use_mse: bool = False,
-                   reverse_kl: bool = False, signed: bool = True) -> Tensor:
+                   intra_inter: bool = True, use_mse: bool = False) -> Tensor:
     """Graph regularizer over replayed features ``old`` stacked on current
     features ``new``, with one score per row, old first.
 
@@ -193,6 +190,5 @@ def graph_reg_loss(old: Tensor, new: Tensor, scores, *, joint: bool = True,
         raise ValueError(f"{y.size} scores for {n} rows")
     if not joint and not intra_inter:
         raise ValueError("graph regularizer with no joint and no block terms")
-    return graph_loss(old, new, losses.score_distance_matrix(y, signed=signed),
-                      joint=joint, intra_inter=intra_inter, use_mse=use_mse,
-                      reverse_kl=reverse_kl)
+    return graph_loss(old, new, losses.score_distance_matrix(y),
+                      joint=joint, intra_inter=intra_inter, use_mse=use_mse)

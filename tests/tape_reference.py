@@ -433,9 +433,7 @@ def train_step(state, xb: np.ndarray, yb: np.ndarray, config) -> tuple[dict, dic
         if not config.no_mp:
             h_projected = project(encode(xt, frozen))
             l_p = scaled_sq_error(h_new, h_projected, 1.0 / h_new.rows)
-        feats, y_old, _ = mem.sample_replay(state.bank, config.b1,
-                                            state.rngs["replay"],
-                                            stratified=config.stratified_replay)
+        feats, y_old, _ = mem.sample_replay(state.bank, config.b1, state.rngs["replay"])
         stored = const(feats)
         if config.method == "replay-raw":
             h_old = encode(stored, encoder)
@@ -450,9 +448,7 @@ def train_step(state, xb: np.ndarray, yb: np.ndarray, config) -> tuple[dict, dic
             l_r = gr.graph_reg_loss(h_old, h_new, np.concatenate([y_old, yb]),
                                     joint=not config.no_j_gr,
                                     intra_inter=not config.no_ii_gr,
-                                    use_mse=config.mse_gr,
-                                    reverse_kl=config.reverse_kl,
-                                    signed=not config.abs_score_distance)
+                                    use_mse=config.mse_gr)
     total = weighted_sum([(t, c) for t, c in ((l_d, None), (l_m, None), (l_p, config.lambda_p),
                                               (l_r, config.lambda_r)) if t is not None])
     grads = backward(total, [[1.0]])

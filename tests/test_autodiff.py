@@ -150,7 +150,7 @@ def test_ops_on_constants_record_nothing():
             gr.concat_rows(a, b), gr.slice_block(a, 0, 2, 1, 3), gr.sum_all(a),
             tp.sq_error(a, b), tp.linear(a, w, row),
             gr.graph_loss(a, b, np.zeros((6, 6)), joint=True, intra_inter=True,
-                          use_mse=False, reverse_kl=False)]
+                          use_mse=False)]
     for out in outs:
         assert not out.needs_grad and not out._parents and out._bwd is None
     # values match the same expression over leaves

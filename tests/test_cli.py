@@ -230,7 +230,8 @@ PROBES = [("train", "seed", True), ("train", "no_mp", "yes"), ("train", "online"
           ("train", "b2", 1.5), ("train", "trunk_widths", [12, 6.0]),
           ("train", "lambda_p", math.nan), ("train", "lr", "0.01"),
           ("train", "encoder_widths", 5), ("data", "drift", math.nan), ("data", "T", 3.0),
-          ("data", "shots", 2.5), ("data", "n", 60.5)]
+          ("data", "shots", 2.5), ("data", "n", 60.5), ("train", "reverse_kl", True),
+          ("train", "abs_score_distance", True), ("train", "stratified_replay", True)]
 
 
 def _with_probes(test):
@@ -253,6 +254,18 @@ def test_a_wrong_config_value_fails_naming_its_field_before_the_run_directory(ca
             assert cli.main(["train", "--config", str(config), "--out", str(out)]) == 1
         assert err.getvalue().startswith(f"error: {section} field {name!r} is ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--reverse-kl"], ["train", "--abs-score-distance"],
+    ["sweep", "--axis", "memory", "--reverse-kl"], ["ablate", "--method", "joint"],
+    ["ablate", "--mse-gr"]])
+def test_an_option_the_command_does_not_take_is_a_usage_error(capsys, argv):
+    # the removed variants have no flags, and ablate sets method and flags itself
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -510,6 +523,8 @@ def test_ablate_grid(tmp_path, mini_config, capsys):
                         "delta_rho_avg,delta_pct")
     variants = [line.split(",")[0] for line in lines[1:]]
     assert variants == list(cli.ABLATION_VARIANTS)
+    # every ablation flag has a variant, and no variant sets another field
+    assert set(trainer.ABLATION_FLAGS) == set().union(*cli.ABLATION_VARIANTS.values())
     full_delta = float(lines[1].split(",")[5])
     assert full_delta == 0.0
 
@@ -594,13 +609,14 @@ def _assert_row_matches(row, summary):
 
 
 def test_grid_runner_matches_direct_runs(tmp_path):
-    # a non-magr method shows that ablate overrides it and sweep keeps it
-    cfg = dict(MINI, train=dict(MINI["train"], epochs=1, method="replay-raw"),
-               seeds=[0, 1])
+    # a non-magr method and ablation flags in the base config show that
+    # ablate overrides them and sweep keeps them
+    cfg = dict(MINI, train=dict(MINI["train"], epochs=1, method="replay-raw", mse_gr=True,
+                                no_mp=True), seeds=[0, 1])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
 
-    # ablate: every variant is magr plus the paper's flags for it
+    # ablate: every variant is magr plus the paper's flags for it, and no others
     variant_flags = {"full": {}, "no_mp": {"no_mp": True},
                      "no_residual": {"no_residual": True},
                      "no_ii_gr": {"no_ii_gr": True}, "no_j_gr": {"no_j_gr": True},
@@ -612,7 +628,8 @@ def test_grid_runner_matches_direct_runs(tmp_path):
     assert [(r["variant"], int(r["seed"])) for r in rows] == \
         [(v, s) for v in variant_flags for s in (0, 1)]
     for r in rows:
-        train = {**cfg["train"], "method": "magr", **variant_flags[r["variant"]]}
+        train = {**cfg["train"], "method": "magr", "mse_gr": False, "no_mp": False,
+                 **variant_flags[r["variant"]]}
         _assert_row_matches(r, _direct_summary(int(r["seed"]), train))
 
     # sweep: each axis changes the split (shots, noise) or the config (memory)

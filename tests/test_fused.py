@@ -165,9 +165,9 @@ def test_graph_loss_keeps_signed_zeros_of_the_padded_sum(b1, b2, d, seed, draw):
     same = rng.random(angles.shape) < 0.5
     same[rng.random(b1 + b2) < 0.5] = True
     gaps = np.where(same, angles, gaps)
-    for flags in [dict(joint=j, intra_inter=i, use_mse=m, reverse_kl=r)
+    for flags in [dict(joint=j, intra_inter=i, use_mse=m)
                   for j in (True, False) for i in (True, False)
-                  for m in (True, False) for r in (True, False) if j or i]:
+                  for m in (True, False) if j or i]:
         value, ctx = ad.graph_fwd(h[:b1], h[b1:], gaps, **flags)
         ga = ad.graph_bwd(seed, ctx)
         old, new = tp.leaf(h[:b1]), tp.leaf(h[b1:])
@@ -229,9 +229,8 @@ def test_grad_check_weighted_sum(case, weights):
 
 
 @GRAD_SETTINGS
-@given(_graded(), st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
-       st.booleans())
-def test_grad_check_graph_loss(case, b2, joint, intra_inter, use_mse, reverse_kl):
+@given(_graded(), st.integers(1, 3), st.booleans(), st.booleans(), st.booleans())
+def test_grad_check_graph_loss(case, b2, joint, intra_inter, use_mse):
     rng, b1, widths = case
     joint = joint or not intra_inter
     old = rng.normal(size=(b1, widths[0] + 1))
@@ -239,4 +238,4 @@ def test_grad_check_graph_loss(case, b2, joint, intra_inter, use_mse, reverse_kl
     y = rng.normal(size=b1 + b2)
     gaps = y[:, None] - y[None, :]
     assert tp.graph_halves_error(old, new, gaps, joint=joint, intra_inter=intra_inter,
-                                 use_mse=use_mse, reverse_kl=reverse_kl) < 1e-4
+                                 use_mse=use_mse) < 1e-4

@@ -137,9 +137,9 @@ def test_stacked_weighted_sum_equals_its_lanes(case, weighted):
 @st.composite
 def _graph_cases(draw):
     lanes = draw(st.integers(2, 4))
-    # one (joint, intra_inter, use_mse, reverse_kl) per lane, not both
-    # terms off; sometimes equal in every lane
-    flags = st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()).filter(
+    # one (joint, intra_inter, use_mse) per lane, not both terms off;
+    # sometimes equal in every lane
+    flags = st.tuples(st.booleans(), st.booleans(), st.booleans()).filter(
         lambda f: f[0] or f[1])
     per_lane = draw(st.lists(flags, min_size=lanes, max_size=lanes))
     if draw(st.booleans()):
@@ -157,7 +157,7 @@ def test_stacked_graph_equals_its_lanes(case):
     new = _values(rng, (lanes, b2, d), atoms)
     y = rng.uniform(size=(lanes, b1 + b2))
     gaps = y[:, :, None] - y[:, None, :]
-    names = ("joint", "intra_inter", "use_mse", "reverse_kl")
+    names = ("joint", "intra_inter", "use_mse")
     value, ctx = ad.graph_fwd(old, new, gaps, **dict(zip(names, zip(*per_lane))))
     g = _values(rng, (lanes, 1, 1), False)
     grad = ad.graph_bwd(g, ctx)
@@ -172,7 +172,7 @@ def test_stacked_graph_rejects_a_lane_without_terms():
     old, new = np.ones((2, 2, 3)), np.ones((2, 1, 3))
     with pytest.raises(ValueError, match="no joint and no block terms"):
         ad.graph_fwd(old, new, np.zeros((2, 3, 3)), joint=(True, False),
-                     intra_inter=(True, False), use_mse=False, reverse_kl=False)
+                     intra_inter=(True, False), use_mse=False)
 
 
 @SETTINGS

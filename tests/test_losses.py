@@ -16,13 +16,11 @@ import tape_reference as tp
 from mreplay import losses
 
 
-def _graph(old, new, scores, *, signed=True, joint=True, intra_inter=True, use_mse=False,
-           reverse_kl=False) -> tuple:
+def _graph(old, new, scores, *, joint=True, intra_inter=True, use_mse=False) -> tuple:
     """The graph term's value and backward context as the training step
     makes them, from the score gaps of ``losses.score_distance_matrix``."""
-    return ad.graph_fwd(old, new, losses.score_distance_matrix(scores, signed=signed),
-                        joint=joint, intra_inter=intra_inter, use_mse=use_mse,
-                        reverse_kl=reverse_kl)
+    return ad.graph_fwd(old, new, losses.score_distance_matrix(scores),
+                        joint=joint, intra_inter=intra_inter, use_mse=use_mse)
 
 
 def _batch(rng, b1=2, b2=3, d=4):
@@ -99,8 +97,6 @@ def test_angular_distance_scale_invariant_bit_exact():
 def test_score_distance_hand_values():
     s = losses.score_distance_matrix([1.0, 3.0])
     assert np.array_equal(s, [[0.0, -2.0], [2.0, 0.0]])
-    u = losses.score_distance_matrix([1.0, 3.0], signed=False)
-    assert np.array_equal(u, [[0.0, 2.0], [2.0, 0.0]])
     with pytest.raises(ValueError):
         losses.score_distance_matrix([])
     with pytest.raises(ad.NonFiniteError):
@@ -204,8 +200,6 @@ def test_graph_reg_variants_differ():
     batch = _batch(rng)
     base = _graph(*batch)[0]
     assert _graph(*batch, use_mse=True)[0] != base
-    assert _graph(*batch, reverse_kl=True)[0] != base
-    assert _graph(*batch, signed=False)[0] != base
 
 
 def test_graph_reg_mse_self_consistency():
@@ -215,7 +209,7 @@ def test_graph_reg_mse_self_consistency():
     rng = np.random.default_rng(35)
     h = tp.leaf(rng.normal(size=(4, 3)))
     a = gr.angular_distance_matrix(h)
-    assert gr._row_loss(a, a, use_mse=True, reverse=False).value[0, 0] == 0.0
+    assert gr._row_loss(a, a, use_mse=True).value[0, 0] == 0.0
 
 
 def test_joint_batch_validation():
@@ -229,14 +223,14 @@ def test_joint_batch_validation():
     # the forward half takes only an n x n gap matrix
     with pytest.raises(ad.ShapeError):
         ad.graph_fwd(np.ones((2, 3)), np.ones((2, 3)), np.zeros((4, 3)),
-                     joint=True, intra_inter=True, use_mse=False, reverse_kl=False)
+                     joint=True, intra_inter=True, use_mse=False)
 
 
 # ------------------------------------------------ the halves and the tape
 
-# every valid (joint, intra_inter, use_mse, reverse_kl, signed)
-GRAPH_FLAGS = [dict(zip(("joint", "intra_inter", "use_mse", "reverse_kl", "signed"), f))
-               for f in product((True, False), repeat=5) if f[0] or f[1]]
+# every valid (joint, intra_inter, use_mse)
+GRAPH_FLAGS = [dict(zip(("joint", "intra_inter", "use_mse"), f))
+               for f in product((True, False), repeat=3) if f[0] or f[1]]
 
 
 @st.composite
@@ -277,13 +271,10 @@ def test_grad_check_all_graph_variants():
     for seed in range(3):
         rng = np.random.default_rng(500 + seed)
         old, new, scores = _batch(rng, 2, 3, 4)
-        for kwargs in ({}, {"intra_inter": False}, {"joint": False},
-                       {"use_mse": True}, {"reverse_kl": True}):
-            for signed in (True, False):
-                gaps = losses.score_distance_matrix(scores, signed=signed)
-                flags = {"joint": True, "intra_inter": True, "use_mse": False,
-                         "reverse_kl": False, **kwargs}
-                assert tp.graph_halves_error(old, new, gaps, **flags) < 1e-5
+        gaps = losses.score_distance_matrix(scores)
+        for kwargs in ({}, {"intra_inter": False}, {"joint": False}, {"use_mse": True}):
+            flags = {"joint": True, "intra_inter": True, "use_mse": False, **kwargs}
+            assert tp.graph_halves_error(old, new, gaps, **flags) < 1e-5
 
 
 def test_grad_check_regression_and_projector():

@@ -186,18 +186,6 @@ def test_sample_replay_covers_bank_uniformly():
     assert abs(freq.max() - 0.1) < 0.02 and abs(freq.min() - 0.1) < 0.02
 
 
-def test_sample_replay_stratified_round_robin():
-    bank = memory.MemoryBank(capacity=4)
-    memory.store_session(bank, np.zeros((4, 2)), [1.0, 2.0, 3.0, 4.0],
-                         list("abcd"), session=1)
-    memory.store_session(bank, np.ones((4, 2)), [5.0, 6.0, 7.0, 8.0],
-                         list("efgh"), session=2)
-    rng = np.random.default_rng(1)
-    f, y, _ = memory.sample_replay(bank, 4, rng, stratified=True)
-    sessions = [1 if v <= 4.0 else 2 for v in y]
-    assert sessions.count(1) == 2 and sessions.count(2) == 2
-
-
 def test_empty_bank_raises():
     bank = memory.MemoryBank(capacity=2)
     with pytest.raises(memory.EmptyBankError):

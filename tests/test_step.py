@@ -14,7 +14,7 @@ import tape_reference
 from mreplay import data, memory as mem, trainer
 from mreplay.models import components, freeze_copy
 
-FLAGS = (*trainer.ABLATION_FLAGS, "lm_stop_grad", "stratified_replay", "online")
+FLAGS = (*trainer.ABLATION_FLAGS, "lm_stop_grad", "online")
 
 
 def _state_bytes(state) -> list:

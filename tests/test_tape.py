@@ -21,8 +21,8 @@ SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 # frozen encoder copy, and the memory bank's features and scores (see
 # `_state_digest`), keyed by method, `online`, `lm_stop_grad` and the
 # ablation flags set. The flagged magr runs pin each path of the graph
-# regularizer (MSE rows, reverse KL over absolute score gaps, blocks only,
-# joint only) as the composed primitives computed it. They pin the arithmetic of training, not just its
+# regularizer (MSE rows, blocks only, joint only) as the composed
+# primitives computed it. They pin the arithmetic of training, not just its
 # outcome: changing the order in which fan-out gradients are summed changes
 # them (replaying the tape in creation order instead of depth-first
 # post-order does, from session 2 on). Recorded with numpy's OpenBLAS build
@@ -48,10 +48,6 @@ DIGESTS = {
         "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
         "4de24beb2fbd25e3591cdd5419f7172332f493b08e711424ededc1e7cb871cab",
         "4e96894ef2a72ee97588f4b72e822633b692aba98a4bd7ccfe20f0cd9595c459"],
-    ("magr", False, True, "reverse_kl", "abs_score_distance"): [
-        "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
-        "ab43c10a8e4d6056fffb4e9033535136b802c94c4f0120cff49a63ae0d5bca66",
-        "248ca053040f00f4942321f4c81ce4fcd90579d012c23dc791b888351980c62d"],
     ("magr", False, True, "no_j_gr"): [
         "e99f7c9ec014e5db90d05079d7a9b4557161406b1322beaf4f6c6bad298f7586",
         "fc5880b91f35200299516e9b109fd11e8d1fac3cb3dd59373f9e4f62acd41ed3",

@@ -85,7 +85,7 @@ def test_resolve_ablation_flags():
     magr_state, magr = _two_sessions()
     first = magr.step_terms[0]
     assert magr_state.bank.refresh_epoch == 2
-    for flag in ("no_ii_gr", "no_j_gr", "mse_gr", "reverse_kl", "abs_score_distance"):
+    for flag in ("no_ii_gr", "no_j_gr", "mse_gr"):
         terms = _two_sessions(**{flag: True})[1].step_terms[0]
         assert (terms["l_d"], terms["l_m"], terms["l_p"]) == \
             (first["l_d"], first["l_m"], first["l_p"]), flag
@@ -343,9 +343,8 @@ def test_feature_deviation():
 # one value other than the default for each field session 1 never reads
 SESSION_1_VARIED = {"m": 2, "no_mp": True, "no_residual": True, "no_ii_gr": True,
                     "no_j_gr": True, "mse_gr": True, "random_sampling": True,
-                    "reverse_kl": True, "abs_score_distance": True, "lambda_p": 0.3,
-                    "lambda_r": 0.5, "b1": 2, "lm_stop_grad": True,
-                    "stratified_replay": True, "classic_forgetting": True}
+                    "lambda_p": 0.3, "lambda_r": 0.5, "b1": 2, "lm_stop_grad": True,
+                    "classic_forgetting": True}
 
 
 def _state_bytes(state) -> list:
@@ -409,8 +408,8 @@ def test_lanes_share_their_step_and_epoch_counts():
 
 # fields a lane of a group may set apart from the others, and values for them
 LANE_FIELDS = {**{flag: [False, True] for flag in trainer.ABLATION_FLAGS},
-               "lm_stop_grad": [False, True], "stratified_replay": [False, True],
-               "classic_forgetting": [False, True], "lambda_p": [0.0, 0.3, 1.0, 2.5],
+               "lm_stop_grad": [False, True], "classic_forgetting": [False, True],
+               "lambda_p": [0.0, 0.3, 1.0, 2.5],
                "lambda_r": [0.0, 0.5, 1.0, 3.0]}
 
 
@@ -959,16 +958,6 @@ def test_held_out_only_knob():
         assert result.matrix.reference[t] == metrics.spearman(truth, pred)
     default = trainer.run_continual(plan, scaler, _cfg(epochs=2))
     assert default.matrix.cells != result.matrix.cells
-
-
-def test_stratified_replay_knob():
-    plan, scaler = _plan()
-    cfg = _cfg(epochs=2, b1=2, lr=1e-2)
-    a = trainer.run_continual(plan, scaler, replace(cfg, stratified_replay=True))
-    b = trainer.run_continual(plan, scaler, replace(cfg, stratified_replay=True))
-    default = trainer.run_continual(plan, scaler, cfg)
-    assert a.summary == b.summary and a.matrix.cells == b.matrix.cells
-    assert a.summary["rho_avg"] != default.summary["rho_avg"]
 
 
 @pytest.mark.parametrize("n, T, shots, held_out_only, session, count", [
