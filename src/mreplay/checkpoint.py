@@ -16,9 +16,13 @@ state in place and restores the frozen copy, so training on
 from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
 payload that is not base64, does not fill its shape or holds a non-finite
 value raises ``CheckpointError`` naming the array; so does a file of another
-format version, such as format 1's float lists. The stored train config is
-checked field by field, as a config file is, and so are the session and the
-bank's capacity and refresh epoch, which is no later than the session.
+format version, such as format 1's float lists. A root that is no object
+or a missing top-level, scaler or bank field raises it naming the field.
+The stored train config is checked field by field, as a config file is,
+and so are the session, the scaler's bounds and the bank's capacity and
+refresh epoch, which is no later than the session. The bank's columns are
+checked whole: finite float scores, int sessions from 1 to the session,
+and str ids.
 """
 from __future__ import annotations
 
@@ -121,39 +125,65 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
         fh.write(json.dumps(payload) + "\n")
 
 
+def _need(d, name: str, path):
+    """The last part of the dotted checkpoint field ``name`` in ``d``, or a
+    ``CheckpointError`` naming the file and the field."""
+    key = name.rpartition(".")[2]
+    if not isinstance(d, dict) or key not in d:
+        raise CheckpointError(f"{path}: checkpoint field {name!r} is missing")
+    return d[key]
+
+
+def _check(path, name: str, annotation: str, value, least=None):
+    """``check_field`` on a checkpoint field, raising ``CheckpointError``."""
+    try:
+        check_field("checkpoint", name, annotation, value, least)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from None
+    return value
+
+
 def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: checkpoint root is {type(payload).__name__!r}, "
+                              f"not an object")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: checkpoint format {version!r} is not the "
                               f"supported version {FORMAT_VERSION}")
-    packed_bank = payload["bank"]
-    session, capacity, refresh_epoch = (payload["session"], packed_bank["capacity"],
-                                        packed_bank["refresh_epoch"])
-    for name, value, least in (("session", session, 0), ("bank.capacity", capacity, 1),
-                               ("bank.refresh_epoch", refresh_epoch, 0)):
-        try:
-            check_field("checkpoint", name, "int", value, least)
-        except ValueError as e:
-            raise CheckpointError(f"{path}: {e}") from None
+    packed_bank = _need(payload, "bank", path)
+    session = _check(path, "session", "int", _need(payload, "session", path), 0)
+    capacity, refresh_epoch = (_check(path, name, "int", _need(packed_bank, name, path), least)
+                               for name, least in (("bank.capacity", 1),
+                                                   ("bank.refresh_epoch", 0)))
     if refresh_epoch > session:
         raise CheckpointError(f"{path}: checkpoint field 'bank.refresh_epoch' is "
                               f"{refresh_epoch}, above its session {session}")
-    config = config_from_dict(TrainConfig, payload["config"], "train")
-    stored = _unpack_spec(payload["spec"])
+    packed_scaler = _need(payload, "scaler", path)
+    lo, hi = (_check(path, name, "float", _need(packed_scaler, name, path))
+              for name in ("scaler.lo", "scaler.hi"))
+    try:
+        scaler = ScoreScaler(lo=lo, hi=hi)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: checkpoint field 'scaler': {e}") from None
+    config = config_from_dict(TrainConfig, _need(payload, "config", path), "train")
+    packed_spec = _need(payload, "spec", path)
+    stored = _unpack_spec(packed_spec)
     spec = bundle_spec_for(config, stored.input_width, stored.encoder is None)
-    if _pack_spec(spec) != payload["spec"]:
-        raise CheckpointError(f"{path}: stored spec {payload['spec']} does not "
+    if _pack_spec(spec) != packed_spec:
+        raise CheckpointError(f"{path}: stored spec {packed_spec} does not "
                               f"match config-derived spec {_pack_spec(spec)}")
+    packed_params = _need(payload, "params", path)
     for comp_name, shapes in param_shapes(spec).items():
-        if set(payload["params"][comp_name] or ()) != set(shapes or ()):
+        if set(packed_params.get(comp_name) or ()) != set(shapes or ()):
             raise CheckpointError(f"{path}: parameter names for {comp_name} do "
                                   f"not match the spec")
 
     def value(name: str, shape: tuple[int, int]) -> np.ndarray:
         comp_name = name.partition(".")[0]
-        arr = _unpack_array(payload["params"][comp_name][name],
+        arr = _unpack_array(packed_params[comp_name][name],
                             f"{path}: params/{comp_name}/{name}")
         if arr.shape != shape:
             raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
@@ -163,25 +193,39 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
     # the bundle holds the stored arrays, each checked as a tensor holds it,
     # and the optimizer state copies them into its buffer
     state = fresh_state(build_bundle(spec, value), config)
-    state.bundle.frozen_encoder = None if payload["frozen_encoder"] is None else \
+    frozen = _need(payload, "frozen_encoder", path)
+    state.bundle.frozen_encoder = None if frozen is None else \
         {name: ad.Param(_unpack_array(d, f"{path}: frozen_encoder/{name}"))
-         for name, d in payload["frozen_encoder"].items()}
+         for name, d in frozen.items()}
     bank = MemoryBank(capacity=capacity, refresh_epoch=refresh_epoch)
-    _load_bank(bank, packed_bank, f"{path}: bank")
-    _load_adam(state, payload["adam"], path)
+    _load_bank(bank, packed_bank, path, session)
+    _load_adam(state, _need(payload, "adam", path), path)
     state.bank = bank
     state.session = session
-    for name, s in payload["rng"].items():
+    for name, s in _need(payload, "rng", path).items():
         state.rngs[name].bit_generator.state = json.loads(s)
-    scaler = ScoreScaler(lo=payload["scaler"]["lo"], hi=payload["scaler"]["hi"])
     return state, scaler, config
 
 
-def _load_bank(bank: MemoryBank, packed: dict, where: str) -> None:
-    features = _unpack_array(packed["features"], f"{where}/features")
-    columns = packed["scores"], packed["sessions"], packed["ids"]
+def _load_bank(bank: MemoryBank, packed: dict, path, upto: int) -> None:
+    """Fill ``bank`` with the stored entries, each column checked whole."""
+    def column(name: str, kinds: set, ok, want: str) -> list:
+        values = _need(packed, f"bank.{name}", path)
+        if type(values) is not list or not {type(v) for v in values} <= kinds or \
+                not ok(values):
+            raise CheckpointError(f"{path}: checkpoint field 'bank.{name}' is not a list "
+                                  f"of {want}")
+        return values
+
+    features = _unpack_array(_need(packed, "bank.features", path), f"{path}: bank/features")
+    columns = (column("scores", {int, float},
+                      lambda vs: all(type(v) is int or math.isfinite(v) for v in vs),
+                      "finite floats"),
+               column("sessions", {int}, lambda vs: not vs or 1 <= min(vs) and max(vs) <= upto,
+                      f"ints from 1 to the session {upto}"),
+               column("ids", {str}, lambda vs: True, "strs"))
     if features.ndim != 2 or any(len(c) != features.shape[0] for c in columns):
-        raise CheckpointError(f"{where}: features of shape {features.shape} for "
+        raise CheckpointError(f"{path}: bank: features of shape {features.shape} for "
                               f"{', '.join(str(len(c)) for c in columns)} scores, "
                               f"sessions and ids")
     bank.entries = [FeatureRecord(feature=row.copy(), score=score, session=session,

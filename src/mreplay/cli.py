@@ -364,7 +364,9 @@ def _run_grid(args, cells):
     """The grid runner of ``ablate`` and ``sweep``. ``cells(data_cfg,
     train_cfg)`` yields (label, data config, train config) from the base
     configs. For each seed, the cells of one data config share a plan and
-    a ``run_many`` call. Yields (label, seed, summary), cell by cell."""
+    a ``run_many`` call. Every cell and plan is built, and so checked,
+    before any cell trains; each plan is built again for its call rather
+    than kept. Yields (label, seed, summary), cell by cell."""
     cfg = _load_config(args.config)
     data_cfg = _data_config(cfg)
     train_cfg = _train_config(cfg, args)
@@ -373,18 +375,24 @@ def _run_grid(args, cells):
             any(type(s) is not int or s < 0 for s in seeds):  # a bool is no seed
         raise ValueError(f"config field 'seeds' is {seeds!r}, "
                          "not a non-empty list of ints >= 0")
-    # every cell is built, and so checked, before any of them trains
     grid = list(cells(data_cfg, train_cfg))
     dataset, _ = _load_dataset(args, data_cfg)
+
+    def plans():
+        for seed in seeds:
+            for cell_data in dict.fromkeys(data for _, data, _ in grid):
+                members = [i for i, (_, data, _) in enumerate(grid) if data == cell_data]
+                yield seed, members, _build_plan(dataset, cell_data, None, seed)[0]
+
+    for _, members, plan in plans():
+        for held_out_only in {grid[i][2].held_out_only for i in members}:
+            check_test_sets(plan, held_out_only)
     summaries = {}
-    for seed in seeds:
-        for cell_data in dict.fromkeys(data for _, data, _ in grid):
-            members = [i for i, (_, data, _) in enumerate(grid) if data == cell_data]
-            plan, _ = _build_plan(dataset, cell_data, None, seed)
-            runs = run_many(*normalize_scores(plan),
-                            [replace(grid[i][2], seed=seed) for i in members])
-            for i, result in zip(members, runs):
-                summaries[i, seed] = result.summary
+    for seed, members, plan in plans():
+        runs = run_many(*normalize_scores(plan),
+                        [replace(grid[i][2], seed=seed) for i in members])
+        for i, result in zip(members, runs):
+            summaries[i, seed] = result.summary
     for i, (label, _, _) in enumerate(grid):
         for seed in seeds:
             yield label, seed, summaries[i, seed]

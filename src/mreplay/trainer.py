@@ -31,10 +31,11 @@ The graph term and the replay draw have one form each; the ``RETIRED``
 fields that once chose others stay, False, so that saved configs load.
 
 Until session 1 ends the bank is empty, so its epochs never read the
-``SESSION_1_FREE`` fields. ``run_many`` trains session 1 once per key and
+``SESSION_1_FREE`` fields. A process trains session 1 once per key and
 plan, the config as ``sequential-ft`` with those fields at their defaults,
-and keeps it in the plan's ``memo``, so later calls on the same plan reuse
-it; each config goes on from a deep copy of that state. The memo also
+when a run first needs it, and keeps it in the plan's ``memo``, so later
+runs on the same plan in that process reuse it; each config goes on from a
+deep copy of that state. The memo also
 keeps the ranks of the test truths per scaler and ``held_out_only``, so
 ``score_sets``, the one scorer of a bundle (``mreplay eval`` and the
 scatter plot call it too), ranks only the predictions of a run's rows.
@@ -53,16 +54,18 @@ If a group raises, its configs run again one by one, and if none of them
 raises alone, a RuntimeError says the lanes failed.
 
 On platforms with ``os.fork`` and ``os.sched_getaffinity`` (Linux), one
-``run_many`` call trains all its keys' first sessions, then runs its
-configs in one pool of forked worker processes, one per CPU of the
-affinity mask and at most one per config. Each worker pickles its results
-onto a pipe, and they come back in config order, bit-identical to a serial
-run; each worker runs the lane groups of its configs and sends a group's
-results when the whole group is done, so a worker that dies while a group
-trains loses the results of all its lanes. Elsewhere, or with one CPU or
-one config, they run in-process; ``run_continual``, whose ``on_session``
-hook runs in the calling process, always does. No option sets the worker
-count or the lanes; ``taskset`` limits the workers.
+``run_many`` call runs its configs in one pool of forked worker processes,
+one per CPU of the affinity mask and at most one per config. Each worker
+runs the in-process path (``_in_order``) on its share, so it trains the
+first sessions its configs need, and the calling process trains none.
+Each worker pickles its results onto a pipe, and they come back in config
+order, bit-identical to a serial run; each worker runs the lane groups of
+its configs and sends a group's results when the whole group is done, so
+a worker that dies while a group trains loses the results of all its
+lanes. Elsewhere, or with one CPU or one config, that path runs
+in-process; ``run_continual``, whose ``on_session`` hook runs in the
+calling process, always does. No option sets the worker count or the
+lanes; ``taskset`` limits the workers.
 """
 from __future__ import annotations
 
@@ -649,48 +652,25 @@ def run_continual(plan: SessionPlan, scaler: ScoreScaler,
     ``on_session(state, t)`` is called after each session's evaluations,
     e.g. to persist checkpoints."""
     _check_plan(plan, [config])
-    prefix = _prefix(plan, scaler, _first_key(config))
-    return _run_group(plan, scaler, [config], [prefix], on_session)[0]
+    return _run_group(plan, scaler, [config], on_session)[0]
 
 
 def run_many(plan: SessionPlan, scaler: ScoreScaler, configs):
     """Yield ``run_continual``'s result for each of a list of configs, in
-    order, or raise a config's error at its place. A key's first session is
-    trained once per plan, on the first call that needs it, and kept in
-    ``plan.memo`` for every later call; a ``joint`` config is its own key.
-    Each config goes on from a copy of it. The configs of a lane group
-    (``_lane_key``) train their later sessions in lockstep (``_in_order``).
+    order, or raise a config's error at its place (``_in_order``). The
+    plan is checked on the call; the configs run when the first result is
+    asked for.
 
-    Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), the call
-    trains every key's first session here, then runs its configs in
-    ``min(CPUs in the affinity mask, configs)`` forked worker processes,
-    whose results come back in order, bit-identical to a serial run; a
-    first session that fails here is raised after the results of the
-    configs before the first config of its key. With one CPU or one config,
-    the configs run here, each group when its first config is due, training
-    its key's first session when it is first needed."""
+    Where ``os.fork`` and ``os.sched_getaffinity`` exist (Linux), the
+    configs run in ``min(CPUs in the affinity mask, configs)`` forked
+    worker processes, each running ``_in_order`` on its share, and their
+    results come back in order, bit-identical to a serial run. With one CPU
+    or one config, ``_in_order`` runs here."""
     _check_plan(plan, configs)
-    keys = [_first_key(c) for c in configs]
     n = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         n = min(len(os.sched_getaffinity(0)), len(configs))
-
-    def runs():
-        if n < 2:
-            yield from _in_order(plan, scaler, configs,
-                                 lambda i: _prefix(plan, scaler, keys[i]))
-            return
-        prefixes, failure = [], None
-        for key in keys:
-            try:
-                prefixes.append(_prefix(plan, scaler, key))
-            except Exception as e:  # noqa: BLE001 - raised after the configs before it
-                failure = e
-                break
-        yield from _forked(plan, scaler, configs[:len(prefixes)], prefixes, min(n, len(prefixes)))
-        if failure is not None:
-            raise failure
-    return runs()
+    return _in_order(plan, scaler, configs) if n < 2 else _forked(plan, scaler, configs, n)
 
 
 def _check_plan(plan: SessionPlan, configs: list) -> None:
@@ -720,41 +700,42 @@ def _lane_key(config: TrainConfig) -> tuple:
     return _first_key(config), kind, config.b1, config.m
 
 
-def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefix):
-    """Yield each config's result, in order; ``prefix(i)`` is config i's
-    trained first session. The configs of a lane group run together
+def _in_order(plan: SessionPlan, scaler: ScoreScaler, configs: list):
+    """Yield each config's result, in order, or raise its error at its
+    place and end. The configs of a lane group run together
     (``_lanes_or_alone``) when the first of them is due, and the others'
-    outcomes wait for their turn."""
+    outcomes wait for their turn. A key's first session is trained when
+    the first group of that key runs, so one that fails is raised at the
+    first config of its key."""
     keys = [_lane_key(c) for c in configs]
     done = {}
-    for i, config in enumerate(configs):
-        members = [j for j in range(i, len(configs)) if keys[j] == keys[i]]
-        if i not in done and len(members) > 1:
-            done.update(_lanes_or_alone(plan, scaler, configs, members, prefix))
+    for i in range(len(configs)):
         if i not in done:
-            yield _run_group(plan, scaler, [config], [prefix(i)])[0]
-        elif isinstance(done[i], Exception):
+            done.update(_lanes_or_alone(plan, scaler, configs, [
+                j for j in range(i, len(configs)) if keys[j] == keys[i]]))
+        if isinstance(done[i], Exception):
             raise done.pop(i)
-        else:
-            yield done.pop(i)
+        yield done.pop(i)
 
 
-def _lanes_or_alone(plan: SessionPlan, scaler: ScoreScaler, configs: list, members: list,
-                    prefix) -> dict:
-    """Each of ``members``' results, from one ``_run_group`` of them all. If
-    that raises, each runs alone instead, from a fork of its own, up to the
-    first that raises, whose outcome is its exception, so each yields or
-    raises what ``run_continual`` would. If every member runs alone, the
-    lanes failed where no config does: a RuntimeError chained from their
-    exception reports it."""
+def _lanes_or_alone(plan: SessionPlan, scaler: ScoreScaler, configs: list,
+                    members: list) -> dict:
+    """Each of ``members``' outcomes, its result or its exception, from one
+    ``_run_group`` of them all; a lone member's outcome is what that
+    raises. If a group of several raises, each runs alone instead, from a
+    fork of its own, up to the first that raises, whose outcome is its
+    exception, so each yields or raises what ``run_continual`` would. If
+    every member runs alone, the lanes failed where no config does: a
+    RuntimeError chained from their exception reports it."""
     try:
-        return dict(zip(members, _run_group(plan, scaler, [configs[j] for j in members],
-                                            [prefix(j) for j in members])))
-    except Exception as failure:  # noqa: BLE001 - each config re-runs alone
+        return dict(zip(members, _run_group(plan, scaler, [configs[j] for j in members])))
+    except Exception as failure:  # noqa: BLE001 - raised at the config's place
+        if len(members) == 1:
+            return {members[0]: failure}
         outcomes = {}
         for j in members:
             try:
-                outcomes[j] = _run_group(plan, scaler, [configs[j]], [prefix(j)])[0]
+                outcomes[j] = _run_group(plan, scaler, [configs[j]])[0]
             except Exception as e:  # noqa: BLE001 - raised at the config's place
                 outcomes[j] = e
                 return outcomes
@@ -763,17 +744,18 @@ def _lanes_or_alone(plan: SessionPlan, scaler: ScoreScaler, configs: list, membe
                            f"ran alone without error") from failure
 
 
-def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
+def _run_group(plan: SessionPlan, scaler: ScoreScaler, configs: list,
                on_session=None) -> list[RunResult]:
-    """Run configs of one lane group from their keys' trained first sessions
-    ``prefixes``, which they only read, and return their results. Each
-    config goes on from a copy of its prefix's state with its own bank and
-    session-1 bank update, and its own copy of the session-1 report. Each
-    later session trains all of them at once; after it, each config is
-    evaluated and passed to ``on_session``."""
+    """Run configs of one lane group and return their results. Each config
+    goes on from a copy of its key's trained first session (``_prefix``),
+    which it only reads, with its own bank and session-1 bank update, and
+    its own copy of the session-1 report. Each later session trains all of
+    them at once; after it, each config is evaluated and passed to
+    ``on_session``."""
     T, joint, ho = plan.n_sessions, configs[0].method == "joint", configs[0].held_out_only
     runs = []
-    for config, (first, reference, report, data) in zip(configs, prefixes):
+    for config in configs:
+        first, reference, report, data = _prefix(plan, scaler, _first_key(config))
         state = _fork(first, config)
         _update_bank(state, *data, _preset(config), 1)
         matrix = EvalMatrix(n_sessions=T)
@@ -846,16 +828,15 @@ def _fork(state: TrainState, config: TrainConfig) -> TrainState:
     return fork
 
 
-def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: list,
-            n: int):
+def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, n: int):
     """Yield ``_in_order``'s result for each config, in order, from ``n``
-    forked workers. Worker w runs configs w, w + n, ... on its own copies of
-    their inherited ``prefixes`` and pickles each result onto its pipe as it
-    is yielded, so the results are read round-robin, one at a time, and a
-    worker that dies loses only the configs it had not sent. A lane group's
-    results are yielded when the whole group is done, so one that dies in
-    any lane of a group loses every lane's. However this generator ends,
-    every worker is killed if still running and reaped."""
+    forked workers. Worker w runs ``_in_order`` on configs w, w + n, ...
+    and pickles each result onto its pipe as it is yielded, so the results
+    are read round-robin, one at a time, and a worker that dies loses only
+    the configs it had not sent. A lane group's results are yielded when
+    the whole group is done, so one that dies in any lane of a group loses
+    every lane's. However this generator ends, every worker is killed if
+    still running and reaped."""
     import pickle
     import signal
 
@@ -867,7 +848,7 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: lis
             try:
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _work(wfd, pipes, plan, scaler, configs[w::n], prefixes[w::n])
+                    _work(wfd, pipes, plan, scaler, configs[w::n])
             finally:
                 os.close(wfd)
         for i, config in enumerate(configs):
@@ -889,7 +870,7 @@ def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, prefixes: lis
 
 
 def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
-          configs: list, prefixes: list) -> None:
+          configs: list) -> None:
     """A worker's whole life: run ``configs`` and write each pickled result
     to ``fd`` as soon as it is yielded, or the first exception, which ends
     the run. It leaves through ``os._exit``, never returning into the
@@ -901,7 +882,7 @@ def _work(fd: int, inherited: list, plan: SessionPlan, scaler: ScoreScaler,
     try:
         for other in inherited:
             other.close()
-        runs = _in_order(plan, scaler, configs, prefixes.__getitem__)
+        runs = _in_order(plan, scaler, configs)
         with open(fd, "wb") as fh:
             for _ in configs:
                 try:

@@ -1,6 +1,7 @@
 """Shared test setup."""
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -48,13 +49,37 @@ def no_kept_dataset(monkeypatch):
 WORKER_TEST_SECONDS = 300
 
 
+class CallLog:
+    """A log that this process and the workers it forks append to: one
+    JSON line per entry in a file, so what a patched function records in a
+    worker reaches the test."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def append(self, *entry) -> None:
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *entry]) + "\n")
+
+    def by_pid(self) -> dict:
+        """Each pid's entries, as tuples, in the order that pid wrote them."""
+        out = {}
+        if self.path.exists():
+            for line in self.path.read_text().splitlines():
+                pid, *entry = json.loads(line)
+                out.setdefault(pid, []).append(tuple(entry))
+        return out
+
+
 @pytest.fixture()
-def workers(monkeypatch):
+def workers(monkeypatch, tmp_path):
     """``workers(n)`` makes ``trainer.run_many`` see n CPUs in the affinity
-    mask and returns the list of pids it forks from then on. A test that
-    uses it fails after ``WORKER_TEST_SECONDS`` instead of hanging on a pipe
-    that never ends, as a worker left running or a leaked write end would
-    make it; forked workers do not inherit the alarm."""
+    mask and returns the list of pids it forks from then on;
+    ``workers.log`` is a ``CallLog`` for what patched functions record in
+    this process and in the workers. A test that uses it fails after
+    ``WORKER_TEST_SECONDS`` instead of hanging on a pipe that never ends,
+    as a worker left running or a leaked write end would make it; forked
+    workers do not inherit the alarm."""
     def expire(signum, frame):
         pytest.fail(f"no end after {WORKER_TEST_SECONDS} s: a run_many pipe was left open")
 
@@ -73,6 +98,7 @@ def workers(monkeypatch):
 
         monkeypatch.setattr(os, "fork", fork)
         return pids
+    use.log = CallLog(tmp_path / "calls.jsonl")
     yield use
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)

@@ -261,7 +261,8 @@ def test_training_loop_structure():
 
 # The benchmark runs, by tag: the train overrides of configs/benchmark.json.
 # Each seed runs every tag through one run_many call, so the methods and
-# variants other than joint train their first session once.
+# variants other than joint train their first session once per process that
+# runs any of them: once with one CPU, and in each of the two workers on 2.
 BENCHMARK_TAGS = {
     "joint": {"method": "joint"},
     "magr": {"method": "magr"},

@@ -92,9 +92,10 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(predict(state.bundle, x), predict(loaded.bundle, x))
 
 
-def test_has_frozen_key_of_older_files_ignored(tmp_path):
-    # format 1 files once carried a redundant "has_frozen" flag beside
-    # "frozen_encoder"; it is no longer written, and loading ignores it
+def test_unknown_top_level_key_is_ignored(tmp_path):
+    # loading a format-2 file ignores a top-level key it does not know, here
+    # "has_frozen", which format 1 wrote beside "frozen_encoder" (a format-1
+    # file itself is refused by its version)
     plan, scaler = _plan()
     cfg = _cfg()
     x = plan.test_arrays(2)[0]
@@ -265,8 +266,8 @@ _any_float = st.floats(allow_nan=False, allow_infinity=False)
 def _saved_states(draw):
     """A config and a state of it with drawn parameter values, RNG
     positions and session, a frozen encoder or none, and a non-empty bank
-    of arbitrary finite features and scores, last refreshed in a session
-    no later than the state's."""
+    of arbitrary finite features and scores, stored and last refreshed in
+    sessions no later than the state's."""
     cfg = _cfg(seed=draw(st.integers(0, 2**16)), m=draw(st.integers(1, 6)))
     state = trainer.new_state(cfg, 8)
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -283,7 +284,8 @@ def _saved_states(draw):
     for t in range(draw(st.integers(1, 4))):
         state.bank.entries.append(FeatureRecord(
             feature=np.array(draw(st.lists(_any_float, min_size=12, max_size=12))),
-            score=draw(_any_float), session=t + 1, sample_id=draw(st.text(max_size=6))))
+            score=draw(_any_float), session=min(t + 1, state.session),
+            sample_id=draw(st.text(max_size=6))))
     return cfg, state, data.ScoreScaler(lo=-1.5, hi=draw(st.floats(0.0, 1e6)))
 
 

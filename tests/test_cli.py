@@ -574,6 +574,32 @@ def test_sweep_rejects_non_finite_noise_before_training(tmp_path, mini_config, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("held_out_only, values, message", [
+    (False, "5,25", "grade 1 has 20 samples, fewer than shots=25"),
+    (True, "5,20", "session 1 has 0 test samples with held_out_only=True"),
+])
+def test_grid_checks_every_plan_before_any_run(tmp_path, monkeypatch, capsys, held_out_only,
+                                               values, message):
+    # the second shot count's split is impossible: the sweep fails before
+    # the first shot count's cells train
+    calls, real = [], cli.run_many
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "run_many", spy)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(MINI, train=dict(MINI["train"], held_out_only=held_out_only),
+                                    seeds=[0, 1])))
+    out = tmp_path / "sw"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "shots", "--values", values,
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds", [[True], [], [0, -1], [0.0], 3, "0"])
 def test_grid_rejects_a_bad_seeds_list_before_any_run(tmp_path, capsys, seeds):
     path = tmp_path / "cfg.json"
@@ -702,21 +728,22 @@ def _grid_config(tmp_path, seeds=(0, 1)):
     return str(path)
 
 
-def test_grid_workers_leave_only_first_sessions_to_the_parent(tmp_path, monkeypatch,
-                                                               workers):
+def test_grid_workers_train_their_own_first_sessions(tmp_path, monkeypatch, workers):
+    # one pool of two per seed; each worker runs 4 of the 8 variants, which
+    # train in lockstep, so its only train_session is its seed's first
+    # session, and this process trains none
     forked = workers(2)
-    sessions = []
     real = trainer.train_session
 
     def spy(state, *args):
-        sessions.append((state.session + 1, args[-1].seed))
+        workers.log.append(state.session + 1, args[-1].seed)
         return real(state, *args)
 
     monkeypatch.setattr(trainer, "train_session", spy)
     assert cli.main(["ablate", "--config", _grid_config(tmp_path),
                      "--out", str(tmp_path / "a")]) == 0
-    assert sessions == [(1, 0), (1, 1)]
     assert len(forked) == 4
+    assert workers.log.by_pid() == {pid: [(1, w // 2)] for w, pid in enumerate(forked)}
 
 
 def test_grid_artifacts_do_not_depend_on_worker_count(tmp_path, workers):
@@ -885,6 +912,9 @@ def test_bad_checkpoint_version_fails_eval(tmp_path, mini_config, capsys):
     assert "format" in capsys.readouterr().err
 
 
+_DROP = object()  # a field to delete
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("session", 2.5, "checkpoint field 'session' is 2.5, not an int >= 0"),
     ("session", "2", "checkpoint field 'session' is '2', not an int >= 0"),
@@ -897,6 +927,16 @@ def test_bad_checkpoint_version_fails_eval(tmp_path, mini_config, capsys):
                               "above its session 2"),
     ("bank.capacity", 0, "checkpoint field 'bank.capacity' is 0, not an int >= 1"),
     ("bank.capacity", True, "checkpoint field 'bank.capacity' is True, not an int >= 1"),
+    # the root is field "", and a callable value is applied to the stored one
+    ("", lambda p: [p], "checkpoint root is 'list', not an object"),
+    ("scaler", _DROP, "checkpoint field 'scaler' is missing"),
+    ("rng", _DROP, "checkpoint field 'rng' is missing"),
+    ("bank.ids", _DROP, "checkpoint field 'bank.ids' is missing"),
+    ("scaler.lo", "a", "checkpoint field 'scaler.lo' is 'a', not a finite float"),
+    ("bank.scores", lambda v: ["0.5", *v[1:]],
+     "checkpoint field 'bank.scores' is not a list of finite floats"),
+    ("bank.sessions", lambda v: [*v[:-1], 99],
+     "checkpoint field 'bank.sessions' is not a list of ints from 1 to the session 2"),
 ])
 def test_a_bad_checkpoint_scalar_fails_eval_naming_it(tmp_path, capsys, field, value,
                                                       message):
@@ -904,11 +944,17 @@ def test_a_bad_checkpoint_scalar_fails_eval_naming_it(tmp_path, capsys, field, v
     assert cli.main(["train", "--config", str(smoke), "--out", str(tmp_path)]) == 0
     run_dir = tmp_path / "magr-seed0"
     payload = json.loads((run_dir / "checkpoints" / "session_02.json").read_text())
-    *parents, key = field.split(".")
-    target = payload
-    for parent in parents:
-        target = target[parent]
-    target[key] = value
+    if not field:
+        payload = value(payload)
+    else:
+        *parents, key = field.split(".")
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value(target[key]) if callable(value) else value
     hacked = tmp_path / "hacked.json"
     hacked.write_text(json.dumps(payload))
     capsys.readouterr()

@@ -540,19 +540,39 @@ def test_run_continual_trains_each_session_once(monkeypatch):
         trainer.run_many(one, scaler, [_cfg()])  # on the call, before any run
 
 
-def test_workers_leave_only_first_sessions_to_the_parent(monkeypatch, workers):
-    # the parent trains the three keys' first sessions, in config order; all
-    # five configs, the joint and seed-1 keys' single ones too, run on the
-    # call's two workers
-    forked = workers(2)
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_sessions_are_trained_where_their_configs_run(monkeypatch, workers, n):
+    # each process trains the first sessions of the keys of the configs it
+    # runs, once each, in config order: this one, keeping them in the plan's
+    # memo, or only the call's two workers, worker w those of configs w,
+    # w + 2, ... (the joint and seed-1 keys' on worker 1)
+    forked = workers(n)
     plan, scaler = _plan()
-    calls = _count_sessions(monkeypatch)
+    real = trainer._train_lanes
+
+    def train(states, configs, *data):
+        for state, config in zip(states, configs):
+            if state.session == 0:
+                workers.log.append(config.method, config.seed)
+        return real(states, configs, *data)
+
+    monkeypatch.setattr(trainer, "_train_lanes", train)
     configs = [_cfg(epochs=1), _cfg(epochs=1, method="joint"), _cfg(epochs=1, no_mp=True),
                _cfg(epochs=1, seed=1), _cfg(epochs=1, method="replay-raw", m=2)]
     results = list(trainer.run_many(plan, scaler, configs))
     assert [r.method for r in results] == [c.method for c in configs]
-    assert len(forked) == 2
-    assert calls == [(1, "sequential-ft"), (1, "joint"), (1, "sequential-ft")]
+    keys = [(k.method, k.seed) for k in map(trainer._first_key, configs)]
+    trained = workers.log.by_pid()
+    memoised = [(k[1].method, k[1].seed) for k in plan.memo
+                if isinstance(k[1], trainer.TrainConfig)]
+    if n == 1:
+        assert forked == []
+        assert trained == {os.getpid(): list(dict.fromkeys(keys))}
+        assert memoised == list(dict.fromkeys(keys))
+    else:
+        assert len(forked) == 2
+        assert trained == {pid: list(dict.fromkeys(keys[w::2])) for w, pid in enumerate(forked)}
+        assert memoised == []
 
 
 def test_one_pool_per_call(workers):
@@ -672,8 +692,8 @@ def test_worker_error_is_raised_at_its_config(monkeypatch, workers, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_failing_first_session_is_raised_at_its_first_config(workers, n):
     # the second config's key fails in its first session; the first config's
-    # result still comes first: from this process, or from a pool of one
-    # worker, the configs before the failing key's first
+    # result still comes first: from this process, or from worker 0 of a pool
+    # of two, while worker 1 fails in the second config
     forked = workers(n)
     plan, scaler = _plan()
     base = _cfg(epochs=2, lr=1e-3)
@@ -682,7 +702,7 @@ def test_failing_first_session_is_raised_at_its_first_config(workers, n):
     with pytest.raises(ad.NonFiniteError):
         next(runs)
     assert next(runs, None) is None
-    assert len(forked) == (1 if n > 1 else 0)
+    assert len(forked) == (2 if n > 1 else 0)
 
 
 def test_worker_dying_without_a_result_raises_runtime_error(monkeypatch, workers):
