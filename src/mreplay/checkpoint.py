@@ -10,19 +10,29 @@ features are one (size, D) matrix beside lists of its scores, sessions
 and ids. A file is written beside its target and then moved over it, so a
 failed save leaves the previous file intact.
 
-Loading builds the bundle from the stored parameters, with no random
-init, writes the Adam moments and step counts into its fresh optimizer
-state in place and restores the frozen copy, so training on
-from a loaded checkpoint reproduces the uninterrupted run bit for bit. A
-payload that is not base64, does not fill its shape or holds a non-finite
-value raises ``CheckpointError`` naming the array; so does a file of another
-format version, such as format 1's float lists. A root that is no object
-or a missing top-level, scaler or bank field raises it naming the field.
-The stored train config is checked field by field, as a config file is,
-and so are the session, the scaler's bounds and the bank's capacity and
-refresh epoch, which is no later than the session. The bank's columns are
-checked whole: finite float scores, int sessions from 1 to the session,
-and str ids.
+A load has two steps. ``_decode`` parses and checks a file's bytes into
+read-only contents, which ``data.kept`` keeps under the SHA-256 of the
+bytes until other checkpoint bytes are read, so a process decodes a file
+once however often it loads it. ``_build`` then makes a new state from
+the contents on every load: each component's Adam buffer a copy of the
+stored parameters, which the bundle's parameters view, beside copies of
+the stored moments and the step count, the frozen copy, the bank and the
+RNG streams at their stored states. No random init is drawn and no array
+is shared with the kept contents or another load's state, so training on
+from a loaded checkpoint reproduces the uninterrupted run bit for bit.
+
+A payload that is not base64, does not fill its shape or holds a
+non-finite value raises ``CheckpointError`` naming the array; so does a
+file of another format version, such as format 1's float lists. A file
+that is no JSON, a root that is no object, and a missing or faulty field
+at any depth raise it naming the file and the field, a nested one by its
+dotted path (``adam.regressor.step_count``). The stored train config is
+checked field by field, as a config file is, and so are the session, the
+scaler's bounds, the bank's capacity and refresh epoch, which is no later
+than the session, and each component's step count. The bank's columns
+are checked whole: finite float scores, int sessions from 1 to the
+session, and str ids. The RNG streams must be exactly those of a state,
+each at a state its bit generator accepts.
 """
 from __future__ import annotations
 
@@ -30,15 +40,16 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import ScoreScaler, atomic_write, check_field, config_from_dict
+from .data import ScoreScaler, atomic_write, check_field, config_from_dict, kept
 from .memory import FeatureRecord, MemoryBank
-from .models import BundleSpec, MlpSpec, build_bundle, param_shapes
-from .trainer import TrainConfig, TrainState, bundle_spec_for, fresh_state
+from .models import BundleSpec, build_bundle, components, param_shapes
+from .trainer import TrainConfig, TrainState, bundle_spec_for
 
 FORMAT_VERSION = 2
 
@@ -53,16 +64,19 @@ def _pack_array(a: np.ndarray) -> dict:
 
 
 def _unpack_array(d: dict, where: str) -> np.ndarray:
+    """The float64 array that ``d``, a ``_pack_array`` object, holds, read
+    only; ``where`` names it in an error."""
     shape = d["shape"]
     try:
-        raw = base64.b64decode(d["f64"], validate=True)
-    except (binascii.Error, TypeError, ValueError) as e:
+        raw = binascii.a2b_base64(d["f64"], strict_mode=True)
+    except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
         raise CheckpointError(f"{where}: bad base64 payload: {e}") from None
-    if not all(isinstance(n, int) and n >= 0 for n in shape) or \
+    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape) or \
             len(raw) != 8 * math.prod(shape):
         raise CheckpointError(f"{where}: payload of {len(raw)} bytes does not "
                               f"match shape {shape}")
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=False).reshape(shape)
+    a.flags.writeable = False
     if not np.isfinite(a).all():
         raise CheckpointError(f"{where}: non-finite values")
     return a
@@ -78,14 +92,6 @@ def _pack_spec(spec: BundleSpec) -> dict:
         "projector": list(spec.projector.widths),
         "trunk": list(spec.trunk.widths),
     }
-
-
-def _unpack_spec(d: dict) -> BundleSpec:
-    return BundleSpec(
-        encoder=None if d["encoder"] is None else MlpSpec(tuple(d["encoder"])),
-        projector=MlpSpec(tuple(d["projector"])),
-        trunk=MlpSpec(tuple(d["trunk"])),
-    )
 
 
 def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
@@ -134,6 +140,14 @@ def _need(d, name: str, path):
     return d[key]
 
 
+def _object(d, name: str, path) -> dict:
+    """``_need`` of a checkpoint field that holds an object."""
+    value = _need(d, name, path)
+    if not isinstance(value, dict):
+        raise CheckpointError(f"{path}: checkpoint field {name!r} is not an object")
+    return value
+
+
 def _check(path, name: str, annotation: str, value, least=None):
     """``check_field`` on a checkpoint field, raising ``CheckpointError``."""
     try:
@@ -143,9 +157,67 @@ def _check(path, name: str, annotation: str, value, least=None):
     return value
 
 
+def _array(d, name: str, path, where: str, shape=None) -> np.ndarray:
+    """The read-only array of the dotted checkpoint field ``name``, which is
+    ``d``, of ``shape`` if one is given; ``where`` names it in an error."""
+    _need(d, f"{name}.shape", path)
+    _need(d, f"{name}.f64", path)
+    arr = _unpack_array(d, f"{path}: {where}")
+    if shape is not None and arr.shape != shape:
+        raise CheckpointError(f"{path}: shape {arr.shape} for {where} does not "
+                              f"match {shape}")
+    return arr
+
+
+# the RNG streams of a state, in the order trainer.fresh_state makes them
+RNG_STREAMS = ("order", "replay", "eps", "store")
+
+
+def _generator(state: dict) -> np.random.Generator:
+    """A generator at the stored bit-generator ``state``. numpy makes no bit
+    generator without a seed, so it is seeded with 0 and then set."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+@dataclass(frozen=True)
+class _Stored:
+    """A checkpoint's checked contents, decoded once per process for the
+    same bytes (``data.kept``): each array read-only, and nothing in it
+    written after ``_decode``. Every load builds a state of its own from
+    them (``_build``)."""
+
+    session: int
+    scaler: ScoreScaler
+    config: TrainConfig
+    spec: BundleSpec
+    # component -> its parameters' spans in its flat buffer, the buffer's
+    # values, its Adam moments m and v, and its step count
+    optimizers: dict[str, tuple[dict, np.ndarray, np.ndarray, np.ndarray, int]]
+    frozen: dict[str, np.ndarray] | None
+    # capacity, refresh epoch, the (size, D) features, and the scores,
+    # sessions and ids of the entries
+    bank: tuple[int, int, np.ndarray, list, list, list]
+    rngs: dict[str, dict]
+
+
 def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    """The state, score scaler and train config a checkpoint file holds.
+    Its bytes are decoded and checked once per process (``data.kept``); the
+    state is new on every call and shares no array with another's."""
+    raw = Path(path).read_bytes()
+    stored = kept("checkpoint", raw, lambda: _decode(raw, path))
+    return _build(stored), stored.scaler, stored.config
+
+
+def _decode(raw: bytes, path) -> _Stored:
+    """A checkpoint file's bytes, checked and decoded, or a
+    ``CheckpointError`` naming the file and the first faulty field."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError are
+        raise CheckpointError(f"{path}: not a JSON checkpoint: {e}") from None
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint root is {type(payload).__name__!r}, "
                               f"not an object")
@@ -170,45 +242,63 @@ def load_checkpoint(path) -> tuple[TrainState, ScoreScaler, TrainConfig]:
         raise CheckpointError(f"{path}: checkpoint field 'scaler': {e}") from None
     config = config_from_dict(TrainConfig, _need(payload, "config", path), "train")
     packed_spec = _need(payload, "spec", path)
-    stored = _unpack_spec(packed_spec)
-    spec = bundle_spec_for(config, stored.input_width, stored.encoder is None)
-    if _pack_spec(spec) != packed_spec:
-        raise CheckpointError(f"{path}: stored spec {packed_spec} does not "
-                              f"match config-derived spec {_pack_spec(spec)}")
-    packed_params = _need(payload, "params", path)
-    for comp_name, shapes in param_shapes(spec).items():
-        if set(packed_params.get(comp_name) or ()) != set(shapes or ()):
-            raise CheckpointError(f"{path}: parameter names for {comp_name} do "
-                                  f"not match the spec")
+    encoder, projector, _ = (_need(packed_spec, f"spec.{name}", path)
+                             for name in ("encoder", "projector", "trunk"))
+    try:
+        # the stored input width, the first of the encoder's or in feature
+        # mode the projector's widths
+        spec = bundle_spec_for(config, (projector if encoder is None else encoder)[0],
+                               encoder is None)
+    except (TypeError, LookupError, ValueError):
+        spec = None
+    if spec is None or _pack_spec(spec) != packed_spec:
+        raise CheckpointError(f"{path}: stored spec {packed_spec} does not match "
+                              f"config-derived spec {spec and _pack_spec(spec)}")
+    shapes = param_shapes(spec)
 
-    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
-        comp_name = name.partition(".")[0]
-        arr = _unpack_array(packed_params[comp_name][name],
-                            f"{path}: params/{comp_name}/{name}")
-        if arr.shape != shape:
-            raise CheckpointError(f"{path}: shape {arr.shape} for {name} "
-                                  f"does not match {shape}")
-        return arr
+    def arrays(packed, name: str, comp: str) -> dict[str, np.ndarray]:
+        """The checked arrays of the dotted field ``name``, which is
+        ``packed``, one per parameter of ``comp`` in ``param_shapes`` order;
+        a component the spec lacks is stored as None."""
+        if not isinstance(packed, dict | None) or set(packed or ()) != set(shapes[comp] or ()):
+            raise CheckpointError(f"{path}: parameter names for "
+                                  f"{name.rpartition('.')[2]} do not match the spec")
+        where = name.replace(".", "/")
+        return {p: _array(packed[p], f"{name}.{p}", path, f"{where}/{p}", shape)
+                for p, shape in (shapes[comp] or {}).items()}
 
-    # the bundle holds the stored arrays, each checked as a tensor holds it,
-    # and the optimizer state copies them into its buffer
-    state = fresh_state(build_bundle(spec, value), config)
+    packed_params = _object(payload, "params", path)
+    params = {comp: arrays(packed_params.get(comp), f"params.{comp}", comp)
+              for comp in shapes}
+    packed_adam = _object(payload, "adam", path)
+    if set(packed_adam) != {comp for comp, values in params.items() if values}:
+        raise CheckpointError(f"{path}: optimizer components {sorted(packed_adam)} do "
+                              f"not match the spec")
+    optimizers = {}
+    for comp, packed in packed_adam.items():
+        spans, lo = {}, 0
+        for p, value in params[comp].items():
+            spans[p] = lo, lo + value.size
+            lo += value.size
+        values = np.concatenate([value.reshape(-1) for value in params[comp].values()])
+        values.flags.writeable = False
+        m, v = (_array(_need(packed, f"adam.{comp}.{key}", path), f"adam.{comp}.{key}",
+                       path, f"adam/{comp}/{key}", values.shape) for key in ("m", "v"))
+        step_count = _check(path, f"adam.{comp}.step_count", "int",
+                            _need(packed, f"adam.{comp}.step_count", path), 0)
+        optimizers[comp] = spans, values, m, v, step_count
     frozen = _need(payload, "frozen_encoder", path)
-    state.bundle.frozen_encoder = None if frozen is None else \
-        {name: ad.Param(_unpack_array(d, f"{path}: frozen_encoder/{name}"))
-         for name, d in frozen.items()}
-    bank = MemoryBank(capacity=capacity, refresh_epoch=refresh_epoch)
-    _load_bank(bank, packed_bank, path, session)
-    _load_adam(state, _need(payload, "adam", path), path)
-    state.bank = bank
-    state.session = session
-    for name, s in _need(payload, "rng", path).items():
-        state.rngs[name].bit_generator.state = json.loads(s)
-    return state, scaler, config
+    if frozen is not None:
+        frozen = arrays(frozen, "frozen_encoder", "encoder")
+    return _Stored(session=session, scaler=scaler, config=config, spec=spec,
+                   optimizers=optimizers, frozen=frozen,
+                   bank=(capacity, refresh_epoch, *_bank_columns(packed_bank, path, session)),
+                   rngs=_rng_states(_object(payload, "rng", path), path))
 
 
-def _load_bank(bank: MemoryBank, packed: dict, path, upto: int) -> None:
-    """Fill ``bank`` with the stored entries, each column checked whole."""
+def _bank_columns(packed: dict, path, upto: int) -> tuple:
+    """The bank's stored features and its scores, sessions and ids, each
+    column checked whole."""
     def column(name: str, kinds: set, ok, want: str) -> list:
         values = _need(packed, f"bank.{name}", path)
         if type(values) is not list or not {type(v) for v in values} <= kinds or \
@@ -217,7 +307,8 @@ def _load_bank(bank: MemoryBank, packed: dict, path, upto: int) -> None:
                                   f"of {want}")
         return values
 
-    features = _unpack_array(_need(packed, "bank.features", path), f"{path}: bank/features")
+    features = _array(_need(packed, "bank.features", path), "bank.features", path,
+                      "bank/features")
     columns = (column("scores", {int, float},
                       lambda vs: all(type(v) is int or math.isfinite(v) for v in vs),
                       "finite floats"),
@@ -228,27 +319,55 @@ def _load_bank(bank: MemoryBank, packed: dict, path, upto: int) -> None:
         raise CheckpointError(f"{path}: bank: features of shape {features.shape} for "
                               f"{', '.join(str(len(c)) for c in columns)} scores, "
                               f"sessions and ids")
-    bank.entries = [FeatureRecord(feature=row.copy(), score=score, session=session,
-                                  sample_id=sid)
-                    for row, score, session, sid in zip(features, *columns)]
+    return (features, *columns)
 
 
-def _load_adam(state: TrainState, packed: dict, path) -> None:
-    """Write each component's stored moments and step count into its fresh
-    ``AdamState`` in place."""
-    if set(packed) != set(state.adam):
-        raise CheckpointError(f"{path}: optimizer components {sorted(packed)} do not "
-                              f"match the spec")
-    for name, adam in state.adam.items():
-        for key in ("m", "v"):
-            where = f"adam/{name}/{key}"
-            arr = _unpack_array(packed[name][key], f"{path}: {where}")
-            if arr.shape != adam.buffer.shape:
-                raise CheckpointError(f"{path}: shape {arr.shape} for {where} does "
-                                      f"not match {adam.buffer.shape}")
-            getattr(adam, key)[...] = arr
-        step_count = packed[name]["step_count"]
-        if type(step_count) is not int or step_count < 0:
-            raise CheckpointError(f"{path}: adam/{name}/step_count {step_count!r} is "
-                                  f"not a count")
-        adam.step_count = step_count
+def _rng_states(packed, path) -> dict[str, dict]:
+    """Each RNG stream's stored bit-generator state, checked by setting a
+    bit generator to it."""
+    if set(packed) != set(RNG_STREAMS):
+        raise CheckpointError(f"{path}: checkpoint field 'rng' has the streams "
+                              f"{sorted(packed)}, not {sorted(RNG_STREAMS)}")
+    states, bit_generator = {}, np.random.PCG64(0)
+    for name in RNG_STREAMS:
+        try:
+            states[name] = json.loads(packed[name])
+            bit_generator.state = states[name]
+        except (TypeError, ValueError, LookupError, OverflowError) as e:
+            raise CheckpointError(f"{path}: checkpoint field 'rng.{name}' is not a "
+                                  f"generator state: {e}") from None
+    return states
+
+
+def _build(stored: _Stored) -> TrainState:
+    """A new state of ``stored``: each parameter a view into its
+    component's new Adam buffer, which holds a copy of the stored values,
+    beside copies of the stored moments; the frozen encoder, the bank's
+    features and the RNG streams are new too."""
+    config = stored.config
+    buffers = {comp: values.copy() for comp, (_, values, *_) in stored.optimizers.items()}
+
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        comp = name.partition(".")[0]
+        lo, hi = stored.optimizers[comp][0][name]
+        return buffers[comp][lo:hi].reshape(shape)
+
+    bundle = build_bundle(stored.spec, value)
+    if stored.frozen is not None:
+        bundle.frozen_encoder = {name: ad.Param(arr.copy())
+                                 for name, arr in stored.frozen.items()}
+    adam = {}
+    for comp, params in components(bundle).items():  # fresh_state's order
+        spans, _, m, v, step_count = stored.optimizers[comp]
+        buffer = buffers[comp]
+        adam[comp] = ad.AdamState(buffer=buffer, spans=dict(spans), m=m.copy(),
+                                  v=v.copy(), grad=np.zeros_like(buffer), lr=config.lr,
+                                  weight_decay=config.weight_decay, step_count=step_count)
+        ad.adam_bind(params, adam[comp])
+    capacity, refresh_epoch, features, *columns = stored.bank
+    bank = MemoryBank(capacity=capacity, refresh_epoch=refresh_epoch, entries=[
+        FeatureRecord(feature=row, score=score, session=session, sample_id=sid)
+        for row, score, session, sid in zip(features.copy(), *columns)])
+    return TrainState(bundle=bundle, bank=bank, adam=adam,
+                      rngs={name: _generator(state) for name, state in stored.rngs.items()},
+                      session=stored.session)

@@ -28,10 +28,11 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (DATA_BOUNDS, DataConfig, Dataset, SessionPlan, SessionSplit,
-                   atomic_write, check_field, config_from_dict, grade_split,
-                   generate_synthetic, inject_label_noise, load_csv, normalize_scores,
-                   parse_csv, save_csv)
+from .data import (DATA_BOUNDS, DataConfig, Dataset, ScoreScaler, SessionPlan,
+                   SessionSplit, atomic_write, check_field, config_from_dict, grade_split,
+                   generate_synthetic, inject_label_noise, kept, load_csv,
+                   normalize_scores, parse_csv, save_csv)
+from .metrics import centred_ranks
 from .metrics import spearman  # noqa: F401 - unused; bench/test_checks.py traces cli.spearman
 from .plots import pca_plot, scatter_plot, sessions_plot, sweep_plot
 from .trainer import (ABLATION_FLAGS, METHODS, RunResult, TrainConfig,
@@ -195,12 +196,23 @@ def plan_from_manifest(dataset: Dataset, manifest: dict) -> SessionPlan:
                        feature_mode=dataset.feature_mode)
 
 
+def _load_split(dataset: Dataset, split_path) -> tuple[SessionPlan, dict]:
+    """The plan of the split manifest file ``split_path`` over ``dataset``,
+    and the manifest. Both are ``kept`` for equal bytes and the same
+    dataset object, so neither may be changed."""
+    raw = Path(split_path).read_bytes()
+
+    def read():
+        manifest = json.loads(raw)
+        return plan_from_manifest(dataset, manifest), manifest
+
+    return kept("split", raw, read, dataset)
+
+
 def _build_plan(dataset: Dataset, data_cfg: DataConfig, split_path: str | None,
                 split_seed: int):
     if split_path:
-        with open(split_path) as fh:
-            manifest = json.load(fh)
-        plan = plan_from_manifest(dataset, manifest)
+        plan, manifest = _load_split(dataset, split_path)
     else:
         plan = grade_split(dataset, data_cfg.T, data_cfg.shots, split_seed)
         manifest = split_manifest(plan, split_seed)
@@ -340,15 +352,31 @@ def _checkpoint_scores(checkpoint, dataset_path, split_path, upto: int | None = 
     if upto is not None and upto < 1:
         raise ValueError(f"--session must be >= 1, got {upto}")
     state, scaler, train_cfg = load_checkpoint(checkpoint)
-    dataset = load_csv(dataset_path)
-    with open(split_path) as fh:
-        plan = plan_from_manifest(dataset, json.load(fh))
+    plan, _ = _load_split(load_csv(dataset_path), split_path)
     t = state.session if train_cfg.method != "joint" else plan.n_sessions
     upto = t if upto is None else upto
     if upto > plan.n_sessions:
         raise ValueError(f"session {upto} exceeds plan with {plan.n_sessions}")
-    sets = [plan.test_arrays(j, train_cfg.held_out_only) for j in range(1, upto + 1)]
-    return t, score_sets(state.bundle, [(x, scaler.normalize(y)) for x, y in sets], scaler)
+    held_out_only = train_cfg.held_out_only
+    sets = [plan.test_arrays(j, held_out_only) for j in range(1, upto + 1)]
+    ranks, pooled_ranks = _truth_ranks(plan, scaler, held_out_only)
+    return t, score_sets(state.bundle, [(x, scaler.normalize(y)) for x, y in sets], scaler,
+                         ranks[:upto], pooled_ranks[upto - 1])
+
+
+def _truth_ranks(plan: SessionPlan, scaler: ScoreScaler, held_out_only: bool) -> tuple:
+    """The centred ranks of the truths ``score_sets`` scores for each of the
+    raw ``plan``'s test sets, its scores normalized by ``scaler`` and
+    denormalized, and of each prefix 1..i of them pooled: ranked once per
+    plan, scaler and ``held_out_only``, and kept in ``plan.memo``."""
+    key = "checkpoint truth ranks", scaler, held_out_only
+    if key not in plan.memo:
+        truths = [scaler.denormalize(scaler.normalize(plan.test_arrays(t, held_out_only)[1]))
+                  for t in range(1, plan.n_sessions + 1)]
+        plan.memo[key] = (
+            [centred_ranks(y) for y in truths],
+            [centred_ranks(np.concatenate(truths[:i])) for i in range(1, len(truths) + 1)])
+    return plan.memo[key]
 
 
 def cmd_eval(args) -> int:
@@ -470,17 +498,20 @@ def cmd_plot(args) -> int:
                 for r in raw]
         svg = sweep_plot(rows)
     elif kind in ("scatter", "pca2d"):
-        ckpts = sorted((run_dir / "checkpoints").glob("session_*.json"))
+        # the last session's checkpoint, by number: session_100 follows session_99
+        ckpts = {int(n): p for p in (run_dir / "checkpoints").glob("session_*.json")
+                 if (n := p.stem.removeprefix("session_")).isdecimal()}
         if not ckpts:
             raise FileNotFoundError(f"no checkpoints under {run_dir}")
+        last = ckpts[max(ckpts)]
         if kind == "scatter":
-            _, scores = _checkpoint_scores(ckpts[-1], run_dir / "dataset.csv",
+            _, scores = _checkpoint_scores(last, run_dir / "dataset.csv",
                                            run_dir / "split.json")
             tags = [j for j, truth in enumerate(scores.truths, start=1) for _ in truth]
             svg = scatter_plot(np.concatenate(scores.truths), np.concatenate(scores.preds),
                                tags)
         else:
-            state, _, _ = load_checkpoint(ckpts[-1])
+            state, _, _ = load_checkpoint(last)
             if state.bank.size == 0:
                 raise ValueError("empty memory bank; pca2d needs stored features")
             labels = [r.session for r in state.bank.entries]

@@ -355,27 +355,46 @@ def load_csv(path) -> Dataset:
     return parse_csv(Path(path).read_bytes(), path)
 
 
-# the SHA-256 of the bytes parse_csv last parsed and their dataset, or None
-_LAST: tuple[bytes, Dataset] | None = None
+# each kind of artifact -> the SHA-256 of the bytes last read as that kind,
+# the object they were read against, and what they gave; see ``kept``
+_KEPT: dict[str, tuple] = {}
+
+
+def kept(kind: str, raw: bytes, read, against=None):
+    """``read()``: what the bytes ``raw`` of an artifact of ``kind`` (a
+    dataset, a split or a checkpoint) give, read against ``against``.
+
+    The process keeps one value per kind, the last one read, under the
+    SHA-256 of its bytes: equal bytes of that kind, under any path, read
+    against that same object, give that same value again without ``read``.
+    Other bytes replace it. A ``read`` that raises raises on every call and
+    leaves the kept value as it was. A kept value is shared by every caller
+    that gets it, so none may change it."""
+    # imported here, not with the module: it loads OpenSSL (3-5 ms), which
+    # a process that reads no artifact need not pay (numpy.random loads it too)
+    import hashlib
+
+    digest = hashlib.sha256(raw).digest()
+    entry = _KEPT.get(kind)
+    if entry is not None and entry[0] == digest and entry[1] is against:
+        return entry[2]
+    value = read()
+    _KEPT[kind] = digest, against, value
+    return value
 
 
 def parse_csv(raw: bytes, path) -> Dataset:
     """``load_csv`` of ``raw``, the bytes of the CSV file ``path``, decoded
     as ``open`` would decode the file.
 
-    The last dataset parsed is kept with the digest of its bytes, so equal
-    bytes, under any path, give that same object again without a parse; its
-    value table is read-only, so no caller can change it under another. A
-    faulty file is parsed, and raises, on every call and leaves the kept
-    dataset as it was."""
-    global _LAST
-    # imported here, not with the module: it loads OpenSSL (3-5 ms), which
-    # a process that parses no CSV need not pay (numpy.random loads it too)
-    import hashlib
+    The dataset is ``kept``: equal bytes, under any path, give the last
+    dataset parsed again without a parse; its value table is read-only, so
+    no caller can change it under another. A faulty file is parsed, and
+    raises, on every call and leaves the kept dataset as it was."""
+    return kept("dataset", raw, lambda: _parse_csv(raw, path))
 
-    digest = hashlib.sha256(raw).digest()
-    if _LAST is not None and _LAST[0] == digest:
-        return _LAST[1]
+
+def _parse_csv(raw: bytes, path) -> Dataset:
     try:
         text = io.TextIOWrapper(io.BytesIO(raw), newline="").read()
     except UnicodeDecodeError as e:
@@ -385,11 +404,9 @@ def parse_csv(raw: bytes, path) -> Dataset:
     scores = table[:, 0].tolist()
     samples = tuple(Sample(sample_id=sid, x=x, score=score)
                     for sid, score, x in zip(ids, scores, table[:, 1:]))
-    dataset = Dataset(samples=samples, input_width=table.shape[1] - 1,
-                      score_range=(min(scores), max(scores)),
-                      feature_mode=(prefix == "f"))
-    _LAST = digest, dataset
-    return dataset
+    return Dataset(samples=samples, input_width=table.shape[1] - 1,
+                   score_range=(min(scores), max(scores)),
+                   feature_mode=(prefix == "f"))
 
 
 def _check_header(header: list[str], path) -> tuple[str, int]:

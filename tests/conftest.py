@@ -39,11 +39,11 @@ def no_stray_children():
 
 
 @pytest.fixture(autouse=True)
-def no_kept_dataset(monkeypatch):
-    """Start every test with no dataset kept by ``data.parse_csv``, so a
-    test that reads a file runs the reader, not a dataset that an earlier
-    test left behind."""
-    monkeypatch.setattr(data, "_LAST", None)
+def no_kept_artifacts(monkeypatch):
+    """Start every test with nothing kept by ``data.kept``: no dataset,
+    split or checkpoint, so a test that reads a file runs its reader, not
+    what an earlier test left behind."""
+    monkeypatch.setattr(data, "_KEPT", {})
 
 
 WORKER_TEST_SECONDS = 300

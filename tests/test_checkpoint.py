@@ -240,6 +240,68 @@ def test_malformed_payload_rejected(tmp_path, keys, fault, message):
         checkpoint.load_checkpoint(path)
 
 
+def _arrays(state) -> list:
+    """Every array a state owns: its optimizers' buffers, the frozen
+    encoder and the bank's features."""
+    return [*(getattr(a, key) for a in state.adam.values() for key in ("buffer", "m", "v", "grad")),
+            *(p.value for p in (state.bundle.frozen_encoder or {}).values()),
+            *(r.feature for r in state.bank.entries)]
+
+
+def test_each_load_builds_a_state_of_its_own(tmp_path, monkeypatch):
+    # equal bytes under another path are decoded once, and each load builds
+    # its own state from the kept contents: no array is shared with them or
+    # with another load, and training one state leaves the other as it was
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=2)
+    path, copy = tmp_path / "a.json", tmp_path / "b.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    copy.write_bytes(path.read_bytes())
+    decodes, decode = [], checkpoint._decode
+    monkeypatch.setattr(checkpoint, "_decode",
+                        lambda raw, p: decodes.append(str(p)) or decode(raw, p))
+    first, _, _ = checkpoint.load_checkpoint(path)
+    second, _, _ = checkpoint.load_checkpoint(copy)
+    assert decodes == [str(path)]
+    stored = data._KEPT["checkpoint"][2]
+    kept = [a for _, *arrays, _ in stored.optimizers.values() for a in arrays]
+    kept += [*(stored.frozen or {}).values(), stored.bank[2]]
+    assert all(not a.flags.writeable for a in kept)
+    for a in _arrays(first):
+        assert not any(np.shares_memory(a, b) for b in _arrays(second) + kept)
+    trainer.train_session(first, *plan.training_arrays(3), cfg)
+    _assert_same_state(second, state)
+    _assert_same_state(checkpoint.load_checkpoint(path)[0], state)
+    assert decodes == [str(path)]
+
+
+def test_a_rewritten_or_faulty_checkpoint_is_read_again(tmp_path):
+    # other bytes replace the kept contents; a faulty file raises on every
+    # call and leaves them as they were
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=1)
+    path, bad = tmp_path / "ckpt.json", tmp_path / "bad.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    assert checkpoint.load_checkpoint(path)[0].session == 1
+    trainer.train_session(state, *plan.training_arrays(2), cfg)
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    _assert_same_state(checkpoint.load_checkpoint(path)[0], state)
+    entry = data._KEPT["checkpoint"]
+    payload = json.loads(path.read_text())
+    _non_finite(payload["bank"]["features"])
+    bad.write_text(json.dumps(payload))
+    for _ in range(2):
+        with pytest.raises(checkpoint.CheckpointError, match="bank/features: non-finite"):
+            checkpoint.load_checkpoint(bad)
+        assert data._KEPT["checkpoint"] is entry
+
+
+def test_rng_streams_are_those_of_a_fresh_state():
+    assert checkpoint.RNG_STREAMS == tuple(trainer.new_state(_cfg(), 8).rngs)
+
+
 def test_layout_read_by_the_benchmark_checks(tmp_path):
     # bench/checks.py reads "session", params/<comp>/<name>/shape and, from
     # session 2 on, frozen_encoder/<name>/shape of every checkpoint

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mreplay import cli, data, metrics, trainer
+from mreplay import checkpoint, cli, data, metrics, trainer
 
 
 MINI = {
@@ -349,14 +349,18 @@ def test_train_names_the_dataset_file_it_cannot_read(tmp_path, mini_config, caps
 
 
 def test_commands_on_one_dataset_parse_it_once(tmp_path, mini_config, monkeypatch):
-    # train, eval on two checkpoints and a scatter plot read the same bytes,
-    # the --dataset file and then the run's copy of it: one parse serves
-    # them all, and each writes what it writes with nothing kept before it
+    # train, eval on two checkpoints and the scatter and pca2d plots read the
+    # same dataset and split bytes, the --dataset and --split files and then
+    # the run's copies of them, and the plots the checkpoint the last eval
+    # read: one read of each serves them all, and each command writes what
+    # it writes with nothing kept before it
     gen = tmp_path / "gen"
     assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
-    parses, read = [], data._read_table
-    monkeypatch.setattr(data, "_read_table",
-                        lambda text, path: parses.append(str(path)) or read(text, path))
+    reads = []
+    for module, name in ((data, "_read_table"), (cli, "plan_from_manifest"),
+                         (checkpoint, "_decode")):
+        monkeypatch.setattr(module, name, lambda *args, real=getattr(module, name),
+                            name=name: reads.append(name) or real(*args))
 
     def outputs(out: Path, keep: bool) -> list:
         run = out / "magr-seed0"
@@ -366,21 +370,23 @@ def test_commands_on_one_dataset_parse_it_once(tmp_path, mini_config, monkeypatc
                       "--dataset", str(run / "dataset.csv"),
                       "--split", str(run / "split.json"), "--out", str(out / f"{t}.json")]
                      for t in (2, 3)]
-        commands.append(["plot", "--run", str(run), "--kind", "scatter"])
+        commands += [["plot", "--run", str(run), "--kind", kind] for kind in ("scatter", "pca2d")]
         for argv in commands:
             if not keep:
-                monkeypatch.setattr(data, "_LAST", None)
+                monkeypatch.setattr(data, "_KEPT", {})
             assert cli.main(argv) == 0
         evals = [json.loads((out / f"{t}.json").read_text()) for t in (2, 3)]
         for payload in evals:
             payload["checkpoint"] = str(Path(payload["checkpoint"]).relative_to(out))
         return [(run / "results.csv").read_bytes(), evals,
-                (run / "plots" / "scatter.svg").read_bytes()]
+                *((run / "plots" / name).read_bytes()
+                  for name in ("scatter.svg", "pca2d.svg", "pca2d.json"))]
 
     kept = outputs(tmp_path / "kept", keep=True)
-    assert parses == [str(gen / "dataset.csv")]
+    assert reads == ["_read_table", "plan_from_manifest", "_decode", "_decode"]
     assert outputs(tmp_path / "fresh", keep=False) == kept
-    assert len(parses) == 5
+    assert reads[4:] == ["_read_table", "plan_from_manifest"] + \
+        ["_decode", "_read_table", "plan_from_manifest"] * 3 + ["_decode"]
 
 
 def test_train_produces_full_artifact_set(tmp_path, mini_config, capsys):
@@ -846,6 +852,62 @@ def test_plot_kinds(tmp_path, mini_config):
     assert (sw / "plots" / "sweep.svg").exists()
 
 
+def test_scatter_and_pca2d_take_the_last_session_by_number(tmp_path, mini_config):
+    # session_100.json sorts before session_99.json by name, not by number
+    run_dir = _train(tmp_path, mini_config)
+
+    def plots() -> dict:
+        for kind in ("scatter", "pca2d"):
+            assert cli.main(["plot", "--run", str(run_dir), "--kind", kind]) == 0
+        return {name: (run_dir / "plots" / name).read_bytes()
+                for name in ("scatter.svg", "pca2d.svg", "pca2d.json")}
+
+    last = plots()
+    ckpts = run_dir / "checkpoints"
+    (ckpts / "session_02.json").rename(ckpts / "session_99.json")
+    (ckpts / "session_03.json").rename(ckpts / "session_100.json")
+    assert plots() == last
+
+
+def test_a_split_is_kept_for_its_bytes_and_dataset(tmp_path, mini_config, monkeypatch):
+    gen = tmp_path / "gen"
+    assert cli.main(["gen", "--config", mini_config, "--out", str(gen)]) == 0
+    builds, build = [], cli.plan_from_manifest
+    monkeypatch.setattr(cli, "plan_from_manifest",
+                        lambda ds, manifest: builds.append(ds) or build(ds, manifest))
+    split, copy = gen / "split.json", tmp_path / "copy.json"
+    copy.write_bytes(split.read_bytes())
+    dataset = data.load_csv(gen / "dataset.csv")
+    plan, manifest = cli._load_split(dataset, split)
+    assert cli._load_split(dataset, copy) == (plan, manifest)
+    assert cli._load_split(dataset, copy)[0] is plan and builds == [dataset]
+
+    # equal bytes over another dataset object: a plan of its own
+    data._KEPT.clear()
+    other = data.load_csv(gen / "dataset.csv")
+    assert other is not dataset
+    plan_other, _ = cli._load_split(other, split)
+    assert plan_other is not plan and builds == [dataset, other]
+    assert [[s.sample_id for s in part] for t in plan_other.sessions
+            for part in (t.train, t.held_out)] == \
+        [[s.sample_id for s in part] for t in plan.sessions for part in (t.train, t.held_out)]
+
+    # a rewritten file is read again
+    copy.write_text(json.dumps(manifest))
+    assert cli._load_split(other, copy)[0] is not plan_other and len(builds) == 3
+
+    # a faulty file raises on every call and leaves the kept plan as it was
+    entry = data._KEPT["split"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**manifest, "shots": 0}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="split manifest field 'shots' is 0"):
+            cli._load_split(other, bad)
+        assert data._KEPT["split"] is entry
+    assert len(builds) == 5
+    assert cli._load_split(other, copy) == entry[2] and len(builds) == 5
+
+
 def test_report_table(tmp_path, mini_config, capsys):
     run_dir = _train(tmp_path, mini_config)
     capsys.readouterr()  # drain the train output
@@ -915,6 +977,12 @@ def test_bad_checkpoint_version_fails_eval(tmp_path, mini_config, capsys):
 _DROP = object()  # a field to delete
 
 
+def _drop_param_shape(payload):
+    # a parameter's name holds a dot, so its field is reached from the root
+    del payload["params"]["encoder"]["encoder.w0"]["shape"]
+    return payload
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("session", 2.5, "checkpoint field 'session' is 2.5, not an int >= 0"),
     ("session", "2", "checkpoint field 'session' is '2', not an int >= 0"),
@@ -937,6 +1005,19 @@ _DROP = object()  # a field to delete
      "checkpoint field 'bank.scores' is not a list of finite floats"),
     ("bank.sessions", lambda v: [*v[:-1], 99],
      "checkpoint field 'bank.sessions' is not a list of ints from 1 to the session 2"),
+    # a nested field is named whole, wherever it sits
+    ("adam.regressor.m", _DROP, "checkpoint field 'adam.regressor.m' is missing"),
+    ("adam.regressor.step_count", _DROP,
+     "checkpoint field 'adam.regressor.step_count' is missing"),
+    ("spec.trunk", _DROP, "checkpoint field 'spec.trunk' is missing"),
+    ("bank.features.shape", _DROP, "checkpoint field 'bank.features.shape' is missing"),
+    ("", _drop_param_shape, "checkpoint field 'params.encoder.encoder.w0.shape' is missing"),
+    ("rng", lambda v: {"bogus" if k == "order" else k: s for k, s in v.items()},
+     "checkpoint field 'rng' has the streams ['bogus', 'eps', 'replay', 'store'], "
+     "not ['eps', 'order', 'replay', 'store']"),
+    ("rng.order", lambda s: s.replace('"', "'"),
+     "checkpoint field 'rng.order' is not a generator state: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
 ])
 def test_a_bad_checkpoint_scalar_fails_eval_naming_it(tmp_path, capsys, field, value,
                                                       message):

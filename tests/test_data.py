@@ -406,7 +406,7 @@ def _outcome(load, path):
 
 def _assert_reads_like_the_row_loop(path):
     assert _outcome(data.load_csv, path) == _outcome(csv_reference.load_csv, path)
-    data._LAST = None  # parse the bytes again rather than return the kept dataset
+    data._KEPT.clear()  # parse the bytes again rather than return the kept dataset
     assert _outcome(lambda p: data.parse_csv(p.read_bytes(), p), path) == \
         _outcome(csv_reference.load_csv, path)
 
@@ -553,7 +553,7 @@ def test_a_faulty_file_raises_on_every_call_and_keeps_nothing(tmp_path, parses,
     good = tmp_path / "good.csv"
     data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), good)
     kept = data.load_csv(good)
-    slot = data._LAST
+    slot = data._KEPT["dataset"]
     bad, copy = tmp_path / "bad.csv", tmp_path / "copy.csv"
     for p in (bad, copy):
         p.write_bytes(b"id,score,x0\n" + body)
@@ -561,7 +561,7 @@ def test_a_faulty_file_raises_on_every_call_and_keeps_nothing(tmp_path, parses,
         with pytest.raises(data.CsvFormatError) as err:
             data.load_csv(p)
         assert str(err.value) == f"{p}: {fault}"
-        assert data._LAST is slot
+        assert data._KEPT["dataset"] is slot
     assert data.load_csv(good) is kept
     assert parses == [("_read_table", str(good))] + \
         [(name, str(p)) for p in (bad, copy, bad) for name in readers]
