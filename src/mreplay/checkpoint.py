@@ -7,19 +7,22 @@ Every array is stored as ``{"shape": [...], "f64": "<base64>"}``: the
 little-endian float64 bytes in C order, base64-encoded, so save -> load ->
 evaluate is bit-exact and no array passes through float text. The bank's
 features are one (size, D) matrix beside lists of its scores, sessions
-and ids. A file is written beside its target and then moved over it, so a
-failed save leaves the previous file intact.
+and ids. A file is ``json.dumps`` of its payload, each array's base64
+spliced into the dump rather than scanned by it, and is written beside
+its target and then moved over it, so a failed save leaves the previous
+file intact.
 
 A load has two steps. ``_decode`` parses and checks a file's bytes into
-read-only contents, which ``data.kept`` keeps under the SHA-256 of the
-bytes until other checkpoint bytes are read, so a process decodes a file
-once however often it loads it. ``_build`` then makes a new state from
-the contents on every load: each component's Adam buffer a copy of the
-stored parameters, which the bundle's parameters view, beside copies of
-the stored moments and the step count, the frozen copy, the bank and the
-RNG streams at their stored states. No random init is drawn and no array
-is shared with the kept contents or another load's state, so training on
-from a loaded checkpoint reproduces the uninterrupted run bit for bit.
+read-only contents, which ``data.kept`` keeps beside the bytes until
+other checkpoint bytes are read, so a process decodes a file once however
+often it loads it. ``_build`` then makes a new state from the contents on
+every load (``trainer.bound_state``): each component's Adam buffer a copy
+of the stored parameters, which the bundle's parameters view, beside
+copies of the stored moments and the step count, the frozen copy, the
+bank and the RNG streams at their stored states. No random init is drawn
+and no array is shared with the kept contents or another load's state,
+so training on from a loaded checkpoint reproduces the uninterrupted run
+bit for bit.
 
 A payload that is not base64, does not fill its shape or holds a
 non-finite value raises ``CheckpointError`` naming the array; so does a
@@ -36,7 +39,6 @@ each at a state its bit generator accepts.
 """
 from __future__ import annotations
 
-import base64
 import binascii
 import json
 import math
@@ -48,8 +50,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import ScoreScaler, atomic_write, check_field, config_from_dict, kept
 from .memory import FeatureRecord, MemoryBank
-from .models import BundleSpec, build_bundle, components, param_shapes
-from .trainer import TrainConfig, TrainState, bundle_spec_for
+from .models import BundleSpec, generator_at, param_shapes
+from .trainer import TrainConfig, TrainState, bound_state, bundle_spec_for
 
 FORMAT_VERSION = 2
 
@@ -58,9 +60,16 @@ class CheckpointError(ValueError):
     pass
 
 
-def _pack_array(a: np.ndarray) -> dict:
+def _encoded(a: np.ndarray) -> tuple[list, bytes]:
+    """The shape of ``a`` and the base64 of its little-endian float64 bytes
+    in C order."""
     a = np.ascontiguousarray(a, dtype="<f8")
-    return {"shape": list(a.shape), "f64": base64.b64encode(a.tobytes()).decode("ascii")}
+    return list(a.shape), binascii.b2a_base64(a, newline=False)
+
+
+def _pack_array(a: np.ndarray) -> dict:
+    shape, encoded = _encoded(a)
+    return {"shape": shape, "f64": encoded.decode("ascii")}
 
 
 def _unpack_array(d: dict, where: str) -> np.ndarray:
@@ -82,10 +91,6 @@ def _unpack_array(d: dict, where: str) -> np.ndarray:
     return a
 
 
-def _pack_params(params: dict) -> dict:
-    return {name: _pack_array(t.value) for name, t in params.items()}
-
-
 def _pack_spec(spec: BundleSpec) -> dict:
     return {
         "encoder": None if spec.encoder is None else list(spec.encoder.widths),
@@ -94,10 +99,30 @@ def _pack_spec(spec: BundleSpec) -> dict:
     }
 
 
+# the JSON of an f64 field whose payload ``save_checkpoint`` splices in
+_SPLICE = b'"f64": ""'
+
+
 def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
                     config: TrainConfig) -> None:
+    """Write ``json.dumps`` of the checkpoint payload and a newline to
+    ``path``, atomically. JSON would scan every base64 payload character
+    by character for escapes it never needs, so each array is dumped with
+    an empty ``f64`` and its payload spliced in after: every other string
+    is escaped, so ``"f64": ""`` occurs in the dump only at an array, and
+    in the order the arrays were packed."""
     b = state.bundle
     entries = state.bank.entries
+    payloads = []
+
+    def pack(a: np.ndarray) -> dict:
+        shape, encoded = _encoded(a)
+        payloads.append(encoded)
+        return {"shape": shape, "f64": ""}
+
+    def pack_params(params: dict) -> dict:
+        return {name: pack(t.value) for name, t in params.items()}
+
     payload = {
         "format_version": FORMAT_VERSION,
         "session": state.session,
@@ -105,30 +130,35 @@ def save_checkpoint(path, state: TrainState, scaler: ScoreScaler,
         "scaler": {"lo": scaler.lo, "hi": scaler.hi},
         "spec": _pack_spec(b.spec),
         "params": {
-            "encoder": None if b.encoder is None else _pack_params(b.encoder),
-            "projector": _pack_params(b.projector),
-            "regressor": _pack_params(b.regressor),
+            "encoder": None if b.encoder is None else pack_params(b.encoder),
+            "projector": pack_params(b.projector),
+            "regressor": pack_params(b.regressor),
         },
         "frozen_encoder": None if b.frozen_encoder is None else
-        _pack_params(b.frozen_encoder),
+        pack_params(b.frozen_encoder),
         "bank": {
             "capacity": state.bank.capacity,
             "refresh_epoch": state.bank.refresh_epoch,
-            "features": _pack_array(state.bank.features() if entries else
-                                    np.empty((0, 0))),
+            "features": pack(state.bank.features() if entries else np.empty((0, 0))),
             "scores": [r.score for r in entries],
             "sessions": [r.session for r in entries],
             "ids": [r.sample_id for r in entries],
         },
-        "adam": {name: {"m": _pack_array(a.m), "v": _pack_array(a.v),
-                        "step_count": a.step_count}
+        "adam": {name: {"m": pack(a.m), "v": pack(a.v), "step_count": a.step_count}
                  for name, a in state.adam.items()},
         "rng": {name: json.dumps(g.bit_generator.state)
                 for name, g in state.rngs.items()},
     }
-    with atomic_write(path) as fh:
-        # json.dumps runs the C encoder; json.dump to a file never does
-        fh.write(json.dumps(payload) + "\n")
+    # json.dumps runs the C encoder; json.dump to a file never does. Its
+    # default ensure_ascii makes the dump ASCII, so it encodes as it is.
+    parts = json.dumps(payload).encode("ascii").split(_SPLICE)
+    assert len(parts) == len(payloads) + 1, "a splice point is not an array"
+    out = [parts[0]]
+    for encoded, rest in zip(payloads, parts[1:]):
+        out += (_SPLICE[:-1], encoded, b'"', rest)
+    out.append(b"\n")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(b"".join(out))
 
 
 def _need(d, name: str, path):
@@ -171,14 +201,6 @@ def _array(d, name: str, path, where: str, shape=None) -> np.ndarray:
 
 # the RNG streams of a state, in the order trainer.fresh_state makes them
 RNG_STREAMS = ("order", "replay", "eps", "store")
-
-
-def _generator(state: dict) -> np.random.Generator:
-    """A generator at the stored bit-generator ``state``. numpy makes no bit
-    generator without a seed, so it is seeded with 0 and then set."""
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = state
-    return np.random.Generator(bit_generator)
 
 
 @dataclass(frozen=True)
@@ -340,34 +362,19 @@ def _rng_states(packed, path) -> dict[str, dict]:
 
 
 def _build(stored: _Stored) -> TrainState:
-    """A new state of ``stored``: each parameter a view into its
-    component's new Adam buffer, which holds a copy of the stored values,
-    beside copies of the stored moments; the frozen encoder, the bank's
-    features and the RNG streams are new too."""
+    """A new state of ``stored``: each component's Adam buffer a copy of
+    the stored parameters, which the bundle's parameters view, beside
+    copies of the stored moments; the frozen encoder, the bank's features
+    and the RNG streams are new too."""
     config = stored.config
-    buffers = {comp: values.copy() for comp, (_, values, *_) in stored.optimizers.items()}
-
-    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
-        comp = name.partition(".")[0]
-        lo, hi = stored.optimizers[comp][0][name]
-        return buffers[comp][lo:hi].reshape(shape)
-
-    bundle = build_bundle(stored.spec, value)
-    if stored.frozen is not None:
-        bundle.frozen_encoder = {name: ad.Param(arr.copy())
-                                 for name, arr in stored.frozen.items()}
-    adam = {}
-    for comp, params in components(bundle).items():  # fresh_state's order
-        spans, _, m, v, step_count = stored.optimizers[comp]
-        buffer = buffers[comp]
-        adam[comp] = ad.AdamState(buffer=buffer, spans=dict(spans), m=m.copy(),
-                                  v=v.copy(), grad=np.zeros_like(buffer), lr=config.lr,
-                                  weight_decay=config.weight_decay, step_count=step_count)
-        ad.adam_bind(params, adam[comp])
+    adam = {comp: ad.AdamState(buffer=values.copy(), spans=dict(spans), m=m.copy(), v=v.copy(),
+                               grad=np.zeros_like(values), lr=config.lr,
+                               weight_decay=config.weight_decay, step_count=step_count)
+            for comp, (spans, values, m, v, step_count) in stored.optimizers.items()}
     capacity, refresh_epoch, features, *columns = stored.bank
     bank = MemoryBank(capacity=capacity, refresh_epoch=refresh_epoch, entries=[
         FeatureRecord(feature=row, score=score, session=session, sample_id=sid)
         for row, score, session, sid in zip(features.copy(), *columns)])
-    return TrainState(bundle=bundle, bank=bank, adam=adam,
-                      rngs={name: _generator(state) for name, state in stored.rngs.items()},
-                      session=stored.session)
+    return bound_state(stored.spec, adam, stored.frozen, bank,
+                       {name: generator_at(state) for name, state in stored.rngs.items()},
+                       stored.session)

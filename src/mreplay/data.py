@@ -355,8 +355,8 @@ def load_csv(path) -> Dataset:
     return parse_csv(Path(path).read_bytes(), path)
 
 
-# each kind of artifact -> the SHA-256 of the bytes last read as that kind,
-# the object they were read against, and what they gave; see ``kept``
+# each kind of artifact -> the bytes last read as that kind, the object
+# they were read against, and what they gave; see ``kept``
 _KEPT: dict[str, tuple] = {}
 
 
@@ -364,22 +364,19 @@ def kept(kind: str, raw: bytes, read, against=None):
     """``read()``: what the bytes ``raw`` of an artifact of ``kind`` (a
     dataset, a split or a checkpoint) give, read against ``against``.
 
-    The process keeps one value per kind, the last one read, under the
-    SHA-256 of its bytes: equal bytes of that kind, under any path, read
+    The process keeps one value per kind, the last one read, beside the
+    bytes it was read from: equal bytes of that kind, under any path, read
     against that same object, give that same value again without ``read``.
     Other bytes replace it. A ``read`` that raises raises on every call and
     leaves the kept value as it was. A kept value is shared by every caller
     that gets it, so none may change it."""
-    # imported here, not with the module: it loads OpenSSL (3-5 ms), which
-    # a process that reads no artifact need not pay (numpy.random loads it too)
-    import hashlib
-
-    digest = hashlib.sha256(raw).digest()
     entry = _KEPT.get(kind)
-    if entry is not None and entry[0] == digest and entry[1] is against:
+    # bytes compare by length, then by memcmp: far cheaper than hashing
+    # them, for the cost of keeping one file's bytes per kind
+    if entry is not None and entry[1] is against and entry[0] == raw:
         return entry[2]
     value = read()
-    _KEPT[kind] = digest, against, value
+    _KEPT[kind] = raw, against, value
     return value
 
 

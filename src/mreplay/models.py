@@ -46,6 +46,15 @@ def make_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
+def generator_at(state: dict) -> np.random.Generator:
+    """A new generator at the bit-generator ``state`` of one ``make_rng``
+    made. numpy makes no bit generator without a seed, so it is seeded with
+    0 and then set."""
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
 @dataclass(frozen=True)
 class MlpSpec:
     """Layer widths, input first. ReLU between hidden layers, none on output."""

@@ -142,16 +142,21 @@ def sweep_plot(rows: list[dict], metric: str = "rho_avg",
 
 
 def pca_2d(features: np.ndarray) -> np.ndarray:
-    """Project rows onto the top two principal directions."""
+    """Project rows onto the top two principal directions, as an (n, 2)
+    array. Rows with one feature, or a single row, have one direction,
+    and their second coordinate is 0."""
     x = np.asarray(features, dtype=np.float64)
     centered = x - x.mean(axis=0, keepdims=True)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    return centered @ vt[:2].T
+    pts = np.zeros((len(x), 2))
+    pts[:, :min(2, len(vt))] = centered @ vt[:2].T
+    return pts
 
 
 def silhouette(points: np.ndarray, labels) -> float:
-    """Mean silhouette over points with euclidean distances; singleton
-    clusters score 0."""
+    """Mean silhouette over points with euclidean distances. A point of a
+    singleton cluster scores 0, and so does a point at distance 0 from both
+    its own cluster and its nearest other one."""
     pts = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     tags = sorted(set(labels.tolist()))
@@ -167,7 +172,7 @@ def silhouette(points: np.ndarray, labels) -> float:
             continue
         a = dist[i][own].sum() / (n_own - 1)
         b = min(dist[i][labels == t].mean() for t in tags if t != labels[i])
-        scores.append((b - a) / max(a, b))
+        scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
     return float(np.mean(scores))
 
 

@@ -35,7 +35,7 @@ Until session 1 ends the bank is empty, so its epochs never read the
 plan, the config as ``sequential-ft`` with those fields at their defaults,
 when a run first needs it, and keeps it in the plan's ``memo``, so later
 runs on the same plan in that process reuse it; each config goes on from a
-deep copy of that state. The memo also
+copy of that state that shares no array with it (``_fork``). The memo also
 keeps the ranks of the test truths per scaler and ``held_out_only``, so
 ``score_sets``, the one scorer of a bundle (``mreplay eval`` and the
 scatter plot call it too), ranks only the predictions of a run's rows.
@@ -69,7 +69,6 @@ lanes; ``taskset`` limits the workers.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
 import time
@@ -82,9 +81,9 @@ from . import losses as ls
 from . import memory as mem
 from .data import ScoreScaler, SessionPlan, check_config
 from .metrics import EvalMatrix, centred_ranks, rho_aft, rho_fwt, spearman
-from .models import (BundleSpec, MlpSpec, ModelBundle, check_width, components,
-                     encode, encoder_params, freeze_copy, init_bundle, make_rng,
-                     predict, project)
+from .models import (BundleSpec, MlpSpec, ModelBundle, build_bundle, check_width,
+                     components, encode, encoder_params, freeze_copy, generator_at,
+                     init_bundle, make_rng, predict, project)
 
 METHODS = ("magr", "sequential-ft", "joint", "replay-raw", "replay-feature-naive")
 MEMORYLESS = ("sequential-ft", "joint")
@@ -249,6 +248,27 @@ def new_state(config: TrainConfig, input_width: int,
               feature_mode: bool = False) -> TrainState:
     spec = bundle_spec_for(config, input_width, feature_mode)
     return fresh_state(init_bundle(spec, config.seed), config)
+
+
+def bound_state(spec: BundleSpec, adam: dict[str, ad.AdamState], frozen: dict | None,
+                bank: mem.MemoryBank, rngs: dict, session: int) -> TrainState:
+    """A state of ``spec`` around ``adam``, one Adam state per component
+    that no other state holds: each parameter a view into its component's
+    buffer and gradient, as a step needs, and, unless ``frozen`` is None,
+    a frozen encoder of copies of its arrays."""
+    def value(name: str, shape: tuple[int, int]) -> np.ndarray:
+        a = adam[name.partition(".")[0]]
+        lo, hi = a.spans[name]
+        return a.buffer[lo:hi].reshape(shape)
+
+    bundle = build_bundle(spec, value)
+    if frozen is not None:
+        bundle.frozen_encoder = {name: ad.Param(arr.copy()) for name, arr in frozen.items()}
+    groups = components(bundle)
+    for comp, params in groups.items():
+        ad.adam_bind(params, adam[comp])
+    return TrainState(bundle=bundle, bank=bank, adam={comp: adam[comp] for comp in groups},
+                      rngs=rngs, session=session)
 
 
 def fresh_state(bundle: ModelBundle, config: TrainConfig) -> TrainState:
@@ -819,13 +839,19 @@ def _prefix(plan: SessionPlan, scaler: ScoreScaler, key: TrainConfig) -> tuple:
 
 
 def _fork(state: TrainState, config: TrainConfig) -> TrainState:
-    """A deep copy of ``state``, sharing no array with it, with an empty
-    bank of ``config.m`` entries: ``m`` is free in session 1, so the
-    copied bank's capacity may not be the config's. The Adam settings are
-    part of the key, so the copy's are the config's."""
-    fork = copy.deepcopy(state)
-    fork.bank = mem.MemoryBank(capacity=config.m)
-    return fork
+    """A copy of ``state``, sharing no array with it, with an empty bank of
+    ``config.m`` entries: ``m`` is free in session 1, so the source bank's
+    capacity may not be the config's. The Adam settings are part of the
+    key, so the copy's are the config's."""
+    adam = {comp: replace(a, buffer=a.buffer.copy(), spans=dict(a.spans), m=a.m.copy(),
+                          v=a.v.copy(), grad=a.grad.copy())
+            for comp, a in state.adam.items()}
+    frozen = state.bundle.frozen_encoder
+    return bound_state(state.bundle.spec, adam,
+                       None if frozen is None else {name: p.value for name, p in frozen.items()},
+                       mem.MemoryBank(capacity=config.m),
+                       {name: generator_at(g.bit_generator.state)
+                        for name, g in state.rngs.items()}, state.session)
 
 
 def _forked(plan: SessionPlan, scaler: ScoreScaler, configs: list, n: int):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import checkpoint_reference
 from mreplay import checkpoint, cli, data, models, trainer
 from mreplay.memory import FeatureRecord
 from mreplay.models import components, encode, freeze_copy, predict
@@ -298,6 +299,25 @@ def test_a_rewritten_or_faulty_checkpoint_is_read_again(tmp_path):
         assert data._KEPT["checkpoint"] is entry
 
 
+def test_a_checkpoint_rewritten_at_its_length_is_read_again(tmp_path, monkeypatch):
+    # one byte changed, the length as it was: other bytes, decoded again
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=1)
+    path = tmp_path / "ckpt.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    decodes, decode = [], checkpoint._decode
+    monkeypatch.setattr(checkpoint, "_decode",
+                        lambda raw, p: decodes.append(raw) or decode(raw, p))
+    assert checkpoint.load_checkpoint(path)[0].session == 1
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b'"session": 1,', b'"session": 2,'))
+    assert len(path.read_bytes()) == len(raw)
+    assert checkpoint.load_checkpoint(path)[0].session == 2
+    assert checkpoint.load_checkpoint(path)[0].session == 2
+    assert len(decodes) == 2 and decodes[1] != raw
+
+
 def test_rng_streams_are_those_of_a_fresh_state():
     assert checkpoint.RNG_STREAMS == tuple(trainer.new_state(_cfg(), 8).rngs)
 
@@ -360,6 +380,53 @@ def test_save_load_save_is_byte_identical(tmp_path_factory, saved):
     loaded, loaded_scaler, loaded_cfg = checkpoint.load_checkpoint(first)
     checkpoint.save_checkpoint(second, loaded, loaded_scaler, loaded_cfg)
     assert second.read_bytes() == first.read_bytes()
+
+
+# ids that hold the text of an array's splice point, its parts, escapes
+# and non-ASCII text, which the dump escapes
+_SPLICE_IDS = st.sampled_from(['"', "\\", "f64", '"f64": ""', '{"f64": ""}', '\\"f64\\": \\"\\"',
+                               "f64\": \"", "é", "名前", "\u2028", ""])
+
+
+@st.composite
+def _any_states(draw, feature_mode: bool):
+    """A config and a state of it in raw or feature mode, with a frozen
+    encoder or none and a bank, empty or not, whose ids are drawn text or
+    the splice point's text."""
+    cfg = _cfg(m=draw(st.integers(1, 6)))
+    state = trainer.new_state(cfg, 12 if feature_mode else 8, feature_mode)
+    if draw(st.booleans()):
+        freeze_copy(state.bundle)  # nothing to copy in feature mode
+    state.session = draw(st.integers(1, 3))
+    for sample_id, score in draw(st.lists(st.tuples(_SPLICE_IDS | st.text(max_size=8),
+                                                    _any_float), max_size=5)):
+        state.bank.entries.append(FeatureRecord(
+            feature=np.array(draw(st.lists(_any_float, min_size=12, max_size=12))),
+            score=score, session=state.session, sample_id=sample_id))
+    return cfg, state, data.ScoreScaler(lo=-1.5, hi=draw(st.floats(0.0, 1e6)))
+
+
+@pytest.mark.parametrize("feature_mode", [False, True], ids=["raw", "features"])
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(drawn=st.data())
+def test_save_writes_the_reference_dump(tmp_path_factory, feature_mode, drawn):
+    # the payloads spliced into the dump give json.dumps's own bytes
+    cfg, state, scaler = drawn.draw(_any_states(feature_mode))
+    path = tmp_path_factory.mktemp("ckpt") / "c.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    assert path.read_bytes() == checkpoint_reference.dump(state, scaler, cfg)
+
+
+def test_save_writes_the_reference_dump_of_a_trained_state(tmp_path):
+    plan, scaler = _plan()
+    cfg = _cfg()
+    state = _trained_state(plan, cfg, sessions=2)
+    freeze_copy(state.bundle)
+    for r, sample_id in zip(state.bank.entries, ['"f64": ""', '{"f64": ""}', "f64", "é"]):
+        r.sample_id = sample_id
+    path = tmp_path / "c.json"
+    checkpoint.save_checkpoint(path, state, scaler, cfg)
+    assert path.read_bytes() == checkpoint_reference.dump(state, scaler, cfg)
 
 
 def test_failed_save_keeps_previous_file(tmp_path):

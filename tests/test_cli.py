@@ -852,6 +852,20 @@ def test_plot_kinds(tmp_path, mini_config):
     assert (sw / "plots" / "sweep.svg").exists()
 
 
+def test_pca2d_of_features_one_wide(tmp_path):
+    # a feature width of 1 has one principal direction, drawn with a zero
+    # second coordinate
+    config = tmp_path / "narrow.json"
+    config.write_text(json.dumps({**MINI, "train": {
+        **MINI["train"], "encoder_widths": [8, 1], "projector_widths": [1, 4, 1],
+        "trunk_widths": [1, 8]}}))
+    run_dir = _train(tmp_path, str(config))
+    assert cli.main(["plot", "--run", str(run_dir), "--kind", "pca2d"]) == 0
+    assert (run_dir / "plots" / "pca2d.svg").read_text().startswith("<svg")
+    sidecar = json.loads((run_dir / "plots" / "pca2d.json").read_text())
+    assert sidecar["n_points"] == 12 and -1 <= sidecar["silhouette"] <= 1
+
+
 def test_scatter_and_pca2d_take_the_last_session_by_number(tmp_path, mini_config):
     # session_100.json sorts before session_99.json by name, not by number
     run_dir = _train(tmp_path, mini_config)

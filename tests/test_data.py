@@ -540,6 +540,22 @@ def test_changed_bytes_are_parsed_again(tmp_path, parses):
     assert parses == [("_read_table", str(p)) for p in (crlf, lf, crlf)]
 
 
+def test_a_file_rewritten_at_its_length_is_parsed_again(tmp_path, parses):
+    # the last sample's score's first digit changed: other bytes of the
+    # same length
+    path = tmp_path / "a.csv"
+    data.save_csv(data.generate_synthetic(_cfg(n=40, d_x=6)), path)
+    raw = path.read_bytes()
+    first = data.load_csv(path)
+    i = raw.index(b",", raw.rindex(b"\n", 0, len(raw) - 1)) + 1
+    path.write_bytes(raw[:i] + str((int(raw[i:i + 1]) + 1) % 10).encode() + raw[i + 1:])
+    assert len(path.read_bytes()) == len(raw)
+    second = data.load_csv(path)
+    assert second is not first and data.load_csv(path) is second
+    assert second.samples[-1].score != first.samples[-1].score
+    assert parses == [("_read_table", str(path))] * 2
+
+
 @pytest.mark.parametrize("body, fault, readers", [
     (b"a,1,x\n", "line 2: could not convert string to float: 'x'",
      ("_read_table", "_read_rows")),

@@ -89,6 +89,27 @@ def test_silhouette_singleton_scores_zero():
         plots.silhouette(pts, [1, 1, 1])
 
 
+def test_silhouette_scores_a_point_on_its_nearest_other_cluster_zero():
+    # points 0-3 coincide, so each is at distance 0 from its own cluster
+    # and from the nearest other one (0 / 0); the two at 10 score 1
+    pts = np.array([[0.0, 0.0]] * 4 + [[10.0, 0.0]] * 2)
+    assert plots.silhouette(pts, [1, 1, 2, 2, 3, 3]) == pytest.approx(1 / 3)
+    svg, sil = plots.pca_plot(np.ones((6, 4)), [1, 1, 2, 2, 3, 3])
+    _parse(svg)
+    assert sil == 0.0
+
+
+def test_pca_of_one_feature_has_a_zero_second_coordinate():
+    x = np.array([[1.0], [2.0], [4.0], [5.0]])
+    pts = plots.pca_2d(x)
+    assert pts.shape == (4, 2)
+    assert np.abs(pts[:, 0]) == pytest.approx([2.0, 1.0, 1.0, 2.0])
+    assert (pts[:, 1] == 0).all()
+    svg, sil = plots.pca_plot(x, [1, 1, 2, 2])
+    _parse(svg)
+    assert sil > 0.5
+
+
 def test_pca_plot_reports_separation():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(25, 8))
